@@ -24,11 +24,11 @@
 //!   compatibility, and optionally the *deep* immutability invariant (every
 //!   mapped cache cluster byte-identical to the same range of its base).
 //!
-//! Consumers: `vmi-qcow::scrub` is a thin wrapper mapping violations to its
-//! clean/repaired/discarded verdicts; `vmi-img fsck` is the CLI; the
-//! `paranoid` feature of `vmi-qcow` re-audits the container after every
-//! mutating op in debug builds. The companion `vmi-lint` binary (in
-//! `src/bin/`) enforces *source-level* rules over the workspace.
+//! Consumers: `vmi-qcow::recover` replays the repair hints until the
+//! container audits clean (clean/repaired/refetch verdicts); `vmi-img fsck`
+//! is the CLI; the `paranoid` feature of `vmi-qcow` re-audits the container
+//! after every mutating op in debug builds. The companion `vmi-lint` binary
+//! (in `src/bin/`) enforces *source-level* rules over the workspace.
 
 #![forbid(unsafe_code)]
 
@@ -167,7 +167,7 @@ pub enum RepairHint {
     /// No automated repair; recreate the image.
     None,
     /// Rewrite the cache extension's `used` field to this recomputed value
-    /// (the §4.3 torn-close repair performed by `vmi-qcow::scrub`).
+    /// (the §4.3 torn-close repair performed by `vmi-qcow::recover`).
     RewriteUsedSize(u64),
     /// Drop the cache and deploy without it (plain-QCOW2 fallback); the
     /// base is unaffected.
@@ -198,7 +198,7 @@ impl RepairHint {
         match self {
             RepairHint::None => "no automated repair; recreate the image".to_string(),
             RepairHint::RewriteUsedSize(v) => {
-                format!("rewrite recorded used-size to {v} (scrub repairs this in place)")
+                format!("rewrite recorded used-size to {v} (recover repairs this in place)")
             }
             RepairHint::DiscardCache => {
                 "discard the cache and redeploy without it; the base is intact".to_string()

@@ -34,8 +34,6 @@ pub struct ReplaySummary {
     pub retries: u64,
     /// `cache_degraded` events.
     pub degradations: u64,
-    /// `scrub_result` events.
-    pub scrubs: u64,
     /// `recovery_result` events (crash-recovery engine runs).
     pub recoveries: u64,
     /// Repairs carried by `recovery_result` events.
@@ -84,7 +82,6 @@ pub fn replay(events: &[(u64, Event)]) -> ReplaySummary {
             Event::BootPhase { .. } => {}
             Event::RetryAttempt { .. } => s.retries += 1,
             Event::CacheDegraded { .. } => s.degradations += 1,
-            Event::ScrubResult { .. } => s.scrubs += 1,
             Event::RecoveryResult { repairs, .. } => {
                 s.recoveries += 1;
                 s.recovery_repairs += repairs;

@@ -460,18 +460,17 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
             let warm_hit = cfg.use_caches
                 && decision.cache_hit
                 && warm_local.contains_key(&(node_idx, req.vmi));
-            let (mode, cache_dev): (Mode, Option<SharedDev>) = if !cfg.use_caches {
-                (Mode::Qcow2, None)
+            let (mode, container) = if !cfg.use_caches {
+                (Mode::Qcow2, Arc::new(SparseDev::new()))
             } else if warm_hit {
                 report.warm_boots += 1;
-                let container = warm_local[&(node_idx, req.vmi)].clone();
                 (
                     Mode::WarmCache {
                         placement: Placement::ComputeDisk,
                         quota: cfg.quota,
                         cluster_bits: 9,
                     },
-                    Some(compute[node_idx].disk_file(Arc::new(container.fork()), false)),
+                    Arc::new(warm_local[&(node_idx, req.vmi)].fork()),
                 )
             } else {
                 report.cold_boots += 1;
@@ -483,9 +482,10 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
                         quota: cfg.quota,
                         cluster_bits: 9,
                     },
-                    Some(compute[node_idx].mem_file(fresh)),
+                    fresh,
                 )
             };
+            let cache_dev = compute[node_idx].cache_file(mode, container);
             let cow_dev = compute[node_idx].disk_file(Arc::new(SparseDev::new()), false);
             world.begin_op(start_at);
             let chain = build_chain(ChainSpec {

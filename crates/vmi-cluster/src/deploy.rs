@@ -215,13 +215,6 @@ pub fn build_chain(spec: ChainSpec<'_>) -> Result<Arc<QcowImage>> {
                     "warm-cache deployment needs a cache container",
                 ));
             };
-            spec.obs.count(vmi_obs::met::CHAIN_OPENS, 1);
-            spec.obs.emit(|| vmi_obs::Event::ChainOpen {
-                image: "cache".into(),
-                kind: "cache".into(),
-                writable: !spec.cache_read_only,
-                depth: 1,
-            });
             // Crash-consistent recovery: repair the warm container before
             // trusting it. A torn `used` field or a never-flush-acked table
             // entry is repaired in place; an unrepairable cache is refetched
@@ -236,6 +229,14 @@ pub fn build_chain(spec: ChainSpec<'_>) -> Result<Arc<QcowImage>> {
             else {
                 return create_cow_chain_with_obs(&ns, "base", spec.cow_dev, vsize, &spec.obs);
             };
+            // Only a cache that recovery let through counts as opened.
+            spec.obs.count(vmi_obs::met::CHAIN_OPENS, 1);
+            spec.obs.emit(|| vmi_obs::Event::ChainOpen {
+                image: "cache".into(),
+                kind: "cache".into(),
+                writable: !spec.cache_read_only,
+                depth: 1,
+            });
             spec.obs.count(vmi_obs::met::CHAIN_OPENS, 1);
             spec.obs.emit(|| vmi_obs::Event::ChainOpen {
                 image: "cow".into(),
@@ -349,10 +350,12 @@ mod tests {
         let p = VmiProfile::tiny_test();
         let trace = vmi_trace::generate(&p, 4);
         let warm = prepare_warm_cache(&p, &trace, 16 << 20, 9).unwrap();
-        // Trash the container header: the scrub must discard it and the
-        // boot must proceed as a plain-QCOW2 deployment over the base.
+        // Trash the container header: recovery must answer `Refetch` and
+        // the boot must proceed as a plain-QCOW2 deployment over the base.
         let broken = Arc::new(warm.container.fork());
         broken.write_at(&[0xFF; 64], 0).unwrap();
+        let (rec, _sink) = vmi_obs::RecorderHandle::jsonl();
+        let obs = rec.attach(Arc::new(vmi_obs::ManualClock::new(0)));
         let base = Arc::new(vmi_blockdev::CountingDev::new(Arc::new(
             SparseDev::with_len(p.virtual_size),
         )));
@@ -367,7 +370,7 @@ mod tests {
             cache_dev: Some(broken),
             cow_dev: Arc::new(SparseDev::new()),
             cache_read_only: false,
-            obs: Obs::disabled(),
+            obs: obs.clone(),
         })
         .unwrap();
         replay_unpriced(chain.as_ref(), &trace).unwrap();
@@ -378,6 +381,11 @@ mod tests {
         assert!(
             chain.backing().is_some(),
             "fallback still has the base as backing"
+        );
+        assert_eq!(
+            obs.counter_value(vmi_obs::met::CHAIN_OPENS),
+            2,
+            "base + CoW; the refetched cache was never opened"
         );
     }
 

@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockDev, BlockError, Result, SharedDev, SparseDev};
-use vmi_obs::{MetricsSnapshot, RecorderHandle};
+use vmi_obs::{MetricsSnapshot, Obs, RecorderHandle};
 use vmi_qcow::QcowImage;
-use vmi_remote::{MountOpts, NfsMount};
+use vmi_remote::{MountOpts, NfsExport, NfsMount};
 use vmi_sim::{DiskStats, LinkStats, NetSpec, SimWorld};
 use vmi_trace::{BootTrace, VmiProfile};
 
@@ -154,195 +154,217 @@ pub fn vmi_seed(seed: u64, v: usize) -> u64 {
         .wrapping_add(v as u64 * 7919 + 1)
 }
 
-/// Run one experiment point. Deterministic for a given config.
-pub fn run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentOutcome> {
+/// Per-VMI inputs shared by every node that boots the VMI.
+struct VmiInputs {
+    trace: Arc<BootTrace>,
+    /// Offline-warmed cache ([`Mode::WarmCache`] only).
+    warm: Option<Arc<WarmCache>>,
+}
+
+/// The deterministic inputs of an experiment point, prepared up front
+/// (warming is an offline replay shared by every node of the VMI).
+fn prepare_inputs(cfg: &ExperimentConfig) -> Result<Vec<VmiInputs>> {
     assert!(cfg.nodes >= 1, "need at least one compute node");
     assert!(
         (1..=cfg.nodes).contains(&cfg.vmis),
         "vmis must be in 1..=nodes"
     );
+    (0..cfg.vmis)
+        .map(|v| {
+            let trace = Arc::new(vmi_trace::generate(&cfg.profile, vmi_seed(cfg.seed, v)));
+            let warm = match cfg.mode {
+                Mode::WarmCache {
+                    quota,
+                    cluster_bits,
+                    ..
+                } => Some(match &cfg.warm_store {
+                    Some(store) => {
+                        store.get_or_prepare(&cfg.profile, &trace, quota, cluster_bits)?
+                    }
+                    None => Arc::new(prepare_warm_cache(
+                        &cfg.profile,
+                        &trace,
+                        quota,
+                        cluster_bits,
+                    )?),
+                }),
+                _ => None,
+            };
+            Ok(VmiInputs { trace, warm })
+        })
+        .collect()
+}
 
-    let world = SimWorld::new();
-    let obs = cfg.recorder.attach(world.obs_clock());
-    let mut storage = StorageNode::new(&world, cfg.net);
-
-    // Per-VMI traces and base exports.
-    let traces: Vec<Arc<BootTrace>> = (0..cfg.vmis)
-        .map(|v| Arc::new(vmi_trace::generate(&cfg.profile, vmi_seed(cfg.seed, v))))
-        .collect();
-    let base_exports: Vec<_> = (0..cfg.vmis)
-        .map(|_| storage.create_base_vmi(cfg.profile.virtual_size))
-        .collect();
-
-    // Warm caches (offline warm-up per VMI), and tmpfs exports for the
-    // storage-memory placement.
-    let warm: Vec<Option<Arc<WarmCache>>> = match cfg.mode {
-        Mode::WarmCache {
-            quota,
-            cluster_bits,
-            ..
-        } => (0..cfg.vmis)
-            .map(|v| match &cfg.warm_store {
-                Some(store) => store
-                    .get_or_prepare(&cfg.profile, &traces[v], quota, cluster_bits)
-                    .map(Some),
-                None => prepare_warm_cache(&cfg.profile, &traces[v], quota, cluster_bits)
-                    .map(|w| Some(Arc::new(w))),
-            })
-            .collect::<Result<_>>()?,
-        _ => (0..cfg.vmis).map(|_| None).collect(),
-    };
-    let warm_exports: Vec<_> = match cfg.mode {
-        Mode::WarmCache {
-            placement: Placement::StorageMem,
-            ..
-        } => warm
-            .iter()
-            .map(|w| {
-                w.as_ref()
-                    .map(|w| storage.export_on_tmpfs(w.container.clone() as SharedDev))
-            })
-            .collect(),
-        _ => (0..cfg.vmis).map(|_| None).collect(),
-    };
-
-    // For the Fig. 13 cold flow, only the *first* node per VMI creates and
-    // transfers the cache; the rest run plain QCOW2 (§5.3.2).
-    let cold_storage_mem = matches!(
-        cfg.mode,
+/// Whether `mode` is the Fig. 13 cold flow, where only the *first* node per
+/// VMI (node ids `0..vmis`) creates and transfers the cache and the rest run
+/// plain QCOW2 (§5.3.2).
+fn cold_storage_mem(mode: Mode) -> bool {
+    matches!(
+        mode,
         Mode::ColdCache {
             placement: Placement::StorageMem,
             ..
         }
+    )
+}
+
+/// The tmpfs export of a warm cache kept in storage memory (Fig. 13
+/// bottom); `None` for every other mode.
+fn warm_tmpfs_export(
+    cfg: &ExperimentConfig,
+    storage: &mut StorageNode,
+    vmi: &VmiInputs,
+) -> Option<Arc<NfsExport>> {
+    let in_storage_mem = matches!(
+        cfg.mode,
+        Mode::WarmCache {
+            placement: Placement::StorageMem,
+            ..
+        }
     );
+    let warm = vmi.warm.as_ref().filter(|_| in_storage_mem)?;
+    Some(storage.export_on_tmpfs(warm.container.clone() as SharedDev))
+}
+
+/// The node body both runners share: provision node `i`'s cache and CoW
+/// containers for the configured mode and build its chain. Chain creation is
+/// part of the measured boot (the paper times from "invoking KVM").
+fn deploy_node(
+    cfg: &ExperimentConfig,
+    storage: &StorageNode,
+    obs: &Obs,
+    i: usize,
+    vmi: &VmiInputs,
+    base: &Arc<NfsExport>,
+    warm_export: Option<&Arc<NfsExport>>,
+) -> Result<(Arc<QcowImage>, VmRun)> {
+    let world = &storage.world;
+    let mount = |export: &Arc<NfsExport>| -> SharedDev {
+        NfsMount::new(export.clone(), storage.nic, MountOpts::default())
+    };
+    let mut node = ComputeNode::new(world, i);
+    let mode = if cold_storage_mem(cfg.mode) && i >= cfg.vmis {
+        Mode::Qcow2 // non-creators proceed with normal QCOW2
+    } else {
+        cfg.mode
+    };
+    let (cache_dev, cache_read_only) = match (warm_export, &vmi.warm) {
+        // A warm cache shared from storage memory: mounted read-only.
+        (Some(export), _) => (Some(mount(export)), true),
+        (None, Some(w)) => (node.cache_file(mode, Arc::new(w.container.fork())), false),
+        (None, None) => (node.cache_file(mode, Arc::new(SparseDev::new())), false),
+    };
+    let cow_dev = node.disk_file(Arc::new(SparseDev::new()), false);
+
+    world.begin_op(0);
+    let csp = obs.span("chain.build", || format!("node={i}"));
+    let chain = build_chain(ChainSpec {
+        mode,
+        profile: &cfg.profile,
+        base_dev: mount(base),
+        cache_dev,
+        cow_dev,
+        cache_read_only,
+        obs: obs.clone(),
+    })?;
+    drop(csp);
+    let setup_ns = world.end_op();
+    let run = VmRun {
+        chain: chain.clone() as SharedDev,
+        trace: vmi.trace.clone(),
+        start_at: 0,
+        setup_ns,
+    };
+    Ok((chain, run))
+}
+
+/// Fig. 13/14 cold flow: ship creator `i`'s cache from compute memory to the
+/// storage tmpfs and add the transfer to its boot time.
+fn transfer_cache(
+    storage: &StorageNode,
+    obs: &Obs,
+    i: usize,
+    chain: &Arc<QcowImage>,
+    outcome: &mut VmOutcome,
+) {
+    let world = &storage.world;
+    let size = cache_layer_file_size(chain).unwrap_or(0);
+    let tsp = world.with_time(outcome.done_at, || {
+        obs.span("net.transfer", || format!("node={i} bytes={size}"))
+    });
+    let done = world.bulk_transfer(storage.nic, outcome.done_at, size);
+    world.with_time(done, || drop(tsp));
+    let extra = done - outcome.done_at;
+    outcome.done_at = done;
+    outcome.boot_ns += extra;
+    outcome.io_wait_ns += extra;
+}
+
+/// Run one experiment point. Deterministic for a given config.
+pub fn run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentOutcome> {
+    let vmis = prepare_inputs(cfg)?;
+    let world = SimWorld::new();
+    let obs = cfg.recorder.attach(world.obs_clock());
+    let mut storage = StorageNode::new(&world, cfg.net);
+    // Base exports first, then the tmpfs exports of the storage-memory
+    // placement: one of each per VMI, shared by its nodes.
+    let base_exports: Vec<_> = (0..cfg.vmis)
+        .map(|_| storage.create_base_vmi(cfg.profile.virtual_size))
+        .collect();
+    let warm_exports: Vec<_> = vmis
+        .iter()
+        .map(|vmi| warm_tmpfs_export(cfg, &mut storage, vmi))
+        .collect();
 
     let mut vms: Vec<VmRun> = Vec::with_capacity(cfg.nodes);
     let mut chains: Vec<Arc<QcowImage>> = Vec::with_capacity(cfg.nodes);
-    let mut creator: Vec<bool> = vec![false; cfg.nodes];
-    let mut seen_vmi = vec![false; cfg.vmis];
-
-    #[allow(clippy::needless_range_loop)] // i indexes three parallel tables
     for i in 0..cfg.nodes {
         let v = i % cfg.vmis;
-        let mut node = ComputeNode::new(&world, i);
-        let base_dev: SharedDev =
-            NfsMount::new(base_exports[v].clone(), storage.nic, MountOpts::default());
-
-        let mut mode = cfg.mode;
-        if cold_storage_mem {
-            if seen_vmi[v] {
-                mode = Mode::Qcow2; // non-creators proceed with normal QCOW2
-            } else {
-                seen_vmi[v] = true;
-                creator[i] = true;
-            }
-        }
-
-        let (cache_dev, cache_read_only): (Option<SharedDev>, bool) = match mode {
-            Mode::Qcow2 => (None, false),
-            Mode::ColdCache { placement, .. } => {
-                let fresh: SharedDev = Arc::new(SparseDev::new());
-                let dev = match placement {
-                    // The final arrangement (Fig. 7): cold caches are built
-                    // in compute-node memory. The storage-memory flow also
-                    // creates locally in memory first (Fig. 13).
-                    Placement::ComputeMem | Placement::StorageMem => node.mem_file(fresh),
-                    // The slow variant of Fig. 8: synchronous writes to the
-                    // local disk sit on the boot critical path.
-                    Placement::ComputeDisk => node.disk_file(fresh, true),
-                };
-                (Some(dev), false)
-            }
-            Mode::WarmCache { placement, .. } => {
-                let Some(w) = warm[v].as_ref() else {
-                    return Err(BlockError::unsupported("warm cache was not prepared"));
-                };
-                match placement {
-                    Placement::ComputeDisk => (
-                        Some(node.disk_file(Arc::new(w.container.fork()), false)),
-                        false,
-                    ),
-                    Placement::ComputeMem => {
-                        (Some(node.mem_file(Arc::new(w.container.fork()))), false)
-                    }
-                    Placement::StorageMem => {
-                        let Some(exp) = warm_exports[v].clone() else {
-                            return Err(BlockError::unsupported(
-                                "storage-memory placement without a tmpfs export",
-                            ));
-                        };
-                        let mount: SharedDev =
-                            NfsMount::new(exp, storage.nic, MountOpts::default());
-                        (Some(mount), true)
-                    }
-                }
-            }
-        };
-
-        let cow_dev = node.disk_file(Arc::new(SparseDev::new()), false);
-
-        // Chain creation is part of the measured boot (the paper times from
-        // "invoking KVM").
-        world.begin_op(0);
-        let csp = obs.span("chain.build", || format!("node={i}"));
-        let chain = build_chain(ChainSpec {
-            mode,
-            profile: &cfg.profile,
-            base_dev,
-            cache_dev,
-            cow_dev,
-            cache_read_only,
-            obs: obs.clone(),
-        })?;
-        drop(csp);
-        let setup_ns = world.end_op();
-
-        chains.push(chain.clone());
-        vms.push(VmRun {
-            chain: chain as SharedDev,
-            trace: traces[v].clone(),
-            start_at: 0,
-            setup_ns,
-        });
+        let (chain, run) = deploy_node(
+            cfg,
+            &storage,
+            &obs,
+            i,
+            &vmis[v],
+            &base_exports[v],
+            warm_exports[v].as_ref(),
+        )?;
+        chains.push(chain);
+        vms.push(run);
     }
 
     let mut outcomes = run_boots_with_obs(&world, vms, &obs)?;
 
-    // Fig. 13/14 cold flow: add the cache transfer (compute memory →
-    // storage tmpfs) to the creator's boot time.
-    if cold_storage_mem {
-        let mut order: Vec<usize> = (0..cfg.nodes).filter(|&i| creator[i]).collect();
+    if cold_storage_mem(cfg.mode) {
+        // Creators transfer in the order their boots finish.
+        let mut order: Vec<usize> = (0..cfg.vmis).collect();
         order.sort_by_key(|&i| outcomes[i].done_at);
         for i in order {
-            let size = cache_layer_file_size(&chains[i]).unwrap_or(0);
-            let tsp = world.with_time(outcomes[i].done_at, || {
-                obs.span("net.transfer", || format!("node={i} bytes={size}"))
-            });
-            let done = world.bulk_transfer(storage.nic, outcomes[i].done_at, size);
-            world.with_time(done, || drop(tsp));
-            let extra = done - outcomes[i].done_at;
-            outcomes[i].done_at = done;
-            outcomes[i].boot_ns += extra;
-            outcomes[i].io_wait_ns += extra;
+            transfer_cache(&storage, &obs, i, &chains[i], &mut outcomes[i]);
         }
     }
 
-    let cache_file_sizes = chains
-        .iter()
-        .filter_map(cache_layer_file_size)
-        .collect::<Vec<_>>();
-    let telemetry = Telemetry::collect(&chains, &obs);
+    Ok(collect_outcome(&storage, &obs, &chains, outcomes))
+}
 
-    Ok(ExperimentOutcome {
+/// Everything measured in `storage`'s world once its boots are done.
+fn collect_outcome(
+    storage: &StorageNode,
+    obs: &Obs,
+    chains: &[Arc<QcowImage>],
+    outcomes: Vec<VmOutcome>,
+) -> ExperimentOutcome {
+    let world = &storage.world;
+    ExperimentOutcome {
         stats: BootStats::from(&outcomes),
         outcomes,
         storage_nic: world.link_stats(storage.nic),
         storage_disk: world.disk_stats(storage.disk),
         storage_page_cache: world.cache_stats(storage.page_cache),
-        cache_file_sizes,
-        telemetry,
+        cache_file_sizes: chains.iter().filter_map(cache_layer_file_size).collect(),
+        telemetry: Telemetry::collect(chains, obs),
         metrics: obs.metrics_snapshot(),
-    })
+    }
 }
 
 /// File size of the cache layer under a CoW top image, if any.
@@ -354,14 +376,9 @@ fn cache_layer_file_size(chain: &Arc<QcowImage>) -> Option<u64> {
 
 /// Everything one node thread brings back, merged by node id afterwards.
 struct NodeRun {
-    outcome: VmOutcome,
-    nic: LinkStats,
-    disk: DiskStats,
-    page_cache: (u64, u64),
-    telemetry: Telemetry,
+    /// The node's own world, measured like a one-node serial run.
+    out: ExperimentOutcome,
     op_hist: Option<vmi_obs::HistogramSnapshot>,
-    metrics: Option<MetricsSnapshot>,
-    cache_file_size: Option<u64>,
     /// Per-node event stream (empty without a recorder), already in
     /// node-local time order.
     events: Vec<(u64, vmi_obs::Event)>,
@@ -386,40 +403,13 @@ struct NodeRun {
 /// ordered within each node) are bit-identical for a given config and seed,
 /// regardless of thread scheduling.
 pub fn run_experiment_parallel(cfg: &ExperimentConfig) -> Result<ExperimentOutcome> {
-    assert!(cfg.nodes >= 1, "need at least one compute node");
-    assert!(
-        (1..=cfg.nodes).contains(&cfg.vmis),
-        "vmis must be in 1..=nodes"
-    );
-
-    // Shared, deterministic inputs prepared up front (warming is an offline
-    // replay and would otherwise be repeated per node).
-    let traces: Vec<Arc<BootTrace>> = (0..cfg.vmis)
-        .map(|v| Arc::new(vmi_trace::generate(&cfg.profile, vmi_seed(cfg.seed, v))))
-        .collect();
-    let warm: Vec<Option<Arc<WarmCache>>> = match cfg.mode {
-        Mode::WarmCache {
-            quota,
-            cluster_bits,
-            ..
-        } => (0..cfg.vmis)
-            .map(|v| match &cfg.warm_store {
-                Some(store) => store
-                    .get_or_prepare(&cfg.profile, &traces[v], quota, cluster_bits)
-                    .map(Some),
-                None => prepare_warm_cache(&cfg.profile, &traces[v], quota, cluster_bits)
-                    .map(|w| Some(Arc::new(w))),
-            })
-            .collect::<Result<_>>()?,
-        _ => (0..cfg.vmis).map(|_| None).collect(),
-    };
+    let vmis = prepare_inputs(cfg)?;
 
     let runs: Vec<Result<NodeRun>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.nodes)
             .map(|i| {
-                let traces = &traces;
-                let warm = &warm;
-                s.spawn(move || run_node(cfg, i, traces, warm))
+                let vmi = &vmis[i % cfg.vmis];
+                s.spawn(move || run_node(cfg, i, vmi))
             })
             .collect();
         handles
@@ -434,24 +424,27 @@ pub fn run_experiment_parallel(cfg: &ExperimentConfig) -> Result<ExperimentOutco
 
     // Deterministic merge, sorted by node id (the vec is already in id
     // order — thread completion order never matters).
-    let outcomes: Vec<VmOutcome> = runs.iter().map(|r| r.outcome).collect();
+    let outcomes: Vec<VmOutcome> = runs.iter().map(|r| r.out.outcomes[0]).collect();
     let mut storage_nic = LinkStats::default();
     let mut storage_disk = DiskStats::default();
     let mut storage_page_cache = (0u64, 0u64);
-    for r in &runs {
-        storage_nic.messages += r.nic.messages;
-        storage_nic.bytes += r.nic.bytes;
-        storage_nic.busy_ns += r.nic.busy_ns;
-        storage_disk.read_ops += r.disk.read_ops;
-        storage_disk.write_ops += r.disk.write_ops;
-        storage_disk.read_bytes += r.disk.read_bytes;
-        storage_disk.write_bytes += r.disk.write_bytes;
-        storage_disk.seeks += r.disk.seeks;
-        storage_disk.busy_ns += r.disk.busy_ns;
-        storage_page_cache.0 += r.page_cache.0;
-        storage_page_cache.1 += r.page_cache.1;
+    for out in runs.iter().map(|r| &r.out) {
+        storage_nic.messages += out.storage_nic.messages;
+        storage_nic.bytes += out.storage_nic.bytes;
+        storage_nic.busy_ns += out.storage_nic.busy_ns;
+        storage_disk.read_ops += out.storage_disk.read_ops;
+        storage_disk.write_ops += out.storage_disk.write_ops;
+        storage_disk.read_bytes += out.storage_disk.read_bytes;
+        storage_disk.write_bytes += out.storage_disk.write_bytes;
+        storage_disk.seeks += out.storage_disk.seeks;
+        storage_disk.busy_ns += out.storage_disk.busy_ns;
+        storage_page_cache.0 += out.storage_page_cache.0;
+        storage_page_cache.1 += out.storage_page_cache.1;
     }
-    let cache_file_sizes: Vec<u64> = runs.iter().filter_map(|r| r.cache_file_size).collect();
+    let cache_file_sizes: Vec<u64> = runs
+        .iter()
+        .flat_map(|r| r.out.cache_file_sizes.iter().copied())
+        .collect();
     let telemetry = merge_telemetry(&runs);
     let metrics = merge_metrics(&runs);
 
@@ -482,13 +475,7 @@ pub fn run_experiment_parallel(cfg: &ExperimentConfig) -> Result<ExperimentOutco
 
 /// One node's slice of [`run_experiment_parallel`]: its own world, its own
 /// storage replica, one boot.
-fn run_node(
-    cfg: &ExperimentConfig,
-    i: usize,
-    traces: &[Arc<BootTrace>],
-    warm: &[Option<Arc<WarmCache>>],
-) -> Result<NodeRun> {
-    let v = i % cfg.vmis;
+fn run_node(cfg: &ExperimentConfig, i: usize, vmi: &VmiInputs) -> Result<NodeRun> {
     let world = SimWorld::new();
     // Per-node recorder: streams are merged by node id by the caller.
     let (rec, sink) = if cfg.recorder.is_set() {
@@ -501,105 +488,18 @@ fn run_node(
     // stream matches the serial runner's and merged streams never collide.
     let obs = rec.attach_with_span_base(world.obs_clock(), (i as u64) << 48);
     let mut storage = StorageNode::new(&world, cfg.net);
-    let base_dev: SharedDev = NfsMount::new(
-        storage.create_base_vmi(cfg.profile.virtual_size),
-        storage.nic,
-        MountOpts::default(),
-    );
-    let mut node = ComputeNode::new(&world, i);
+    let base = storage.create_base_vmi(cfg.profile.virtual_size);
+    let warm_export = warm_tmpfs_export(cfg, &mut storage, vmi);
+    let (chain, run) = deploy_node(cfg, &storage, &obs, i, vmi, &base, warm_export.as_ref())?;
 
-    // Fig. 13 cold flow: the first node per VMI creates and transfers the
-    // cache, everyone else boots plain QCOW2 (§5.3.2). Node ids replace the
-    // serial loop's first-seen order.
-    let cold_storage_mem = matches!(
-        cfg.mode,
-        Mode::ColdCache {
-            placement: Placement::StorageMem,
-            ..
-        }
-    );
-    let creator = cold_storage_mem && i < cfg.vmis;
-    let mut mode = cfg.mode;
-    if cold_storage_mem && !creator {
-        mode = Mode::Qcow2;
+    let mut outcome = run_boots_with_obs(&world, vec![run], &obs)?.remove(0);
+    if cold_storage_mem(cfg.mode) && i < cfg.vmis {
+        transfer_cache(&storage, &obs, i, &chain, &mut outcome);
     }
 
-    let (cache_dev, cache_read_only): (Option<SharedDev>, bool) = match mode {
-        Mode::Qcow2 => (None, false),
-        Mode::ColdCache { placement, .. } => {
-            let fresh: SharedDev = Arc::new(SparseDev::new());
-            let dev = match placement {
-                Placement::ComputeMem | Placement::StorageMem => node.mem_file(fresh),
-                Placement::ComputeDisk => node.disk_file(fresh, true),
-            };
-            (Some(dev), false)
-        }
-        Mode::WarmCache { placement, .. } => {
-            let Some(w) = warm[v].as_ref() else {
-                return Err(BlockError::unsupported("warm cache was not prepared"));
-            };
-            match placement {
-                Placement::ComputeDisk => (
-                    Some(node.disk_file(Arc::new(w.container.fork()), false)),
-                    false,
-                ),
-                Placement::ComputeMem => (Some(node.mem_file(Arc::new(w.container.fork()))), false),
-                Placement::StorageMem => {
-                    let exp = storage.export_on_tmpfs(w.container.clone() as SharedDev);
-                    let mount: SharedDev = NfsMount::new(exp, storage.nic, MountOpts::default());
-                    (Some(mount), true)
-                }
-            }
-        }
-    };
-    let cow_dev = node.disk_file(Arc::new(SparseDev::new()), false);
-
-    world.begin_op(0);
-    let csp = obs.span("chain.build", || format!("node={i}"));
-    let chain = build_chain(ChainSpec {
-        mode,
-        profile: &cfg.profile,
-        base_dev,
-        cache_dev,
-        cow_dev,
-        cache_read_only,
-        obs: obs.clone(),
-    })?;
-    drop(csp);
-    let setup_ns = world.end_op();
-
-    let vms = vec![VmRun {
-        chain: chain.clone() as SharedDev,
-        trace: traces[v].clone(),
-        start_at: 0,
-        setup_ns,
-    }];
-    let mut outcomes = run_boots_with_obs(&world, vms, &obs)?;
-    let mut outcome = outcomes.remove(0);
-
-    if creator {
-        let size = cache_layer_file_size(&chain).unwrap_or(0);
-        let tsp = world.with_time(outcome.done_at, || {
-            obs.span("net.transfer", || format!("node={i} bytes={size}"))
-        });
-        let done = world.bulk_transfer(storage.nic, outcome.done_at, size);
-        world.with_time(done, || drop(tsp));
-        let extra = done - outcome.done_at;
-        outcome.done_at = done;
-        outcome.boot_ns += extra;
-        outcome.io_wait_ns += extra;
-    }
-
-    let chains = vec![chain];
     Ok(NodeRun {
-        outcome,
-        nic: world.link_stats(storage.nic),
-        disk: world.disk_stats(storage.disk),
-        page_cache: world.cache_stats(storage.page_cache),
-        telemetry: Telemetry::collect(&chains, &obs),
+        out: collect_outcome(&storage, &obs, &[chain], vec![outcome]),
         op_hist: obs.histogram(vmi_obs::met::VM_OP_NS),
-        metrics: obs.metrics_snapshot(),
-        cache_file_size: cache_layer_file_size(&chains[0]),
         events: sink.map(|s| s.events()).unwrap_or_default(),
         hit_counter: obs.counter_value(vmi_obs::met::CACHE_HIT_BYTES),
         miss_counter: obs.counter_value(vmi_obs::met::CACHE_MISS_BYTES),
@@ -612,9 +512,9 @@ fn merge_telemetry(runs: &[NodeRun]) -> Telemetry {
     // Pre-size from the node count: growing this per boot is measurable
     // allocation churn at 10k-node scale.
     let mut per_cache: Vec<crate::telemetry::CacheTelemetry> =
-        Vec::with_capacity(runs.iter().map(|r| r.telemetry.per_cache.len()).sum());
+        Vec::with_capacity(runs.iter().map(|r| r.out.telemetry.per_cache.len()).sum());
     for r in runs {
-        per_cache.extend(r.telemetry.per_cache.iter().copied());
+        per_cache.extend(r.out.telemetry.per_cache.iter().copied());
     }
     let (hits, misses) = if per_cache.is_empty() {
         (
@@ -628,7 +528,7 @@ fn merge_telemetry(runs: &[NodeRun]) -> Telemetry {
         )
     };
     let hist = merge_histograms(runs.iter().filter_map(|r| r.op_hist.as_ref()));
-    let sum = |f: fn(&Telemetry) -> u64| runs.iter().map(|r| f(&r.telemetry)).sum::<u64>();
+    let sum = |f: fn(&Telemetry) -> u64| runs.iter().map(|r| f(&r.out.telemetry)).sum::<u64>();
     Telemetry {
         per_cache,
         hit_ratio: if misses == 0 {
@@ -641,8 +541,6 @@ fn merge_telemetry(runs: &[NodeRun]) -> Telemetry {
         evictions: sum(|t| t.evictions),
         retry_attempts: sum(|t| t.retry_attempts),
         caches_degraded: sum(|t| t.caches_degraded),
-        scrub_repairs: sum(|t| t.scrub_repairs),
-        scrub_discards: sum(|t| t.scrub_discards),
         audit_violations: sum(|t| t.audit_violations),
         runs_coalesced: sum(|t| t.runs_coalesced),
         coalesced_bytes: sum(|t| t.coalesced_bytes),
@@ -668,7 +566,7 @@ fn merge_metrics(runs: &[NodeRun]) -> Option<MetricsSnapshot> {
     let mut gauges = BTreeMap::<&'static str, u64>::new();
     let mut hists = BTreeMap::<&'static str, vmi_obs::HistogramSnapshot>::new();
     let mut any = false;
-    for r in &mut runs.iter().filter_map(|r| r.metrics.as_ref()) {
+    for r in &mut runs.iter().filter_map(|r| r.out.metrics.as_ref()) {
         any = true;
         for &(name, v) in &r.counters {
             *counters.entry(name).or_insert(0) += v;

@@ -124,18 +124,19 @@ pub fn run_mixed_experiment(cfg: &MixedConfig) -> Result<MixedOutcome> {
                 cluster_bits: 9,
             }
         };
-        let cache_dev: SharedDev = if decision.cache_hit {
-            node.disk_file(Arc::new(warm.container.fork()), false)
+        let container = if decision.cache_hit {
+            warm.container.fork()
         } else {
-            node.mem_file(Arc::new(SparseDev::new()))
+            SparseDev::new()
         };
+        let cache_dev = node.cache_file(mode, Arc::new(container));
         let cow_dev = node.disk_file(Arc::new(SparseDev::new()), false);
         world.begin_op(0);
         let chain = crate::deploy::build_chain(crate::deploy::ChainSpec {
             mode,
             profile: &cfg.profile,
             base_dev,
-            cache_dev: Some(cache_dev),
+            cache_dev,
             cow_dev,
             cache_read_only: false,
             obs: Obs::disabled(),

@@ -8,6 +8,8 @@
 use std::sync::Arc;
 
 use vmi_blockdev::{SharedDev, SparseDev};
+
+use crate::deploy::{Mode, Placement};
 use vmi_remote::{ExportMedium, NfsExport, SERVER_PAGE};
 use vmi_sim::{CacheId, DiskId, DiskSpec, LinkId, NetSpec, SimWorld};
 
@@ -140,6 +142,26 @@ impl ComputeNode {
     /// Wrap `inner` as a memory-resident file on this node.
     pub fn mem_file(&self, inner: SharedDev) -> SharedDev {
         vmi_remote::memory_dev(self.world.clone(), inner)
+    }
+
+    /// Place the cache `container` of a `mode` deployment on this node.
+    /// Cold caches are built in memory (the final arrangement of Fig. 7 —
+    /// the storage-memory flow also creates locally first, Fig. 13) or, in
+    /// the slow variant of Fig. 8, behind synchronous local-disk writes on
+    /// the boot critical path; warm copies sit on the local disk or in
+    /// memory. `None` when `mode` keeps no cache on the node: plain QCOW2,
+    /// or a warm cache served from storage memory.
+    pub(crate) fn cache_file(&mut self, mode: Mode, container: SharedDev) -> Option<SharedDev> {
+        let (placement, cold) = match mode {
+            Mode::Qcow2 => return None,
+            Mode::ColdCache { placement, .. } => (placement, true),
+            Mode::WarmCache { placement, .. } => (placement, false),
+        };
+        match placement {
+            Placement::ComputeDisk => Some(self.disk_file(container, cold)),
+            Placement::StorageMem if !cold => None,
+            Placement::ComputeMem | Placement::StorageMem => Some(self.mem_file(container)),
+        }
     }
 }
 

@@ -62,13 +62,8 @@ pub struct Telemetry {
     /// Caches that latched into degraded mode (fill or cluster-read
     /// failure) during the run.
     pub caches_degraded: u64,
-    /// Crash-recovery scrubs that repaired a torn `used` field in place.
-    pub scrub_repairs: u64,
-    /// Crash-recovery scrubs that discarded an unusable cache (the boot
-    /// fell back to plain QCOW2).
-    pub scrub_discards: u64,
-    /// Invariant violations found by `vmi-audit` during scrubs (every scrub
-    /// is an audit run under the hood).
+    /// Invariant violations found by `vmi-audit` during crash recovery
+    /// (every recovery pass is an audit run under the hood).
     pub audit_violations: u64,
     /// Multi-cluster extents served/filled as one device op by the
     /// coalescing I/O engine (recorder required; 0 otherwise).
@@ -145,8 +140,6 @@ impl Telemetry {
             evictions: obs.counter_value(met::CACHE_EVICTIONS),
             retry_attempts: obs.counter_value(met::RETRY_ATTEMPTS),
             caches_degraded: obs.counter_value(met::CACHE_DEGRADED),
-            scrub_repairs: obs.counter_value(met::SCRUB_REPAIRS),
-            scrub_discards: obs.counter_value(met::SCRUB_DISCARDS),
             audit_violations: obs.counter_value(met::AUDIT_VIOLATIONS),
             runs_coalesced: obs.counter_value(met::COALESCED_RUNS),
             coalesced_bytes: obs.counter_value(met::COALESCED_BYTES),

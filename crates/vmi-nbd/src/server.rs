@@ -29,8 +29,14 @@ struct Export {
 impl Export {
     /// TRIM maps to image discard when the export is an image layer (plain
     /// or wrapped in [`ConcurrentImage`]); raw devices acknowledge without
-    /// action, and read-only image exports refuse.
+    /// action, and read-only image exports refuse. The range is validated
+    /// against the export like a READ/WRITE range (no size cap: TRIM
+    /// carries no payload).
     fn trim(&self, off: u64, len: u64) -> u32 {
+        match off.checked_add(len) {
+            Some(end) if end <= self.dev.len() => {}
+            _ => return NBD_EINVAL,
+        }
         let any = self.dev.as_any();
         if let Some(conc) = any.and_then(|a| a.downcast_ref::<ConcurrentImage>()) {
             if self.read_only {

@@ -156,6 +156,8 @@ fn trim_over_nbd_discards_image_clusters() {
         cache.cache_used() < used_before,
         "TRIM must free cache quota"
     );
+    // A TRIM whose range wraps u64 is refused without dropping the session.
+    assert!(client.trim(u64::MAX - 3, 16).is_err());
     // Data is still correct (re-fetched from base on demand).
     client.read_at(&mut buf[..1024], 0).unwrap();
     assert_eq!(&buf[..1024], &[7u8; 1024]);

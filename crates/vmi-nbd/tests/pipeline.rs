@@ -128,8 +128,13 @@ fn read_and_write_past_export_end_reply_einval() {
     // offset + length overflowing u64 must not panic the handler.
     c.send(NBD_CMD_READ, 3, u64::MAX - 4, 64, &[]);
     assert_eq!(c.recv(), (NBD_EINVAL, 3));
-    c.send(NBD_CMD_READ, 4, 0, 8, &[]);
-    assert_eq!(c.recv(), (0, 4));
+    // TRIM ranges are validated the same way, raw export or not.
+    c.send(NBD_CMD_TRIM, 4, u64::MAX - 3, 16, &[]);
+    assert_eq!(c.recv(), (NBD_EINVAL, 4));
+    c.send(NBD_CMD_TRIM, 5, (1 << 16) - 8, 64, &[]);
+    assert_eq!(c.recv(), (NBD_EINVAL, 5));
+    c.send(NBD_CMD_READ, 6, 0, 8, &[]);
+    assert_eq!(c.recv(), (0, 6));
     c.recv_data(8);
 }
 
@@ -257,5 +262,11 @@ fn pipelined_concurrent_image_export_serves_warm_reads() {
     // TRIM through the concurrent wrapper (drains in-flight, then discards).
     c.send(NBD_CMD_TRIM, 100, 0, 8192, &[]);
     assert_eq!(c.recv(), (0, 100));
-    c.send(NBD_CMD_DISC, 101, 0, 0, &[]);
+    // A TRIM whose range wraps u64 is refused, and the connection lives on.
+    c.send(NBD_CMD_TRIM, 101, u64::MAX - 3, 16, &[]);
+    assert_eq!(c.recv(), (NBD_EINVAL, 101));
+    c.send(NBD_CMD_READ, 102, 8192, 4096, &[]);
+    assert_eq!(c.recv(), (0, 102));
+    assert_eq!(c.recv_data(4096), &warm[8192..8192 + 4096]);
+    c.send(NBD_CMD_DISC, 103, 0, 0, &[]);
 }

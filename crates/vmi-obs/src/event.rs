@@ -102,15 +102,6 @@ pub enum Event {
         /// Cache bytes used at the moment of the transition.
         used: u64,
     },
-    /// A crash-consistency scrub of a cache image finished.
-    ScrubResult {
-        /// Outcome: `clean`, `repaired` or `discarded`.
-        verdict: String,
-        /// Cache bytes actually referenced by the mapping tables.
-        used: u64,
-        /// The configured quota.
-        quota: u64,
-    },
     /// The invariant checker (`vmi-audit`) found one broken invariant.
     AuditViolation {
         /// Stable violation-kind label, e.g. `used_size_mismatch`.
@@ -134,8 +125,7 @@ pub enum Event {
         /// Node the boot was retried on.
         to_node: u64,
     },
-    /// The crash-recovery engine finished one image (superseding scrubs for
-    /// cache opens after PR 7).
+    /// The crash-recovery engine finished one image.
     RecoveryResult {
         /// Outcome: `clean`, `repaired` or `refetch`.
         verdict: String,
@@ -205,7 +195,6 @@ impl Event {
             Event::CacheEvict { .. } => "cache_evict",
             Event::RetryAttempt { .. } => "retry_attempt",
             Event::CacheDegraded { .. } => "cache_degraded",
-            Event::ScrubResult { .. } => "scrub_result",
             Event::AuditViolation { .. } => "audit_violation",
             Event::NodeFailed { .. } => "node_failed",
             Event::BootRescheduled { .. } => "boot_rescheduled",
@@ -266,14 +255,6 @@ impl Event {
             Event::CacheDegraded { reason, used } => {
                 push_str_field(&mut s, "reason", reason);
                 let _ = write!(s, ",\"used\":{used}");
-            }
-            Event::ScrubResult {
-                verdict,
-                used,
-                quota,
-            } => {
-                push_str_field(&mut s, "verdict", verdict);
-                let _ = write!(s, ",\"used\":{used},\"quota\":{quota}");
             }
             Event::AuditViolation {
                 kind,
@@ -395,11 +376,6 @@ impl Event {
             "cache_degraded" => Event::CacheDegraded {
                 reason: fields.str("reason")?.to_string(),
                 used: fields.u64("used")?,
-            },
-            "scrub_result" => Event::ScrubResult {
-                verdict: fields.str("verdict")?.to_string(),
-                used: fields.u64("used")?,
-                quota: fields.u64("quota")?,
             },
             "audit_violation" => Event::AuditViolation {
                 kind: fields.str("kind")?.to_string(),
@@ -696,14 +672,6 @@ mod tests {
             Event::CacheDegraded {
                 reason: "fill_failed".into(),
                 used: 4096,
-            },
-        );
-        roundtrip(
-            10,
-            Event::ScrubResult {
-                verdict: "repaired".into(),
-                used: 8192,
-                quota: 1 << 20,
             },
         );
         roundtrip(

@@ -52,12 +52,6 @@ pub mod met {
     pub const CACHE_DEGRADED: &str = "qcow.cache.degraded";
     /// Guest bytes served from backing because the cache was degraded (counter).
     pub const DEGRADED_READ_BYTES: &str = "qcow.cache.degraded_read_bytes";
-    /// Crash-consistency scrubs run on cache open (counter).
-    pub const SCRUB_RUNS: &str = "qcow.scrub.runs";
-    /// Scrubs that repaired a torn header in place (counter).
-    pub const SCRUB_REPAIRS: &str = "qcow.scrub.repairs";
-    /// Scrubs that discarded an unrecoverable cache (counter).
-    pub const SCRUB_DISCARDS: &str = "qcow.scrub.discards";
     /// Invariant-checker (fsck) runs (counter).
     pub const AUDIT_RUNS: &str = "audit.runs";
     /// Invariant violations reported by the checker (counter).

@@ -51,10 +51,9 @@ use parking_lot::{lockrank, rank, Condvar, Mutex, RwLock};
 use vmi_blockdev::{BlockDev, BlockError, ByteRange, Result, SharedDev};
 use vmi_obs::{Obs, SpanId};
 
-use crate::image::QcowImage;
+use crate::image::{QcowImage, UNALLOCATED};
 use crate::layout::Geometry;
-
-const UNALLOCATED: u64 = 0;
+use crate::lookup::contiguous_run;
 
 /// Number of independent L2-cache shards. Requests hash by L1 index, so
 /// reads of different table regions never touch the same shard lock.
@@ -286,24 +285,15 @@ impl ConcurrentImage {
         self.stamp.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    fn check_bounds(&self, off: u64, len: usize) -> Result<()> {
-        let vsize = self.geom.virtual_size;
-        let end = off
-            .checked_add(len as u64)
-            .ok_or_else(|| BlockError::out_of_bounds(off, len, vsize))?;
-        if end > vsize {
-            return Err(BlockError::out_of_bounds(off, len, vsize));
+    /// Cluster-aligned lock span for a mutation over `[off, end)` (`end`
+    /// as checked by [`Geometry::check_range`]): copy-on-read fills and
+    /// write allocations only ever touch clusters intersecting the request,
+    /// so this span bounds every mapping change.
+    fn aligned(&self, off: u64, end: u64) -> ByteRange {
+        ByteRange {
+            start: self.geom.cluster_start(off),
+            end: self.geom.align_up(end),
         }
-        Ok(())
-    }
-
-    /// Cluster-aligned lock span for a mutation over `[off, off+len)`:
-    /// copy-on-read fills and write allocations only ever touch clusters
-    /// intersecting the request, so this span bounds every mapping change.
-    fn aligned(&self, off: u64, len: usize) -> ByteRange {
-        let start = self.geom.cluster_start(off);
-        let end = self.geom.align_up(off + len as u64);
-        ByteRange { start, end }
     }
 
     // ------------------------------------------------------------------
@@ -382,7 +372,7 @@ impl ConcurrentImage {
     /// Read returning the completion stamp (see the module docs for the
     /// replay-equivalence contract).
     pub fn read_stamped(&self, buf: &mut [u8], off: u64, parent: Option<SpanId>) -> Result<u64> {
-        self.check_bounds(off, buf.len())?;
+        let end = self.geom.check_range(off, buf.len() as u64)?;
         if buf.is_empty() {
             return Ok(self.next_stamp());
         }
@@ -390,7 +380,7 @@ impl ConcurrentImage {
             let _g = self
                 .locks
                 .acquire(ByteRange::at(off, buf.len() as u64), Mode::Shared);
-            if let Ok(true) = self.try_warm_read(buf, off, parent) {
+            if let Ok(true) = self.try_warm_read(buf, off, end, parent) {
                 // Stamp before the shared lock drops: any overlapping
                 // mutation stamps strictly after us.
                 return Ok(self.next_stamp());
@@ -400,7 +390,7 @@ impl ConcurrentImage {
             // CoR fills and degraded fallback).
         }
         self.slow_reads.fetch_add(1, Ordering::Relaxed);
-        let span = self.aligned(off, buf.len());
+        let span = self.aligned(off, end);
         let _g = self.locks.acquire(span, Mode::Exclusive);
         let _om = self.mut_order.lock();
         let res = self.img.read_at_in(buf, off, parent);
@@ -413,25 +403,26 @@ impl ConcurrentImage {
 
     /// Warm fast path: `Ok(true)` iff every cluster of the request is
     /// mapped in this layer and the container reads succeeded.
-    fn try_warm_read(&self, buf: &mut [u8], off: u64, parent: Option<SpanId>) -> Result<bool> {
-        let cs = self.geom.cluster_size();
-        let end = off + buf.len() as u64;
+    fn try_warm_read(
+        &self,
+        buf: &mut [u8],
+        off: u64,
+        end: u64,
+        parent: Option<SpanId>,
+    ) -> Result<bool> {
         // Resolve to physically contiguous container runs (the PR-5 extent
-        // unit, recovered here from cached tables instead of lookup_run).
+        // unit, found over the snapshot tables instead of the live ones)
+        // before reading anything: one unmapped cluster sends the whole
+        // request down the serialized path.
         let mut runs: Vec<(u64, usize)> = Vec::new();
         let mut pos = off;
         while pos < end {
-            let Some(cluster_off) = self.mapping(pos)? else {
+            let run = contiguous_run(&self.geom, pos, end - pos, |vba| self.mapping(vba))?;
+            let Some((cont, run_bytes, _)) = run else {
                 return Ok(false);
             };
-            let in_c = self.geom.in_cluster(pos);
-            let take = ((cs - in_c) as usize).min((end - pos) as usize);
-            let cont = cluster_off + in_c;
-            match runs.last_mut() {
-                Some((roff, rlen)) if *roff + *rlen as u64 == cont => *rlen += take,
-                _ => runs.push((cont, take)),
-            }
-            pos += take as u64;
+            runs.push((cont, run_bytes as usize));
+            pos += run_bytes;
         }
         let span = self.obs.span_in(parent, "qcow.read", || {
             format!("layer=warm off={off} len={} runs={}", buf.len(), runs.len())
@@ -451,12 +442,12 @@ impl ConcurrentImage {
 
     /// Write returning the completion stamp.
     pub fn write_stamped(&self, buf: &[u8], off: u64, parent: Option<SpanId>) -> Result<u64> {
-        self.check_bounds(off, buf.len())?;
+        let end = self.geom.check_range(off, buf.len() as u64)?;
         if buf.is_empty() {
             return Ok(self.next_stamp());
         }
         self.mutations.fetch_add(1, Ordering::Relaxed);
-        let span = self.aligned(off, buf.len());
+        let span = self.aligned(off, end);
         let _g = self.locks.acquire(span, Mode::Exclusive);
         let _om = self.mut_order.lock();
         let res = self.img.write_at_in(buf, off, parent);
@@ -468,11 +459,12 @@ impl ConcurrentImage {
     /// Discard (TRIM) under an exclusive range lock; see
     /// [`QcowImage::discard`] for semantics. Returns clusters discarded.
     pub fn discard(&self, off: u64, len: u64) -> Result<u64> {
+        let end = self.geom.check_range(off, len)?;
         if len == 0 {
             return Ok(0);
         }
         self.mutations.fetch_add(1, Ordering::Relaxed);
-        let span = self.aligned(off, len as usize);
+        let span = self.aligned(off, end);
         let _g = self.locks.acquire(span, Mode::Exclusive);
         let _om = self.mut_order.lock();
         let res = self.img.discard(off, len);
@@ -663,6 +655,15 @@ mod tests {
         let mut b = [0u8; 16];
         assert!(conc.read_at(&mut b, (1 << 20) - 8).is_err());
         assert!(conc.write_at(&b, u64::MAX - 4).is_err());
+    }
+
+    #[test]
+    fn discard_range_wrapping_u64_is_out_of_bounds() {
+        let img = QcowImage::create(mem(), CreateOpts::plain(1 << 20), None).unwrap();
+        let err = ConcurrentImage::new(img)
+            .discard(u64::MAX - 3, 16)
+            .unwrap_err();
+        assert_eq!(err.kind(), vmi_blockdev::BlockErrorKind::OutOfBounds);
     }
 
     #[test]

@@ -4,36 +4,28 @@
 //! An open [`QcowImage`] is itself a [`BlockDev`], so chains compose
 //! naturally: the CoW image's backing is the cache image, whose backing is
 //! the base image (Fig. 4), and the guest only ever talks to the top layer.
+//!
+//! This module owns the types, the accessors, `close` and the [`BlockDev`]
+//! surface. The rest of `impl QcowImage` lives in sibling modules, one per
+//! seam: `open` (create/open/resize/rebase), `lookup` (L2 lookup over the
+//! `l2cache` table cache), `alloc` (allocator, `barrier`, entry writes),
+//! `read` (read path + copy-on-read fill), `write` (write path + discard)
+//! and [`crate::snapshot`] (internal snapshots).
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::{lockrank, Mutex};
-use vmi_blockdev::{be_u64, BlockDev, BlockError, Result, SharedDev};
+use vmi_blockdev::{BlockDev, BlockError, Result, SharedDev};
 use vmi_obs::{met, Event, Obs, SpanId};
 
-use crate::header::{CacheExt, Header, VERSION};
+use crate::header::Header;
+use crate::l2cache::L2Cache;
+pub use crate::l2cache::{DEFAULT_L2_CACHE_BYTES, MIN_L2_CACHE_TABLES};
 use crate::layout::Geometry;
 
 /// Sentinel L2/L1 value: unallocated.
-const UNALLOCATED: u64 = 0;
-
-/// Default memory budget for the in-memory L2 table cache, in bytes. The
-/// per-image table limit is this budget divided by the cluster size (one
-/// cached table occupies one cluster's worth of entries), floored at
-/// [`MIN_L2_CACHE_TABLES`]. Mirrors QEMU's bounded `l2-cache-size` — an
-/// unbounded table cache on a multi-TiB image is an OOM waiting to happen.
-pub const DEFAULT_L2_CACHE_BYTES: u64 = 32 << 20;
-
-/// Lower bound on the default L2 cache limit, so huge-cluster images keep a
-/// useful working set.
-pub const MIN_L2_CACHE_TABLES: usize = 64;
-
-/// The default L2 table-cache limit for a given geometry.
-fn default_l2_cache_limit(geom: &Geometry) -> usize {
-    ((DEFAULT_L2_CACHE_BYTES / geom.cluster_size()) as usize).max(MIN_L2_CACHE_TABLES)
-}
+pub(crate) const UNALLOCATED: u64 = 0;
 
 /// Options for [`QcowImage::create`].
 #[derive(Debug, Clone)]
@@ -107,36 +99,28 @@ pub struct CorStats {
 }
 
 #[derive(Debug)]
-struct MutState {
+pub(crate) struct MutState {
     /// In-memory copy of the L1 table (write-through to the container).
-    l1: Vec<u64>,
+    pub(crate) l1: Vec<u64>,
     /// Write-through read cache of L2 tables, keyed by L1 index.
-    l2_cache: HashMap<usize, Vec<u64>>,
-    /// Recency stamps for [`MutState::l2_cache`] (bounded-cache eviction).
-    l2_ticks: HashMap<usize, u64>,
-    /// Monotone counter feeding `l2_ticks`.
-    l2_clock: u64,
-    /// Maximum cached L2 tables (`None` = unbounded). Tables are
-    /// write-through, so eviction never loses data — it only costs a
-    /// re-read on the next touch, exactly like QEMU's `l2-cache-size`.
-    l2_cache_limit: Option<usize>,
+    pub(crate) l2: L2Cache,
     /// Bump allocation pointer (end of container file).
-    eof: u64,
+    pub(crate) eof: u64,
     /// Bytes of container space used, tracked for cache images
     /// ("the current size of the cache", §4.3).
-    cache_used: u64,
+    pub(crate) cache_used: u64,
     /// Container offsets of discarded clusters, reused by the allocator
     /// before the file is grown. Session-local: clusters still on this list
     /// at close appear as *leaked* to `check` and are reclaimed by
     /// `compact` (mirroring `qemu-img check`'s leak accounting).
-    free_clusters: Vec<u64>,
+    pub(crate) free_clusters: Vec<u64>,
     /// Cluster offsets shared with at least one snapshot: writes to them
     /// must copy-on-write instead of updating in place.
-    frozen: std::collections::HashSet<u64>,
+    pub(crate) frozen: HashSet<u64>,
     /// Internal snapshots, in table order.
-    snapshots: Vec<crate::snapshot::SnapshotRec>,
+    pub(crate) snapshots: Vec<crate::snapshot::SnapshotRec>,
     /// Live snapshot-table pointer (mirrors the header extension).
-    snaptab: crate::header::SnapTabExt,
+    pub(crate) snaptab: crate::header::SnapTabExt,
 }
 
 /// An open image.
@@ -144,38 +128,38 @@ struct MutState {
 /// Cheap to share: all mutable state lives behind a mutex, and the hot read
 /// path takes it once per cluster segment.
 pub struct QcowImage {
-    dev: SharedDev,
-    geom: Geometry,
-    header: Header,
-    backing: Option<SharedDev>,
-    read_only: bool,
+    pub(crate) dev: SharedDev,
+    pub(crate) geom: Geometry,
+    pub(crate) header: Header,
+    pub(crate) backing: Option<SharedDev>,
+    pub(crate) read_only: bool,
     /// Copy-on-read enabled (cache image with room left). Starts true for
     /// cache images and latches false on the first quota space error
     /// (§4.3: "we stop writing to the cache for the future cold reads").
-    fill_enabled: AtomicBool,
+    pub(crate) fill_enabled: AtomicBool,
     /// Degraded-mode latch: set once on the first cache I/O failure (a
     /// failed fill or a failed cluster read). A degraded cache stops
     /// filling and serves cluster-read failures from its backing chain;
     /// the guest never sees the fault. Mirrors the space-error latch.
-    degraded: AtomicBool,
+    pub(crate) degraded: AtomicBool,
     /// Set when this handle has been superseded (resize/rebase reopened the
     /// container): Drop must not write back stale header state.
-    detached: AtomicBool,
+    pub(crate) detached: AtomicBool,
     /// Extent coalescing: serve/fill physically contiguous cluster runs with
     /// one device op instead of one per cluster. On by default; the scalar
     /// path is kept selectable so benches and equivalence tests can compare
     /// the two byte-for-byte.
-    coalesce: AtomicBool,
-    state: Mutex<MutState>,
+    pub(crate) coalesce: AtomicBool,
+    pub(crate) state: Mutex<MutState>,
     // CoR statistics.
-    hit_bytes: AtomicU64,
-    miss_bytes: AtomicU64,
-    fill_bytes: AtomicU64,
-    fill_rejects: AtomicU64,
+    pub(crate) hit_bytes: AtomicU64,
+    pub(crate) miss_bytes: AtomicU64,
+    pub(crate) fill_bytes: AtomicU64,
+    pub(crate) fill_rejects: AtomicU64,
     /// Guest bytes served from backing after a cache cluster-read failure.
-    degraded_read_bytes: AtomicU64,
+    pub(crate) degraded_read_bytes: AtomicU64,
     /// Observability handle; disabled by default (single branch per call).
-    obs: Obs,
+    pub(crate) obs: Obs,
 }
 
 impl std::fmt::Debug for QcowImage {
@@ -194,7 +178,7 @@ impl std::fmt::Debug for QcowImage {
 /// reads, see `read_unmapped_run`), so an image ranks one *below* its backing
 /// image, clamped to the supported chain depth. Standalone images and images
 /// over raw (non-image) backing devices take the base rank.
-fn state_rank_for(backing: Option<&SharedDev>) -> u32 {
+pub(crate) fn state_rank_for(backing: Option<&SharedDev>) -> u32 {
     // Walk through pass-through decorators (counting, retry, read-only…)
     // to find the backing *image*, if there is one.
     let mut cur = backing;
@@ -208,337 +192,6 @@ fn state_rank_for(backing: Option<&SharedDev>) -> u32 {
 }
 
 impl QcowImage {
-    // ------------------------------------------------------------------
-    // create / open / close
-    // ------------------------------------------------------------------
-
-    /// Create a fresh image in `dev` (the container device) and open it.
-    ///
-    /// `backing` is the resolved device for the backing file named in
-    /// `opts.backing_file` (pass `None` for a standalone image).
-    pub fn create(
-        dev: SharedDev,
-        opts: CreateOpts,
-        backing: Option<SharedDev>,
-    ) -> Result<Arc<Self>> {
-        Self::create_with_obs(dev, opts, backing, Obs::disabled())
-    }
-
-    /// [`QcowImage::create`] with an observability handle attached: events
-    /// and metrics from this image's read/CoR path flow into `obs`.
-    pub fn create_with_obs(
-        dev: SharedDev,
-        opts: CreateOpts,
-        backing: Option<SharedDev>,
-        obs: Obs,
-    ) -> Result<Arc<Self>> {
-        let geom = Geometry::new(opts.cluster_bits, opts.size)?;
-        if opts.backing_file.is_some() != backing.is_some() {
-            return Err(BlockError::unsupported(
-                "backing name and backing device must be given together",
-            ));
-        }
-        let l1_entries = geom.l1_entries();
-        if l1_entries > (64 << 20) {
-            return Err(BlockError::unsupported("L1 table too large (>64M entries)"));
-        }
-        let l1_table_offset = geom.cluster_size(); // cluster 1
-        let header = Header {
-            version: VERSION,
-            cluster_bits: opts.cluster_bits,
-            size: opts.size,
-            l1_table_offset,
-            l1_size: l1_entries as u32,
-            backing_file: opts.backing_file,
-            cache: (opts.cache_quota > 0).then_some(CacheExt {
-                quota: opts.cache_quota,
-                used: 0,
-            }),
-            // Cache images never carry snapshots (they are transparent
-            // layers); every other image gets an (empty) snapshot table so
-            // the pointer can later be updated in place.
-            snaptab: (opts.cache_quota == 0).then_some(crate::header::SnapTabExt::default()),
-        };
-        let encoded = header.encode();
-        if encoded.len() as u64 > geom.cluster_size() {
-            return Err(BlockError::unsupported(
-                "header (incl. backing name) does not fit in one cluster",
-            ));
-        }
-        dev.set_len(0)?;
-        dev.write_at(&encoded, 0)?;
-        // Zero the L1 table region.
-        let l1_bytes = geom.l1_table_bytes();
-        let zeros = vec![0u8; (1usize << 20).min(l1_bytes as usize)];
-        let mut off = l1_table_offset;
-        let l1_end = l1_table_offset + l1_bytes;
-        while off < l1_end {
-            let n = zeros.len().min((l1_end - off) as usize);
-            dev.write_at(&zeros[..n], off)?;
-            off += n as u64;
-        }
-        let eof = l1_end;
-        // "size of the header and initial tables" counts toward the quota.
-        // A quota smaller than the initial metadata is allowed: the cache
-        // simply rejects its first fill with a space error and serves
-        // pass-through reads forever after.
-        let initial_used = geom.cluster_size() + l1_bytes;
-        if header.cache.is_some() {
-            Header::update_cache_used(dev.as_ref() as &dyn BlockDev, initial_used)?;
-        }
-        let img = Arc::new(Self {
-            geom,
-            read_only: false,
-            fill_enabled: AtomicBool::new(header.is_cache()),
-            degraded: AtomicBool::new(false),
-            detached: AtomicBool::new(false),
-            coalesce: AtomicBool::new(true),
-            state: Mutex::new(MutState {
-                l1: vec![UNALLOCATED; l1_entries as usize],
-                l2_cache: HashMap::new(),
-                l2_ticks: HashMap::new(),
-                l2_clock: 0,
-                l2_cache_limit: Some(default_l2_cache_limit(&geom)),
-                eof,
-                cache_used: initial_used,
-                free_clusters: Vec::new(),
-                frozen: std::collections::HashSet::new(),
-                snapshots: Vec::new(),
-                snaptab: header.snaptab.unwrap_or_default(),
-            }),
-            header,
-            backing,
-            dev,
-            hit_bytes: AtomicU64::new(0),
-            miss_bytes: AtomicU64::new(0),
-            fill_bytes: AtomicU64::new(0),
-            fill_rejects: AtomicU64::new(0),
-            degraded_read_bytes: AtomicU64::new(0),
-            obs,
-        });
-        img.state.set_rank(state_rank_for(img.backing.as_ref()));
-        // A freshly created image is durable before it is handed out: a
-        // crash afterwards can tear later mutations but never the skeleton.
-        img.barrier()?;
-        Ok(img)
-    }
-
-    /// Open an existing image stored in `dev`.
-    ///
-    /// `backing` must be the resolved device for the header's backing file
-    /// (or `None` if the header names none). `read_only` mirrors QEMU's
-    /// open flag; the §4.3 "flag dance" lives in [`crate::chain`].
-    pub fn open(dev: SharedDev, backing: Option<SharedDev>, read_only: bool) -> Result<Arc<Self>> {
-        Self::open_with_obs(dev, backing, read_only, Obs::disabled())
-    }
-
-    /// [`QcowImage::open`] with an observability handle attached.
-    pub fn open_with_obs(
-        dev: SharedDev,
-        backing: Option<SharedDev>,
-        read_only: bool,
-        obs: Obs,
-    ) -> Result<Arc<Self>> {
-        let header = Header::decode(dev.as_ref() as &dyn BlockDev)?;
-        let geom = header.geometry()?;
-        if header.backing_file.is_some() && backing.is_none() {
-            return Err(BlockError::unsupported(format!(
-                "image names backing file {:?} but no backing device was supplied",
-                header.backing_file
-            )));
-        }
-        if header.backing_file.is_none() && backing.is_some() {
-            return Err(BlockError::unsupported(
-                "backing device supplied for standalone image",
-            ));
-        }
-        if header.l1_size as u64 != geom.l1_entries() {
-            return Err(BlockError::corrupt(format!(
-                "header l1_size {} does not match geometry {}",
-                header.l1_size,
-                geom.l1_entries()
-            )));
-        }
-        // Load the L1 table.
-        let mut l1_raw = vec![0u8; (header.l1_size as usize) * 8];
-        dev.read_at(&mut l1_raw, header.l1_table_offset)
-            .map_err(|_| BlockError::corrupt("truncated L1 table"))?;
-        let l1: Vec<u64> = l1_raw.chunks_exact(8).map(be_u64).collect();
-        let cluster_size = geom.cluster_size();
-        for &e in &l1 {
-            if e != UNALLOCATED && (e % cluster_size != 0 || e >= dev.len()) {
-                return Err(BlockError::corrupt(format!("invalid L1 entry {e:#x}")));
-            }
-        }
-        let eof = geom.align_up(dev.len());
-        let cache_used = header.cache.map(|c| c.used).unwrap_or(0);
-        if let Some(c) = &header.cache {
-            // Fills never push `used` beyond the quota, but the initial
-            // metadata may already exceed a tiny quota; anything beyond both
-            // bounds is corruption.
-            let initial = cluster_size + geom.l1_table_bytes();
-            if c.used > c.quota.max(initial) {
-                return Err(BlockError::corrupt("cache used exceeds quota"));
-            }
-        }
-        let is_cache = header.is_cache();
-        let has_room = header
-            .cache
-            .map(|c| c.used + 2 * cluster_size <= c.quota)
-            .unwrap_or(false);
-        // Load the snapshot table, if the image carries one.
-        let snaptab = header.snaptab.unwrap_or_default();
-        let snapshots = if snaptab.count > 0 {
-            let mut raw = vec![0u8; snaptab.len as usize];
-            dev.read_at(&mut raw, snaptab.offset)
-                .map_err(|_| BlockError::corrupt("truncated snapshot table"))?;
-            crate::snapshot::decode_table(&raw, snaptab.count)?
-        } else {
-            Vec::new()
-        };
-        let img = Arc::new(Self {
-            geom,
-            read_only,
-            fill_enabled: AtomicBool::new(is_cache && !read_only && has_room),
-            degraded: AtomicBool::new(false),
-            detached: AtomicBool::new(false),
-            coalesce: AtomicBool::new(true),
-            state: Mutex::new(MutState {
-                l1,
-                l2_cache: HashMap::new(),
-                l2_ticks: HashMap::new(),
-                l2_clock: 0,
-                l2_cache_limit: Some(default_l2_cache_limit(&geom)),
-                eof,
-                cache_used,
-                free_clusters: Vec::new(),
-                frozen: std::collections::HashSet::new(),
-                snapshots,
-                snaptab,
-            }),
-            header,
-            backing,
-            dev,
-            hit_bytes: AtomicU64::new(0),
-            miss_bytes: AtomicU64::new(0),
-            fill_bytes: AtomicU64::new(0),
-            fill_rejects: AtomicU64::new(0),
-            degraded_read_bytes: AtomicU64::new(0),
-            obs,
-        });
-        img.state.set_rank(state_rank_for(img.backing.as_ref()));
-        if snaptab.count > 0 {
-            let mut st = img.state.lock();
-            img.recompute_frozen(&mut st)?;
-        }
-        Ok(img)
-    }
-
-    /// Close the image: flush, and for cache images write the current used
-    /// size back into the header (§4.3 `close`).
-    /// Grow the virtual disk to `new_size` (shrinking is not supported —
-    /// it would orphan mapped clusters).
-    ///
-    /// The L1 table must cover the new size; if the existing table is too
-    /// small, a larger one is allocated at end-of-file, entries are copied,
-    /// and the header is rewritten to point at it (the old table's clusters
-    /// become leaks reclaimable by `compact`). The cluster size is fixed at
-    /// creation, exactly like `qemu-img resize`.
-    pub fn resize(self: &Arc<Self>, new_size: u64) -> Result<Arc<Self>> {
-        if self.read_only {
-            return Err(BlockError::read_only("resize of read-only image"));
-        }
-        if new_size < self.geom.virtual_size {
-            return Err(BlockError::unsupported(
-                "shrinking an image is not supported",
-            ));
-        }
-        if new_size == self.geom.virtual_size {
-            return Ok(self.clone());
-        }
-        let new_geom = Geometry::new(self.geom.cluster_bits, new_size)?;
-        let mut st = self.state.lock();
-        if !st.snapshots.is_empty() {
-            return Err(BlockError::unsupported(
-                "resize with internal snapshots is not supported (delete them first)",
-            ));
-        }
-        let old_entries = st.l1.len();
-        let new_entries = new_geom.l1_entries() as usize;
-        let mut header = self.header.clone();
-        header.size = new_size;
-        header.l1_size = new_entries as u32;
-        header.snaptab = header.snaptab.map(|_| st.snaptab);
-        if new_entries > old_entries {
-            // Relocate the L1 table to a fresh region at end-of-file.
-            let new_l1_bytes = new_geom.l1_table_bytes();
-            let new_l1_off = st.eof;
-            st.eof += new_l1_bytes;
-            st.cache_used += new_l1_bytes;
-            let mut raw = vec![0u8; new_l1_bytes as usize];
-            for (i, &e) in st.l1.iter().enumerate() {
-                raw[i * 8..i * 8 + 8].copy_from_slice(&e.to_be_bytes());
-            }
-            self.dev.write_at(&raw, new_l1_off)?;
-            header.l1_table_offset = new_l1_off;
-            st.l1.resize(new_entries, UNALLOCATED);
-        }
-        let encoded = header.encode();
-        if encoded.len() as u64 > self.geom.cluster_size() {
-            return Err(BlockError::unsupported(
-                "resized header does not fit its cluster",
-            ));
-        }
-        self.dev.write_at(&encoded, 0)?;
-        drop(st);
-        self.close()?;
-        self.detached.store(true, Ordering::Release);
-        // Reopen with the new geometry over the same container + backing.
-        QcowImage::open(self.dev.clone(), self.backing.clone(), false)
-    }
-
-    /// Rewrite the backing-file *name* in the header without touching any
-    /// data — `qemu-img rebase -u` (unsafe rebase). The caller asserts the
-    /// new backing has identical content where this image is unallocated.
-    ///
-    /// Returns the image reopened against `new_backing`.
-    pub fn rebase_unsafe(
-        self: &Arc<Self>,
-        new_name: Option<String>,
-        new_backing: Option<SharedDev>,
-    ) -> Result<Arc<Self>> {
-        if self.read_only {
-            return Err(BlockError::read_only("rebase of read-only image"));
-        }
-        if new_name.is_some() != new_backing.is_some() {
-            return Err(BlockError::unsupported(
-                "backing name and device must be given together",
-            ));
-        }
-        if self.header.is_cache() && new_backing.is_none() {
-            return Err(BlockError::unsupported(
-                "a cache image requires a backing image (§3: it recurses to the base)",
-            ));
-        }
-        let mut header = self.header.clone();
-        header.backing_file = new_name;
-        // Refresh persisted dynamic fields while we rewrite the header.
-        if let Some(c) = &mut header.cache {
-            c.used = self.cache_used();
-        }
-        header.snaptab = header.snaptab.map(|_| self.state.lock().snaptab);
-        let encoded = header.encode();
-        if encoded.len() as u64 > self.geom.cluster_size() {
-            return Err(BlockError::unsupported(
-                "rebased header does not fit its cluster",
-            ));
-        }
-        self.dev.write_at(&encoded, 0)?;
-        self.barrier()?;
-        self.detached.store(true, Ordering::Release);
-        QcowImage::open(self.dev.clone(), new_backing, false)
-    }
-
     /// Paranoid self-check: re-audit the whole container with `vmi-audit`
     /// after a mutating op, comparing against the in-memory used counter
     /// (the on-disk field is stale mid-session by design — §4.3 writes it
@@ -547,7 +200,7 @@ impl QcowImage {
     /// for release use. Degraded images are skipped — the latch already
     /// marks them as known-inconsistent.
     #[cfg(feature = "paranoid")]
-    fn paranoid_audit(&self, st: &MutState, op: &str) {
+    pub(crate) fn paranoid_audit(&self, st: &MutState, op: &str) {
         if !cfg!(debug_assertions) || self.is_degraded() {
             return;
         }
@@ -563,8 +216,10 @@ impl QcowImage {
 
     #[cfg(not(feature = "paranoid"))]
     #[inline(always)]
-    fn paranoid_audit(&self, _st: &MutState, _op: &str) {}
+    pub(crate) fn paranoid_audit(&self, _st: &MutState, _op: &str) {}
 
+    /// Close the image: flush, and for cache images write the current used
+    /// size back into the header (§4.3 `close`).
     pub fn close(&self) -> Result<()> {
         if !self.read_only {
             if self.header.is_cache() {
@@ -637,7 +292,7 @@ impl QcowImage {
 
     /// Latch this image degraded, emitting the transition exactly once
     /// (the same `swap` discipline as the space-error latch).
-    fn latch_degraded(&self, used: u64, reason: &'static str) {
+    pub(crate) fn latch_degraded(&self, used: u64, reason: &'static str) {
         if !self.degraded.swap(true, Ordering::AcqRel) {
             self.obs.count(met::CACHE_DEGRADED, 1);
             self.obs.emit(|| Event::CacheDegraded {
@@ -677,425 +332,10 @@ impl QcowImage {
         }
     }
 
-    /// Count of guest bytes mapped in this layer (allocated data clusters ×
-    /// cluster size). Diagnostic / `check` helper.
-    pub fn mapped_bytes(&self) -> u64 {
-        let st = self.state.lock();
-        let mut clusters = 0u64;
-        for (l1_idx, &l2_off) in st.l1.iter().enumerate() {
-            if l2_off == UNALLOCATED {
-                continue;
-            }
-            if let Some(l2) = st.l2_cache.get(&l1_idx) {
-                clusters += l2.iter().filter(|&&e| e != UNALLOCATED).count() as u64;
-            } else {
-                // Read the table without caching to keep this cheap-ish.
-                if let Ok(l2) = self.read_l2_table(l2_off) {
-                    clusters += l2.iter().filter(|&&e| e != UNALLOCATED).count() as u64;
-                }
-            }
-        }
-        clusters * self.geom.cluster_size()
-    }
-
-    /// Discard (TRIM) the guest range `[off, off + len)`: every cluster
-    /// *fully* covered by the range is unmapped from this layer and its
-    /// container space queued for reuse. Partially covered edge clusters are
-    /// left intact, like a real TRIM with sub-cluster alignment.
-    ///
-    /// Reads of discarded clusters fall back to the backing chain (or
-    /// zeroes). For a cache image, discarding frees quota — if copy-on-read
-    /// had latched off on a space error, it is re-armed.
-    ///
-    /// Returns the number of clusters discarded.
-    pub fn discard(&self, off: u64, len: u64) -> Result<u64> {
-        if self.read_only {
-            return Err(BlockError::read_only("discard on read-only image"));
-        }
-        if off + len > self.geom.virtual_size {
-            return Err(BlockError::out_of_bounds(
-                off,
-                len as usize,
-                self.geom.virtual_size,
-            ));
-        }
-        let cs = self.geom.cluster_size();
-        let first = off.div_ceil(cs); // first fully-covered cluster index
-        let last = (off + len) / cs; // one past the last fully-covered
-        let mut st = self.state.lock();
-        let mut discarded = 0u64;
-        for cluster in first..last {
-            let vba = cluster * cs;
-            let l1_idx = self.geom.l1_index(vba);
-            let l2_off = st.l1[l1_idx];
-            if l2_off == UNALLOCATED {
-                continue;
-            }
-            let _ = l2_off;
-            if let Some(data_off) = self.lookup(&mut st, vba)? {
-                self.set_l2_entry(&mut st, l1_idx, vba, UNALLOCATED)?;
-                // Clusters shared with a snapshot stay allocated for it and
-                // cannot be reused.
-                if !st.frozen.contains(&data_off) {
-                    st.free_clusters.push(data_off);
-                    st.cache_used = st.cache_used.saturating_sub(cs);
-                }
-                discarded += 1;
-            }
-        }
-        if discarded > 0 && self.header.is_cache() {
-            // Freed quota: copy-on-read may resume (§4.3's latch is about
-            // "future cold reads" having no room — now there is room again).
-            let quota = self.header.cache.map(|c| c.quota).unwrap_or(0);
-            if st.cache_used + 2 * cs <= quota {
-                // swap: report the false->true transition exactly once.
-                if !self.fill_enabled.swap(true, Ordering::Release) {
-                    self.obs.count(met::QUOTA_REARMS, 1);
-                    let used = st.cache_used;
-                    self.obs.emit(|| Event::QuotaRearmed { used, quota });
-                }
-            }
-            self.obs.gauge(met::CACHE_USED_BYTES, st.cache_used);
-        }
-        self.paranoid_audit(&st, "discard");
-        Ok(discarded)
-    }
-
-    /// Container offsets currently queued for reuse (diagnostics).
-    pub fn free_cluster_count(&self) -> usize {
-        self.state.lock().free_clusters.len()
-    }
-
-    /// Whether the cluster containing `vba` is allocated in *this* layer
-    /// (metadata probe; never triggers copy-on-read).
-    pub fn is_mapped(&self, vba: u64) -> Result<bool> {
-        if vba >= self.geom.virtual_size {
-            return Err(BlockError::out_of_bounds(vba, 1, self.geom.virtual_size));
-        }
-        let mut st = self.state.lock();
-        Ok(self.lookup(&mut st, vba)?.is_some())
-    }
-
-    /// Copy of the in-memory L1 table (for `check`/diagnostics).
-    pub fn l1_snapshot(&self) -> Vec<u64> {
-        self.state.lock().l1.clone()
-    }
-
-    /// A single live L1 entry (container offset of the L2 table for
-    /// `idx`, or 0 if unallocated). Cheap: one brief state-lock hold.
-    /// Out-of-range indexes read as unallocated. Used by
-    /// [`crate::ConcurrentImage`] to refresh its lock-free L1 mirror
-    /// after a serialized mutation.
-    pub fn l1_entry(&self, idx: usize) -> u64 {
-        self.state
-            .lock()
-            .l1
-            .get(idx)
-            .copied()
-            .unwrap_or(UNALLOCATED)
-    }
-
-    /// Read an L2 table at a given container offset (for `check`).
-    pub fn l2_snapshot(&self, l2_off: u64) -> Result<Vec<u64>> {
-        self.read_l2_table(l2_off)
-    }
-
     /// The observability handle attached at create/open time (shared so
     /// layered wrappers can emit into the same stream).
     pub(crate) fn obs_handle(&self) -> &Obs {
         &self.obs
-    }
-
-    // ------------------------------------------------------------------
-    // internal snapshots
-    // ------------------------------------------------------------------
-
-    /// Create an internal snapshot of the current guest-visible state.
-    ///
-    /// The active L1 is copied into fresh clusters, the snapshot table is
-    /// rewritten, and every currently-reachable cluster becomes
-    /// copy-on-write. Not supported on cache images (they are transparent
-    /// layers) or read-only handles. Returns the snapshot id.
-    pub fn create_snapshot(&self, name: impl Into<String>) -> Result<u32> {
-        let name = name.into();
-        if self.read_only {
-            return Err(BlockError::read_only("snapshot of read-only image"));
-        }
-        if self.header.is_cache() {
-            return Err(BlockError::unsupported(
-                "cache images do not support snapshots",
-            ));
-        }
-        if self.header.snaptab.is_none() {
-            return Err(BlockError::unsupported(
-                "image predates snapshot support; run `compact` to upgrade it",
-            ));
-        }
-        if name.len() > crate::snapshot::MAX_SNAPSHOT_NAME {
-            return Err(BlockError::unsupported("snapshot name too long"));
-        }
-        let mut st = self.state.lock();
-        if st.snapshots.iter().any(|r| r.name == name) {
-            return Err(BlockError::unsupported(format!(
-                "snapshot {name:?} already exists"
-            )));
-        }
-        // Persist a frozen copy of the active L1 at end-of-file (contiguous
-        // region, bypassing the free list).
-        let l1_bytes = self.geom.l1_table_bytes();
-        let copy_off = st.eof;
-        st.eof += l1_bytes;
-        st.cache_used += l1_bytes;
-        let mut raw = vec![0u8; l1_bytes as usize];
-        for (i, &e) in st.l1.iter().enumerate() {
-            raw[i * 8..i * 8 + 8].copy_from_slice(&e.to_be_bytes());
-        }
-        self.dev.write_at(&raw, copy_off)?;
-        let id = st.snapshots.iter().map(|r| r.id).max().unwrap_or(0) + 1;
-        let l1_entries = st.l1.len() as u32;
-        st.snapshots.push(crate::snapshot::SnapshotRec {
-            id,
-            name,
-            l1_offset: copy_off,
-            l1_entries,
-        });
-        self.persist_snapshot_table(&mut st)?;
-        self.freeze_active_tree(&mut st)?;
-        crate::snapshot::note_create(&self.obs);
-        self.paranoid_audit(&st, "create_snapshot");
-        Ok(id)
-    }
-
-    /// List snapshots in creation order.
-    pub fn list_snapshots(&self) -> Vec<crate::snapshot::SnapshotInfo> {
-        self.state
-            .lock()
-            .snapshots
-            .iter()
-            .map(|r| crate::snapshot::SnapshotInfo {
-                id: r.id,
-                name: r.name.clone(),
-            })
-            .collect()
-    }
-
-    /// Revert the guest-visible state to snapshot `id`. The snapshot itself
-    /// is kept (revert again any time).
-    pub fn apply_snapshot(&self, id: u32) -> Result<()> {
-        if self.read_only {
-            return Err(BlockError::read_only("revert on read-only image"));
-        }
-        let mut st = self.state.lock();
-        let rec = st
-            .snapshots
-            .iter()
-            .find(|r| r.id == id)
-            .cloned()
-            .ok_or_else(|| BlockError::unsupported(format!("no snapshot with id {id}")))?;
-        if rec.l1_entries as usize != st.l1.len() {
-            return Err(BlockError::unsupported(
-                "snapshot predates a resize; apply is not supported across resizes",
-            ));
-        }
-        // Load the frozen L1 and make it active (memory + container).
-        let mut raw = vec![0u8; rec.l1_entries as usize * 8];
-        self.dev.read_at(&mut raw, rec.l1_offset)?;
-        let l1: Vec<u64> = raw.chunks_exact(8).map(be_u64).collect();
-        self.dev.write_at(&raw, self.header.l1_table_offset)?;
-        st.l1 = l1;
-        st.l2_cache.clear();
-        st.l2_ticks.clear();
-        // The active tree is now shared with the snapshot: refreeze.
-        self.recompute_frozen(&mut st)?;
-        crate::snapshot::note_apply(&self.obs);
-        self.paranoid_audit(&st, "apply_snapshot");
-        Ok(())
-    }
-
-    /// Delete snapshot `id`. Clusters referenced only by it become leaks
-    /// (report via `check`; reclaim with `compact` once no snapshots
-    /// remain).
-    pub fn delete_snapshot(&self, id: u32) -> Result<()> {
-        if self.read_only {
-            return Err(BlockError::read_only("delete on read-only image"));
-        }
-        let mut st = self.state.lock();
-        let before = st.snapshots.len();
-        st.snapshots.retain(|r| r.id != id);
-        if st.snapshots.len() == before {
-            return Err(BlockError::unsupported(format!("no snapshot with id {id}")));
-        }
-        self.persist_snapshot_table(&mut st)?;
-        self.recompute_frozen(&mut st)?;
-        crate::snapshot::note_delete(&self.obs);
-        self.paranoid_audit(&st, "delete_snapshot");
-        Ok(())
-    }
-
-    /// Count of container clusters referenced by snapshot metadata and
-    /// trees (used by `check`'s leak accounting).
-    pub fn snapshot_refs(&self) -> Result<std::collections::HashSet<u64>> {
-        let mut st = self.state.lock();
-        let mut refs = std::collections::HashSet::new();
-        let cs = self.geom.cluster_size();
-        let snapshots = st.snapshots.clone();
-        for rec in &snapshots {
-            // The L1 copy region itself.
-            let l1_bytes = self.geom.l1_table_bytes();
-            let mut off = rec.l1_offset;
-            while off < rec.l1_offset + l1_bytes {
-                refs.insert(off);
-                off += cs;
-            }
-            // The tree it pins.
-            self.walk_tree(rec.l1_offset, rec.l1_entries as usize, |cluster| {
-                refs.insert(cluster);
-            })?;
-        }
-        // The current snapshot table region.
-        if let Some(tab) = self.snaptab_region(&st) {
-            let (mut off, end) = tab;
-            while off < end {
-                refs.insert(off);
-                off += cs;
-            }
-        }
-        let _ = &mut st;
-        Ok(refs)
-    }
-
-    /// Persist the snapshot table, reusing the existing table region when
-    /// the new encoding fits (so table churn does not leak clusters); only
-    /// growth allocates a new region (the old one then becomes a leak,
-    /// reclaimable by `compact` once all snapshots are gone).
-    fn persist_snapshot_table(&self, st: &mut MutState) -> Result<()> {
-        let encoded = crate::snapshot::encode_table(&st.snapshots);
-        let existing_region = self.geom.align_up(st.snaptab.len as u64);
-        let (offset, len) = if encoded.is_empty() {
-            // Keep the (empty) region for reuse by the next snapshot.
-            (st.snaptab.offset, 0u32)
-        } else if st.snaptab.offset != 0
-            && self.geom.align_up(encoded.len() as u64)
-                <= existing_region.max(self.geom.cluster_size())
-        {
-            self.dev.write_at(&encoded, st.snaptab.offset)?;
-            (st.snaptab.offset, encoded.len() as u32)
-        } else {
-            let region = self
-                .geom
-                .align_up(encoded.len() as u64)
-                .max(self.geom.cluster_size());
-            let off = st.eof;
-            st.eof += region;
-            st.cache_used += region;
-            self.dev.write_at(&encoded, off)?;
-            (off, encoded.len() as u32)
-        };
-        let tab = crate::header::SnapTabExt {
-            offset,
-            len,
-            count: st.snapshots.len() as u32,
-        };
-        Header::update_snaptab(self.dev.as_ref() as &dyn BlockDev, tab)?;
-        st.snaptab = tab;
-        Ok(())
-    }
-
-    /// Container byte range of the live snapshot-table region, if one was
-    /// ever allocated (kept for reuse even when currently empty).
-    fn snaptab_region(&self, st: &MutState) -> Option<(u64, u64)> {
-        (st.snaptab.offset != 0).then(|| {
-            (
-                st.snaptab.offset,
-                st.snaptab.offset
-                    + self
-                        .geom
-                        .align_up(st.snaptab.len as u64)
-                        .max(self.geom.cluster_size()),
-            )
-        })
-    }
-
-    /// Freeze every cluster reachable from the active L1.
-    fn freeze_active_tree(&self, st: &mut MutState) -> Result<()> {
-        let l1 = st.l1.clone();
-        for &l2_off in l1.iter().filter(|&&e| e != UNALLOCATED) {
-            st.frozen.insert(l2_off);
-            for &doff in self
-                .read_l2_table(l2_off)?
-                .iter()
-                .filter(|&&e| e != UNALLOCATED)
-            {
-                st.frozen.insert(doff);
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebuild the frozen set from the remaining snapshots' trees.
-    fn recompute_frozen(&self, st: &mut MutState) -> Result<()> {
-        st.frozen.clear();
-        let snapshots = st.snapshots.clone();
-        for rec in &snapshots {
-            let mut frozen = std::mem::take(&mut st.frozen);
-            self.walk_tree(rec.l1_offset, rec.l1_entries as usize, |cluster| {
-                frozen.insert(cluster);
-            })?;
-            st.frozen = frozen;
-        }
-        Ok(())
-    }
-
-    /// Visit every L2-table and data cluster reachable from an L1 stored at
-    /// `l1_offset`.
-    fn walk_tree(
-        &self,
-        l1_offset: u64,
-        l1_entries: usize,
-        mut visit: impl FnMut(u64),
-    ) -> Result<()> {
-        let mut raw = vec![0u8; l1_entries * 8];
-        self.dev.read_at(&mut raw, l1_offset)?;
-        for e in raw.chunks_exact(8) {
-            let l2_off = be_u64(e);
-            if l2_off == UNALLOCATED {
-                continue;
-            }
-            visit(l2_off);
-            for &doff in self
-                .read_l2_table(l2_off)?
-                .iter()
-                .filter(|&&d| d != UNALLOCATED)
-            {
-                visit(doff);
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // table plumbing
-    // ------------------------------------------------------------------
-
-    /// Bound the number of cached L2 tables (`None` = unbounded). The
-    /// default is [`DEFAULT_L2_CACHE_BYTES`] worth of tables. Mirrors QEMU's
-    /// `l2-cache-size` tunable: a small cache costs re-reads of table
-    /// clusters on workloads whose footprint exceeds the covered range —
-    /// measurable with the `l2_cache` bench.
-    pub fn set_l2_cache_limit(&self, limit: Option<usize>) {
-        let mut st = self.state.lock();
-        st.l2_cache_limit = limit.map(|l| l.max(1));
-        self.l2_evict_to_limit(&mut st);
-    }
-
-    /// The current L2 table-cache limit (`None` = unbounded).
-    pub fn l2_cache_limit(&self) -> Option<usize> {
-        self.state.lock().l2_cache_limit
-    }
-
-    /// Number of L2 tables currently cached in memory.
-    pub fn l2_cache_len(&self) -> usize {
-        self.state.lock().l2_cache.len()
     }
 
     /// Toggle extent coalescing (on by default). The scalar per-cluster path
@@ -1110,109 +350,8 @@ impl QcowImage {
         self.coalesce.load(Ordering::Acquire)
     }
 
-    fn l2_touch(st: &mut MutState, l1_idx: usize) {
-        st.l2_clock += 1;
-        let clock = st.l2_clock;
-        st.l2_ticks.insert(l1_idx, clock);
-    }
-
-    fn l2_cache_put(&self, st: &mut MutState, l1_idx: usize, table: Vec<u64>) {
-        st.l2_cache.insert(l1_idx, table);
-        Self::l2_touch(st, l1_idx);
-        self.l2_evict_to_limit(st);
-    }
-
-    fn l2_evict_to_limit(&self, st: &mut MutState) {
-        let Some(limit) = st.l2_cache_limit else {
-            return;
-        };
-        while st.l2_cache.len() > limit {
-            // Evict the least-recently-used table. Tables are write-through:
-            // dropping one loses nothing.
-            let Some(victim) = st.l2_ticks.iter().min_by_key(|&(_, &t)| t).map(|(&k, _)| k) else {
-                break;
-            };
-            st.l2_cache.remove(&victim);
-            st.l2_ticks.remove(&victim);
-            self.obs.count(met::L2_EVICTIONS, 1);
-        }
-    }
-
-    fn read_l2_table(&self, l2_off: u64) -> Result<Vec<u64>> {
-        let mut raw = vec![0u8; self.geom.cluster_size() as usize];
-        self.dev.read_at(&mut raw, l2_off)?;
-        Ok(raw.chunks_exact(8).map(be_u64).collect())
-    }
-
-    /// Look up the container offset of the data cluster holding `vba`.
-    /// Returns `None` when unallocated in this layer.
-    fn lookup(&self, st: &mut MutState, vba: u64) -> Result<Option<u64>> {
-        let l1_idx = self.geom.l1_index(vba);
-        let l2_off = st.l1[l1_idx];
-        if l2_off == UNALLOCATED {
-            return Ok(None);
-        }
-        if !st.l2_cache.contains_key(&l1_idx) {
-            let table = self.read_l2_table(l2_off)?;
-            self.l2_cache_put(st, l1_idx, table);
-        } else {
-            Self::l2_touch(st, l1_idx);
-        }
-        let l2 = &st.l2_cache[&l1_idx];
-        let entry = l2[self.geom.l2_index(vba)];
-        Ok((entry != UNALLOCATED).then_some(entry))
-    }
-
-    /// Longest physically contiguous mapped extent starting at `vba`.
-    ///
-    /// Returns `(container_off, run_bytes, clusters)` where `container_off`
-    /// already includes the intra-cluster offset of `vba` and `run_bytes <=
-    /// max_bytes`. The run extends while consecutive virtual clusters map to
-    /// physically consecutive container clusters (scanning cached L2
-    /// entries, faulting tables in as needed). `Ok(None)` when `vba`'s own
-    /// cluster is unmapped in this layer.
-    ///
-    /// `stop_at_frozen` excludes snapshot-shared clusters from the run (the
-    /// in-place write path must copy those one at a time).
-    fn lookup_run(
-        &self,
-        st: &mut MutState,
-        vba: u64,
-        max_bytes: u64,
-        stop_at_frozen: bool,
-    ) -> Result<Option<(u64, u64, u64)>> {
-        let Some(first_off) = self.lookup(st, vba)? else {
-            return Ok(None);
-        };
-        if stop_at_frozen && st.frozen.contains(&first_off) {
-            return Ok(None);
-        }
-        let cs = self.geom.cluster_size();
-        let in_cluster = self.geom.in_cluster(vba);
-        let mut run_bytes = cs - in_cluster;
-        let mut clusters = 1u64;
-        let mut prev = first_off;
-        let mut next_vba = self.geom.cluster_start(vba) + cs;
-        while run_bytes < max_bytes && next_vba < self.geom.virtual_size {
-            match self.lookup(st, next_vba)? {
-                Some(off) if off == prev + cs && !(stop_at_frozen && st.frozen.contains(&off)) => {
-                    run_bytes += cs;
-                    clusters += 1;
-                    prev = off;
-                    next_vba += cs;
-                }
-                _ => break,
-            }
-        }
-        Ok(Some((
-            first_off + in_cluster,
-            run_bytes.min(max_bytes),
-            clusters,
-        )))
-    }
-
     /// Record a multi-cluster extent issued as one device op.
-    fn note_coalesced(&self, op: &'static str, clusters: u64, bytes: u64) {
+    pub(crate) fn note_coalesced(&self, op: &'static str, clusters: u64, bytes: u64) {
         self.obs.count(met::COALESCED_RUNS, 1);
         self.obs.count(met::COALESCED_BYTES, bytes);
         self.obs.emit(|| Event::RunCoalesced {
@@ -1222,606 +361,8 @@ impl QcowImage {
         });
     }
 
-    /// Allocate one cluster at end of file. Honours the cache quota when
-    /// `self` is a cache image: this is the §4.3 `write` rule ("If there is
-    /// enough space, we write the data … If not, we return with a space
-    /// error").
-    fn alloc_cluster(&self, st: &mut MutState, extra_needed: u64) -> Result<u64> {
-        let cs = self.geom.cluster_size();
-        if let Some(c) = &self.header.cache {
-            if st.cache_used + cs + extra_needed > c.quota {
-                return Err(BlockError::no_space(format!(
-                    "cache quota {} exhausted (used {})",
-                    c.quota, st.cache_used
-                )));
-            }
-        }
-        // Reuse discarded clusters before growing the file.
-        let off = match st.free_clusters.pop() {
-            Some(off) => off,
-            None => {
-                let off = st.eof;
-                st.eof += cs;
-                off
-            }
-        };
-        st.cache_used += cs;
-        Ok(off)
-    }
-
-    /// Write barrier: durably order every prior container write before any
-    /// subsequent one. This is the ONLY place `vmi-qcow` may flush its
-    /// container (enforced by the `qcow-barrier` source lint), and it is
-    /// what makes every crash prefix recoverable:
-    ///
-    /// * a data cluster is barriered before the L2 entry that publishes it,
-    /// * a new L2 table's contents are barriered before the L1 entry that
-    ///   publishes the table,
-    /// * everything is barriered before the used-size header write at close.
-    ///
-    /// So a durable table entry always implies durable referenced data, and
-    /// any torn tail is by construction unpublished (repairable by zeroing —
-    /// see `recover`). On memory-backed containers `flush` is a no-op, so
-    /// the barriers cost nothing in simulation.
-    fn barrier(&self) -> Result<()> {
-        self.dev.flush() // lint:allow(qcow-barrier)
-    }
-
-    /// Ensure an L2 table exists for `vba`; returns (l1_idx, l2_offset).
-    fn ensure_l2(&self, st: &mut MutState, vba: u64) -> Result<(usize, u64)> {
-        let l1_idx = self.geom.l1_index(vba);
-        let existing = st.l1[l1_idx];
-        if existing != UNALLOCATED {
-            return Ok((l1_idx, existing));
-        }
-        // Need a data cluster too in the caller; reserve room for both so a
-        // cache image doesn't strand a metadata cluster it can't use.
-        let l2_off = self.alloc_cluster(st, self.geom.cluster_size())?;
-        // Materialize an all-zero L2 table on the container, then point L1
-        // at it (write-through).
-        let zeros = vec![0u8; self.geom.cluster_size() as usize];
-        self.dev.write_at(&zeros, l2_off)?;
-        // Table contents durable before L1 publishes the table.
-        self.barrier()?;
-        self.dev.write_at(
-            &l2_off.to_be_bytes(),
-            self.header.l1_table_offset + (l1_idx as u64) * 8,
-        )?;
-        st.l1[l1_idx] = l2_off;
-        self.l2_cache_put(
-            st,
-            l1_idx,
-            vec![UNALLOCATED; self.geom.l2_entries() as usize],
-        );
-        Ok((l1_idx, l2_off))
-    }
-
-    /// Allocate up to `want` physically contiguous clusters, honouring the
-    /// cache quota. Returns `(start_offset, got)`; `got == 0` means the
-    /// quota has no room for even one cluster. Always grows the file —
-    /// single clusters from the free list could not be contiguous — so the
-    /// scalar path's free-list reuse is the one allocation behaviour the
-    /// coalesced path intentionally trades away for contiguity.
-    fn alloc_cluster_run(&self, st: &mut MutState, want: u64) -> (u64, u64) {
-        let cs = self.geom.cluster_size();
-        let got = match &self.header.cache {
-            Some(c) => want.min(c.quota.saturating_sub(st.cache_used) / cs),
-            None => want,
-        };
-        let off = st.eof;
-        st.eof += got * cs;
-        st.cache_used += got * cs;
-        (off, got)
-    }
-
-    /// Point the L2 entry for `vba` at `data_off` (write-through). If the
-    /// L2 table is frozen (shared with a snapshot), it is copied first.
-    fn set_l2_entry(
-        &self,
-        st: &mut MutState,
-        l1_idx: usize,
-        vba: u64,
-        data_off: u64,
-    ) -> Result<()> {
-        let mut l2_off = st.l1[l1_idx];
-        debug_assert_ne!(l2_off, UNALLOCATED, "caller must ensure_l2 first");
-        if st.frozen.contains(&l2_off) {
-            l2_off = self.cow_l2_table(st, l1_idx, l2_off)?;
-        }
-        let l2_idx = self.geom.l2_index(vba);
-        self.dev
-            .write_at(&data_off.to_be_bytes(), l2_off + (l2_idx as u64) * 8)?;
-        if let Some(l2) = st.l2_cache.get_mut(&l1_idx) {
-            l2[l2_idx] = data_off;
-        }
-        Ok(())
-    }
-
-    /// Point `count` consecutive L2 entries (starting at `first_vba`'s slot)
-    /// at physically consecutive data clusters from `data_off`, with one
-    /// write-through container write. The caller guarantees the slots lie
-    /// within a single L2 table (runs are chunked at table boundaries).
-    fn set_l2_entries_run(
-        &self,
-        st: &mut MutState,
-        l1_idx: usize,
-        first_vba: u64,
-        data_off: u64,
-        count: u64,
-    ) -> Result<()> {
-        let mut l2_off = st.l1[l1_idx];
-        debug_assert_ne!(l2_off, UNALLOCATED, "caller must ensure_l2 first");
-        if st.frozen.contains(&l2_off) {
-            l2_off = self.cow_l2_table(st, l1_idx, l2_off)?;
-        }
-        let l2_idx = self.geom.l2_index(first_vba);
-        debug_assert!(
-            l2_idx as u64 + count <= self.geom.l2_entries(),
-            "entry run crosses an L2 table boundary"
-        );
-        let cs = self.geom.cluster_size();
-        let mut raw = vec![0u8; count as usize * 8];
-        for i in 0..count as usize {
-            raw[i * 8..i * 8 + 8].copy_from_slice(&(data_off + i as u64 * cs).to_be_bytes());
-        }
-        self.dev.write_run_at(&raw, l2_off + (l2_idx as u64) * 8)?;
-        if let Some(l2) = st.l2_cache.get_mut(&l1_idx) {
-            for i in 0..count as usize {
-                l2[l2_idx + i] = data_off + i as u64 * cs;
-            }
-        }
-        Ok(())
-    }
-
-    /// Copy a frozen L2 table into a private cluster and point L1 at the
-    /// copy. The frozen original stays in place for its snapshot(s).
-    fn cow_l2_table(&self, st: &mut MutState, l1_idx: usize, old_off: u64) -> Result<u64> {
-        // Materialize the table contents (cache or container).
-        let table = match st.l2_cache.get(&l1_idx) {
-            Some(t) => t.clone(),
-            None => self.read_l2_table(old_off)?,
-        };
-        let new_off = self.alloc_cluster(st, 0)?;
-        let mut raw = vec![0u8; self.geom.cluster_size() as usize];
-        for (i, &e) in table.iter().enumerate() {
-            raw[i * 8..i * 8 + 8].copy_from_slice(&e.to_be_bytes());
-        }
-        self.dev.write_at(&raw, new_off)?;
-        // Copied table durable before L1 repoints at it.
-        self.barrier()?;
-        self.dev.write_at(
-            &new_off.to_be_bytes(),
-            self.header.l1_table_offset + (l1_idx as u64) * 8,
-        )?;
-        st.l1[l1_idx] = new_off;
-        self.l2_cache_put(st, l1_idx, table);
-        Ok(new_off)
-    }
-
-    // ------------------------------------------------------------------
-    // read path (§4.3 `read`)
-    // ------------------------------------------------------------------
-
-    /// Read a run `[vba, vba + buf.len())` of *unmapped* clusters.
-    ///
-    /// Non-cache behaviour: pass the whole run down to the backing chain in
-    /// one request (or zero-fill without one). Cache behaviour: fetch the
-    /// cluster-aligned span covering the run from the backing chain in a
-    /// single request — "small writes to the cache need to fetch more data
-    /// from the base image to meet the cluster granularity" (§5.1) — fill
-    /// every covered cluster (copy-on-read, Fig. 5), then serve the run.
-    /// On a quota space error, fills latch off mid-span (§4.3: "we stop
-    /// writing to the cache for the future cold reads") while the guest
-    /// still gets its data.
-    ///
-    /// Batching the fetch keeps the cold cache's request pattern toward the
-    /// storage node identical to plain QCOW2's, as the paper observes
-    /// (Fig. 11: cold ≈ QCOW2).
-    fn read_unmapped_run(
-        &self,
-        st: &mut MutState,
-        buf: &mut [u8],
-        vba: u64,
-        parent: Option<SpanId>,
-    ) -> Result<()> {
-        let Some(backing) = &self.backing else {
-            buf.fill(0);
-            return Ok(());
-        };
-        let want_fill =
-            self.header.is_cache() && !self.read_only && self.fill_enabled() && !self.is_degraded();
-        if !want_fill {
-            let bsp = self
-                .obs
-                .span_in(parent, "backing.fetch", || format!("bytes={}", buf.len()));
-            backing.read_at_zero_pad_in(buf, vba, bsp.id())?;
-            drop(bsp);
-            self.miss_bytes
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-            if self.header.is_cache() {
-                self.obs.count(met::CACHE_MISS_BYTES, buf.len() as u64);
-                self.obs.emit(|| Event::CacheMiss {
-                    bytes: buf.len() as u64,
-                });
-            }
-            return Ok(());
-        }
-        let (span_start, span_end) = self.geom.cluster_span(vba, buf.len() as u64);
-        let mut span_buf = vec![0u8; (span_end - span_start) as usize];
-        let bsp = self.obs.span_in(parent, "backing.fetch", || {
-            format!("bytes={}", span_buf.len())
-        });
-        backing.read_at_zero_pad_in(&mut span_buf, span_start, bsp.id())?;
-        drop(bsp);
-        self.miss_bytes
-            .fetch_add(span_buf.len() as u64, Ordering::Relaxed);
-        self.obs.count(met::CACHE_MISS_BYTES, span_buf.len() as u64);
-        self.obs.emit(|| Event::CacheMiss {
-            bytes: span_buf.len() as u64,
-        });
-
-        let fsp = self
-            .obs
-            .span_in(parent, "cor.fill", || format!("bytes={}", span_buf.len()));
-        if self.coalescing() {
-            self.fill_span_coalesced(st, &span_buf, span_start, span_end, fsp.id());
-        } else {
-            self.fill_span_scalar(st, &span_buf, span_start, span_end, fsp.id());
-        }
-        drop(fsp);
-        self.obs.gauge(met::CACHE_USED_BYTES, st.cache_used);
-        let in_span = (vba - span_start) as usize;
-        buf.copy_from_slice(&span_buf[in_span..in_span + buf.len()]);
-        Ok(())
-    }
-
-    /// Scalar copy-on-read fill: one `fill_cluster` (and hence one container
-    /// data write plus one 8-byte entry write) per covered cluster.
-    fn fill_span_scalar(
-        &self,
-        st: &mut MutState,
-        span_buf: &[u8],
-        span_start: u64,
-        span_end: u64,
-        parent: Option<SpanId>,
-    ) {
-        let cs = self.geom.cluster_size();
-        let mut cluster_vba = span_start;
-        while cluster_vba < span_end {
-            let chunk_start = (cluster_vba - span_start) as usize;
-            let chunk_len = cs.min(span_end - cluster_vba) as usize;
-            // The final cluster of an unaligned virtual size is stored
-            // zero-padded to full cluster length, like every other cluster.
-            let mut tail_pad;
-            let chunk: &[u8] = if chunk_len == cs as usize {
-                &span_buf[chunk_start..chunk_start + chunk_len]
-            } else {
-                tail_pad = vec![0u8; cs as usize];
-                tail_pad[..chunk_len]
-                    .copy_from_slice(&span_buf[chunk_start..chunk_start + chunk_len]);
-                &tail_pad
-            };
-            let dsp = self
-                .obs
-                .span_in(parent, "dev.fill", || format!("bytes={chunk_len}"));
-            let filled = self.fill_cluster(st, cluster_vba, chunk, dsp.id());
-            drop(dsp);
-            match filled {
-                Ok(()) => self.note_filled(chunk_len as u64),
-                Err(e) if e.is_no_space() => {
-                    self.latch_space_error(st);
-                    break;
-                }
-                Err(_) => {
-                    // A failed fill must never fail the guest read: the data
-                    // is already in `span_buf`. Latch degraded (stops all
-                    // future fills) and serve from what we fetched.
-                    self.fill_rejects.fetch_add(1, Ordering::Relaxed);
-                    self.latch_degraded(st.cache_used, "fill_failed");
-                    break;
-                }
-            }
-            cluster_vba += cs;
-        }
-    }
-
-    /// Coalesced copy-on-read fill: carve the span into extents bounded by
-    /// L2-table coverage, allocate each extent's clusters contiguously at
-    /// end-of-file, and land the data with ONE container write plus ONE
-    /// batched entry write per extent. Identical byte counters, latch
-    /// transitions, and (on a bump-only allocator) container layout to the
-    /// scalar path — the per-cluster op overhead of 512-byte clusters
-    /// (Fig. 9's read amplification) is what disappears.
-    fn fill_span_coalesced(
-        &self,
-        st: &mut MutState,
-        span_buf: &[u8],
-        span_start: u64,
-        span_end: u64,
-        parent: Option<SpanId>,
-    ) {
-        let cs = self.geom.cluster_size();
-        let table_span = cs * self.geom.l2_entries();
-        let mut cluster_vba = span_start;
-        while cluster_vba < span_end {
-            let table_end = (cluster_vba / table_span + 1) * table_span;
-            let chunk_end = span_end.min(table_end);
-            let want = (chunk_end - cluster_vba).div_ceil(cs);
-            let l1_idx = match self.ensure_l2(st, cluster_vba) {
-                Ok((l1_idx, _)) => l1_idx,
-                Err(e) if e.is_no_space() => {
-                    self.latch_space_error(st);
-                    break;
-                }
-                Err(_) => {
-                    self.fill_rejects.fetch_add(1, Ordering::Relaxed);
-                    self.latch_degraded(st.cache_used, "fill_failed");
-                    break;
-                }
-            };
-            let (data_off, got) = self.alloc_cluster_run(st, want);
-            if got == 0 {
-                self.latch_space_error(st);
-                break;
-            }
-            // Bytes of backing data landing in the extent; the write itself
-            // is zero-padded to whole clusters like the scalar path.
-            let chunk_start = (cluster_vba - span_start) as usize;
-            let avail = ((span_end - cluster_vba) as usize).min((got * cs) as usize);
-            let dsp = self.obs.span_in(parent, "dev.fill", || {
-                format!("bytes={avail} clusters={got}")
-            });
-            let write_res = if avail == (got * cs) as usize {
-                self.dev.write_run_at_in(
-                    &span_buf[chunk_start..chunk_start + avail],
-                    data_off,
-                    dsp.id(),
-                )
-            } else {
-                let mut padded = vec![0u8; (got * cs) as usize];
-                padded[..avail].copy_from_slice(&span_buf[chunk_start..chunk_start + avail]);
-                self.dev.write_run_at_in(&padded, data_off, dsp.id())
-            };
-            drop(dsp);
-            let res = write_res.and_then(|()| {
-                // Extent data durable before the batched entries publish it.
-                self.barrier()?;
-                if got == 1 {
-                    self.set_l2_entry(st, l1_idx, cluster_vba, data_off)
-                } else {
-                    self.set_l2_entries_run(st, l1_idx, cluster_vba, data_off, got)
-                }
-            });
-            match res {
-                Ok(()) => {
-                    self.note_filled(avail as u64);
-                    if got >= 2 {
-                        self.note_coalesced("fill", got, avail as u64);
-                    }
-                }
-                Err(_) => {
-                    self.fill_rejects.fetch_add(1, Ordering::Relaxed);
-                    self.latch_degraded(st.cache_used, "fill_failed");
-                    break;
-                }
-            }
-            if got < want {
-                // The quota truncated the extent: same terminal state as the
-                // scalar path rejecting the next cluster's allocation.
-                self.latch_space_error(st);
-                break;
-            }
-            cluster_vba += got * cs;
-        }
-    }
-
-    /// Account one successful fill of `bytes` backing bytes.
-    fn note_filled(&self, bytes: u64) {
-        self.fill_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.obs.count(met::COR_FILL_BYTES, bytes);
-        self.obs.emit(|| Event::CorFill { bytes });
-    }
-
-    /// Reject a fill for lack of quota and latch fills off (§4.3: "we stop
-    /// writing to the cache for the future cold reads").
-    fn latch_space_error(&self, st: &MutState) {
-        self.fill_rejects.fetch_add(1, Ordering::Relaxed);
-        // swap: emit the latch transition exactly once even if racing
-        // readers hit the quota wall together.
-        if self.fill_enabled.swap(false, Ordering::Release) {
-            self.obs.count(met::SPACE_ERRORS, 1);
-            let used = st.cache_used;
-            let quota = self.header.cache.map(|c| c.quota).unwrap_or(0);
-            self.obs.emit(|| Event::SpaceErrorLatched { used, quota });
-        }
-    }
-
-    /// Write one full cluster of backing data into this cache layer.
-    fn fill_cluster(
-        &self,
-        st: &mut MutState,
-        cluster_vba: u64,
-        data: &[u8],
-        parent: Option<SpanId>,
-    ) -> Result<()> {
-        let (l1_idx, _l2_off) = self.ensure_l2(st, cluster_vba)?;
-        let data_off = self.alloc_cluster(st, 0)?;
-        self.dev.write_at_in(data, data_off, parent)?;
-        // Data durable before the L2 entry publishes it.
-        self.barrier()?;
-        self.set_l2_entry(st, l1_idx, cluster_vba, data_off)?;
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // write path (guest writes; CoW)
-    // ------------------------------------------------------------------
-
-    fn write_segment(
-        &self,
-        st: &mut MutState,
-        data: &[u8],
-        vba: u64,
-        parent: Option<SpanId>,
-    ) -> Result<()> {
-        if let Some(off) = self.lookup(st, vba)? {
-            if !st.frozen.contains(&off) {
-                let in_cluster = self.geom.in_cluster(vba);
-                let dsp = self
-                    .obs
-                    .span_in(parent, "dev.write", || format!("bytes={}", data.len()));
-                return self.dev.write_at_in(data, off + in_cluster, dsp.id());
-            }
-            // Shared with a snapshot: copy the cluster, merge, remap.
-            let cs = self.geom.cluster_size() as usize;
-            let cluster_vba = self.geom.cluster_start(vba);
-            let mut cluster_buf = vec![0u8; cs];
-            self.dev.read_at(&mut cluster_buf, off)?;
-            let in_cluster = (vba - cluster_vba) as usize;
-            cluster_buf[in_cluster..in_cluster + data.len()].copy_from_slice(data);
-            let l1_idx = self.geom.l1_index(vba);
-            let new_off = self.alloc_cluster(st, 0)?;
-            let dsp = self
-                .obs
-                .span_in(parent, "dev.write", || format!("bytes={cs} cow=frozen"));
-            self.dev.write_at_in(&cluster_buf, new_off, dsp.id())?;
-            drop(dsp);
-            // Merged copy durable before the L2 entry remaps to it.
-            self.barrier()?;
-            self.set_l2_entry(st, l1_idx, vba, new_off)?;
-            return Ok(());
-        }
-        // Unallocated: classic copy-on-write. Bring in the full cluster from
-        // the backing chain (zeroes without one), merge, write.
-        let cs = self.geom.cluster_size() as usize;
-        let cluster_vba = self.geom.cluster_start(vba);
-        let mut cluster_buf = vec![0u8; cs];
-        let whole_cluster = data.len() == cs;
-        if !whole_cluster {
-            if let Some(backing) = &self.backing {
-                let bsp = self
-                    .obs
-                    .span_in(parent, "backing.fetch", || format!("bytes={cs}"));
-                backing.read_at_zero_pad_in(&mut cluster_buf, cluster_vba, bsp.id())?;
-                drop(bsp);
-                self.miss_bytes.fetch_add(cs as u64, Ordering::Relaxed);
-            }
-        }
-        let in_cluster = (vba - cluster_vba) as usize;
-        cluster_buf[in_cluster..in_cluster + data.len()].copy_from_slice(data);
-        let (l1_idx, _l2_off) = self.ensure_l2(st, cluster_vba)?;
-        let data_off = self.alloc_cluster(st, 0)?;
-        let dsp = self
-            .obs
-            .span_in(parent, "dev.write", || format!("bytes={cs} cow=unmapped"));
-        self.dev.write_at_in(&cluster_buf, data_off, dsp.id())?;
-        drop(dsp);
-        // CoW data durable before the L2 entry publishes it.
-        self.barrier()?;
-        self.set_l2_entry(st, l1_idx, cluster_vba, data_off)?;
-        Ok(())
-    }
-
-    /// Extent-coalesced guest write. Three extent kinds, longest-first:
-    ///
-    /// * mapped, unfrozen, physically contiguous — one in-place
-    ///   `write_run_at` covering the whole extent (byte-granular; may start
-    ///   and end mid-cluster);
-    /// * unmapped, cluster-aligned, whole clusters — contiguous allocation,
-    ///   one data write, one batched entry write (no backing merge needed);
-    /// * everything else (frozen clusters, partial edge clusters) — the
-    ///   scalar [`QcowImage::write_segment`], one cluster at a time.
-    ///
-    /// Errors mid-request leave the same partially-applied state the scalar
-    /// loop would: clusters before the failure are written, the rest are
-    /// not, and the error propagates.
-    fn write_at_coalesced(
-        &self,
-        st: &mut MutState,
-        buf: &[u8],
-        off: u64,
-        parent: Option<SpanId>,
-    ) -> Result<()> {
-        let cs = self.geom.cluster_size();
-        let table_span = cs * self.geom.l2_entries();
-        let end = off + buf.len() as u64;
-        let mut pos = off;
-        while pos < end {
-            let remaining = end - pos;
-            let lsp = self.obs.span_in(parent, "l2.lookup", String::new);
-            let run = self.lookup_run(st, pos, remaining, true)?;
-            drop(lsp);
-            if let Some((data_off, run_bytes, clusters)) = run {
-                let data = &buf[(pos - off) as usize..][..run_bytes as usize];
-                let dsp = self.obs.span_in(parent, "dev.write", || {
-                    format!("bytes={run_bytes} clusters={clusters}")
-                });
-                if clusters >= 2 {
-                    self.dev.write_run_at_in(data, data_off, dsp.id())?;
-                    drop(dsp);
-                    self.note_coalesced("write", clusters, run_bytes);
-                } else {
-                    self.dev.write_at_in(data, data_off, dsp.id())?;
-                    drop(dsp);
-                }
-                pos += run_bytes;
-                continue;
-            }
-            let in_cluster = self.geom.in_cluster(pos);
-            if self.lookup(st, pos)?.is_some() || in_cluster != 0 || remaining < cs {
-                // Frozen cluster (mapped but excluded from the run above) or
-                // a partial cluster: scalar copy-on-write merge.
-                let n = (cs - in_cluster).min(remaining);
-                let data = &buf[(pos - off) as usize..][..n as usize];
-                self.write_segment(st, data, pos, parent)?;
-                pos += n;
-                continue;
-            }
-            // Unmapped, aligned, at least one whole cluster: count how many
-            // consecutive unmapped whole clusters fit under one L2 table.
-            let table_end = (pos / table_span + 1) * table_span;
-            let max_clusters = (remaining / cs).min((table_end - pos) / cs);
-            let mut k = 1u64;
-            while k < max_clusters && self.lookup(st, pos + k * cs)?.is_none() {
-                k += 1;
-            }
-            if k == 1 {
-                // Single cluster: keep the scalar path (free-list reuse).
-                let data = &buf[(pos - off) as usize..][..cs as usize];
-                self.write_segment(st, data, pos, parent)?;
-                pos += cs;
-                continue;
-            }
-            let (l1_idx, _l2_off) = self.ensure_l2(st, pos)?;
-            let (data_off, got) = self.alloc_cluster_run(st, k);
-            if got == 0 {
-                return Err(BlockError::no_space(format!(
-                    "cache quota {} exhausted (used {})",
-                    self.header.cache.map(|c| c.quota).unwrap_or(0),
-                    st.cache_used
-                )));
-            }
-            let data = &buf[(pos - off) as usize..][..(got * cs) as usize];
-            self.dev.write_run_at(data, data_off)?;
-            // Run data durable before the batched entries publish it.
-            self.barrier()?;
-            if got == 1 {
-                self.set_l2_entry(st, l1_idx, pos, data_off)?;
-            } else {
-                self.set_l2_entries_run(st, l1_idx, pos, data_off, got)?;
-                self.note_coalesced("write", got, got * cs);
-            }
-            // got < k: the next loop iteration re-attempts the shortfall and
-            // surfaces the quota error exactly where the scalar loop would.
-            pos += got * cs;
-        }
-        Ok(())
-    }
-}
-
-impl QcowImage {
     /// This image's position in a chain, for trace/diagnostic labels.
-    fn layer_kind(&self) -> &'static str {
+    pub(crate) fn layer_kind(&self) -> &'static str {
         if self.is_cache() {
             "cache"
         } else if self.backing.is_some() {
@@ -1829,138 +370,6 @@ impl QcowImage {
         } else {
             "base"
         }
-    }
-
-    /// [`BlockDev::read_at`] body, parented under `parent` when tracing.
-    ///
-    /// Opens one `qcow.read` span per request; each L2 walk and each device
-    /// serve gets its own child span, and unmapped runs descend into
-    /// `backing.fetch`/`cor.fill` via [`Self::read_unmapped_run`].
-    fn read_at_traced(&self, buf: &mut [u8], off: u64, parent: Option<SpanId>) -> Result<()> {
-        let end = off + buf.len() as u64;
-        if end > self.geom.virtual_size {
-            return Err(BlockError::out_of_bounds(
-                off,
-                buf.len(),
-                self.geom.virtual_size,
-            ));
-        }
-        let total = buf.len();
-        let root = self.obs.span_in(parent, "qcow.read", || {
-            format!("layer={} bytes={total}", self.layer_kind())
-        });
-        let me = root.id();
-        let cs = self.geom.cluster_size();
-        let coalesce = self.coalescing();
-        let mut st = self.state.lock();
-        let mut pos = off;
-        while pos < end {
-            // Scalar mode clamps every mapped extent to a single cluster, so
-            // both modes share one serve path below.
-            let lsp = self.obs.span_in(me, "l2.lookup", String::new);
-            let mapped = if coalesce {
-                self.lookup_run(&mut st, pos, end - pos, false)?
-            } else {
-                self.lookup(&mut st, pos)?.map(|cluster_off| {
-                    let in_cluster = self.geom.in_cluster(pos);
-                    (
-                        cluster_off + in_cluster,
-                        (cs - in_cluster).min(end - pos),
-                        1,
-                    )
-                })
-            };
-            drop(lsp);
-            match mapped {
-                Some((data_off, run_bytes, clusters)) => {
-                    // Serve the whole physically contiguous extent locally,
-                    // in one device op.
-                    let n = run_bytes as usize;
-                    let out = &mut buf[(pos - off) as usize..][..n];
-                    let dsp = self
-                        .obs
-                        .span_in(me, "dev.read", || format!("bytes={n} clusters={clusters}"));
-                    let served = if clusters >= 2 {
-                        self.dev.read_run_at_in(out, data_off, dsp.id())
-                    } else {
-                        self.dev.read_at_in(out, data_off, dsp.id())
-                    };
-                    drop(dsp);
-                    match served {
-                        Ok(()) => {
-                            self.hit_bytes.fetch_add(n as u64, Ordering::Relaxed);
-                            if self.header.is_cache() {
-                                self.obs.count(met::CACHE_HIT_BYTES, n as u64);
-                                self.obs.emit(|| Event::CacheHit { bytes: n as u64 });
-                            }
-                            if clusters >= 2 {
-                                self.note_coalesced("read", clusters, n as u64);
-                            }
-                        }
-                        Err(e) => {
-                            // A cache that cannot read its own cluster is not
-                            // fatal as long as the backing chain still has the
-                            // block: every cached cluster is a copy of backing
-                            // data (CoW images have no backing copy to lean
-                            // on, so they must propagate).
-                            let backing = match (self.header.is_cache(), &self.backing) {
-                                (true, Some(b)) => b,
-                                _ => return Err(e),
-                            };
-                            backing.read_at_zero_pad_in(out, pos, me)?;
-                            self.latch_degraded(st.cache_used, "read_failed");
-                            self.degraded_read_bytes
-                                .fetch_add(n as u64, Ordering::Relaxed);
-                            self.obs.count(met::DEGRADED_READ_BYTES, n as u64);
-                        }
-                    }
-                    pos += n as u64;
-                }
-                None => {
-                    // Extend across every consecutive unmapped cluster so
-                    // the backing chain sees one batched request.
-                    let mut run_end = (self.geom.cluster_start(pos) + cs).min(end);
-                    while run_end < end && self.lookup(&mut st, run_end)?.is_none() {
-                        run_end = (run_end + cs).min(end);
-                    }
-                    let out = &mut buf[(pos - off) as usize..(run_end - off) as usize];
-                    self.read_unmapped_run(&mut st, out, pos, me)?;
-                    pos = run_end;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`BlockDev::write_at`] body, parented under `parent` when tracing.
-    fn write_at_traced(&self, buf: &[u8], off: u64, parent: Option<SpanId>) -> Result<()> {
-        if self.read_only {
-            return Err(BlockError::read_only("write to read-only image"));
-        }
-        if off + buf.len() as u64 > self.geom.virtual_size {
-            return Err(BlockError::out_of_bounds(
-                off,
-                buf.len(),
-                self.geom.virtual_size,
-            ));
-        }
-        let total = buf.len();
-        let root = self.obs.span_in(parent, "qcow.write", || {
-            format!("layer={} bytes={total}", self.layer_kind())
-        });
-        let me = root.id();
-        let mut st = self.state.lock();
-        if self.coalescing() {
-            self.write_at_coalesced(&mut st, buf, off, me)?;
-        } else {
-            let mut done = 0usize;
-            for seg in self.geom.segments(off, buf.len()) {
-                self.write_segment(&mut st, &buf[done..done + seg.len], seg.vba, me)?;
-                done += seg.len;
-            }
-        }
-        self.paranoid_audit(&st, "write_at");
-        Ok(())
     }
 }
 
@@ -2017,541 +426,4 @@ impl Drop for QcowImage {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use vmi_blockdev::MemDev;
-
-    fn mem() -> SharedDev {
-        Arc::new(MemDev::new())
-    }
-
-    const MB: u64 = 1 << 20;
-
-    #[test]
-    fn create_open_roundtrip() {
-        let dev = mem();
-        {
-            let img = QcowImage::create(dev.clone(), CreateOpts::plain(64 * MB), None).unwrap();
-            img.write_at(b"hello qcow", 12345).unwrap();
-            img.close().unwrap();
-        }
-        let img = QcowImage::open(dev, None, false).unwrap();
-        let mut buf = [0u8; 10];
-        img.read_at(&mut buf, 12345).unwrap();
-        assert_eq!(&buf, b"hello qcow");
-    }
-
-    #[test]
-    fn unwritten_regions_read_zero() {
-        let img = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        let mut buf = [7u8; 64];
-        img.read_at(&mut buf, MB).unwrap();
-        assert_eq!(buf, [0u8; 64]);
-    }
-
-    #[test]
-    fn cow_reads_fall_through_to_backing() {
-        let base_dev = mem();
-        let base = QcowImage::create(base_dev.clone(), CreateOpts::plain(4 * MB), None).unwrap();
-        base.write_at(b"base data", 1000).unwrap();
-        let cow = QcowImage::create(
-            mem(),
-            CreateOpts::cow(4 * MB, "base"),
-            Some(base.clone() as SharedDev),
-        )
-        .unwrap();
-        let mut buf = [0u8; 9];
-        cow.read_at(&mut buf, 1000).unwrap();
-        assert_eq!(&buf, b"base data");
-        // Write to the CoW layer shadows the base without touching it.
-        cow.write_at(b"overlay!!", 1000).unwrap();
-        cow.read_at(&mut buf, 1000).unwrap();
-        assert_eq!(&buf, b"overlay!!");
-        base.read_at(&mut buf, 1000).unwrap();
-        assert_eq!(&buf, b"base data");
-    }
-
-    #[test]
-    fn cow_partial_cluster_write_merges_backing() {
-        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        base.write_at(&[0xAA; 65536], 0).unwrap(); // a full base cluster
-        let cow = QcowImage::create(mem(), CreateOpts::cow(4 * MB, "b"), Some(base as SharedDev))
-            .unwrap();
-        cow.write_at(&[0xBB; 16], 100).unwrap();
-        let mut buf = [0u8; 200];
-        cow.read_at(&mut buf, 0).unwrap();
-        assert_eq!(&buf[..100], &[0xAA; 100]);
-        assert_eq!(&buf[100..116], &[0xBB; 16]);
-        assert_eq!(&buf[116..], &[0xAA; 84]);
-    }
-
-    #[test]
-    fn read_past_virtual_size_errors() {
-        let img = QcowImage::create(mem(), CreateOpts::plain(MB), None).unwrap();
-        let mut buf = [0u8; 16];
-        assert!(img.read_at(&mut buf, MB - 8).is_err());
-        assert!(img.write_at(&buf, MB - 8).is_err());
-    }
-
-    #[test]
-    fn cold_read_span_tree_is_balanced_and_causal() {
-        let clock = Arc::new(vmi_obs::ManualClock::new(0));
-        let sink = vmi_obs::JsonlSink::new();
-        let obs = Obs::new(clock, sink.clone());
-        let base = QcowImage::create_with_obs(mem(), CreateOpts::plain(4 * MB), None, obs.clone())
-            .unwrap();
-        base.write_at(&[0x5A; 4096], 8192).unwrap();
-        let cache = QcowImage::create_with_obs(
-            mem(),
-            CreateOpts::cache(4 * MB, "base", 2 * MB),
-            Some(base.clone() as SharedDev),
-            obs.clone(),
-        )
-        .unwrap();
-        let mut buf = [0u8; 4096];
-        cache.read_at(&mut buf, 8192).unwrap();
-        assert_eq!(buf, [0x5A; 4096]);
-
-        // Single-threaded flow: spans must close strictly LIFO, and every
-        // parent must still be open when its child starts.
-        let mut stack: Vec<u64> = Vec::new();
-        let mut starts = std::collections::HashMap::new();
-        for (_, ev) in sink.events() {
-            match ev {
-                Event::SpanStart {
-                    id,
-                    parent,
-                    kind,
-                    detail,
-                } => {
-                    assert!(
-                        parent == 0 || stack.contains(&parent),
-                        "parent {parent} of {kind} not open"
-                    );
-                    stack.push(id);
-                    starts.insert(id, (kind, detail, parent));
-                }
-                Event::SpanEnd { id } => {
-                    assert_eq!(stack.pop(), Some(id), "span end out of order");
-                }
-                _ => {}
-            }
-        }
-        assert!(stack.is_empty(), "unbalanced spans: {stack:?}");
-        let kind_of = |id: u64| starts.get(&id).map(|(k, _, _)| k.as_str()).unwrap_or("");
-        let mut base_read_under_fetch = false;
-        let mut fill_under_read = false;
-        for (kind, detail, parent) in starts.values() {
-            if kind == "qcow.read" && detail.contains("layer=base") {
-                assert_eq!(kind_of(*parent), "backing.fetch");
-                base_read_under_fetch = true;
-            }
-            if kind == "cor.fill" {
-                assert_eq!(kind_of(*parent), "qcow.read");
-                fill_under_read = true;
-            }
-        }
-        assert!(
-            base_read_under_fetch,
-            "base layer read must descend from backing.fetch"
-        );
-        assert!(
-            fill_under_read,
-            "copy-on-read fill must descend from qcow.read"
-        );
-    }
-
-    #[test]
-    fn cache_image_fills_on_cold_read() {
-        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        base.write_at(&[0x5A; 4096], 8192).unwrap();
-        let cache = QcowImage::create(
-            mem(),
-            CreateOpts::cache(4 * MB, "base", 2 * MB),
-            Some(base.clone() as SharedDev),
-        )
-        .unwrap();
-        assert!(cache.is_cache());
-        let mut buf = [0u8; 4096];
-        cache.read_at(&mut buf, 8192).unwrap();
-        assert_eq!(buf, [0x5A; 4096]);
-        let s1 = cache.cor_stats();
-        assert!(s1.miss_bytes >= 4096);
-        assert!(s1.fill_bytes >= 4096);
-        // Second read is warm: no more misses.
-        cache.read_at(&mut buf, 8192).unwrap();
-        let s2 = cache.cor_stats();
-        assert_eq!(s2.miss_bytes, s1.miss_bytes);
-        assert_eq!(s2.hit_bytes, s1.hit_bytes + 4096);
-    }
-
-    #[test]
-    fn cache_quota_latches_fill_off_but_keeps_serving() {
-        let vsize = 4 * MB;
-        let base = QcowImage::create(mem(), CreateOpts::plain(vsize), None).unwrap();
-        for i in 0..64u64 {
-            base.write_at(&[i as u8 + 1; 512], i * 512).unwrap();
-        }
-        // Tiny quota: initial metadata (512 B header cluster + L1) plus a
-        // couple of clusters.
-        let cache_opts = CreateOpts::cache(vsize, "base", 0); // compute below
-        let g = Geometry::new(cache_opts.cluster_bits, vsize).unwrap();
-        let quota = g.cluster_size() + g.l1_table_bytes() + 5 * g.cluster_size();
-        let cache = QcowImage::create(
-            mem(),
-            CreateOpts::cache(vsize, "base", quota),
-            Some(base.clone() as SharedDev),
-        )
-        .unwrap();
-        let mut buf = [0u8; 512];
-        let mut served = 0;
-        for i in 0..64u64 {
-            cache.read_at(&mut buf, i * 512).unwrap();
-            assert_eq!(buf, [i as u8 + 1; 512], "guest data correct past quota");
-            served += 1;
-        }
-        assert_eq!(served, 64);
-        assert!(!cache.fill_enabled(), "fills must latch off");
-        assert!(cache.cor_stats().fill_rejects >= 1);
-        assert!(cache.cache_used() <= quota, "quota never exceeded");
-    }
-
-    #[test]
-    fn cache_used_persists_on_close() {
-        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        base.write_at(&[1; 8192], 0).unwrap();
-        let cache_dev = mem();
-        let used;
-        {
-            let cache = QcowImage::create(
-                cache_dev.clone(),
-                CreateOpts::cache(4 * MB, "base", 2 * MB),
-                Some(base.clone() as SharedDev),
-            )
-            .unwrap();
-            let mut buf = [0u8; 8192];
-            cache.read_at(&mut buf, 0).unwrap();
-            used = cache.cache_used();
-            cache.close().unwrap();
-        }
-        let reopened = QcowImage::open(cache_dev, Some(base as SharedDev), false).unwrap();
-        assert_eq!(reopened.cache_used(), used);
-        assert_eq!(reopened.header().cache.unwrap().used, used);
-        // Warm read — no misses.
-        let mut buf = [0u8; 8192];
-        reopened.read_at(&mut buf, 0).unwrap();
-        assert_eq!(buf, [1; 8192]);
-        assert_eq!(reopened.cor_stats().miss_bytes, 0);
-    }
-
-    #[test]
-    fn read_only_image_does_not_fill() {
-        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        base.write_at(&[9; 1024], 0).unwrap();
-        let cache_dev = mem();
-        {
-            let c = QcowImage::create(
-                cache_dev.clone(),
-                CreateOpts::cache(4 * MB, "base", 2 * MB),
-                Some(base.clone() as SharedDev),
-            )
-            .unwrap();
-            c.close().unwrap();
-        }
-        let cache = QcowImage::open(cache_dev.clone(), Some(base as SharedDev), true).unwrap();
-        let before = cache_dev.len();
-        let mut buf = [0u8; 1024];
-        cache.read_at(&mut buf, 0).unwrap();
-        assert_eq!(buf, [9; 1024]);
-        assert_eq!(cache_dev.len(), before, "read-only cache must not grow");
-        assert_eq!(cache.cor_stats().fill_bytes, 0);
-        assert!(cache.write_at(&[0; 16], 0).is_err());
-    }
-
-    #[test]
-    fn three_layer_chain_reads_through() {
-        // Base <- Cache <- CoW, the paper's Fig. 4 arrangement.
-        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        base.write_at(&[3; 2048], 4096).unwrap();
-        let cache = QcowImage::create(
-            mem(),
-            CreateOpts::cache(4 * MB, "base", 2 * MB),
-            Some(base.clone() as SharedDev),
-        )
-        .unwrap();
-        let cow = QcowImage::create(
-            mem(),
-            CreateOpts::cow(4 * MB, "cache"),
-            Some(cache.clone() as SharedDev),
-        )
-        .unwrap();
-        let mut buf = [0u8; 2048];
-        cow.read_at(&mut buf, 4096).unwrap();
-        assert_eq!(buf, [3; 2048]);
-        // Guest writes land in the CoW layer only; cache remains immutable
-        // w.r.t. guest data.
-        cow.write_at(&[7; 2048], 4096).unwrap();
-        let mut check = [0u8; 2048];
-        cache.read_at(&mut check, 4096).unwrap();
-        assert_eq!(check, [3; 2048], "cache must not see guest writes");
-        cow.read_at(&mut check, 4096).unwrap();
-        assert_eq!(check, [7; 2048]);
-    }
-
-    #[test]
-    fn small_cluster_cache_fills_less_than_default() {
-        // Fig. 9's mechanism: a 4 KiB guest read through a 64 KiB-cluster
-        // cache fetches 64 KiB from the base; through a 512 B-cluster cache
-        // it fetches only 4 KiB.
-        let mk = |bits: u32| {
-            let base = QcowImage::create(mem(), CreateOpts::plain(16 * MB), None).unwrap();
-            base.write_at(&[1; 4096], 1 << 20).unwrap();
-            let cache = QcowImage::create(
-                mem(),
-                CreateOpts::cache(16 * MB, "b", 8 * MB).with_cluster_bits(bits),
-                Some(base as SharedDev),
-            )
-            .unwrap();
-            let mut buf = [0u8; 4096];
-            cache.read_at(&mut buf, 1 << 20).unwrap();
-            cache.cor_stats().miss_bytes
-        };
-        let big = mk(16);
-        let small = mk(9);
-        assert_eq!(big, 65536);
-        assert_eq!(small, 4096);
-    }
-
-    #[test]
-    fn quota_smaller_than_metadata_serves_but_never_fills() {
-        let base = QcowImage::create(mem(), CreateOpts::plain(64 * MB), None).unwrap();
-        base.write_at(&[4; 1024], 0).unwrap();
-        let cache = QcowImage::create(
-            mem(),
-            CreateOpts::cache(64 * MB, "b", 1024),
-            Some(base as SharedDev),
-        )
-        .unwrap();
-        let mut buf = [0u8; 1024];
-        cache.read_at(&mut buf, 0).unwrap();
-        assert_eq!(buf, [4; 1024], "reads still pass through");
-        assert!(!cache.fill_enabled(), "first fill attempt latches off");
-        assert_eq!(cache.cor_stats().fill_bytes, 0);
-    }
-
-    #[test]
-    fn backing_mismatch_rejected() {
-        let dev = mem();
-        QcowImage::create(dev.clone(), CreateOpts::plain(MB), None)
-            .unwrap()
-            .close()
-            .unwrap();
-        // Supplying a backing device for a standalone image is an error.
-        let other = QcowImage::create(mem(), CreateOpts::plain(MB), None).unwrap();
-        assert!(QcowImage::open(dev, Some(other as SharedDev), false).is_err());
-    }
-
-    #[test]
-    fn zero_length_ops_are_noops() {
-        let img = QcowImage::create(mem(), CreateOpts::plain(MB), None).unwrap();
-        let mut buf = [0u8; 0];
-        img.read_at(&mut buf, 0).unwrap();
-        img.write_at(&buf, 0).unwrap();
-        img.read_at(&mut buf, MB).unwrap(); // at the boundary, len 0: fine
-        assert_eq!(img.mapped_bytes(), 0);
-    }
-
-    #[test]
-    fn external_write_to_cache_respects_quota() {
-        // §4.3's write path on a cache image used directly (not via CoR).
-        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        let g = Geometry::new(9, 4 * MB).unwrap();
-        let quota = g.cluster_size() + g.l1_table_bytes() + 10 * 512;
-        let cache = QcowImage::create(
-            mem(),
-            CreateOpts::cache(4 * MB, "b", quota),
-            Some(base as SharedDev),
-        )
-        .unwrap();
-        // Writes land until the quota refuses with the space error.
-        let mut wrote = 0;
-        let err = loop {
-            match cache.write_at(&[1; 512], wrote * 512) {
-                Ok(()) => wrote += 1,
-                Err(e) => break e,
-            }
-            assert!(wrote < 100, "quota must trip");
-        };
-        assert!(err.is_no_space());
-        assert!(wrote >= 1);
-        assert!(cache.cache_used() <= quota);
-    }
-
-    #[test]
-    fn read_spanning_mapped_and_unmapped_clusters() {
-        // One request that begins in a warm cluster and ends in a cold one.
-        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        base.write_at(&[0xAB; 8192], 0).unwrap();
-        let cache = QcowImage::create(
-            mem(),
-            CreateOpts::cache(4 * MB, "b", 2 * MB),
-            Some(base as SharedDev),
-        )
-        .unwrap();
-        let mut buf = [0u8; 512];
-        cache.read_at(&mut buf, 0).unwrap(); // warm exactly cluster 0
-        let mut big = [0u8; 4096];
-        cache.read_at(&mut big, 0).unwrap(); // spans warm + cold
-        assert_eq!(big, [0xAB; 4096]);
-        let s = cache.cor_stats();
-        assert!(
-            s.hit_bytes >= 512,
-            "first cluster of the big read served warm"
-        );
-        // The cold tail was fetched without re-fetching the warm cluster.
-        assert_eq!(
-            s.miss_bytes,
-            512 + (4096 - 512),
-            "span excludes the mapped cluster"
-        );
-    }
-
-    #[test]
-    fn file_size_tracks_growth() {
-        let base = QcowImage::create(mem(), CreateOpts::plain(16 * MB), None).unwrap();
-        base.write_at(&[1; 1 << 20], 0).unwrap();
-        let cache = QcowImage::create(
-            mem(),
-            CreateOpts::cache(16 * MB, "b", 8 * MB),
-            Some(base as SharedDev),
-        )
-        .unwrap();
-        let before = cache.file_size();
-        let mut buf = vec![0u8; 1 << 20];
-        cache.read_at(&mut buf, 0).unwrap();
-        let after = cache.file_size();
-        assert!(
-            after >= before + (1 << 20),
-            "fills must grow the container file"
-        );
-        // Used size accounting matches the file tail (bump allocator).
-        assert_eq!(cache.cache_used(), after);
-    }
-
-    #[test]
-    fn lookup_run_spans_contiguous_fills() {
-        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-        base.write_at(&[3u8; 64 << 10], 0).unwrap();
-        let cache = QcowImage::create(
-            mem(),
-            CreateOpts::cache(4 * MB, "b", 2 * MB),
-            Some(base as SharedDev),
-        )
-        .unwrap();
-        let cs = cache.geom.cluster_size();
-        let mut buf = vec![0u8; 16 * cs as usize];
-        cache.read_at(&mut buf, 0).unwrap(); // coalesced fill: contiguous clusters
-        let mut st = cache.state.lock();
-        let (_, run_bytes, clusters) = cache
-            .lookup_run(&mut st, 0, 16 * cs, false)
-            .unwrap()
-            .expect("filled clusters are mapped");
-        assert_eq!(run_bytes, 16 * cs, "fill landed physically contiguous");
-        assert_eq!(clusters, 16);
-        // A mid-cluster start still resolves, clamped to the request.
-        let (off_mid, mid_bytes, _) = cache
-            .lookup_run(&mut st, cs / 2, cs, false)
-            .unwrap()
-            .unwrap();
-        assert_eq!(mid_bytes, cs);
-        let (off_start, _, _) = cache.lookup_run(&mut st, 0, cs, false).unwrap().unwrap();
-        assert_eq!(off_mid, off_start + cs / 2);
-    }
-
-    #[test]
-    fn coalesced_and_scalar_caches_are_bit_identical() {
-        // Same workload against two caches over identical bases, one with
-        // coalescing disabled: guest data, CoR counters, and the entire
-        // container byte-for-byte must agree (fresh images allocate with the
-        // same bump sequence in both modes).
-        let mut content = vec![0u8; 2 * MB as usize];
-        for (i, b) in content.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-        let run = |coalesce: bool| -> (Vec<u8>, Vec<u8>, CorStats, u64) {
-            let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
-            base.write_at(&content, 0).unwrap();
-            let cache_mem = Arc::new(MemDev::new());
-            let cache = QcowImage::create(
-                cache_mem.clone() as SharedDev,
-                CreateOpts::cache(4 * MB, "b", 3 * MB),
-                Some(base as SharedDev),
-            )
-            .unwrap();
-            cache.set_coalescing(coalesce);
-            let mut out = vec![0u8; MB as usize];
-            cache.read_at(&mut out, 4096).unwrap(); // cold: fills
-            let mut warm = vec![0u8; MB as usize];
-            cache.read_at(&mut warm, 4096).unwrap(); // warm: run reads
-            assert_eq!(out, warm);
-            let mut tail = vec![0u8; 8192];
-            cache.read_at(&mut tail, 2 * MB - 4096).unwrap(); // cold + zero tail
-            out.extend_from_slice(&tail);
-            let stats = cache.cor_stats();
-            let used = cache.cache_used();
-            cache.close().unwrap();
-            (out, cache_mem.to_vec(), stats, used)
-        };
-        let (data_c, raw_c, stats_c, used_c) = run(true);
-        let (data_s, raw_s, stats_s, used_s) = run(false);
-        assert_eq!(data_c, data_s, "guest data identical");
-        assert_eq!(stats_c, stats_s, "CoR byte counters identical");
-        assert_eq!(used_c, used_s, "quota accounting identical");
-        assert_eq!(raw_c, raw_s, "container bytes identical");
-    }
-
-    #[test]
-    fn l2_cache_is_bounded_by_default() {
-        let img = QcowImage::create(mem(), CreateOpts::plain(64 * MB), None).unwrap();
-        let expect =
-            ((DEFAULT_L2_CACHE_BYTES / img.geom.cluster_size()) as usize).max(MIN_L2_CACHE_TABLES);
-        assert_eq!(img.l2_cache_limit(), Some(expect));
-        // 512 B clusters: the same byte budget holds many more (small) tables.
-        let small = QcowImage::create(
-            mem(),
-            CreateOpts::plain(4 * MB).with_cluster_bits(crate::layout::MIN_CLUSTER_BITS),
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            small.l2_cache_limit(),
-            Some((DEFAULT_L2_CACHE_BYTES / small.geom.cluster_size()) as usize)
-        );
-        // Unbounded remains opt-in.
-        small.set_l2_cache_limit(None);
-        assert_eq!(small.l2_cache_limit(), None);
-    }
-
-    #[test]
-    fn l2_eviction_is_counted() {
-        let clock = Arc::new(vmi_obs::ManualClock::new(0));
-        let obs = Obs::new(clock, Arc::new(vmi_obs::NullRecorder));
-        let img = QcowImage::create_with_obs(
-            mem(),
-            CreateOpts::plain(16 * MB).with_cluster_bits(crate::layout::MIN_CLUSTER_BITS),
-            None,
-            obs.clone(),
-        )
-        .unwrap();
-        img.set_l2_cache_limit(Some(2));
-        let table_span = img.geom.cluster_size() * img.geom.l2_entries();
-        for i in 0..4u64 {
-            img.write_at(&[1u8; 16], i * table_span).unwrap();
-        }
-        assert!(img.l2_cache_len() <= 2, "limit enforced");
-        assert!(
-            obs.counter_value(met::L2_EVICTIONS) >= 2,
-            "evictions surface in metrics"
-        );
-    }
-}
+mod tests;

@@ -12,7 +12,7 @@
 //! a 256 KiB variant; the arithmetic is identical) this gives the familiar
 //! two-level page-table shape.
 
-use vmi_blockdev::{BlockError, Result};
+use vmi_blockdev::{be_u64, BlockError, Result};
 
 /// Minimum cluster size: one 512-byte sector. The paper reduces the *cache*
 /// image's cluster size to this value to kill cold-cache read amplification
@@ -162,6 +162,30 @@ impl Geometry {
     pub fn align_up(&self, off: u64) -> u64 {
         off.div_ceil(self.cluster_size()) * self.cluster_size()
     }
+
+    /// The bounds check of every guest request: `off + len`, or the
+    /// out-of-bounds error when the range overflows `u64` or passes the
+    /// virtual size.
+    pub(crate) fn check_range(&self, off: u64, len: u64) -> Result<u64> {
+        match off.checked_add(len) {
+            Some(end) if end <= self.virtual_size => Ok(end),
+            _ => Err(BlockError::out_of_bounds(
+                off,
+                len as usize,
+                self.virtual_size,
+            )),
+        }
+    }
+}
+
+/// Big-endian on-disk encoding of a mapping table.
+pub(crate) fn encode_entries(entries: &[u64]) -> Vec<u8> {
+    entries.iter().flat_map(|e| e.to_be_bytes()).collect()
+}
+
+/// Decode a big-endian on-disk mapping table.
+pub(crate) fn decode_entries(raw: &[u8]) -> Vec<u64> {
+    raw.chunks_exact(8).map(be_u64).collect()
 }
 
 /// Iterator over per-cluster segments of a guest I/O request.

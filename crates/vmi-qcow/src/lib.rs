@@ -54,17 +54,22 @@
 
 #![forbid(unsafe_code)]
 
+mod alloc;
 pub mod chain;
 pub mod concurrent;
 pub mod dedup;
 pub mod engine;
 pub mod header;
 pub mod image;
+mod l2cache;
 pub mod layout;
+mod lookup;
+mod open;
 pub mod ops;
+mod read;
 pub mod recover;
-pub mod scrub;
 pub mod snapshot;
+mod write;
 
 pub use chain::{
     create_cached_chain, create_cached_chain_with_obs, create_cow_chain, create_cow_chain_with_obs,
@@ -81,5 +86,4 @@ pub use ops::{check, commit, compact, info, map, CheckReport, ImageInfo, MapExte
 pub use recover::{
     open_cache_recovered, recover, recover_with_obs, RecoveryReport, RecoveryVerdict,
 };
-pub use scrub::{open_cache_scrubbed, scrub_cache, ScrubReport, ScrubVerdict};
 pub use snapshot::{SnapshotInfo, SnapshotRec};

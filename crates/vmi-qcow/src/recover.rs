@@ -1,9 +1,10 @@
 //! Crash-recovery engine: replay `vmi-audit` repair hints until the
-//! container audits clean (supersedes the PR-2 [`crate::scrub`] for cache
-//! opens).
+//! container audits clean. The only path from a closed container to an
+//! opened cache.
 //!
-//! The write barriers in [`crate::image`] guarantee that any crash prefix of
-//! a mutation sequence decomposes into exactly three artifact classes:
+//! The driver's write barriers (`QcowImage::barrier`) guarantee that any
+//! crash prefix of a mutation sequence decomposes into exactly three
+//! artifact classes:
 //!
 //! 1. **Leaked clusters** — data or table clusters written (or allocated)
 //!    whose publishing entry never became durable. Invisible to readers;
@@ -286,8 +287,7 @@ fn refetch(audit: vmi_audit::AuditReport, passes: u32, applied: Vec<String>) -> 
 }
 
 /// Recover `dev` and, when the verdict allows it, open the cache image —
-/// the restart-time warm-open path (supersedes
-/// [`crate::scrub::open_cache_scrubbed`]).
+/// the warm-open path of every deployment and node restart.
 ///
 /// Returns `Ok(None)` on a `Refetch` verdict — the caller deploys without
 /// the cache (plain-QCOW2 fallback / cold refetch). A `Repaired` container
@@ -354,6 +354,8 @@ mod tests {
     fn torn_used_field_is_repaired_in_one_extra_pass() {
         let (cache_dev, _base) = warmed_cache_dev();
         let truth = Header::decode(&cache_dev).unwrap().cache.unwrap().used;
+        // Simulate the torn close: the data clusters landed but the header's
+        // used field still holds the pre-boot value.
         Header::update_cache_used(&cache_dev, 1024).unwrap();
         let rep = recover(&cache_dev);
         assert_eq!(rep.verdict, RecoveryVerdict::Repaired { repairs: 1 });
@@ -369,25 +371,24 @@ mod tests {
     fn garbage_l1_entry_is_cleared_then_used_rewritten() {
         let (cache_dev, base_dev) = warmed_cache_dev();
         let header = Header::decode(&cache_dev).unwrap();
-        // Land a torn (unaligned, nonsense) L1 entry in an unused slot: the
-        // crash artifact of an L1 publish that never completed its epoch.
-        let l1_len = u64::from(header.l1_size);
-        let slot = l1_len - 1;
-        cache_dev
-            .write_at(
-                &0xdead_beefu64.to_be_bytes(),
-                header.l1_table_offset + slot * 8,
-            )
-            .unwrap();
-        let rep = recover(&cache_dev);
-        assert!(
-            matches!(rep.verdict, RecoveryVerdict::Repaired { .. }),
-            "{rep:?}"
-        );
-        assert!(
-            rep.repairs.iter().any(|r| r.contains("cleared L1")),
-            "{rep:?}"
-        );
+        // Land a torn L1 entry in an unused slot — unaligned nonsense, then
+        // aligned but far past the end of the container: the crash artifact
+        // of an L1 publish that never completed its epoch.
+        let slot = u64::from(header.l1_size) - 1;
+        for garbage in [0xdead_beefu64, 1 << 40] {
+            cache_dev
+                .write_at(&garbage.to_be_bytes(), header.l1_table_offset + slot * 8)
+                .unwrap();
+            let rep = recover(&cache_dev);
+            assert!(
+                matches!(rep.verdict, RecoveryVerdict::Repaired { .. }),
+                "{rep:?}"
+            );
+            assert!(
+                rep.repairs.iter().any(|r| r.contains("cleared L1")),
+                "{rep:?}"
+            );
+        }
         // The recovered cache opens and still serves its warm data.
         let base = QcowImage::open(base_dev, None, true).unwrap();
         let img = open_cache_recovered(cache_dev, Some(base as SharedDev), false, Obs::disabled())
