@@ -3,7 +3,7 @@
 //! evaluate experiment points.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use vmi_sim::{CacheOutcome, Disk, DiskSpec, EventQueue, Link, NetSpec, PageCache};
+use vmi_sim::{CacheOutcome, Disk, DiskSpec, EventKey, Link, NetSpec, PageCache, Shard};
 use vmi_trace::RangeSet;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -11,15 +11,25 @@ fn bench_event_queue(c: &mut Criterion) {
     g.throughput(Throughput::Elements(10_000));
     g.bench_function("push_pop_10k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
+            let mut q = Shard::default();
             for i in 0..10_000u64 {
                 // Pseudo-random times to exercise heap reordering.
-                q.push(i.wrapping_mul(2654435761) % 1_000_000, i);
+                let at = i.wrapping_mul(2654435761) % 1_000_000;
+                q.push(
+                    EventKey {
+                        at,
+                        lane: 0,
+                        tag: 0,
+                        a: i,
+                        b: 0,
+                    },
+                    (),
+                );
             }
             let mut last = 0;
-            while let Some((t, _)) = q.pop() {
-                debug_assert!(t >= last);
-                last = t;
+            while let Some((key, ())) = q.pop() {
+                debug_assert!(key.at >= last);
+                last = key.at;
             }
             last
         })

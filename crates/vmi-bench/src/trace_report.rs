@@ -179,8 +179,7 @@ impl TraceForest {
 
     /// Export the forest as Chrome `trace_event` JSON (complete `"X"`
     /// events, microsecond timestamps), loadable in Perfetto or
-    /// `chrome://tracing`. The node namespace (span id high bits) becomes
-    /// the thread id, so per-node timelines land on separate tracks.
+    /// `chrome://tracing`, on one track.
     pub fn to_chrome_trace(&self) -> String {
         #[derive(Serialize)]
         struct ChromeEvent {
@@ -210,7 +209,7 @@ impl TraceForest {
                 ts: s.start_ns as f64 / 1000.0,
                 dur: s.duration_ns() as f64 / 1000.0,
                 pid: 1,
-                tid: s.id >> 48,
+                tid: 0,
                 args: ChromeArgs {
                     id: s.id,
                     parent: s.parent,

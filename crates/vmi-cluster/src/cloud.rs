@@ -21,16 +21,14 @@ use rand::{Rng, SeedableRng};
 use vmi_blockdev::{BlockDev, Result, SharedDev, SparseDev};
 use vmi_obs::{met, Event, Obs, RecorderHandle};
 use vmi_qcow::{recover_with_obs, Header};
-use vmi_remote::{MountOpts, NfsMount};
-use vmi_sim::{NetSpec, Ns, SimWorld};
-use vmi_trace::{BootTrace, VmiProfile};
+use vmi_sim::{NetSpec, Ns};
+use vmi_trace::VmiProfile;
 
-use crate::deploy::{build_chain, ChainSpec, Mode, Placement};
+use crate::cluster::{CacheSource, Cluster};
+use crate::deploy::{Mode, Placement};
 use crate::experiment::{vmi_seed, WarmStore};
-use crate::node::{ComputeNode, StorageNode};
 use crate::sched::{NodeState, Policy, Scheduler};
 use crate::telemetry::Telemetry;
-use crate::vm::{run_boots_with_obs, VmRun};
 
 /// One VM request arriving at the cloud.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,24 +351,12 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
         cfg.node_failures.iter().all(|f| f.node < cfg.nodes),
         "injected failure names a node outside the fleet"
     );
-    let world = SimWorld::new();
-    let obs = cfg.recorder.attach(world.obs_clock());
-    let mut storage = StorageNode::new(&world, cfg.net);
+    let seeds = (0..cfg.vmis).map(|v| vmi_seed(cfg.seed, v));
+    let mut cluster = Cluster::new(&cfg.profile, cfg.net, &cfg.recorder, cfg.nodes, seeds);
+    let obs = cluster.obs.clone();
     let warm_store = WarmStore::new();
 
-    // Catalog: trace + base export per VMI.
-    let traces: Vec<Arc<BootTrace>> = (0..cfg.vmis)
-        .map(|v| Arc::new(vmi_trace::generate(&cfg.profile, vmi_seed(cfg.seed, v))))
-        .collect();
-    let base_exports: Vec<_> = (0..cfg.vmis)
-        .map(|_| storage.create_base_vmi(cfg.profile.virtual_size))
-        .collect();
-
-    // Fleet state.
-    let mut compute: Vec<ComputeNode> = (0..cfg.nodes)
-        .map(|i| ComputeNode::new(&world, i))
-        .collect();
-    // Integer-keyed cache pools: the per-request hot path below never
+    // Fleet state. Integer-keyed cache pools: the per-request hot path below never
     // formats or hashes a "vmi-N" string (names appear only in events).
     let mut fleet: Vec<NodeState<usize>> = (0..cfg.nodes)
         .map(|i| NodeState::new(i, cfg.slots_per_node, cfg.node_cache_bytes))
@@ -450,18 +436,12 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
                     to_node: to,
                 });
             }
-            let base_dev: SharedDev = NfsMount::new(
-                base_exports[req.vmi].clone(),
-                storage.nic,
-                MountOpts::default(),
-            );
-
             // Decide the chain per Algorithm 1 at node level.
             let warm_hit = cfg.use_caches
                 && decision.cache_hit
                 && warm_local.contains_key(&(node_idx, req.vmi));
-            let (mode, container) = if !cfg.use_caches {
-                (Mode::Qcow2, Arc::new(SparseDev::new()))
+            let (mode, cache) = if !cfg.use_caches {
+                (Mode::Qcow2, CacheSource::fresh())
             } else if warm_hit {
                 report.warm_boots += 1;
                 (
@@ -470,7 +450,7 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
                         quota: cfg.quota,
                         cluster_bits: 9,
                     },
-                    Arc::new(warm_local[&(node_idx, req.vmi)].fork()),
+                    CacheSource::fork_of(&warm_local[&(node_idx, req.vmi)]),
                 )
             } else {
                 report.cold_boots += 1;
@@ -482,32 +462,11 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
                         quota: cfg.quota,
                         cluster_bits: 9,
                     },
-                    fresh,
+                    CacheSource::Local(fresh),
                 )
             };
-            let cache_dev = compute[node_idx].cache_file(mode, container);
-            let cow_dev = compute[node_idx].disk_file(Arc::new(SparseDev::new()), false);
-            world.begin_op(start_at);
-            let chain = build_chain(ChainSpec {
-                mode,
-                profile: &cfg.profile,
-                base_dev,
-                cache_dev,
-                cow_dev,
-                cache_read_only: false,
-                obs: obs.clone(),
-            })?;
-            let setup_ns = world.end_op() - start_at;
-            let outcome = run_boots_with_obs(
-                &world,
-                vec![VmRun {
-                    chain: chain as SharedDev,
-                    trace: traces[req.vmi].clone(),
-                    start_at,
-                    setup_ns,
-                }],
-                &obs,
-            )?[0];
+            let (_, run) = cluster.deploy(node_idx, req.vmi, mode, cache, start_at)?;
+            let outcome = cluster.run(vec![run])?[0];
             // Did the chosen node die while this boot was in flight?
             let killed_at = failures[next_failure..]
                 .iter()
@@ -548,7 +507,7 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
         if cfg.use_caches && !warm_hit {
             let node = &mut fleet[node_idx];
             let size = warm_store
-                .get_or_prepare(&cfg.profile, &traces[req.vmi], cfg.quota, 9)
+                .get_or_prepare(&cfg.profile, &cluster.vmis[req.vmi].trace, cfg.quota, 9)
                 .map(|w| w.file_size)
                 .unwrap_or(cfg.quota);
             if let Ok(evicted) =
@@ -570,7 +529,7 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
         sorted.sort_unstable();
         report.p95_boot_secs = sorted[(sorted.len() - 1) * 95 / 100] as f64 / 1e9;
     }
-    report.storage_traffic_mb = world.link_stats(storage.nic).bytes as f64 / 1e6;
+    report.storage_traffic_mb = cluster.world.link_stats(cluster.storage.nic).bytes as f64 / 1e6;
     report.telemetry = Telemetry::from_parts(Vec::new(), &obs);
     Ok(report)
 }

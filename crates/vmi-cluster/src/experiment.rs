@@ -9,17 +9,17 @@
 
 use std::sync::Arc;
 
-use vmi_blockdev::{BlockDev, BlockError, Result, SharedDev, SparseDev};
-use vmi_obs::{MetricsSnapshot, Obs, RecorderHandle};
+use vmi_blockdev::{Result, SharedDev};
+use vmi_obs::{MetricsSnapshot, RecorderHandle};
 use vmi_qcow::QcowImage;
-use vmi_remote::{MountOpts, NfsExport, NfsMount};
-use vmi_sim::{DiskStats, LinkStats, NetSpec, SimWorld};
+use vmi_remote::NfsExport;
+use vmi_sim::{DiskStats, LinkStats, NetSpec};
 use vmi_trace::{BootTrace, VmiProfile};
 
-use crate::deploy::{build_chain, prepare_warm_cache, ChainSpec, Mode, Placement, WarmCache};
-use crate::node::{ComputeNode, StorageNode};
-use crate::telemetry::Telemetry;
-use crate::vm::{run_boots_with_obs, BootStats, VmOutcome, VmRun};
+use crate::cluster::{CacheSource, Cluster};
+use crate::deploy::{prepare_warm_cache, Mode, Placement, WarmCache};
+use crate::telemetry::{cache_layer, Telemetry};
+use crate::vm::{BootStats, VmOutcome, VmRun};
 
 /// Memoizes warm-cache preparation across experiment points: warming a
 /// CentOS cache is an offline boot replay, and a figure sweep re-uses the
@@ -129,10 +129,8 @@ pub struct ExperimentOutcome {
     /// Cache-layer and latency telemetry (per-cache hit ratios always;
     /// latency percentiles when a recorder was attached).
     pub telemetry: Telemetry,
-    /// Full metrics-registry snapshot, present when a recorder was attached
-    /// (the parallel runner merges per-node registries: counters and
-    /// histogram buckets summed, gauges taken at their max). Render with
-    /// [`MetricsSnapshot::to_prometheus`].
+    /// Full metrics-registry snapshot, present when a recorder was attached.
+    /// Render with [`MetricsSnapshot::to_prometheus`].
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -154,145 +152,38 @@ pub fn vmi_seed(seed: u64, v: usize) -> u64 {
         .wrapping_add(v as u64 * 7919 + 1)
 }
 
-/// Per-VMI inputs shared by every node that boots the VMI.
-struct VmiInputs {
-    trace: Arc<BootTrace>,
-    /// Offline-warmed cache ([`Mode::WarmCache`] only).
-    warm: Option<Arc<WarmCache>>,
-}
-
-/// The deterministic inputs of an experiment point, prepared up front
-/// (warming is an offline replay shared by every node of the VMI).
-fn prepare_inputs(cfg: &ExperimentConfig) -> Result<Vec<VmiInputs>> {
-    assert!(cfg.nodes >= 1, "need at least one compute node");
-    assert!(
-        (1..=cfg.nodes).contains(&cfg.vmis),
-        "vmis must be in 1..=nodes"
-    );
-    (0..cfg.vmis)
-        .map(|v| {
-            let trace = Arc::new(vmi_trace::generate(&cfg.profile, vmi_seed(cfg.seed, v)));
-            let warm = match cfg.mode {
-                Mode::WarmCache {
-                    quota,
-                    cluster_bits,
-                    ..
-                } => Some(match &cfg.warm_store {
-                    Some(store) => {
-                        store.get_or_prepare(&cfg.profile, &trace, quota, cluster_bits)?
-                    }
-                    None => Arc::new(prepare_warm_cache(
-                        &cfg.profile,
-                        &trace,
-                        quota,
-                        cluster_bits,
-                    )?),
-                }),
-                _ => None,
-            };
-            Ok(VmiInputs { trace, warm })
-        })
-        .collect()
-}
-
-/// Whether `mode` is the Fig. 13 cold flow, where only the *first* node per
-/// VMI (node ids `0..vmis`) creates and transfers the cache and the rest run
-/// plain QCOW2 (§5.3.2).
-fn cold_storage_mem(mode: Mode) -> bool {
-    matches!(
-        mode,
-        Mode::ColdCache {
-            placement: Placement::StorageMem,
-            ..
-        }
-    )
-}
-
-/// The tmpfs export of a warm cache kept in storage memory (Fig. 13
-/// bottom); `None` for every other mode.
-fn warm_tmpfs_export(
-    cfg: &ExperimentConfig,
-    storage: &mut StorageNode,
-    vmi: &VmiInputs,
-) -> Option<Arc<NfsExport>> {
-    let in_storage_mem = matches!(
-        cfg.mode,
-        Mode::WarmCache {
-            placement: Placement::StorageMem,
-            ..
-        }
-    );
-    let warm = vmi.warm.as_ref().filter(|_| in_storage_mem)?;
-    Some(storage.export_on_tmpfs(warm.container.clone() as SharedDev))
-}
-
-/// The node body both runners share: provision node `i`'s cache and CoW
-/// containers for the configured mode and build its chain. Chain creation is
-/// part of the measured boot (the paper times from "invoking KVM").
-fn deploy_node(
-    cfg: &ExperimentConfig,
-    storage: &StorageNode,
-    obs: &Obs,
-    i: usize,
-    vmi: &VmiInputs,
-    base: &Arc<NfsExport>,
-    warm_export: Option<&Arc<NfsExport>>,
-) -> Result<(Arc<QcowImage>, VmRun)> {
-    let world = &storage.world;
-    let mount = |export: &Arc<NfsExport>| -> SharedDev {
-        NfsMount::new(export.clone(), storage.nic, MountOpts::default())
+/// The offline-warmed cache of one VMI ([`Mode::WarmCache`] only): warming
+/// is a boot replay shared by every node of the VMI, memoized in the
+/// config's [`WarmStore`] when it has one.
+fn warm_cache(cfg: &ExperimentConfig, trace: &BootTrace) -> Result<Option<Arc<WarmCache>>> {
+    let Mode::WarmCache {
+        quota,
+        cluster_bits,
+        ..
+    } = cfg.mode
+    else {
+        return Ok(None);
     };
-    let mut node = ComputeNode::new(world, i);
-    let mode = if cold_storage_mem(cfg.mode) && i >= cfg.vmis {
-        Mode::Qcow2 // non-creators proceed with normal QCOW2
-    } else {
-        cfg.mode
-    };
-    let (cache_dev, cache_read_only) = match (warm_export, &vmi.warm) {
-        // A warm cache shared from storage memory: mounted read-only.
-        (Some(export), _) => (Some(mount(export)), true),
-        (None, Some(w)) => (node.cache_file(mode, Arc::new(w.container.fork())), false),
-        (None, None) => (node.cache_file(mode, Arc::new(SparseDev::new())), false),
-    };
-    let cow_dev = node.disk_file(Arc::new(SparseDev::new()), false);
-
-    world.begin_op(0);
-    let csp = obs.span("chain.build", || format!("node={i}"));
-    let chain = build_chain(ChainSpec {
-        mode,
-        profile: &cfg.profile,
-        base_dev: mount(base),
-        cache_dev,
-        cow_dev,
-        cache_read_only,
-        obs: obs.clone(),
-    })?;
-    drop(csp);
-    let setup_ns = world.end_op();
-    let run = VmRun {
-        chain: chain.clone() as SharedDev,
-        trace: vmi.trace.clone(),
-        start_at: 0,
-        setup_ns,
-    };
-    Ok((chain, run))
+    Ok(Some(match &cfg.warm_store {
+        Some(store) => store.get_or_prepare(&cfg.profile, trace, quota, cluster_bits)?,
+        None => Arc::new(prepare_warm_cache(
+            &cfg.profile,
+            trace,
+            quota,
+            cluster_bits,
+        )?),
+    }))
 }
 
 /// Fig. 13/14 cold flow: ship creator `i`'s cache from compute memory to the
 /// storage tmpfs and add the transfer to its boot time.
-fn transfer_cache(
-    storage: &StorageNode,
-    obs: &Obs,
-    i: usize,
-    chain: &Arc<QcowImage>,
-    outcome: &mut VmOutcome,
-) {
-    let world = &storage.world;
-    let size = cache_layer_file_size(chain).unwrap_or(0);
+fn transfer_cache(cluster: &Cluster<'_>, i: usize, chain: &QcowImage, outcome: &mut VmOutcome) {
+    let (world, obs) = (&cluster.world, &cluster.obs);
+    let size = cache_layer(chain).map_or(0, QcowImage::file_size);
     let tsp = world.with_time(outcome.done_at, || {
         obs.span("net.transfer", || format!("node={i} bytes={size}"))
     });
-    let done = world.bulk_transfer(storage.nic, outcome.done_at, size);
+    let done = world.bulk_transfer(cluster.storage.nic, outcome.done_at, size);
     world.with_time(done, || drop(tsp));
     let extra = done - outcome.done_at;
     outcome.done_at = done;
@@ -302,328 +193,92 @@ fn transfer_cache(
 
 /// Run one experiment point. Deterministic for a given config.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentOutcome> {
-    let vmis = prepare_inputs(cfg)?;
-    let world = SimWorld::new();
-    let obs = cfg.recorder.attach(world.obs_clock());
-    let mut storage = StorageNode::new(&world, cfg.net);
-    // Base exports first, then the tmpfs exports of the storage-memory
-    // placement: one of each per VMI, shared by its nodes.
-    let base_exports: Vec<_> = (0..cfg.vmis)
-        .map(|_| storage.create_base_vmi(cfg.profile.virtual_size))
-        .collect();
-    let warm_exports: Vec<_> = vmis
+    assert!(cfg.nodes >= 1, "need at least one compute node");
+    assert!(
+        (1..=cfg.nodes).contains(&cfg.vmis),
+        "vmis must be in 1..=nodes"
+    );
+    let seeds = (0..cfg.vmis).map(|v| vmi_seed(cfg.seed, v));
+    let mut cluster = Cluster::new(&cfg.profile, cfg.net, &cfg.recorder, cfg.nodes, seeds);
+    let warm: Vec<Option<Arc<WarmCache>>> = cluster
+        .vmis
         .iter()
-        .map(|vmi| warm_tmpfs_export(cfg, &mut storage, vmi))
+        .map(|vmi| warm_cache(cfg, &vmi.trace))
+        .collect::<Result<_>>()?;
+    // A warm cache kept in storage memory is one tmpfs export per VMI,
+    // shared read-only by its nodes (Fig. 13 bottom).
+    let in_storage_mem = matches!(
+        cfg.mode,
+        Mode::WarmCache {
+            placement: Placement::StorageMem,
+            ..
+        }
+    );
+    let warm_exports: Vec<Option<Arc<NfsExport>>> = warm
+        .iter()
+        .map(|w| {
+            let w = w.as_ref().filter(|_| in_storage_mem)?;
+            Some(
+                cluster
+                    .storage
+                    .export_on_tmpfs(w.container.clone() as SharedDev),
+            )
+        })
         .collect();
+    // The Fig. 13 cold flow: only the *first* node per VMI (node ids
+    // `0..vmis`) creates and transfers the cache; the rest proceed with
+    // normal QCOW2 (§5.3.2).
+    let cold_storage_mem = matches!(
+        cfg.mode,
+        Mode::ColdCache {
+            placement: Placement::StorageMem,
+            ..
+        }
+    );
 
     let mut vms: Vec<VmRun> = Vec::with_capacity(cfg.nodes);
     let mut chains: Vec<Arc<QcowImage>> = Vec::with_capacity(cfg.nodes);
     for i in 0..cfg.nodes {
         let v = i % cfg.vmis;
-        let (chain, run) = deploy_node(
-            cfg,
-            &storage,
-            &obs,
-            i,
-            &vmis[v],
-            &base_exports[v],
-            warm_exports[v].as_ref(),
-        )?;
+        let mode = if cold_storage_mem && i >= cfg.vmis {
+            Mode::Qcow2
+        } else {
+            cfg.mode
+        };
+        let cache = match (&warm_exports[v], &warm[v]) {
+            (Some(export), _) => CacheSource::Shared(export),
+            (None, Some(w)) => CacheSource::fork_of(&w.container),
+            (None, None) => CacheSource::fresh(),
+        };
+        let (chain, run) = cluster.deploy(i, v, mode, cache, 0)?;
         chains.push(chain);
         vms.push(run);
     }
 
-    let mut outcomes = run_boots_with_obs(&world, vms, &obs)?;
+    let mut outcomes = cluster.run(vms)?;
 
-    if cold_storage_mem(cfg.mode) {
+    if cold_storage_mem {
         // Creators transfer in the order their boots finish.
         let mut order: Vec<usize> = (0..cfg.vmis).collect();
         order.sort_by_key(|&i| outcomes[i].done_at);
         for i in order {
-            transfer_cache(&storage, &obs, i, &chains[i], &mut outcomes[i]);
+            transfer_cache(&cluster, i, &chains[i], &mut outcomes[i]);
         }
     }
 
-    Ok(collect_outcome(&storage, &obs, &chains, outcomes))
-}
-
-/// Everything measured in `storage`'s world once its boots are done.
-fn collect_outcome(
-    storage: &StorageNode,
-    obs: &Obs,
-    chains: &[Arc<QcowImage>],
-    outcomes: Vec<VmOutcome>,
-) -> ExperimentOutcome {
-    let world = &storage.world;
-    ExperimentOutcome {
+    let (world, storage) = (&cluster.world, &cluster.storage);
+    Ok(ExperimentOutcome {
         stats: BootStats::from(&outcomes),
         outcomes,
         storage_nic: world.link_stats(storage.nic),
         storage_disk: world.disk_stats(storage.disk),
         storage_page_cache: world.cache_stats(storage.page_cache),
-        cache_file_sizes: chains.iter().filter_map(cache_layer_file_size).collect(),
-        telemetry: Telemetry::collect(chains, obs),
-        metrics: obs.metrics_snapshot(),
-    }
-}
-
-/// File size of the cache layer under a CoW top image, if any.
-fn cache_layer_file_size(chain: &Arc<QcowImage>) -> Option<u64> {
-    let backing = chain.backing()?;
-    let q = backing.as_any()?.downcast_ref::<QcowImage>()?;
-    q.is_cache().then(|| q.file_size())
-}
-
-/// Everything one node thread brings back, merged by node id afterwards.
-struct NodeRun {
-    /// The node's own world, measured like a one-node serial run.
-    out: ExperimentOutcome,
-    op_hist: Option<vmi_obs::HistogramSnapshot>,
-    /// Per-node event stream (empty without a recorder), already in
-    /// node-local time order.
-    events: Vec<(u64, vmi_obs::Event)>,
-    /// Registry hit/miss fallback (cloud-style aggregates without caches).
-    hit_counter: u64,
-    miss_counter: u64,
-}
-
-/// Run one experiment point with **one thread per compute node**.
-///
-/// Semantics differ from [`run_experiment`] in exactly one way: each node
-/// gets its own simulated world and its own *replica* of the storage node,
-/// so cross-node queueing on the shared storage link is not modeled — this
-/// is the contention-free upper bound (every node sees an idle server). Use
-/// it for embarrassingly parallel sweeps (per-node cache behaviour, traffic
-/// totals, CoR statistics); use the serial runner when the figure being
-/// reproduced *is* the contention (Fig. 3's shared-link collapse).
-///
-/// Determinism: per-node sim clocks all start at zero and node results are
-/// merged **sorted by node id** — outcomes, per-cache telemetry rows,
-/// cache file sizes, and the recorded JSONL stream (grouped by node, time
-/// ordered within each node) are bit-identical for a given config and seed,
-/// regardless of thread scheduling.
-pub fn run_experiment_parallel(cfg: &ExperimentConfig) -> Result<ExperimentOutcome> {
-    let vmis = prepare_inputs(cfg)?;
-
-    let runs: Vec<Result<NodeRun>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.nodes)
-            .map(|i| {
-                let vmi = &vmis[i % cfg.vmis];
-                s.spawn(move || run_node(cfg, i, vmi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(BlockError::unsupported("node thread panicked")),
-            })
-            .collect()
-    });
-    let runs: Vec<NodeRun> = runs.into_iter().collect::<Result<_>>()?;
-
-    // Deterministic merge, sorted by node id (the vec is already in id
-    // order — thread completion order never matters).
-    let outcomes: Vec<VmOutcome> = runs.iter().map(|r| r.out.outcomes[0]).collect();
-    let mut storage_nic = LinkStats::default();
-    let mut storage_disk = DiskStats::default();
-    let mut storage_page_cache = (0u64, 0u64);
-    for out in runs.iter().map(|r| &r.out) {
-        storage_nic.messages += out.storage_nic.messages;
-        storage_nic.bytes += out.storage_nic.bytes;
-        storage_nic.busy_ns += out.storage_nic.busy_ns;
-        storage_disk.read_ops += out.storage_disk.read_ops;
-        storage_disk.write_ops += out.storage_disk.write_ops;
-        storage_disk.read_bytes += out.storage_disk.read_bytes;
-        storage_disk.write_bytes += out.storage_disk.write_bytes;
-        storage_disk.seeks += out.storage_disk.seeks;
-        storage_disk.busy_ns += out.storage_disk.busy_ns;
-        storage_page_cache.0 += out.storage_page_cache.0;
-        storage_page_cache.1 += out.storage_page_cache.1;
-    }
-    let cache_file_sizes: Vec<u64> = runs
-        .iter()
-        .flat_map(|r| r.out.cache_file_sizes.iter().copied())
-        .collect();
-    let telemetry = merge_telemetry(&runs);
-    let metrics = merge_metrics(&runs);
-
-    // Re-emit the per-node streams into the caller's recorder, node by node,
-    // with the original per-node timestamps.
-    if cfg.recorder.is_set() {
-        let clock = Arc::new(vmi_obs::ManualClock::new(0));
-        let obs = cfg.recorder.attach(clock.clone());
-        for r in &runs {
-            for (t, ev) in &r.events {
-                clock.set(*t);
-                obs.emit(|| ev.clone());
-            }
-        }
-    }
-
-    Ok(ExperimentOutcome {
-        stats: BootStats::from(&outcomes),
-        outcomes,
-        storage_nic,
-        storage_disk,
-        storage_page_cache,
-        cache_file_sizes,
-        telemetry,
-        metrics,
-    })
-}
-
-/// One node's slice of [`run_experiment_parallel`]: its own world, its own
-/// storage replica, one boot.
-fn run_node(cfg: &ExperimentConfig, i: usize, vmi: &VmiInputs) -> Result<NodeRun> {
-    let world = SimWorld::new();
-    // Per-node recorder: streams are merged by node id by the caller.
-    let (rec, sink) = if cfg.recorder.is_set() {
-        let (handle, sink) = vmi_obs::RecorderHandle::jsonl();
-        (handle, Some(sink))
-    } else {
-        (RecorderHandle::none(), None)
-    };
-    // Node `i` allocates span ids in namespace `i << 48`, so node 0's
-    // stream matches the serial runner's and merged streams never collide.
-    let obs = rec.attach_with_span_base(world.obs_clock(), (i as u64) << 48);
-    let mut storage = StorageNode::new(&world, cfg.net);
-    let base = storage.create_base_vmi(cfg.profile.virtual_size);
-    let warm_export = warm_tmpfs_export(cfg, &mut storage, vmi);
-    let (chain, run) = deploy_node(cfg, &storage, &obs, i, vmi, &base, warm_export.as_ref())?;
-
-    let mut outcome = run_boots_with_obs(&world, vec![run], &obs)?.remove(0);
-    if cold_storage_mem(cfg.mode) && i < cfg.vmis {
-        transfer_cache(&storage, &obs, i, &chain, &mut outcome);
-    }
-
-    Ok(NodeRun {
-        out: collect_outcome(&storage, &obs, &[chain], vec![outcome]),
-        op_hist: obs.histogram(vmi_obs::met::VM_OP_NS),
-        events: sink.map(|s| s.events()).unwrap_or_default(),
-        hit_counter: obs.counter_value(vmi_obs::met::CACHE_HIT_BYTES),
-        miss_counter: obs.counter_value(vmi_obs::met::CACHE_MISS_BYTES),
-    })
-}
-
-/// Sum per-node telemetry into one snapshot; ratios are recomputed from the
-/// summed byte counts and latency percentiles from the merged histograms.
-fn merge_telemetry(runs: &[NodeRun]) -> Telemetry {
-    // Pre-size from the node count: growing this per boot is measurable
-    // allocation churn at 10k-node scale.
-    let mut per_cache: Vec<crate::telemetry::CacheTelemetry> =
-        Vec::with_capacity(runs.iter().map(|r| r.out.telemetry.per_cache.len()).sum());
-    for r in runs {
-        per_cache.extend(r.out.telemetry.per_cache.iter().copied());
-    }
-    let (hits, misses) = if per_cache.is_empty() {
-        (
-            runs.iter().map(|r| r.hit_counter).sum(),
-            runs.iter().map(|r| r.miss_counter).sum(),
-        )
-    } else {
-        (
-            per_cache.iter().map(|c| c.hit_bytes).sum::<u64>(),
-            per_cache.iter().map(|c| c.miss_bytes).sum::<u64>(),
-        )
-    };
-    let hist = merge_histograms(runs.iter().filter_map(|r| r.op_hist.as_ref()));
-    let sum = |f: fn(&Telemetry) -> u64| runs.iter().map(|r| f(&r.out.telemetry)).sum::<u64>();
-    Telemetry {
-        per_cache,
-        hit_ratio: if misses == 0 {
-            1.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        },
-        fill_bytes: sum(|t| t.fill_bytes),
-        space_errors: sum(|t| t.space_errors),
-        evictions: sum(|t| t.evictions),
-        retry_attempts: sum(|t| t.retry_attempts),
-        caches_degraded: sum(|t| t.caches_degraded),
-        audit_violations: sum(|t| t.audit_violations),
-        runs_coalesced: sum(|t| t.runs_coalesced),
-        coalesced_bytes: sum(|t| t.coalesced_bytes),
-        l2_evictions: sum(|t| t.l2_evictions),
-        node_failures: sum(|t| t.node_failures),
-        boots_rescheduled: sum(|t| t.boots_rescheduled),
-        node_restarts: sum(|t| t.node_restarts),
-        caches_readopted: sum(|t| t.caches_readopted),
-        caches_refetched: sum(|t| t.caches_refetched),
-        recovery_repairs: sum(|t| t.recovery_repairs),
-        p50_op_ns: hist.as_ref().map(|h| h.quantile(0.5)),
-        p99_op_ns: hist.as_ref().map(|h| h.quantile(0.99)),
-    }
-}
-
-/// Merge per-node metrics snapshots into one cluster view: counters and
-/// histogram buckets sum, gauges take their max (a gauge like
-/// `cache.used_bytes` is a per-node level, and the max is the conservative
-/// cluster-wide statement). Names stay sorted for deterministic output.
-fn merge_metrics(runs: &[NodeRun]) -> Option<MetricsSnapshot> {
-    use std::collections::BTreeMap;
-    let mut counters = BTreeMap::<&'static str, u64>::new();
-    let mut gauges = BTreeMap::<&'static str, u64>::new();
-    let mut hists = BTreeMap::<&'static str, vmi_obs::HistogramSnapshot>::new();
-    let mut any = false;
-    for r in &mut runs.iter().filter_map(|r| r.out.metrics.as_ref()) {
-        any = true;
-        for &(name, v) in &r.counters {
-            *counters.entry(name).or_insert(0) += v;
-        }
-        for &(name, v) in &r.gauges {
-            let g = gauges.entry(name).or_insert(0);
-            *g = (*g).max(v);
-        }
-        for (name, h) in &r.histograms {
-            match hists.entry(name) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(h.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if let Some(m) = merge_histograms([e.get() as &_, h].into_iter()) {
-                        *e.get_mut() = m;
-                    }
-                }
-            }
-        }
-    }
-    any.then(|| MetricsSnapshot {
-        counters: counters.into_iter().collect(),
-        gauges: gauges.into_iter().collect(),
-        histograms: hists.into_iter().collect(),
-    })
-}
-
-/// Merge log2-bucket histogram snapshots by summing bucket counts.
-///
-/// Bucket indices are log2 exponents (0..=64), so a fixed array replaces
-/// the per-call `BTreeMap` the merge used to allocate — at scale this runs
-/// once per telemetry merge per node with zero heap traffic.
-fn merge_histograms<'a>(
-    snaps: impl Iterator<Item = &'a vmi_obs::HistogramSnapshot>,
-) -> Option<vmi_obs::HistogramSnapshot> {
-    let mut count = 0u64;
-    let mut sum = 0u64;
-    let mut buckets = [0u64; 65];
-    let mut any = false;
-    for s in snaps {
-        any = true;
-        count += s.count;
-        sum += s.sum;
-        for &(k, n) in &s.buckets {
-            buckets[(k as usize).min(64)] += n;
-        }
-    }
-    any.then(|| vmi_obs::HistogramSnapshot {
-        count,
-        sum,
-        buckets: buckets
+        cache_file_sizes: chains
             .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(k, &n)| (k as u32, n))
+            .filter_map(|c| cache_layer(c).map(QcowImage::file_size))
             .collect(),
+        telemetry: Telemetry::collect(&chains, &cluster.obs),
+        metrics: cluster.obs.metrics_snapshot(),
     })
 }
 
@@ -832,76 +487,60 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_for_one_node() {
-        // With a single node there is no contention to lose: the parallel
-        // runner must reproduce the serial outcome exactly.
-        for mode in [
-            Mode::Qcow2,
-            Mode::ColdCache {
-                placement: Placement::ComputeMem,
-                quota: QUOTA,
-                cluster_bits: 9,
-            },
-            Mode::WarmCache {
-                placement: Placement::ComputeDisk,
-                quota: QUOTA,
-                cluster_bits: 9,
-            },
-        ] {
-            let cfg = tiny(1, 1, mode, NetSpec::gbe_1());
-            let a = run_experiment(&cfg).unwrap();
-            let b = run_experiment_parallel(&cfg).unwrap();
-            assert_eq!(a.outcomes, b.outcomes, "{mode:?}");
-            assert_eq!(a.storage_nic, b.storage_nic, "{mode:?}");
-            assert_eq!(a.cache_file_sizes, b.cache_file_sizes, "{mode:?}");
-            assert_eq!(a.telemetry.per_cache, b.telemetry.per_cache, "{mode:?}");
-        }
-    }
+    fn one_cold_boot_costs_the_same_through_every_runner() {
+        use crate::cloud::{default_pool_bytes, run_cloud, CloudConfig, VmRequest};
+        use crate::mixed::{run_mixed_experiment, MixedConfig};
+        use crate::sched::Policy;
 
-    #[test]
-    fn parallel_runs_are_bit_identical_per_seed() {
-        let mode = Mode::WarmCache {
+        let (seed, net) = (7, NetSpec::gbe_1());
+        let cold = Mode::ColdCache {
             placement: Placement::ComputeMem,
             quota: QUOTA,
             cluster_bits: 9,
         };
-        let run = || {
-            let (rec, sink) = vmi_obs::RecorderHandle::jsonl();
-            let mut cfg = tiny(6, 2, mode, NetSpec::gbe_1());
-            cfg.recorder = rec;
-            let out = run_experiment_parallel(&cfg).unwrap();
-            (out, sink.lines())
-        };
-        let (a, lines_a) = run();
-        let (b, lines_b) = run();
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.telemetry, b.telemetry);
-        assert_eq!(a.cache_file_sizes, b.cache_file_sizes);
-        assert_eq!(a.storage_nic, b.storage_nic);
-        assert_eq!(a.storage_disk, b.storage_disk);
-        assert_eq!(
-            lines_a, lines_b,
-            "merged JSONL is bit-identical across runs"
-        );
-        assert!(!lines_a.is_empty(), "recorder captured the node streams");
-        assert_eq!(a.outcomes.len(), 6);
-        assert_eq!(a.telemetry.per_cache.len(), 6, "one cache row per node");
-    }
+        let boot_ns = run_experiment(&tiny(1, 1, cold, net)).unwrap().outcomes[0].boot_ns;
 
-    #[test]
-    fn parallel_cold_storage_mem_has_one_creator_per_vmi() {
-        let out = run_experiment_parallel(&tiny(
-            4,
-            2,
-            Mode::ColdCache {
-                placement: Placement::StorageMem,
+        let profile = VmiProfile::tiny_test();
+        let cloud = run_cloud(
+            &CloudConfig {
+                nodes: 1,
+                slots_per_node: 1,
+                node_cache_bytes: default_pool_bytes(&profile, 1),
+                vmis: 1,
+                profile: profile.clone(),
+                net,
                 quota: QUOTA,
-                cluster_bits: 9,
+                use_caches: true,
+                cache_aware: true,
+                policy: Policy::Striping,
+                seed,
+                node_failures: vec![],
+                recorder: RecorderHandle::none(),
             },
-            NetSpec::ib_32g(),
-        ))
+            &[VmRequest {
+                at: 0,
+                vmi: 0,
+                lifetime_ns: 0,
+            }],
+        )
         .unwrap();
-        assert_eq!(out.cache_file_sizes.len(), 2);
-        assert_eq!(out.outcomes.len(), 4);
+        assert_eq!((cloud.placed, cloud.cold_boots), (1, 1));
+        assert_eq!(cloud.mean_boot_secs, boot_ns as f64 / 1e9);
+
+        // `mixed` takes its trace seed raw.
+        let mixed = run_mixed_experiment(&MixedConfig {
+            nodes: 1,
+            vms: 1,
+            warm_fraction: 0.0,
+            cache_aware: true,
+            policy: Policy::Striping,
+            profile,
+            net,
+            quota: QUOTA,
+            seed: vmi_seed(seed, 0),
+        })
+        .unwrap();
+        assert_eq!(mixed.warm_placements, 0);
+        assert_eq!((mixed.stats.min_ns, mixed.stats.max_ns), (boot_ns, boot_ns));
     }
 }

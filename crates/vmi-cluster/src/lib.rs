@@ -6,6 +6,13 @@
 //! ([`deploy`], [`experiment`]), and the cloud-level cache management the
 //! paper designs in §3.4/§6: LRU cache pools ([`cachepool`]), Algorithm 1
 //! placement ([`placement`]) and the cache-aware scheduler ([`sched`]).
+//!
+//! Four runners: [`run_experiment`] (one point of a paper figure),
+//! [`run_mixed_experiment`] (a scheduler over a partly warm fleet),
+//! [`run_cloud`] (a day of arrivals, evictions and node failures) — all
+//! three on one private byte-level cluster core, differing in what they
+//! decide around its deploy and run steps — and [`run_scale`], the 10k-node
+//! model of the same mechanism.
 
 //! ```
 //! use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement};
@@ -34,6 +41,7 @@
 
 pub mod cachepool;
 pub mod cloud;
+mod cluster;
 pub mod deploy;
 pub mod experiment;
 pub mod intern;
@@ -49,17 +57,13 @@ pub mod vm;
 pub use cachepool::{CacheEntry, CachePool, PoolKey};
 pub use cloud::{generate_requests, run_cloud, CloudConfig, CloudReport, NodeFailure, VmRequest};
 pub use deploy::{build_chain, prepare_warm_cache, ChainSpec, Mode, Placement, WarmCache};
-pub use experiment::{
-    run_experiment, run_experiment_parallel, ExperimentConfig, ExperimentOutcome, WarmStore,
-};
+pub use experiment::{run_experiment, ExperimentConfig, ExperimentOutcome, WarmStore};
 pub use intern::{Sym, SymTable};
-pub use mixed::{
-    build_hybrid_chain, run_hybrid_boot, run_mixed_experiment, MixedConfig, MixedOutcome,
-};
+pub use mixed::{run_hybrid_boot, run_mixed_experiment, MixedConfig, MixedOutcome};
 pub use node::{ComputeNode, StorageNode};
 pub use placement::{choose_chain, ChainPlan, StorageCacheLocation, StorageCacheState};
 pub use scale::{run_scale, BootRecord, FillSource, ScaleConfig, ScaleReport};
 pub use sched::{NodeState, PlacementDecision, Policy, Scheduler};
 pub use telemetry::{CacheTelemetry, Telemetry};
 pub use topology::Topology;
-pub use vm::{run_boots, run_boots_with_obs, run_single, BootStats, VmOutcome, VmRun};
+pub use vm::{run_boots, BootStats, VmOutcome, VmRun};

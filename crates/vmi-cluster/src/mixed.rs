@@ -13,17 +13,16 @@
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockError, Result, SharedDev, SparseDev};
-use vmi_obs::Obs;
+use vmi_obs::RecorderHandle;
 use vmi_qcow::{CreateOpts, QcowImage};
-use vmi_remote::{MountOpts, NfsMount};
 use vmi_sim::NetSpec;
 use vmi_trace::VmiProfile;
 
-use crate::deploy::WarmCache;
+use crate::cluster::{CacheSource, Cluster};
+use crate::deploy::{prepare_warm_cache, Mode, Placement, WarmCache};
 use crate::experiment::WarmStore;
-use crate::node::{ComputeNode, StorageNode};
 use crate::sched::{NodeState, Policy, Scheduler};
-use crate::vm::{run_boots, BootStats, VmRun};
+use crate::vm::{BootStats, VmRun};
 
 /// Configuration of a mixed warm/cold scheduling experiment.
 #[derive(Debug, Clone)]
@@ -71,11 +70,9 @@ pub fn run_mixed_experiment(cfg: &MixedConfig) -> Result<MixedOutcome> {
         cfg.vms >= 1 && cfg.vms <= cfg.nodes,
         "vms must be in 1..=nodes"
     );
-    let world = vmi_sim::SimWorld::new();
-    let mut storage = StorageNode::new(&world, cfg.net);
-    let trace = Arc::new(vmi_trace::generate(&cfg.profile, cfg.seed));
-    let base_export = storage.create_base_vmi(cfg.profile.virtual_size);
-    let warm = crate::deploy::prepare_warm_cache(&cfg.profile, &trace, cfg.quota, 9)?;
+    let recorder = RecorderHandle::none();
+    let mut cluster = Cluster::new(&cfg.profile, cfg.net, &recorder, cfg.nodes, [cfg.seed]);
+    let warm = prepare_warm_cache(&cfg.profile, &cluster.vmis[0].trace, cfg.quota, 9)?;
 
     // Scheduler's fleet view: single VM slot per node; warm caches sit on
     // the *last* k nodes so oblivious striping (which fills low ids first)
@@ -107,50 +104,30 @@ pub fn run_mixed_experiment(cfg: &MixedConfig) -> Result<MixedOutcome> {
                 "fleet has no capacity for the next request",
             ));
         };
-        let mut node = ComputeNode::new(&world, decision.node);
-        let base_dev: SharedDev =
-            NfsMount::new(base_export.clone(), storage.nic, MountOpts::default());
-        let mode = if decision.cache_hit {
+        let (mode, cache) = if decision.cache_hit {
             warm_placements += 1;
-            crate::deploy::Mode::WarmCache {
-                placement: crate::deploy::Placement::ComputeDisk,
-                quota: cfg.quota,
-                cluster_bits: 9,
-            }
+            (
+                Mode::WarmCache {
+                    placement: Placement::ComputeDisk,
+                    quota: cfg.quota,
+                    cluster_bits: 9,
+                },
+                CacheSource::fork_of(&warm.container),
+            )
         } else {
-            crate::deploy::Mode::ColdCache {
-                placement: crate::deploy::Placement::ComputeMem,
-                quota: cfg.quota,
-                cluster_bits: 9,
-            }
+            (
+                Mode::ColdCache {
+                    placement: Placement::ComputeMem,
+                    quota: cfg.quota,
+                    cluster_bits: 9,
+                },
+                CacheSource::fresh(),
+            )
         };
-        let container = if decision.cache_hit {
-            warm.container.fork()
-        } else {
-            SparseDev::new()
-        };
-        let cache_dev = node.cache_file(mode, Arc::new(container));
-        let cow_dev = node.disk_file(Arc::new(SparseDev::new()), false);
-        world.begin_op(0);
-        let chain = crate::deploy::build_chain(crate::deploy::ChainSpec {
-            mode,
-            profile: &cfg.profile,
-            base_dev,
-            cache_dev,
-            cow_dev,
-            cache_read_only: false,
-            obs: Obs::disabled(),
-        })?;
-        let setup_ns = world.end_op();
-        vms.push(VmRun {
-            chain: chain as SharedDev,
-            trace: trace.clone(),
-            start_at: 0,
-            setup_ns,
-        });
+        vms.push(cluster.deploy(decision.node, 0, mode, cache, 0)?.1);
     }
 
-    let outcomes = run_boots(&world, vms)?;
+    let outcomes = cluster.run(vms)?;
     Ok(MixedOutcome {
         stats: BootStats::from(&outcomes),
         warm_placements,
@@ -158,42 +135,44 @@ pub fn run_mixed_experiment(cfg: &MixedConfig) -> Result<MixedOutcome> {
     })
 }
 
-/// Build the §6 hybrid chain on one node: a *new local cache* chained to a
-/// warm cache living in the storage node's memory, chained to the base —
-/// Algorithm 1's `ChainToStorageCache` branch.
+/// Deploy the §6 hybrid chain on node 0 of `cluster`: a *new local cache*
+/// chained to `storage_cache` living in the storage node's memory, chained
+/// to the base — Algorithm 1's `ChainToStorageCache` branch.
 ///
-/// Returns the CoW top image. The local cache starts cold and warms from
-/// the remote cache (never from the storage disk).
-pub fn build_hybrid_chain(
-    node: &mut ComputeNode,
-    storage: &mut StorageNode,
-    base_export: &Arc<vmi_remote::NfsExport>,
+/// The local cache starts cold and warms from the remote cache (never from
+/// the storage disk).
+fn deploy_hybrid(
+    cluster: &mut Cluster<'_>,
     storage_cache: &WarmCache,
-    profile: &VmiProfile,
     local_quota: u64,
-) -> Result<Arc<QcowImage>> {
+) -> Result<(Arc<QcowImage>, VmRun)> {
     // The warm cache is exported from tmpfs; each node mounts it.
-    let cache_export = storage.export_on_tmpfs(storage_cache.container.clone() as SharedDev);
-    let remote_cache_dev: SharedDev =
-        NfsMount::new(cache_export, storage.nic, MountOpts::default());
-    let base_dev: SharedDev = NfsMount::new(base_export.clone(), storage.nic, MountOpts::default());
-    // Open the remote warm cache read-only (shared).
-    let remote_cache = QcowImage::open(remote_cache_dev, Some(base_dev), true)?;
-    // Local cache chained to the remote cache (Algorithm 1: "Create
-    // NewCache_base on C; Chain NewCache_base to Cache_base").
+    let cache_export = cluster
+        .storage
+        .export_on_tmpfs(storage_cache.container.clone() as SharedDev);
+    let remote_cache_dev = cluster.mount(&cache_export);
+    let base_dev = cluster.mount(&cluster.vmis[0].base);
+    let vsize = cluster.profile.virtual_size;
+    let node = &mut cluster.nodes[0];
     let local_cache_dev = node.mem_file(Arc::new(SparseDev::new()));
-    let local_cache = QcowImage::create(
-        local_cache_dev,
-        CreateOpts::cache(profile.virtual_size, "storage-cache", local_quota),
-        Some(remote_cache as SharedDev),
-    )?;
-    // CoW on the node's disk over the local cache.
     let cow_dev = node.disk_file(Arc::new(SparseDev::new()), false);
-    QcowImage::create(
-        cow_dev,
-        CreateOpts::cow(profile.virtual_size, "local-cache"),
-        Some(local_cache as SharedDev),
-    )
+    cluster.boot(0, 0, 0, || {
+        // Open the remote warm cache read-only (shared).
+        let remote_cache = QcowImage::open(remote_cache_dev, Some(base_dev), true)?;
+        // Local cache chained to the remote cache (Algorithm 1: "Create
+        // NewCache_base on C; Chain NewCache_base to Cache_base").
+        let local_cache = QcowImage::create(
+            local_cache_dev,
+            CreateOpts::cache(vsize, "storage-cache", local_quota),
+            Some(remote_cache as SharedDev),
+        )?;
+        // CoW on the node's disk over the local cache.
+        QcowImage::create(
+            cow_dev,
+            CreateOpts::cow(vsize, "local-cache"),
+            Some(local_cache as SharedDev),
+        )
+    })
 }
 
 /// Boot-time comparison of the hybrid chain against plain QCOW2 on the same
@@ -205,27 +184,14 @@ pub fn run_hybrid_boot(
     seed: u64,
     store: &Arc<WarmStore>,
 ) -> Result<(f64, u64)> {
-    let world = vmi_sim::SimWorld::new();
-    let mut storage = StorageNode::new(&world, net);
-    let trace = Arc::new(vmi_trace::generate(profile, seed));
-    let base_export = storage.create_base_vmi(profile.virtual_size);
-    let warm = store.get_or_prepare(profile, &trace, quota, 9)?;
-    let mut node = ComputeNode::new(&world, 0);
-    world.begin_op(0);
-    let chain = build_hybrid_chain(&mut node, &mut storage, &base_export, &warm, profile, quota)?;
-    let setup_ns = world.end_op();
-    let outcomes = run_boots(
-        &world,
-        vec![VmRun {
-            chain: chain as SharedDev,
-            trace,
-            start_at: 0,
-            setup_ns,
-        }],
-    )?;
+    let recorder = RecorderHandle::none();
+    let mut cluster = Cluster::new(profile, net, &recorder, 1, [seed]);
+    let warm = store.get_or_prepare(profile, &cluster.vmis[0].trace, quota, 9)?;
+    let (_, run) = deploy_hybrid(&mut cluster, &warm, quota)?;
+    let outcomes = cluster.run(vec![run])?;
     Ok((
         outcomes[0].boot_ns as f64 / 1e9,
-        world.disk_stats(storage.disk).read_ops,
+        cluster.world.disk_stats(cluster.storage.disk).read_ops,
     ))
 }
 
@@ -302,24 +268,13 @@ mod tests {
     fn hybrid_local_cache_warms_for_the_next_boot() {
         // After a hybrid boot, the local cache holds the working set: a
         // second boot over it reads ~nothing remotely.
-        let world = vmi_sim::SimWorld::new();
-        let mut storage = StorageNode::new(&world, NetSpec::ib_32g());
         let profile = VmiProfile::tiny_test();
-        let trace = Arc::new(vmi_trace::generate(&profile, 5));
-        let base_export = storage.create_base_vmi(profile.virtual_size);
-        let warm = crate::deploy::prepare_warm_cache(&profile, &trace, 16 << 20, 9).unwrap();
-        let mut node = ComputeNode::new(&world, 0);
-        world.begin_op(0);
-        let chain = build_hybrid_chain(
-            &mut node,
-            &mut storage,
-            &base_export,
-            &warm,
-            &profile,
-            16 << 20,
-        )
-        .unwrap();
-        world.end_op();
+        let recorder = RecorderHandle::none();
+        let mut cluster = Cluster::new(&profile, NetSpec::ib_32g(), &recorder, 1, [5]);
+        let trace = cluster.vmis[0].trace.clone();
+        let warm = prepare_warm_cache(&profile, &trace, 16 << 20, 9).unwrap();
+        let (chain, _) = deploy_hybrid(&mut cluster, &warm, 16 << 20).unwrap();
+        let (world, storage) = (&cluster.world, &cluster.storage);
         crate::deploy::replay_unpriced(chain.as_ref(), &trace).unwrap();
         let nic_after_first = world.link_stats(storage.nic).bytes;
         assert!(nic_after_first > 0);

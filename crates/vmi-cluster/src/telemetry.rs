@@ -157,14 +157,15 @@ impl Telemetry {
     }
 }
 
-/// CoR stats of the cache layer directly under a CoW top image, if any.
-pub(crate) fn cache_layer_telemetry(chain: &Arc<QcowImage>) -> Option<CacheTelemetry> {
-    let backing = chain.backing()?;
-    let q = backing.as_any()?.downcast_ref::<QcowImage>()?;
-    if !q.is_cache() {
-        return None;
-    }
-    let s = q.cor_stats();
+/// The cache layer directly under a CoW top image, if the chain has one.
+pub(crate) fn cache_layer(chain: &QcowImage) -> Option<&QcowImage> {
+    let q = chain.backing()?.as_any()?.downcast_ref::<QcowImage>()?;
+    q.is_cache().then_some(q)
+}
+
+/// CoR stats of the cache layer under `chain`, if any.
+fn cache_layer_telemetry(chain: &Arc<QcowImage>) -> Option<CacheTelemetry> {
+    let s = cache_layer(chain)?.cor_stats();
     Some(CacheTelemetry {
         hit_bytes: s.hit_bytes,
         miss_bytes: s.miss_bytes,

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use vmi_blockdev::{BlockDev, Result, SharedDev};
 use vmi_obs::{met, Event, Obs};
-use vmi_sim::{EventQueue, Ns, SimWorld};
+use vmi_sim::{EventKey, Ns, Shard, SimWorld};
 use vmi_trace::{BootTrace, OpKind};
 
 /// One VM to boot: a ready-made image chain and the trace to replay.
@@ -48,23 +48,33 @@ struct VmState {
     span: Option<vmi_obs::SpanGuard>,
 }
 
+/// A VM's wake-up in the event heap: keyed `(at, vm)`, so simultaneous
+/// wake-ups run in VM-index order however they were scheduled. Unique,
+/// because a VM has one pending wake-up at a time.
+fn wake(at: Ns, vm: usize) -> EventKey {
+    EventKey {
+        at,
+        lane: 0,
+        tag: 0,
+        a: vm as u64,
+        b: 0,
+    }
+}
+
 /// Replay all `vms` to completion; returns one outcome per VM, in input
 /// order. Deterministic: identical inputs give identical timelines.
+///
+/// Each VM emits [`Event::BootPhase`] markers through `obs` (`issue` at its
+/// first op, `connect_back` at completion) and every trace op's simulated
+/// latency is recorded into the [`met::VM_OP_NS`] histogram; pass
+/// [`Obs::disabled`] to record nothing.
 ///
 /// # Errors
 /// Propagates the first I/O error any chain returns (experiments run on
 /// correct chains; errors indicate a harness bug).
-pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>) -> Result<Vec<VmOutcome>> {
-    run_boots_with_obs(world, vms, &Obs::disabled())
-}
-
-/// [`run_boots`] with an observability handle: each VM emits
-/// [`Event::BootPhase`] markers (`issue` at its first op, `connect_back` at
-/// completion) and every trace op's simulated latency is recorded into the
-/// [`met::VM_OP_NS`] histogram.
-pub fn run_boots_with_obs(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmOutcome>> {
+pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmOutcome>> {
     let mut scratch = vec![0u8; 1 << 20];
-    let mut queue: EventQueue<usize> = EventQueue::new();
+    let mut queue: Shard<()> = Shard::default();
     let mut outcomes: Vec<Option<VmOutcome>> = Vec::with_capacity(vms.len());
     let mut states: Vec<VmState> = Vec::with_capacity(vms.len());
 
@@ -72,7 +82,7 @@ pub fn run_boots_with_obs(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Resul
         outcomes.push(None);
         let issue_at =
             run.start_at + run.setup_ns + run.trace.ops.first().map(|o| o.think_ns).unwrap_or(0);
-        queue.push(issue_at, i);
+        queue.push(wake(issue_at, i), ());
         states.push(VmState {
             run,
             next_op: 0,
@@ -80,7 +90,8 @@ pub fn run_boots_with_obs(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Resul
         });
     }
 
-    while let Some((now, vm)) = queue.pop() {
+    while let Some((key, ())) = queue.pop() {
+        let (now, vm) = (key.at, key.a as usize);
         let st = &mut states[vm];
         let trace = &st.run.trace;
         if st.next_op >= trace.ops.len() {
@@ -154,29 +165,11 @@ pub fn run_boots_with_obs(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Resul
         } else {
             completed + trace.final_think_ns
         };
-        queue.push(next_at, vm);
+        queue.push(wake(next_at, vm), ());
     }
 
     // The queue drains every VM, so no slot can be empty here.
     Ok(outcomes.into_iter().flatten().collect())
-}
-
-/// Convenience: boot a single VM starting at `start_at`; returns its outcome.
-pub fn run_single(
-    world: &SimWorld,
-    chain: SharedDev,
-    trace: Arc<BootTrace>,
-    start_at: Ns,
-) -> Result<VmOutcome> {
-    Ok(run_boots(
-        world,
-        vec![VmRun {
-            chain,
-            trace,
-            start_at,
-            setup_ns: 0,
-        }],
-    )?[0])
 }
 
 /// Summary statistics over a set of outcomes.
@@ -231,11 +224,27 @@ mod tests {
         })
     }
 
+    fn boot_one(
+        w: &SimWorld,
+        chain: SharedDev,
+        trace: Arc<BootTrace>,
+        start_at: Ns,
+        setup_ns: Ns,
+    ) -> VmOutcome {
+        let vm = VmRun {
+            chain,
+            trace,
+            start_at,
+            setup_ns,
+        };
+        run_boots(w, vec![vm], &Obs::disabled()).unwrap()[0]
+    }
+
     #[test]
     fn uncontended_boot_time_is_think_plus_io() {
         let w = SimWorld::new();
         let chain: SharedDev = Arc::new(MemDev::with_len(1 << 20));
-        let out = run_single(&w, chain, toy_trace(1000, 10), 0).unwrap();
+        let out = boot_one(&w, chain, toy_trace(1000, 10), 0, 0);
         // Memory chain with no cost hooks: I/O takes zero simulated time.
         assert_eq!(out.boot_ns, 11 * 1000);
         assert_eq!(out.io_wait_ns, 0);
@@ -245,16 +254,7 @@ mod tests {
     fn start_offset_shifts_completion() {
         let w = SimWorld::new();
         let chain: SharedDev = Arc::new(MemDev::with_len(1 << 20));
-        let out = run_boots(
-            &w,
-            vec![VmRun {
-                chain,
-                trace: toy_trace(100, 3),
-                start_at: 5_000,
-                setup_ns: 50,
-            }],
-        )
-        .unwrap()[0];
+        let out = boot_one(&w, chain, toy_trace(100, 3), 5_000, 50);
         assert_eq!(out.done_at, 5_000 + 50 + 4 * 100);
         assert_eq!(out.boot_ns, 50 + 400);
     }
@@ -279,7 +279,7 @@ mod tests {
                     setup_ns: 0,
                 })
                 .collect();
-            run_boots(&w, vms).unwrap()
+            run_boots(&w, vms, &Obs::disabled()).unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -315,16 +315,7 @@ mod tests {
             final_think_ns: 777,
             ops: vec![],
         });
-        let out = run_boots(
-            &w,
-            vec![VmRun {
-                chain,
-                trace,
-                start_at: 0,
-                setup_ns: 0,
-            }],
-        )
-        .unwrap()[0];
+        let out = boot_one(&w, chain, trace, 0, 0);
         assert_eq!(out.boot_ns, 0, "no ops → completion fires at first wake");
     }
 }

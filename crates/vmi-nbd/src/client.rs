@@ -95,11 +95,21 @@ impl NbdClient {
         &self.export
     }
 
-    /// Issue `TRIM` for `[off, off + len)`.
+    /// Issue `TRIM` for `[off, off + len)`: one request per `u32::MAX` bytes,
+    /// the most the wire format's length field holds.
     pub fn trim(&self, off: u64, len: u64) -> Result<()> {
         let mut c = self.conn.lock();
-        let handle = Self::send(&mut c, NBD_CMD_TRIM, off, len as u32, &[])?;
-        Self::expect_ok(&mut c, handle)
+        let (mut at, mut left) = (off, len);
+        while left > 0 {
+            let n = left.min(u32::MAX as u64);
+            let handle = Self::send(&mut c, NBD_CMD_TRIM, at, n as u32, &[])?;
+            Self::expect_ok(&mut c, handle)?;
+            // A range that wraps `u64` is the server's to refuse, on the
+            // request that crosses the export's end; never a client panic.
+            at = at.wrapping_add(n);
+            left -= n;
+        }
+        Ok(())
     }
 
     /// Cleanly disconnect (best-effort; Drop also sends it).
@@ -168,29 +178,35 @@ fn io_err(e: std::io::Error) -> BlockError {
 
 impl BlockDev for NbdClient {
     fn read_at(&self, buf: &mut [u8], off: u64) -> Result<()> {
-        if off + buf.len() as u64 > self.size {
-            return Err(BlockError::out_of_bounds(off, buf.len(), self.size));
+        match off.checked_add(buf.len() as u64) {
+            Some(end) if end <= self.size => {}
+            _ => return Err(BlockError::out_of_bounds(off, buf.len(), self.size)),
         }
         let mut c = self.conn.lock();
-        let handle = Self::send(&mut c, NBD_CMD_READ, off, buf.len() as u32, &[])?;
-        let (err, h) = read_simple_reply(&mut c.r)?;
-        if h != handle {
-            return Err(BlockError::corrupt("reply handle mismatch"));
+        let mut at = off;
+        // The server refuses requests above `MAX_REQUEST_BYTES`.
+        for part in buf.chunks_mut(MAX_REQUEST_BYTES as usize) {
+            let handle = Self::send(&mut c, NBD_CMD_READ, at, part.len() as u32, &[])?;
+            Self::expect_ok(&mut c, handle)?;
+            read_exact(&mut c.r, part)?;
+            at += part.len() as u64;
         }
-        err_to_result(err)?;
-        read_exact(&mut c.r, buf)
+        Ok(())
     }
 
     fn write_at(&self, buf: &[u8], off: u64) -> Result<()> {
         if self.read_only {
             return Err(BlockError::read_only("NBD export is read-only"));
         }
-        if buf.is_empty() {
-            return Ok(());
-        }
         let mut c = self.conn.lock();
-        let handle = Self::send(&mut c, NBD_CMD_WRITE, off, buf.len() as u32, buf)?;
-        Self::expect_ok(&mut c, handle)
+        let mut at = off;
+        for part in buf.chunks(MAX_REQUEST_BYTES as usize) {
+            let handle = Self::send(&mut c, NBD_CMD_WRITE, at, part.len() as u32, part)?;
+            Self::expect_ok(&mut c, handle)?;
+            // Bounds are the server's call (see `trim`).
+            at = at.wrapping_add(part.len() as u64);
+        }
+        Ok(())
     }
 
     fn len(&self) -> u64 {

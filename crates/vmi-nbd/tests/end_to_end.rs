@@ -63,6 +63,52 @@ fn out_of_range_read_maps_to_einval() {
 }
 
 #[test]
+fn overflowing_read_is_out_of_bounds_and_keeps_the_session() {
+    let srv = server();
+    let dev = Arc::new(MemDev::with_len(4096));
+    dev.write_at(b"still here", 0).unwrap();
+    srv.add_export("small", dev, false);
+    let client = NbdClient::connect(&srv.addr().to_string(), "small").unwrap();
+    let mut buf = [0u8; 16];
+    // `off + len` wraps u64: refused by the client, nothing sent.
+    let err = client.read_at(&mut buf, u64::MAX - 3).unwrap_err();
+    assert_eq!(err.kind(), BlockErrorKind::OutOfBounds);
+    assert_eq!(srv.served_requests(), 0);
+    client.read_at(&mut buf[..10], 0).unwrap();
+    assert_eq!(&buf[..10], b"still here");
+}
+
+#[test]
+fn transfers_above_the_request_cap_are_split() {
+    // 40 MiB > MAX_REQUEST_BYTES (32 MiB): one call, two requests each way.
+    const LEN: usize = 40 << 20;
+    let srv = server();
+    let dev = Arc::new(MemDev::with_len(LEN as u64 + 4096));
+    srv.add_export("big", dev.clone(), false);
+    let client = NbdClient::connect(&srv.addr().to_string(), "big").unwrap();
+    let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    client.write_at(&data, 4096).unwrap();
+    let mut back = vec![0u8; LEN];
+    client.read_at(&mut back, 4096).unwrap();
+    assert!(back == data, "40 MiB round trip is byte-exact");
+    dev.read_at(&mut back[..4096], 4096 + (33 << 20)).unwrap();
+    assert_eq!(&back[..4096], &data[33 << 20..(33 << 20) + 4096]);
+    assert_eq!(srv.served_requests(), 4);
+}
+
+#[test]
+fn trim_above_4gib_is_split_not_truncated() {
+    // The wire length is 32-bit: `(1 << 32) + 4096` must not become 4096.
+    let srv = server();
+    srv.add_export("sparse", Arc::new(SparseDev::with_len(5 << 30)), false);
+    let client = NbdClient::connect(&srv.addr().to_string(), "sparse").unwrap();
+    client.trim(0, (1 << 32) + 4096).unwrap();
+    assert_eq!(srv.served_requests(), 2);
+    // One byte past the export: the second request is refused.
+    assert!(client.trim(4096, 5 << 30).is_err());
+}
+
+#[test]
 fn image_chain_served_over_nbd() {
     // base ← cache ← CoW opened locally, exported at the top: a remote VM
     // sees the composed guest view.

@@ -123,12 +123,9 @@ struct ObsInner {
     clock: Arc<dyn Clock>,
     metrics: MetricsRegistry,
     rec: Arc<dyn Recorder>,
-    /// Next span id minus the base; see [`Obs::span`]. Monotonic per `Obs`,
-    /// so a fixed seed fully determines every span id in a recorded stream.
+    /// Last span id issued; see [`Obs::span`]. Monotonic per `Obs`, so a
+    /// fixed seed fully determines every span id in a recorded stream.
     span_seq: AtomicU64,
-    /// High-bits namespace OR-ed into every issued span id
-    /// ([`RecorderHandle::attach_with_span_base`]).
-    span_base: u64,
 }
 
 /// The observability handle threaded through instrumented code.
@@ -158,21 +155,12 @@ impl Obs {
 
     /// An enabled handle recording events to `rec`, stamped by `clock`.
     pub fn new(clock: Arc<dyn Clock>, rec: Arc<dyn Recorder>) -> Self {
-        Self::with_span_base(clock, rec, 0)
-    }
-
-    /// [`Obs::new`] with a span-id namespace: every span id issued by this
-    /// handle is `base | seq` (seq starting at 1). The parallel experiment
-    /// runner gives node *i* the base `i << 48` so per-node id sequences are
-    /// deterministic in isolation and never collide once streams merge.
-    pub fn with_span_base(clock: Arc<dyn Clock>, rec: Arc<dyn Recorder>, base: u64) -> Self {
         Self {
             inner: Some(Arc::new(ObsInner {
                 clock,
                 metrics: MetricsRegistry::new(),
                 rec,
                 span_seq: AtomicU64::new(0),
-                span_base: base,
             })),
         }
     }
@@ -257,7 +245,7 @@ impl Obs {
     ) -> SpanGuard {
         match &self.inner {
             Some(inner) => {
-                let id = inner.span_base | (inner.span_seq.fetch_add(1, Ordering::Relaxed) + 1);
+                let id = inner.span_seq.fetch_add(1, Ordering::Relaxed) + 1;
                 let parent = parent.map_or(0, |p| p.0);
                 inner.rec.record(
                     inner.clock.now_ns(),
@@ -359,16 +347,8 @@ impl RecorderHandle {
 
     /// Build the [`Obs`] handle: enabled iff a recorder was configured.
     pub fn attach(&self, clock: Arc<dyn Clock>) -> Obs {
-        self.attach_with_span_base(clock, 0)
-    }
-
-    /// [`attach`](Self::attach) with a span-id namespace (see
-    /// [`Obs::with_span_base`]): ids issued by the resulting handle are
-    /// `base | seq`, keeping per-thread sequences deterministic and
-    /// collision-free when several handles feed one recorder.
-    pub fn attach_with_span_base(&self, clock: Arc<dyn Clock>, base: u64) -> Obs {
         match &self.rec {
-            Some(rec) => Obs::with_span_base(clock, Arc::clone(rec), base),
+            Some(rec) => Obs::new(clock, Arc::clone(rec)),
             None => Obs::disabled(),
         }
     }
@@ -520,26 +500,5 @@ mod tests {
         assert_eq!(evs[3], (116, Event::SpanEnd { id: 3 }));
         assert_eq!(evs[4], (116, Event::SpanEnd { id: 2 }));
         assert_eq!(evs[5], (120, Event::SpanEnd { id: 1 }));
-    }
-
-    #[test]
-    fn span_base_namespaces_ids() {
-        let (handle, sink) = RecorderHandle::jsonl();
-        let obs = handle.attach_with_span_base(Arc::new(ManualClock::new(0)), 5 << 48);
-        let sp = obs.span("vm.op", String::new);
-        assert_eq!(sp.id(), Some(SpanId((5 << 48) | 1)));
-        drop(sp);
-        let sp2 = obs.span("vm.op", String::new);
-        assert_eq!(sp2.id(), Some(SpanId((5 << 48) | 2)));
-        drop(sp2);
-        let ids: Vec<u64> = sink
-            .events()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                Event::SpanStart { id, .. } => Some(*id),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ids, vec![(5 << 48) | 1, (5 << 48) | 2]);
     }
 }

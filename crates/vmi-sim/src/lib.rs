@@ -13,8 +13,10 @@
 //!   cache images (§3.3);
 //! * [`world::SimWorld`] — the resource registry plus the *op clock* that
 //!   prices real `vmi-qcow` I/O on simulated time;
-//! * [`queue::EventQueue`] — a deterministic event heap for the boot
-//!   drivers in `vmi-cluster`.
+//! * [`shard::Shard`] — the one deterministic event heap, ordered by a
+//!   content-derived [`shard::EventKey`]: alone it drives the byte-level
+//!   boot engine in `vmi-cluster`, in a [`shard::ShardedEventQueue`] the
+//!   10k-node scale engine.
 //!
 //! Everything is deterministic: same inputs → identical timelines.
 
@@ -35,7 +37,6 @@
 pub mod disk;
 pub mod net;
 pub mod pagecache;
-pub mod queue;
 pub mod shard;
 pub mod time;
 pub mod world;
@@ -43,7 +44,6 @@ pub mod world;
 pub use disk::{Disk, DiskSpec, DiskStats};
 pub use net::{Link, LinkDiscipline, LinkStats, NetSpec};
 pub use pagecache::{CacheOutcome, PageCache, PageKey};
-pub use queue::EventQueue;
 pub use shard::{EventKey, Shard, ShardedEventQueue};
 pub use time::{fmt_secs, transfer_ns, Ns, MSEC, SEC, USEC};
 pub use world::{CacheId, DiskId, LinkId, SimWorld, MEM_BW_BPS};

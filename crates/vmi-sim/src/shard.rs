@@ -1,14 +1,18 @@
-//! Sharded deterministic event queue for conservative parallel DES
-//! (DESIGN.md §16).
+//! The deterministic event heap, content-keyed and shardable for
+//! conservative parallel DES (DESIGN.md §16).
 //!
-//! [`EventQueue`](crate::queue::EventQueue) breaks ties by insertion order,
-//! which is exactly what a *parallel* simulation cannot reproduce: worker
-//! threads create events in nondeterministic real-time order. The sharded
-//! queue therefore orders events by a **content key** — [`EventKey`] is
-//! `(time, lane, tag, a, b)`, every field derived from the event itself —
-//! so the schedule is a pure function of the event *set*, independent of
-//! which thread created which event first. Two runs (or a serial and a
+//! Ties cannot be broken by insertion order: that is exactly what a
+//! *parallel* simulation cannot reproduce, because worker threads create
+//! events in nondeterministic real-time order. Events are therefore ordered
+//! by a **content key** — [`EventKey`] is `(time, lane, tag, a, b)`, every
+//! field derived from the event itself — so the schedule is a pure function
+//! of the event *set*, independent of which thread (or which loop
+//! iteration) created which event first. Two runs (or a serial and a
 //! sharded run) that create the same events observe the same total order.
+//!
+//! One [`Shard`] on its own is the whole queue of a serial driver:
+//! `vmi-cluster`'s byte-level boot engine keys each wake-up `(at, vm)`, so
+//! simultaneous wake-ups pop by VM index.
 //!
 //! Lanes are the unit of state locality (`vmi-cluster` uses one lane per
 //! rack). Lanes map to shards in contiguous chunks so a runner can split
@@ -268,7 +272,11 @@ mod tests {
         q.push(key(1, 999, 0), ());
         q.push(key(2, 0, 0), ());
         assert_eq!(q.num_shards(), 1);
-        assert_eq!(q.shards_mut()[0].len(), 2);
+        let shard = &mut q.shards_mut()[0];
+        assert_eq!(shard.min_key(), Some(key(1, 999, 0)));
+        assert_eq!(shard.len(), 2, "peeking removes nothing");
+        assert_eq!(shard.pop(), Some((key(1, 999, 0), ())));
+        assert_eq!(shard.min_key(), Some(key(2, 0, 0)));
     }
 
     #[test]

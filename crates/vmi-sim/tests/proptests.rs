@@ -2,7 +2,7 @@
 //! ordering invariants that every resource model must uphold.
 
 use proptest::prelude::*;
-use vmi_sim::{CacheOutcome, Disk, DiskSpec, EventQueue, Link, NetSpec, PageCache};
+use vmi_sim::{CacheOutcome, Disk, DiskSpec, EventKey, Link, NetSpec, PageCache, Shard};
 
 fn arb_disk_spec() -> impl Strategy<Value = DiskSpec> {
     (
@@ -64,15 +64,17 @@ proptest! {
         prop_assert_eq!(st.bytes, sizes.iter().sum::<u64>());
     }
 
-    /// Event queue: output is time-sorted with FIFO tie-breaking.
+    /// Event queue: output is time-sorted and ties pop by content key,
+    /// whatever the push order (pushed here in reverse id order).
     #[test]
     fn event_queue_sorted_stable(times in proptest::collection::vec(0u64..1000, 1..300)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, i);
+        let mut q = Shard::default();
+        for (i, &t) in times.iter().enumerate().rev() {
+            q.push(EventKey { at: t, lane: 0, tag: 0, a: i as u64, b: 0 }, i);
         }
         let mut prev: Option<(u64, usize)> = None;
-        while let Some((t, id)) = q.pop() {
+        while let Some((key, id)) = q.pop() {
+            let t = key.at;
             if let Some((pt, pid)) = prev {
                 prop_assert!(t > pt || (t == pt && id > pid), "unstable: {pt},{pid} then {t},{id}");
             }

@@ -1,14 +1,8 @@
 //! PR-5 acceptance: the extent-coalesced read path must issue ≥ 8× fewer
 //! device calls than the scalar path on a cold sequential 1 MiB read over a
-//! 512-byte-cluster cache, with bit-identical guest data — and the
-//! parallel experiment runner must agree with the serial one where their
-//! semantics coincide.
+//! 512-byte-cluster cache, with bit-identical guest data.
 
 use vmi_bench::io_coalesce::run_io_coalesce;
-use vmi_cluster::{run_experiment, run_experiment_parallel, ExperimentConfig, Mode, Placement};
-use vmi_obs::RecorderHandle;
-use vmi_sim::NetSpec;
-use vmi_trace::VmiProfile;
 
 #[test]
 fn coalesced_cold_sequential_read_is_8x_fewer_calls() {
@@ -33,64 +27,4 @@ fn coalesced_cold_sequential_read_is_8x_fewer_calls() {
     // read per physically contiguous extent.
     let warm = rep.scenarios.iter().find(|s| s.name == "warm_seq").unwrap();
     assert!(warm.call_ratio >= 8.0, "warm ratio {:.1}x", warm.call_ratio);
-}
-
-#[test]
-fn parallel_runner_jsonl_is_deterministic_per_seed() {
-    let mode = Mode::ColdCache {
-        placement: Placement::ComputeMem,
-        quota: 16 << 20,
-        cluster_bits: 9,
-    };
-    let run = |seed: u64| {
-        let (rec, sink) = RecorderHandle::jsonl();
-        let cfg = ExperimentConfig {
-            nodes: 4,
-            vmis: 2,
-            profile: VmiProfile::tiny_test(),
-            net: NetSpec::gbe_1(),
-            mode,
-            seed,
-            warm_store: None,
-            recorder: rec,
-        };
-        let out = run_experiment_parallel(&cfg).unwrap();
-        (out, sink.lines())
-    };
-    let (a, la) = run(11);
-    let (b, lb) = run(11);
-    assert_eq!(a.outcomes, b.outcomes);
-    assert_eq!(a.telemetry, b.telemetry);
-    assert_eq!(la, lb, "same seed, bit-identical JSONL");
-    let (c, lc) = run(12);
-    assert!(
-        la != lc || a.outcomes != c.outcomes,
-        "different seed must perturb the run"
-    );
-}
-
-#[test]
-fn parallel_and_serial_agree_on_fill_totals() {
-    // Copy-on-read byte totals are per-node quantities: summing the
-    // contention-free replicas must equal the serial shared-world run.
-    let mode = Mode::ColdCache {
-        placement: Placement::ComputeMem,
-        quota: 16 << 20,
-        cluster_bits: 9,
-    };
-    let cfg = ExperimentConfig {
-        nodes: 3,
-        vmis: 1,
-        profile: VmiProfile::tiny_test(),
-        net: NetSpec::gbe_1(),
-        mode,
-        seed: 5,
-        warm_store: None,
-        recorder: RecorderHandle::none(),
-    };
-    let serial = run_experiment(&cfg).unwrap();
-    let parallel = run_experiment_parallel(&cfg).unwrap();
-    assert_eq!(serial.telemetry.fill_bytes, parallel.telemetry.fill_bytes);
-    assert_eq!(serial.telemetry.per_cache, parallel.telemetry.per_cache);
-    assert_eq!(serial.cache_file_sizes, parallel.cache_file_sizes);
 }

@@ -1,7 +1,7 @@
 //! Span-tracing acceptance: the PR-6 causal trace layer must produce
-//! bit-identical JSONL for a fixed seed (serial and parallel), perfectly
-//! nested span trees even under fault injection, and span events that
-//! survive the wire format round trip for arbitrary attribute strings.
+//! bit-identical JSONL for a fixed seed, perfectly nested span trees even
+//! under fault injection, and span events that survive the wire format
+//! round trip for arbitrary attribute strings.
 
 use std::sync::Arc;
 
@@ -12,9 +12,7 @@ use vmi_blockdev::{
     BlockDev, BlockErrorKind, FaultDev, FaultPlan, FaultSite, MemDev, RetryDev, RetryPolicy,
     SharedDev,
 };
-use vmi_cluster::{
-    run_experiment, run_experiment_parallel, ExperimentConfig, Mode, Placement, WarmStore,
-};
+use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement, WarmStore};
 use vmi_obs::{Event, JsonlSink, ManualClock, RecorderHandle};
 use vmi_qcow::{create_cached_chain_with_obs, MapResolver};
 use vmi_sim::NetSpec;
@@ -41,12 +39,6 @@ fn cfg(nodes: usize, seed: u64, recorder: RecorderHandle) -> ExperimentConfig {
 fn record_serial(nodes: usize, seed: u64) -> Vec<String> {
     let (rec, sink) = RecorderHandle::jsonl();
     run_experiment(&cfg(nodes, seed, rec)).unwrap();
-    sink.lines()
-}
-
-fn record_parallel(nodes: usize, seed: u64) -> Vec<String> {
-    let (rec, sink) = RecorderHandle::jsonl();
-    run_experiment_parallel(&cfg(nodes, seed, rec)).unwrap();
     sink.lines()
 }
 
@@ -77,25 +69,8 @@ fn serial_trace_jsonl_is_bit_identical_per_seed() {
 }
 
 #[test]
-fn parallel_trace_jsonl_is_bit_identical_per_seed() {
-    let a = record_parallel(3, 42);
-    let b = record_parallel(3, 42);
-    assert_eq!(a, b, "parallel JSONL must match bit for bit");
-    assert!(!span_lines(&a).is_empty(), "stream contains span events");
-}
-
-#[test]
-fn one_node_parallel_trace_matches_serial() {
-    // With one node the parallel runner's span base is 0 << 48 = 0, so the
-    // two runners must produce the very same trace, span ids included.
-    let serial = record_serial(1, 42);
-    let parallel = record_parallel(1, 42);
-    assert_eq!(serial, parallel);
-}
-
-#[test]
 fn experiment_traces_reconstruct_with_zero_unbalanced_spans() {
-    for lines in [record_serial(2, 42), record_parallel(3, 42)] {
+    for lines in [record_serial(2, 42), record_serial(3, 42)] {
         let (summary, bad) = replay_lines_strict(&lines);
         assert!(bad.is_empty(), "stream is parseable: {bad:?}");
         assert!(summary.spans_balanced(), "start/end counts match");
