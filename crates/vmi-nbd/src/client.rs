@@ -6,7 +6,7 @@
 //! `local cache ← NBD ← storage-node export`, which is exactly the paper's
 //! deployment realized over a real network protocol.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, IoSliceMut, Read, Write};
 use std::net::TcpStream;
 
 use parking_lot::{lockrank, Mutex};
@@ -130,33 +130,72 @@ impl NbdClient {
         let _ = c.w.flush();
     }
 
+    /// Send one request frame: header and payload in one vectored write.
     fn send(c: &mut Conn, ty: u16, offset: u64, length: u32, payload: &[u8]) -> Result<u64> {
         let handle = c.next_handle;
         c.next_handle += 1;
-        write_request(
-            &mut c.w,
-            &Request {
-                flags: 0,
-                ty,
-                handle,
-                offset,
-                length,
-            },
-        )?;
-        if !payload.is_empty() {
-            write_all(&mut c.w, payload)?;
-        }
+        let head = encode_request(&Request {
+            flags: 0,
+            ty,
+            handle,
+            offset,
+            length,
+        });
+        write_frame(&mut c.w, &head, payload)?;
         c.w.flush().map_err(io_err)?;
         Ok(handle)
     }
 
     fn expect_ok(c: &mut Conn, handle: u64) -> Result<()> {
         let (err, h) = read_simple_reply(&mut c.r)?;
-        if h != handle {
-            return Err(BlockError::corrupt(format!("reply handle {h} != {handle}")));
-        }
+        check_handle(h, handle)?;
         err_to_result(err)
     }
+
+    /// Receive the reply to READ `handle` into `buf`. One vectored read
+    /// takes the header and as much payload as has arrived; the header's
+    /// magic, handle and error are checked before the payload counts, and
+    /// an error reply — which has no payload — ends the read at its header.
+    ///
+    /// The read may take up to `buf.len()` bytes past the header. That is
+    /// sound only because this client keeps one request in flight: nothing
+    /// but this reply's own payload can follow its header.
+    fn recv_read(c: &mut Conn, handle: u64, buf: &mut [u8]) -> Result<()> {
+        let mut head = [0u8; SIMPLE_REPLY_LEN];
+        let mut got = 0;
+        {
+            let mut slices = [IoSliceMut::new(&mut head), IoSliceMut::new(buf)];
+            let mut bufs = &mut slices[..];
+            while got < SIMPLE_REPLY_LEN {
+                match c.r.read_vectored(bufs) {
+                    Ok(0) => return Err(io_err(ErrorKind::UnexpectedEof.into())),
+                    Ok(n) => {
+                        got += n;
+                        IoSliceMut::advance_slices(&mut bufs, n);
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(io_err(e)),
+                }
+            }
+        }
+        let (err, h) = decode_simple_reply(&head)?;
+        check_handle(h, handle)?;
+        let taken = got - SIMPLE_REPLY_LEN;
+        if err != 0 {
+            if taken > 0 {
+                return Err(BlockError::corrupt("payload after an error reply"));
+            }
+            return err_to_result(err);
+        }
+        read_exact(&mut c.r, &mut buf[taken..])
+    }
+}
+
+fn check_handle(got: u64, want: u64) -> Result<()> {
+    if got != want {
+        return Err(BlockError::corrupt(format!("reply handle {got} != {want}")));
+    }
+    Ok(())
 }
 
 fn err_to_result(err: u32) -> Result<()> {
@@ -187,8 +226,7 @@ impl BlockDev for NbdClient {
         // The server refuses requests above `MAX_REQUEST_BYTES`.
         for part in buf.chunks_mut(MAX_REQUEST_BYTES as usize) {
             let handle = Self::send(&mut c, NBD_CMD_READ, at, part.len() as u32, &[])?;
-            Self::expect_ok(&mut c, handle)?;
-            read_exact(&mut c.r, part)?;
+            Self::recv_read(&mut c, handle, part)?;
             at += part.len() as u64;
         }
         Ok(())

@@ -1,8 +1,12 @@
 //! NBD wire-protocol constants and framing helpers (fixed-newstyle
 //! handshake + simple replies), per the canonical protocol document
 //! <https://github.com/NetworkBlockDevice/nbd/blob/master/doc/proto.md>.
+//!
+//! Framing rule: a frame's header is encoded into a stack array and leaves
+//! together with its payload in one vectored write (`write_frame`), so
+//! the peer never wakes for a header whose payload is still in flight.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use vmi_blockdev::{BlockError, Result};
 
@@ -69,6 +73,11 @@ pub const NBD_CMD_TRIM: u16 = 4;
 /// unbounded allocation, and never a dropped connection.
 pub const MAX_REQUEST_BYTES: u32 = 32 << 20;
 
+/// Bytes in a transmission request header.
+pub(crate) const REQUEST_LEN: usize = 28;
+/// Bytes in a simple reply header.
+pub(crate) const SIMPLE_REPLY_LEN: usize = 16;
+
 /// POSIX-style error codes carried in replies.
 pub const NBD_EIO: u32 = 5;
 /// Invalid argument (out-of-range request).
@@ -117,8 +126,35 @@ pub fn drain_payload(r: &mut impl Read, n: u64) -> Result<()> {
 
 /// Write all bytes.
 pub fn write_all(w: &mut impl Write, buf: &[u8]) -> Result<()> {
-    w.write_all(buf)
-        .map_err(|e| BlockError::new(vmi_blockdev::BlockErrorKind::Io, format!("nbd write: {e}")))
+    w.write_all(buf).map_err(write_err)
+}
+
+/// Write one frame — `head` then `payload` — with vectored writes, so a
+/// frame that bypasses a `BufWriter`'s buffer still leaves in one `send`
+/// (or, when the socket takes it in parts, as few as it allows).
+pub(crate) fn write_frame(w: &mut impl Write, head: &[u8], payload: &[u8]) -> Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(payload)];
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(write_err(ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(write_err(e)),
+        }
+    }
+    Ok(())
+}
+
+fn write_err(e: std::io::Error) -> BlockError {
+    BlockError::new(vmi_blockdev::BlockErrorKind::Io, format!("nbd write: {e}"))
+}
+
+/// The `N` bytes of `b` starting at `at`.
+fn field<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&b[at..at + N]);
+    out
 }
 
 /// Read a big-endian u16.
@@ -142,49 +178,72 @@ pub fn read_u64(r: &mut impl Read) -> Result<u64> {
     Ok(u64::from_be_bytes(b))
 }
 
-/// Parse one transmission request header (after its magic).
+/// Parse one transmission request header, magic included.
 pub fn read_request(r: &mut impl Read) -> Result<Request> {
-    let magic = read_u32(r)?;
+    let mut b = [0u8; REQUEST_LEN];
+    read_exact(r, &mut b)?;
+    let magic = u32::from_be_bytes(field(&b, 0));
     if magic != REQUEST_MAGIC {
         return Err(BlockError::corrupt(format!("bad request magic {magic:#x}")));
     }
     Ok(Request {
-        flags: read_u16(r)?,
-        ty: read_u16(r)?,
-        handle: read_u64(r)?,
-        offset: read_u64(r)?,
-        length: read_u32(r)?,
+        flags: u16::from_be_bytes(field(&b, 4)),
+        ty: u16::from_be_bytes(field(&b, 6)),
+        handle: u64::from_be_bytes(field(&b, 8)),
+        offset: u64::from_be_bytes(field(&b, 16)),
+        length: u32::from_be_bytes(field(&b, 24)),
     })
+}
+
+/// Encode one transmission request header.
+pub(crate) fn encode_request(req: &Request) -> [u8; REQUEST_LEN] {
+    let mut b = [0u8; REQUEST_LEN];
+    b[0..4].copy_from_slice(&REQUEST_MAGIC.to_be_bytes());
+    b[4..6].copy_from_slice(&req.flags.to_be_bytes());
+    b[6..8].copy_from_slice(&req.ty.to_be_bytes());
+    b[8..16].copy_from_slice(&req.handle.to_be_bytes());
+    b[16..24].copy_from_slice(&req.offset.to_be_bytes());
+    b[24..28].copy_from_slice(&req.length.to_be_bytes());
+    b
 }
 
 /// Serialize one transmission request header.
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
-    let mut b = Vec::with_capacity(28);
-    b.extend_from_slice(&REQUEST_MAGIC.to_be_bytes());
-    b.extend_from_slice(&req.flags.to_be_bytes());
-    b.extend_from_slice(&req.ty.to_be_bytes());
-    b.extend_from_slice(&req.handle.to_be_bytes());
-    b.extend_from_slice(&req.offset.to_be_bytes());
-    b.extend_from_slice(&req.length.to_be_bytes());
-    write_all(w, &b)
+    write_all(w, &encode_request(req))
+}
+
+/// Encode a simple reply header.
+pub(crate) fn encode_simple_reply(error: u32, handle: u64) -> [u8; SIMPLE_REPLY_LEN] {
+    let mut b = [0u8; SIMPLE_REPLY_LEN];
+    b[0..4].copy_from_slice(&SIMPLE_REPLY_MAGIC.to_be_bytes());
+    b[4..8].copy_from_slice(&error.to_be_bytes());
+    b[8..16].copy_from_slice(&handle.to_be_bytes());
+    b
 }
 
 /// Write a simple reply header.
 pub fn write_simple_reply(w: &mut impl Write, error: u32, handle: u64) -> Result<()> {
-    let mut b = Vec::with_capacity(16);
-    b.extend_from_slice(&SIMPLE_REPLY_MAGIC.to_be_bytes());
-    b.extend_from_slice(&error.to_be_bytes());
-    b.extend_from_slice(&handle.to_be_bytes());
-    write_all(w, &b)
+    write_all(w, &encode_simple_reply(error, handle))
+}
+
+/// Decode a simple reply header, checking its magic; returns
+/// (error, handle).
+pub(crate) fn decode_simple_reply(b: &[u8; SIMPLE_REPLY_LEN]) -> Result<(u32, u64)> {
+    let magic = u32::from_be_bytes(field(b, 0));
+    if magic != SIMPLE_REPLY_MAGIC {
+        return Err(BlockError::corrupt(format!("bad reply magic {magic:#x}")));
+    }
+    Ok((
+        u32::from_be_bytes(field(b, 4)),
+        u64::from_be_bytes(field(b, 8)),
+    ))
 }
 
 /// Read a simple reply header; returns (error, handle).
 pub fn read_simple_reply(r: &mut impl Read) -> Result<(u32, u64)> {
-    let magic = read_u32(r)?;
-    if magic != SIMPLE_REPLY_MAGIC {
-        return Err(BlockError::corrupt(format!("bad reply magic {magic:#x}")));
-    }
-    Ok((read_u32(r)?, read_u64(r)?))
+    let mut b = [0u8; SIMPLE_REPLY_LEN];
+    read_exact(r, &mut b)?;
+    decode_simple_reply(&b)
 }
 
 /// Write one option reply (server → client during negotiation).
@@ -194,13 +253,12 @@ pub fn write_option_reply(
     reply_type: u32,
     payload: &[u8],
 ) -> Result<()> {
-    let mut b = Vec::with_capacity(20 + payload.len());
-    b.extend_from_slice(&OPT_REPLY_MAGIC.to_be_bytes());
-    b.extend_from_slice(&option.to_be_bytes());
-    b.extend_from_slice(&reply_type.to_be_bytes());
-    b.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    b.extend_from_slice(payload);
-    write_all(w, &b)
+    let mut b = [0u8; 20];
+    b[0..8].copy_from_slice(&OPT_REPLY_MAGIC.to_be_bytes());
+    b[8..12].copy_from_slice(&option.to_be_bytes());
+    b[12..16].copy_from_slice(&reply_type.to_be_bytes());
+    b[16..20].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    write_frame(w, &b, payload)
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //! the simple transmission phase (`READ`/`WRITE`/`FLUSH`/`TRIM`/`DISC`).
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -75,8 +75,8 @@ fn validate_range(off: u64, len: u32, dev_len: u64) -> std::result::Result<(), u
 ///
 /// Exports are looked up by name at `NBD_OPT_EXPORT_NAME` time; each client
 /// connection is handled on its own thread. Drop the handle (or call
-/// [`NbdServer::shutdown`]) to stop accepting; live connections finish
-/// their current request and exit on the next read.
+/// [`NbdServer::shutdown`]) to stop accepting; live connections keep
+/// being served until their client disconnects.
 pub struct NbdServer {
     addr: SocketAddr,
     exports: Arc<Mutex<HashMap<String, Arc<Export>>>>,
@@ -102,7 +102,6 @@ impl NbdServer {
         let local = listener
             .local_addr()
             .map_err(|e| vmi_blockdev::BlockError::new(BlockErrorKind::Io, e.to_string()))?;
-        listener.set_nonblocking(true).ok();
         let exports: Arc<Mutex<HashMap<String, Arc<Export>>>> =
             Arc::new(Mutex::new(HashMap::new()));
         exports.set_rank(lockrank::NBD_EXPORTS);
@@ -114,25 +113,32 @@ impl NbdServer {
             let stop = stop.clone();
             let served = served.clone();
             let pipeline_depth = pipeline_depth.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nonblocking(false).ok();
-                            stream.set_nodelay(true).ok();
-                            let exports = exports.clone();
-                            let served = served.clone();
-                            let obs = obs.clone();
-                            let depth = pipeline_depth.load(Ordering::Acquire);
-                            std::thread::spawn(move || {
-                                let _ = handle_connection(stream, &exports, &served, &obs, depth);
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(std::time::Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+            // Blocks in `accept`; `shutdown` sets `stop` and then connects
+            // once to wake it, so the flag is read after every accept.
+            std::thread::spawn(move || loop {
+                let accepted = listener.accept();
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                match accepted {
+                    Ok((stream, _)) => {
+                        stream.set_nodelay(true).ok();
+                        let exports = exports.clone();
+                        let served = served.clone();
+                        let obs = obs.clone();
+                        let depth = pipeline_depth.load(Ordering::Acquire);
+                        std::thread::spawn(move || {
+                            let _ = handle_connection(stream, &exports, &served, &obs, depth);
+                        });
                     }
+                    // A peer that gave up while queued, or a signal: the
+                    // listener itself is fine.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                        ) => {}
+                    Err(_) => break,
                 }
             })
         };
@@ -203,10 +209,26 @@ impl NbdServer {
         self.served_requests.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting new connections.
+    /// Stop accepting new connections: set the flag, wake the blocked
+    /// `accept` with one connection to the bound port (over loopback when
+    /// bound to an unspecified address), and join the accept thread, which
+    /// closes the listener. Live connections are not touched.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
+        let Some(t) = self.accept_thread.take() else {
+            return;
+        };
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Without a wake-up (the thread already gone, or no socket to be
+        // had) joining could block forever; a thread left blocked exits at
+        // its next accept, since the flag is set.
+        if TcpStream::connect(wake).is_ok() || t.is_finished() {
             let _ = t.join();
         }
     }
@@ -334,10 +356,7 @@ fn transmission_serial(
                 Ok(()) => {
                     data.resize(req.length as usize, 0);
                     match export.dev.read_at_in(&mut data, req.offset, span.id()) {
-                        Ok(()) => {
-                            write_simple_reply(&mut w, 0, req.handle)?;
-                            write_all(&mut w, &data)?;
-                        }
+                        Ok(()) => write_frame(&mut w, &encode_simple_reply(0, req.handle), &data)?,
                         Err(e) => write_simple_reply(&mut w, errno(&e), req.handle)?,
                     }
                 }
@@ -395,21 +414,20 @@ struct Pending {
     start: Option<std::time::Instant>,
 }
 
-/// Write one reply frame (header + optional read payload) atomically with
-/// respect to other repliers sharing the writer.
+/// Write one reply frame (header + optional read payload, in one vectored
+/// write) atomically with respect to other repliers sharing the writer.
 fn locked_reply(
     writer: &Mutex<BufWriter<TcpStream>>,
     err: u32,
     handle: u64,
     payload: Option<&[u8]>,
 ) -> Result<()> {
+    let payload = match payload {
+        Some(p) if err == 0 => p,
+        _ => &[],
+    };
     let mut w = writer.lock();
-    write_simple_reply(&mut *w, err, handle)?;
-    if err == 0 {
-        if let Some(p) = payload {
-            write_all(&mut *w, p)?;
-        }
-    }
+    write_frame(&mut *w, &encode_simple_reply(err, handle), payload)?;
     w.flush().map_err(io_err)
 }
 
@@ -525,7 +543,7 @@ fn transmission_pipelined(
                             let id = engine.submit_in(
                                 vmi_qcow::Request::Write {
                                     off: req.offset,
-                                    data: data.clone(),
+                                    data: std::mem::take(&mut data),
                                 },
                                 span.id(),
                             );

@@ -3,6 +3,8 @@
 
 use std::sync::Arc;
 
+mod common;
+
 use vmi_blockdev::{BlockDev, BlockErrorKind, MemDev, SharedDev, SparseDev};
 use vmi_nbd::{NbdClient, NbdServer};
 use vmi_qcow::{CreateOpts, QcowImage};
@@ -94,6 +96,54 @@ fn transfers_above_the_request_cap_are_split() {
     dev.read_at(&mut back[..4096], 4096 + (33 << 20)).unwrap();
     assert_eq!(&back[..4096], &data[33 << 20..(33 << 20) + 4096]);
     assert_eq!(srv.served_requests(), 4);
+}
+
+#[test]
+fn frames_around_the_buffer_size_round_trip_serial() {
+    let srv = server();
+    let dev = Arc::new(MemDev::with_len(common::FRAMING_EXPORT_LEN));
+    srv.add_export("disk", dev.clone(), false);
+    let client = NbdClient::connect(&srv.addr().to_string(), "disk").unwrap();
+    common::assert_framing_round_trips(&client, dev.as_ref());
+}
+
+#[test]
+fn error_reply_to_a_64k_read_carries_no_payload() {
+    // The client reads header and payload with one vectored read; an
+    // error reply is 16 bytes with nothing after it, and the client must
+    // stop there instead of waiting for (or taking) 64 KiB more.
+    use vmi_blockdev::{FaultDev, FaultPlan, FaultSite};
+
+    const LEN: usize = 65536;
+    let content: Vec<u8> = (0..(1usize << 20)).map(|i| (i % 239) as u8).collect();
+    for depth in [1, 4] {
+        let flaky = Arc::new(FaultDev::new(Arc::new(MemDev::from_vec(content.clone()))));
+        flaky.inject(FaultPlan::EveryNth {
+            site: FaultSite::Read,
+            n: 2,
+            kind: BlockErrorKind::Io,
+        });
+        let srv = server();
+        srv.set_pipeline_depth(depth);
+        srv.add_export("flaky", flaky as SharedDev, true);
+        let client = NbdClient::connect(&srv.addr().to_string(), "flaky").unwrap();
+        let mut buf = vec![0u8; LEN];
+        for i in 0..8usize {
+            let off = i * LEN;
+            let got = client.read_at(&mut buf, off as u64);
+            if i % 2 == 1 {
+                let err = got.unwrap_err();
+                assert_eq!(err.kind(), BlockErrorKind::Io, "depth {depth} read {i}");
+            } else {
+                got.unwrap();
+                assert!(
+                    buf == content[off..off + LEN],
+                    "depth {depth}: read {i} after an error reply returned wrong bytes"
+                );
+            }
+        }
+        assert_eq!(srv.served_requests(), 8, "depth {depth}");
+    }
 }
 
 #[test]

@@ -7,9 +7,11 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+mod common;
+
 use vmi_blockdev::{BlockDev, MemDev, SharedDev};
 use vmi_nbd::proto::*;
-use vmi_nbd::NbdServer;
+use vmi_nbd::{NbdClient, NbdServer};
 
 /// A raw NBD connection that lets tests drive arbitrary frames.
 struct RawConn {
@@ -221,6 +223,21 @@ fn pipelined_error_replies_keep_connection_alive() {
     c.send(NBD_CMD_READ, 3, 0, 16, &[]);
     assert_eq!(c.recv(), (0, 3));
     c.recv_data(16);
+}
+
+#[test]
+fn frames_around_the_buffer_size_round_trip_pipelined() {
+    let srv = NbdServer::start("127.0.0.1:0").unwrap();
+    srv.set_pipeline_depth(4);
+    let img = vmi_qcow::QcowImage::create(
+        Arc::new(MemDev::new()) as SharedDev,
+        vmi_qcow::CreateOpts::plain(common::FRAMING_EXPORT_LEN),
+        None,
+    )
+    .unwrap();
+    srv.add_image_concurrent("img", img.clone());
+    let client = NbdClient::connect(&srv.addr().to_string(), "img").unwrap();
+    common::assert_framing_round_trips(&client, img.as_ref());
 }
 
 #[test]

@@ -156,21 +156,33 @@ impl QcowImage {
             return fetch(buf, vba);
         }
         let (span_start, span_end) = self.geom.cluster_span(vba, buf.len() as u64);
-        let mut span_buf = vec![0u8; (span_end - span_start) as usize];
-        fetch(&mut span_buf, span_start)?;
+        // A cluster-aligned run is its own span: fetch straight into the
+        // guest's buffer and fill the cache from there. Only a run that
+        // starts or ends inside a cluster needs a span buffer of its own.
+        let aligned = (span_start, span_end) == (vba, vba + buf.len() as u64);
+        let mut span_buf = Vec::new();
+        let span: &mut [u8] = if aligned {
+            &mut *buf
+        } else {
+            span_buf = vec![0u8; (span_end - span_start) as usize];
+            &mut span_buf
+        };
+        fetch(span, span_start)?;
 
         let fsp = self
             .obs
-            .span_in(parent, "cor.fill", || format!("bytes={}", span_buf.len()));
+            .span_in(parent, "cor.fill", || format!("bytes={}", span.len()));
         if self.coalescing() {
-            self.fill_span_coalesced(st, &span_buf, span_start, span_end, fsp.id());
+            self.fill_span_coalesced(st, span, span_start, span_end, fsp.id());
         } else {
-            self.fill_span_scalar(st, &span_buf, span_start, span_end, fsp.id());
+            self.fill_span_scalar(st, span, span_start, span_end, fsp.id());
         }
         drop(fsp);
         self.obs.gauge(met::CACHE_USED_BYTES, st.cache_used);
-        let in_span = (vba - span_start) as usize;
-        buf.copy_from_slice(&span_buf[in_span..in_span + buf.len()]);
+        if !aligned {
+            let in_span = (vba - span_start) as usize;
+            buf.copy_from_slice(&span_buf[in_span..in_span + buf.len()]);
+        }
         Ok(())
     }
 
