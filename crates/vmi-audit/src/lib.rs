@@ -18,6 +18,9 @@
 //!   verify a single container: header and extension framing, geometry,
 //!   L1/L2 table bounds and alignment, overlapping cluster allocations, and
 //!   (for cache images) the recorded used-size and quota accounting.
+//!   [`audit_image_visit`] also hands the raw L1 and L2 tables the walk read
+//!   to a [`TableVisitor`], so a driver opening the container after a clean
+//!   audit can seed its tables instead of reading them again.
 //! * [`audit_chain`] — verify a backing chain ordered top → base: per-layer
 //!   structure, acyclicity, virtual-size equality (§4.3: a cache or CoW
 //!   image's size "has to be the same as the base image's"), cluster-size
@@ -40,7 +43,9 @@ pub mod lint;
 use std::fmt;
 
 pub use chain::{audit_chain, ChainReport, MAX_CHAIN_DEPTH};
-pub use image::{audit_image, audit_image_opts, audit_image_with_obs};
+pub use image::{
+    audit_image, audit_image_opts, audit_image_visit, audit_image_with_obs, TableVisitor,
+};
 
 /// Best-effort probe of a container's backing-file name, for chain walkers
 /// (e.g. `vmi-img fsck --chain`) that need to resolve the next layer before

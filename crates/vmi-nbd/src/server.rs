@@ -641,10 +641,21 @@ mod tests {
         client.read_at(&mut buf, 4096).unwrap();
         drop(client);
         srv.shutdown();
-        let h = obs
-            .histogram(met::NBD_REQUEST_NS)
-            .expect("recorder attached");
-        assert!(h.count >= 2, "two reads must be timed, saw {}", h.count);
+        // The connection thread records a request's latency after it has
+        // flushed the reply (the write is part of what is measured), and
+        // shutdown does not join connection threads: the client can see
+        // the second reply before its latency lands. Wait for it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let count = loop {
+            let h = obs
+                .histogram(met::NBD_REQUEST_NS)
+                .expect("recorder attached");
+            if h.count >= 2 || std::time::Instant::now() >= deadline {
+                break h.count;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        };
+        assert!(count >= 2, "two reads must be timed, saw {count}");
     }
 
     #[test]

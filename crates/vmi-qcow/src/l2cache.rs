@@ -37,15 +37,30 @@ pub(crate) struct L2Cache {
     limit: Option<usize>,
 }
 
+/// The default table limit for `cluster_size`-byte clusters.
+pub(crate) fn default_limit(cluster_size: u64) -> usize {
+    ((DEFAULT_L2_CACHE_BYTES / cluster_size) as usize).max(MIN_L2_CACHE_TABLES)
+}
+
 impl L2Cache {
     /// An empty cache with the default limit for `geom`.
     pub(crate) fn new(geom: &Geometry) -> Self {
-        let tables = (DEFAULT_L2_CACHE_BYTES / geom.cluster_size()) as usize;
         Self {
             slots: HashMap::new(),
             clock: 0,
-            limit: Some(tables.max(MIN_L2_CACHE_TABLES)),
+            limit: Some(default_limit(geom.cluster_size())),
         }
+    }
+
+    /// A cache with the default limit for `geom`, holding `tables` in
+    /// order, oldest first, up to the limit. Tables past the limit are
+    /// dropped, not evicted: nothing is displaced.
+    pub(crate) fn with_tables(geom: &Geometry, tables: Vec<(usize, Vec<u64>)>) -> Self {
+        let mut cache = Self::new(geom);
+        for (l1_idx, table) in tables.into_iter().take(default_limit(geom.cluster_size())) {
+            cache.insert(l1_idx, table);
+        }
+        cache
     }
 
     pub(crate) fn limit(&self) -> Option<usize> {

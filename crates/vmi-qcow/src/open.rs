@@ -6,13 +6,38 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use vmi_audit::TableVisitor;
 use vmi_blockdev::{BlockDev, BlockError, Result, SharedDev};
 use vmi_obs::Obs;
 
 use crate::header::{CacheExt, Header, VERSION};
 use crate::image::{state_rank_for, CreateOpts, MutState, QcowImage, UNALLOCATED};
-use crate::l2cache::L2Cache;
+use crate::l2cache::{default_limit, L2Cache};
 use crate::layout::{decode_entries, encode_entries, Geometry};
+
+/// The mapping tables of the last audit walk over a container, decoded by
+/// the driver's own [`decode_entries`]: what a warm open needs instead of
+/// reading them again. Holds at most the default L2 cache limit of tables,
+/// in L1 order.
+#[derive(Debug, Default)]
+pub(crate) struct TableSeed {
+    l1: Vec<u64>,
+    l2: Vec<(usize, Vec<u64>)>,
+}
+
+impl TableVisitor for TableSeed {
+    fn l1(&mut self, raw: &[u8]) {
+        // A new walk: the previous one's tables may since have been repaired.
+        self.l1 = decode_entries(raw);
+        self.l2.clear();
+    }
+
+    fn l2(&mut self, l1_index: u64, raw: &[u8]) {
+        if self.l2.len() < default_limit(raw.len() as u64) {
+            self.l2.push((l1_index as usize, decode_entries(raw)));
+        }
+    }
+}
 
 impl QcowImage {
     /// Assemble an image handle over `dev` from decoded or freshly written
@@ -159,6 +184,22 @@ impl QcowImage {
         read_only: bool,
         obs: Obs,
     ) -> Result<Arc<Self>> {
+        Self::open_seeded(dev, backing, read_only, obs, TableSeed::default())
+    }
+
+    /// [`QcowImage::open_with_obs`] that takes the L1 table and the first
+    /// L2 tables from `seed` instead of the device. A seed whose L1 does
+    /// not match the header's `l1_size` (the empty one, say) is ignored and
+    /// the L1 read as usual. Every check runs on the seeded bytes just as on
+    /// read ones. The caller guarantees that nothing wrote the container
+    /// after the seed's tables were read.
+    pub(crate) fn open_seeded(
+        dev: SharedDev,
+        backing: Option<SharedDev>,
+        read_only: bool,
+        obs: Obs,
+        seed: TableSeed,
+    ) -> Result<Arc<Self>> {
         let header = Header::decode(dev.as_ref() as &dyn BlockDev)?;
         let geom = header.geometry()?;
         if header.backing_file.is_some() && backing.is_none() {
@@ -179,11 +220,14 @@ impl QcowImage {
                 geom.l1_entries()
             )));
         }
-        // Load the L1 table.
-        let mut l1_raw = vec![0u8; (header.l1_size as usize) * 8];
-        dev.read_at(&mut l1_raw, header.l1_table_offset)
-            .map_err(|_| BlockError::corrupt("truncated L1 table"))?;
-        let l1 = decode_entries(&l1_raw);
+        let (l1, l2) = if seed.l1.len() == header.l1_size as usize {
+            (seed.l1, seed.l2)
+        } else {
+            let mut l1_raw = vec![0u8; (header.l1_size as usize) * 8];
+            dev.read_at(&mut l1_raw, header.l1_table_offset)
+                .map_err(|_| BlockError::corrupt("truncated L1 table"))?;
+            (decode_entries(&l1_raw), Vec::new())
+        };
         let cluster_size = geom.cluster_size();
         for &e in &l1 {
             if e != UNALLOCATED && (e % cluster_size != 0 || e >= dev.len()) {
@@ -218,7 +262,7 @@ impl QcowImage {
         };
         let st = MutState {
             l1,
-            l2: L2Cache::new(&geom),
+            l2: L2Cache::with_tables(&geom, l2),
             eof,
             cache_used,
             free_clusters: Vec::new(),

@@ -30,12 +30,13 @@
 
 use std::sync::Arc;
 
-use vmi_audit::{audit_image_with_obs, AuditOpts, RepairHint, ViolationKind};
+use vmi_audit::{audit_image_visit, AuditOpts, RepairHint, TableVisitor, ViolationKind};
 use vmi_blockdev::{be_u64, BlockDev, Result, SharedDev};
 use vmi_obs::{met, Event, Obs};
 
 use crate::header::Header;
 use crate::image::QcowImage;
+use crate::open::TableSeed;
 
 /// Upper bound on audit→repair passes. Progress is monotone (every pass
 /// zeroes at least one nonzero entry or rewrites the used field once), so
@@ -173,8 +174,15 @@ pub fn recover(dev: &SharedDev) -> RecoveryReport {
 /// [`recover`] with an observability handle: counts recovery metrics and
 /// emits a typed [`Event::RecoveryResult`].
 pub fn recover_with_obs(dev: &SharedDev, obs: &Obs) -> RecoveryReport {
+    recover_visiting(dev, obs, &mut ())
+}
+
+/// [`recover_with_obs`] that hands every audit pass's tables to `tables`.
+/// The last pass is the clean one when the verdict is usable, and recovery
+/// writes nothing after it.
+fn recover_visiting(dev: &SharedDev, obs: &Obs, tables: &mut dyn TableVisitor) -> RecoveryReport {
     obs.count(met::RECOVERY_RUNS, 1);
-    let report = recover_inner(dev, obs);
+    let report = recover_inner(dev, obs, tables);
     match report.verdict {
         RecoveryVerdict::Refetch => obs.count(met::RECOVERY_REFETCHES, 1),
         v => obs.count(met::RECOVERY_REPAIRS, u64::from(v.repairs())),
@@ -189,12 +197,17 @@ pub fn recover_with_obs(dev: &SharedDev, obs: &Obs) -> RecoveryReport {
     report
 }
 
-fn recover_inner(dev: &SharedDev, obs: &Obs) -> RecoveryReport {
+fn recover_inner(dev: &SharedDev, obs: &Obs, tables: &mut dyn TableVisitor) -> RecoveryReport {
     let mut applied: Vec<String> = Vec::new();
     let mut passes = 0u32;
     loop {
         passes += 1;
-        let audit = audit_image_with_obs(dev.as_ref() as &dyn BlockDev, &AuditOpts::default(), obs);
+        let audit = audit_image_visit(
+            dev.as_ref() as &dyn BlockDev,
+            &AuditOpts::default(),
+            obs,
+            tables,
+        );
         if audit.violations.iter().any(|v| is_header_level(v.kind)) || passes > MAX_PASSES {
             return refetch(audit, passes, applied);
         }
@@ -292,17 +305,21 @@ fn refetch(audit: vmi_audit::AuditReport, passes: u32, applied: Vec<String>) -> 
 /// Returns `Ok(None)` on a `Refetch` verdict — the caller deploys without
 /// the cache (plain-QCOW2 fallback / cold refetch). A `Repaired` container
 /// opens like a clean one.
+///
+/// The whole open is one table walk: the tables the clean audit pass read
+/// seed the opened image's L1 and L2 table cache, so neither is read again.
 pub fn open_cache_recovered(
     dev: SharedDev,
     backing: Option<SharedDev>,
     read_only: bool,
     obs: Obs,
 ) -> Result<Option<Arc<QcowImage>>> {
-    let report = recover_with_obs(&dev, &obs);
+    let mut seed = TableSeed::default();
+    let report = recover_visiting(&dev, &obs, &mut seed);
     if !report.is_usable() {
         return Ok(None);
     }
-    QcowImage::open_with_obs(dev, backing, read_only, obs).map(Some)
+    QcowImage::open_seeded(dev, backing, read_only, obs, seed).map(Some)
 }
 
 #[cfg(test)]
