@@ -63,7 +63,9 @@ fn main() {
         );
         std::process::exit(2);
     }
-    wanted.dedup();
+    // Run each artifact once, in the order first named.
+    let mut seen = std::collections::HashSet::new();
+    wanted.retain(|name| seen.insert(name.clone()));
 
     for name in &wanted {
         let t0 = Instant::now();

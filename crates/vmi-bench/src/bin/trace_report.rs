@@ -1,6 +1,6 @@
 //! Reconstruct trace trees from span JSONL and report critical paths.
 //!
-//! Usage: `trace_report [INPUT.jsonl | --demo] [--check] [--out PATH] [--chrome PATH]`
+//! Usage: `trace_report (INPUT.jsonl | --demo) [--check] [--out PATH] [--chrome PATH]`
 //!
 //! Reads a `vmi-obs` JSONL event stream (a file, or `--demo` to record a
 //! fresh seeded two-node cold-cache experiment), rebuilds the span forest,
@@ -9,32 +9,74 @@
 //! and the process exits with status 2. `--check` additionally exits
 //! non-zero when the forest has unbalanced spans (or no spans at all).
 //! `--out` writes the report JSON; `--chrome` writes a Chrome `trace_event`
-//! file loadable in Perfetto / `chrome://tracing`.
+//! file loadable in Perfetto / `chrome://tracing`. A bad command line (a
+//! flag without its value, an unknown flag, an output path that is the
+//! input, or neither an input nor `--demo`) exits with status 2.
+
+use std::path::Path;
 
 use vmi_bench::obs_report::replay_lines_strict;
 use vmi_bench::trace_report::{analyze, TraceForest};
 use vmi_obs::Event;
 
+const USAGE: &str =
+    "usage: trace_report (INPUT.jsonl | --demo) [--check] [--out PATH] [--chrome PATH]";
+
+/// Print `msg` and the usage line, then exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("trace_report: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// True when `a` and `b` name the same file.
+fn same_file(a: &str, b: &str) -> bool {
+    a == b
+        || matches!(
+            (Path::new(a).canonicalize(), Path::new(b).canonicalize()),
+            (Ok(x), Ok(y)) if x == y
+        )
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let demo = args.iter().any(|a| a == "--demo");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out = flag("--out");
-    let chrome = flag("--chrome");
-    let input = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .find(|a| {
-            // Skip values consumed by --out/--chrome.
-            out.as_deref() != Some(a.as_str()) && chrome.as_deref() != Some(a.as_str())
-        })
-        .cloned();
+    let mut check = false;
+    let mut demo = false;
+    let mut out: Option<String> = None;
+    let mut chrome: Option<String> = None;
+    let mut input: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--check" => check = true,
+            "--demo" => demo = true,
+            "--out" => {
+                out = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--out needs a path")),
+                )
+            }
+            "--chrome" => {
+                chrome = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--chrome needs a path")),
+                )
+            }
+            "-h" | "--help" => {
+                eprintln!("{USAGE}");
+                return;
+            }
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
+            _ if input.is_some() => usage_error(&format!("more than one input ({a:?})")),
+            _ => input = Some(a),
+        }
+    }
+    if let Some(path) = &input {
+        for written in [&out, &chrome].into_iter().flatten() {
+            if same_file(path, written) {
+                usage_error(&format!("output {written:?} would overwrite the input"));
+            }
+        }
+    }
 
     let (source, lines) = match (&input, demo) {
         (Some(path), false) => {
@@ -50,11 +92,9 @@ fn main() {
                 text.lines().map(str::to_string).collect::<Vec<_>>(),
             )
         }
-        (None, _) => ("demo".to_string(), record_demo()),
-        (Some(_), true) => {
-            eprintln!("pass either an input file or --demo, not both");
-            std::process::exit(2);
-        }
+        (None, true) => ("demo".to_string(), record_demo()),
+        (Some(_), true) => usage_error("pass either an input file or --demo, not both"),
+        (None, false) => usage_error("pass an input file or --demo"),
     };
 
     let (summary, bad) = replay_lines_strict(&lines);

@@ -19,8 +19,9 @@
 //!   guest data may surface); a `Refetch` after any successful guest
 //!   flush would lose acked data and counts as unrecoverable.
 //!
-//! The binary `crash_sweep` writes `BENCH_pr7_crash.json`; `--check`
-//! enforces zero unrecoverable cut points (the CI gate).
+//! The gate is the tier-1 test `tests::exhaustive_sweep_meets_the_gate`:
+//! every cut point of both workloads, at least 500 of them, zero
+//! unrecoverable, and a refetch ratio of at most 0.5.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,7 +78,7 @@ pub struct WorkloadSweep {
     pub max_recover_ns: u64,
 }
 
-/// The whole `BENCH_pr7_crash.json` artifact.
+/// The whole campaign: per-workload sweeps plus the gated totals.
 #[derive(Debug, Clone, Serialize)]
 pub struct CrashSweepReport {
     /// Artifact id.
@@ -97,7 +98,7 @@ pub struct CrashSweepReport {
 }
 
 impl CrashSweepReport {
-    /// Pretty JSON for the artifact file.
+    /// Pretty JSON of the whole report.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes") // lint:allow(no-unwrap): infallible for this shape
     }
@@ -392,7 +393,7 @@ fn run_cut(kind: Kind, plan: CrashPlan, shuffle: Option<u64>, tally: &mut Tally)
 /// Sweep one workload: counting pass, then a cut at every write boundary
 /// (plus seeded intra-run tears) and every flush (several drain depths).
 /// `stride` samples every `stride`-th write/flush index — 1 is exhaustive
-/// (the artifact), larger strides keep unit tests fast.
+/// (the gate), larger strides keep the other unit tests fast.
 fn sweep_workload(kind: Kind, stride: u64) -> Result<WorkloadSweep> {
     // Counting pass: the crash-free run enumerates the cut points and
     // doubles as the oracle check (it must recover clean and verify).
@@ -459,7 +460,7 @@ pub fn run_crash_sweep() -> Result<CrashSweepReport> {
 }
 
 /// [`run_crash_sweep`] sampling every `stride`-th write/flush index.
-/// Unit tests use a stride > 1 to stay fast; the artifact uses 1.
+/// Unit tests use a stride > 1 to stay fast; the gate uses 1.
 pub fn run_crash_sweep_strided(stride: u64) -> Result<CrashSweepReport> {
     let stride = stride.max(1);
     let workloads = vec![
@@ -484,6 +485,45 @@ pub fn run_crash_sweep_strided(stride: u64) -> Result<CrashSweepReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The exhaustive sweep must explore at least this many cut points; a
+    /// workload shrink that silently drops coverage fails the gate.
+    const MIN_CUT_POINTS: u64 = 500;
+    /// Refetches only come from cuts that land before the image is fully
+    /// created (there is nothing to repair yet). If more than this fraction
+    /// of cuts refetch, repair coverage regressed.
+    const MAX_REFETCH_RATIO: f64 = 0.5;
+
+    /// The campaign's gate: every cut point of both workloads recovers,
+    /// coverage does not shrink, and repair (not refetch) carries recovery.
+    #[test]
+    fn exhaustive_sweep_meets_the_gate() {
+        let rep = run_crash_sweep().expect("sweep runs");
+        let violations: Vec<String> = rep
+            .workloads
+            .iter()
+            .filter(|w| !w.first_violation.is_empty())
+            .map(|w| format!("{}: {}", w.name, w.first_violation))
+            .collect();
+        assert_eq!(
+            rep.unrecoverable,
+            0,
+            "unrecoverable cut points: {violations:?}\n{}",
+            rep.render()
+        );
+        assert!(
+            rep.total_cut_points >= MIN_CUT_POINTS,
+            "only {} cut points explored (< {MIN_CUT_POINTS})\n{}",
+            rep.total_cut_points,
+            rep.render()
+        );
+        assert!(
+            rep.refetch_ratio <= MAX_REFETCH_RATIO,
+            "refetch ratio {:.3} > {MAX_REFETCH_RATIO}\n{}",
+            rep.refetch_ratio,
+            rep.render()
+        );
+    }
 
     /// A strided sweep still visits both workloads, finds no
     /// unrecoverable cut, and sees all three verdicts somewhere.

@@ -17,10 +17,7 @@ pub mod ablations;
 pub mod crash_sweep;
 pub mod figset;
 pub mod figures;
-pub mod io_coalesce;
-pub mod obs_overhead;
 pub mod obs_report;
-pub mod saturation;
 pub mod scale_sweep;
 pub mod trace_report;
 
