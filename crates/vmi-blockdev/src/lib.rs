@@ -19,7 +19,6 @@
 //!   images whose content is mostly untouched (a base VMI is "several GB"
 //!   but a boot reads < 200 MB of it).
 //! * [`FileDev`] — a real file on the host filesystem.
-//! * [`ZeroDev`] — reads as zeroes, discards writes; a null medium.
 //!
 //! ## Decorators
 //!
@@ -52,7 +51,6 @@ mod mem;
 mod readonly;
 mod retry;
 mod sparse;
-mod zero;
 
 pub use counting::{CountingDev, IoStats, IoStatsSnapshot, SizeHistogram};
 pub use crash::{CrashDev, CrashPlan, ATOMIC_UNIT};
@@ -65,7 +63,6 @@ pub use mem::MemDev;
 pub use readonly::ReadOnlyDev;
 pub use retry::{RetryDev, RetryPolicy};
 pub use sparse::SparseDev;
-pub use zero::ZeroDev;
 
 /// Decode a big-endian `u32` from the first 4 bytes of `b`.
 ///
@@ -86,51 +83,4 @@ pub fn be_u64(b: &[u8]) -> u64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(&b[..8]);
     u64::from_be_bytes(a)
-}
-
-/// Copy the entire visible content of `src` into `dst`, growing `dst` as
-/// needed. Used e.g. when a cache image is transferred from compute-node
-/// memory back to the storage node (paper Fig. 13).
-///
-/// Copies in 1 MiB chunks to bound peak allocation. Returns the number of
-/// bytes copied.
-pub fn copy_dev(src: &dyn BlockDev, dst: &dyn BlockDev) -> Result<u64> {
-    const CHUNK: usize = 1 << 20;
-    let total = src.len();
-    dst.set_len(total)?;
-    let mut buf = vec![0u8; CHUNK.min(total.max(1) as usize)];
-    let mut off = 0u64;
-    while off < total {
-        let n = CHUNK.min((total - off) as usize);
-        src.read_at(&mut buf[..n], off)?;
-        dst.write_at(&buf[..n], off)?;
-        off += n as u64;
-    }
-    dst.flush()?;
-    Ok(total)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn copy_dev_roundtrip() {
-        let src = MemDev::with_len(3 << 20);
-        let pattern: Vec<u8> = (0..(3usize << 20)).map(|i| (i % 251) as u8).collect();
-        src.write_at(&pattern, 0).unwrap();
-        let dst = MemDev::new();
-        let n = copy_dev(&src, &dst).unwrap();
-        assert_eq!(n, 3 << 20);
-        let mut back = vec![0u8; 3 << 20];
-        dst.read_at(&mut back, 0).unwrap();
-        assert_eq!(back, pattern);
-    }
-
-    #[test]
-    fn copy_dev_empty() {
-        let src = MemDev::new();
-        let dst = MemDev::new();
-        assert_eq!(copy_dev(&src, &dst).unwrap(), 0);
-    }
 }

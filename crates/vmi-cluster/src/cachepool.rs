@@ -4,18 +4,15 @@
 //! eviction of VMI caches whenever the allocated cache space is full for a
 //! new VMI cache. This can be a policy such as LRU at the node or cloud
 //! level." A [`CachePool`] tracks the cache images stored on one medium
-//! (a compute node's cache partition, or the storage node's memory) and
-//! evicts least-recently-used entries to admit new ones.
+//! (a compute node's cache partition, a rack or zone cache tier, or the
+//! storage node's memory) and evicts least-recently-used entries to admit
+//! new ones.
 //!
-//! The pool is generic over its key ([`PoolKey`]). Human-driven paths keep
-//! `String` names (the default); the cloud controller's hot path keys by
-//! the VMI's integer id instead, so admitting and probing a cache never
-//! allocates or hashes a formatted name (DESIGN.md §16). Keys are rendered
-//! to names only inside the lazily-evaluated observability closures.
-
-use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::Hash;
+//! It is the crate's only LRU: the byte-level runners, the scheduler and
+//! the scale engine's node caches and cache tiers all use it. A pool holds a
+//! handful of images, so entries sit in a `Vec` and every lookup is a linear
+//! scan. Keys are VMI indices, rendered to `vmi-{k}` names only inside the
+//! lazily evaluated observability closures.
 
 use vmi_obs::{met, Event, Obs};
 
@@ -23,55 +20,34 @@ use vmi_obs::{met, Event, Obs};
 /// or simulated time works).
 pub type Stamp = u64;
 
-/// A cache-pool key: hashable for lookup, ordered for deterministic victim
-/// ties, renderable for observability events.
-pub trait PoolKey: Clone + Eq + Hash + Ord {
-    /// Human-readable name used in emitted events.
-    fn render(&self) -> String;
-}
-
-impl PoolKey for String {
-    fn render(&self) -> String {
-        self.clone()
-    }
-}
-
-/// Integer VMI ids as used by the cloud controller; rendered in its
-/// canonical `vmi-{id}` form.
-impl PoolKey for usize {
-    fn render(&self) -> String {
-        format!("vmi-{self}")
-    }
-}
-
 /// One stored cache image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheEntry {
+    /// VMI index the cache belongs to.
+    pub vmi: usize,
     /// Size of the cache image file in bytes.
     pub size: u64,
+    /// When the cache becomes usable (its fill may still be in flight).
+    pub ready_at: Stamp,
     /// Last time this cache was used to boot a VM.
     pub last_used: Stamp,
-    /// Whether the cache latched degraded during a boot (a fill or cluster
-    /// read failed). Degraded caches never warm further and are preferred
-    /// eviction victims.
-    pub degraded: bool,
 }
 
-/// A bounded pool of cache images keyed by VMI name or id.
+/// A bounded pool of cache images keyed by VMI index.
 #[derive(Debug, Clone)]
-pub struct CachePool<K: PoolKey = String> {
+pub struct CachePool {
     capacity: u64,
     used: u64,
-    entries: HashMap<K, CacheEntry>,
+    entries: Vec<CacheEntry>,
 }
 
-impl<K: PoolKey> CachePool<K> {
+impl CachePool {
     /// A pool holding at most `capacity` bytes of cache images.
     pub fn new(capacity: u64) -> Self {
         Self {
             capacity,
             used: 0,
-            entries: HashMap::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -85,160 +61,109 @@ impl<K: PoolKey> CachePool<K> {
         self.capacity
     }
 
-    /// Whether a cache for `vmi` is present.
-    pub fn contains<Q>(&self, vmi: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.entries.contains_key(vmi)
+    #[inline]
+    fn find(&self, vmi: usize) -> Option<usize> {
+        self.entries.iter().position(|e| e.vmi == vmi)
     }
 
-    /// Mark a cache as used now (a VM booted from it).
-    pub fn touch<Q>(&mut self, vmi: &Q, now: Stamp) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        match self.entries.get_mut(vmi) {
-            Some(e) => {
-                e.last_used = now;
-                true
-            }
-            None => false,
-        }
+    /// Whether a cache for `vmi` is present (usable yet or not).
+    #[inline]
+    pub fn contains(&self, vmi: usize) -> bool {
+        self.find(vmi).is_some()
     }
 
-    /// Mark a cache as degraded (its boot latched degraded mode). Degraded
-    /// entries stop warming, so they are the cheapest space to reclaim: the
-    /// LRU victim scan prefers them over healthy entries of any recency.
-    pub fn mark_degraded<Q>(&mut self, vmi: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        match self.entries.get_mut(vmi) {
-            Some(e) => {
-                e.degraded = true;
-                true
-            }
-            None => false,
-        }
+    /// When the cache for `vmi` becomes usable, without counting the
+    /// lookup as a use (the scale engine's tiers touch only usable entries).
+    #[inline]
+    pub(crate) fn ready_at(&self, vmi: usize) -> Option<Stamp> {
+        self.find(vmi).map(|i| self.entries[i].ready_at)
     }
 
-    /// Whether the named cache is marked degraded.
-    pub fn is_degraded<Q>(&self, vmi: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.entries.get(vmi).is_some_and(|e| e.degraded)
+    /// Mark a cache as used now (a VM booted from it). Returns when the
+    /// cache becomes usable, or `None` if the pool holds no such cache.
+    #[inline]
+    pub fn touch(&mut self, vmi: usize, now: Stamp) -> Option<Stamp> {
+        let e = self.entries.iter_mut().find(|e| e.vmi == vmi)?;
+        e.last_used = now;
+        Some(e.ready_at)
     }
 
-    /// The single eviction path: drop `vmi`, release its space, and emit
-    /// the eviction event/metric. Both LRU pressure and explicit removal
-    /// route through here so no eviction escapes observability.
-    fn evict_entry<Q>(&mut self, vmi: &Q, obs: &Obs, node: u64) -> Option<CacheEntry>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let (key, e) = self.entries.remove_entry(vmi)?;
+    /// The single eviction path: drop entry `i`, release its space, and
+    /// emit the eviction event/metric tagged with the owning `node`. Both
+    /// LRU pressure and explicit removal route through here so no eviction
+    /// escapes observability.
+    fn evict_at(&mut self, i: usize, obs: &Obs, node: u64) -> CacheEntry {
+        let e = self.entries.swap_remove(i);
         self.used -= e.size;
         obs.count(met::CACHE_EVICTIONS, 1);
-        let bytes = e.size;
         obs.emit(|| Event::CacheEvict {
             node,
-            vmi: key.render(),
-            bytes,
+            vmi: format!("vmi-{}", e.vmi),
+            bytes: e.size,
         });
-        Some(e)
+        e
     }
 
-    /// Admit a cache of `size` bytes, evicting LRU entries as needed.
-    /// Returns the keys evicted, or `Err(())` if `size` exceeds capacity
-    /// outright (nothing is changed in that case).
-    #[allow(clippy::result_unit_err)]
-    pub fn admit(&mut self, vmi: impl Into<K>, size: u64, now: Stamp) -> Result<Vec<K>, ()> {
-        self.admit_with_obs(vmi, size, now, &Obs::disabled(), 0)
-    }
-
-    /// [`CachePool::admit`] with an observability handle: every LRU victim
-    /// emits a [`Event::CacheEvict`] tagged with the owning `node` and bumps
-    /// [`met::CACHE_EVICTIONS`].
-    #[allow(clippy::result_unit_err)]
-    pub fn admit_with_obs(
+    /// Admit a cache of `size` bytes for `vmi`, usable from `ready_at`,
+    /// evicting LRU entries as needed (the least `(last_used, vmi)` goes
+    /// first). Every victim is pushed onto `evicted`, emits an
+    /// [`Event::CacheEvict`] tagged with the owning `node` and bumps
+    /// [`met::CACHE_EVICTIONS`]. Returns `Err(())` if `size` exceeds
+    /// capacity outright (nothing is changed in that case).
+    ///
+    /// Victims go to a caller's buffer so that a simulator admitting a
+    /// million caches can reuse one instead of allocating per eviction.
+    #[allow(clippy::result_unit_err, clippy::too_many_arguments)]
+    pub fn admit(
         &mut self,
-        vmi: impl Into<K>,
+        vmi: usize,
         size: u64,
+        ready_at: Stamp,
         now: Stamp,
         obs: &Obs,
         node: u64,
-    ) -> Result<Vec<K>, ()> {
+        evicted: &mut Vec<usize>,
+    ) -> Result<(), ()> {
         if size > self.capacity {
             return Err(());
         }
-        let vmi = vmi.into();
         // Replacing an existing entry frees its space first.
-        if let Some(old) = self.entries.remove(&vmi) {
-            self.used -= old.size;
+        if let Some(i) = self.find(vmi) {
+            self.used -= self.entries.swap_remove(i).size;
         }
-        let mut evicted = Vec::new();
         while self.used + size > self.capacity {
-            // Degraded entries go first (they can never warm further);
-            // among equals, plain LRU with the key as the deterministic tie.
-            let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(key, e)| (!e.degraded, e.last_used, (*key).clone()))
-                .map(|(key, _)| key.clone())
+            let Some(victim) = (0..self.entries.len())
+                .min_by_key(|&i| (self.entries[i].last_used, self.entries[i].vmi))
             else {
                 // used > 0 with no entries would mean the accounting broke;
                 // refuse the admit rather than loop forever.
                 return Err(());
             };
-            if self.evict_entry(&victim, obs, node).is_none() {
-                return Err(());
-            }
-            evicted.push(victim);
+            evicted.push(self.evict_at(victim, obs, node).vmi);
         }
         self.used += size;
-        self.entries.insert(
+        self.entries.push(CacheEntry {
             vmi,
-            CacheEntry {
-                size,
-                last_used: now,
-                degraded: false,
-            },
-        );
-        Ok(evicted)
+            size,
+            ready_at,
+            last_used: now,
+        });
+        Ok(())
     }
 
     /// Remove a cache explicitly (VMI deregistered / base image changed —
-    /// immutability means a changed base invalidates its caches, §3).
-    pub fn remove<Q>(&mut self, vmi: &Q) -> Option<CacheEntry>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.remove_with_obs(vmi, &Obs::disabled(), 0)
+    /// immutability means a changed base invalidates its caches, §3). The
+    /// drop is reported exactly like an LRU eviction (same event, same
+    /// counter).
+    pub fn remove(&mut self, vmi: usize, obs: &Obs, node: u64) -> Option<CacheEntry> {
+        let i = self.find(vmi)?;
+        Some(self.evict_at(i, obs, node))
     }
 
-    /// [`CachePool::remove`] with an observability handle: the drop is
-    /// reported exactly like an LRU eviction (same event, same counter).
-    pub fn remove_with_obs<Q>(&mut self, vmi: &Q, obs: &Obs, node: u64) -> Option<CacheEntry>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.evict_entry(vmi, obs, node)
-    }
-
-    /// Keys currently stored, most recently used first.
-    pub fn names_by_recency(&self) -> Vec<K> {
-        let mut v: Vec<(&K, &CacheEntry)> = self.entries.iter().collect();
-        v.sort_by(|a, b| b.1.last_used.cmp(&a.1.last_used).then(a.0.cmp(b.0)));
-        v.into_iter().map(|(n, _)| n.clone()).collect()
+    /// Drop every cache silently (the medium is gone with its node).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.used = 0;
     }
 }
 
@@ -246,101 +171,105 @@ impl<K: PoolKey> CachePool<K> {
 mod tests {
     use super::*;
 
+    fn admit(p: &mut CachePool, vmi: usize, size: u64, now: Stamp) -> Result<Vec<usize>, ()> {
+        let mut evicted = Vec::new();
+        p.admit(vmi, size, now, now, &Obs::disabled(), 0, &mut evicted)?;
+        Ok(evicted)
+    }
+
     #[test]
     fn admit_within_capacity() {
-        let mut p = CachePool::<String>::new(300);
-        assert_eq!(p.admit("a", 100, 1), Ok(vec![]));
-        assert_eq!(p.admit("b", 100, 2), Ok(vec![]));
+        let mut p = CachePool::new(300);
+        assert_eq!(admit(&mut p, 0, 100, 1), Ok(vec![]));
+        assert_eq!(admit(&mut p, 1, 100, 2), Ok(vec![]));
         assert_eq!(p.used(), 200);
-        assert!(p.contains("a"));
+        assert!(p.contains(0));
     }
 
     #[test]
     fn lru_eviction_on_pressure() {
-        let mut p = CachePool::<String>::new(250);
-        p.admit("a", 100, 1).unwrap();
-        p.admit("b", 100, 2).unwrap();
-        p.touch("a", 3); // b is now LRU
-        let evicted = p.admit("c", 100, 4).unwrap();
-        assert_eq!(evicted, vec!["b".to_string()]);
-        assert!(p.contains("a") && p.contains("c") && !p.contains("b"));
+        let mut p = CachePool::new(250);
+        admit(&mut p, 0, 100, 1).unwrap();
+        admit(&mut p, 1, 100, 2).unwrap();
+        p.touch(0, 3); // 1 is now LRU
+        let evicted = admit(&mut p, 2, 100, 4).unwrap();
+        assert_eq!(evicted, vec![1]);
+        assert!(p.contains(0) && p.contains(2) && !p.contains(1));
     }
 
     #[test]
     fn oversized_admit_rejected_without_change() {
-        let mut p = CachePool::<String>::new(100);
-        p.admit("a", 60, 1).unwrap();
-        assert!(p.admit("huge", 150, 2).is_err());
-        assert!(p.contains("a"));
+        let mut p = CachePool::new(100);
+        admit(&mut p, 0, 60, 1).unwrap();
+        assert!(admit(&mut p, 9, 150, 2).is_err());
+        assert!(p.contains(0));
         assert_eq!(p.used(), 60);
     }
 
     #[test]
     fn replacing_entry_frees_old_space() {
-        let mut p = CachePool::<String>::new(200);
-        p.admit("a", 150, 1).unwrap();
+        let mut p = CachePool::new(200);
+        admit(&mut p, 0, 150, 1).unwrap();
         // Re-admit with a different size: no eviction of others needed.
-        p.admit("a", 180, 2).unwrap();
+        admit(&mut p, 0, 180, 2).unwrap();
         assert_eq!(p.used(), 180);
     }
 
     #[test]
     fn multiple_evictions_for_one_admit() {
-        let mut p = CachePool::<String>::new(400);
-        p.admit("a", 100, 1).unwrap();
-        p.admit("b", 100, 2).unwrap();
-        p.admit("c", 100, 3).unwrap();
-        let evicted = p.admit("d", 250, 4).unwrap();
-        assert_eq!(evicted, vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(p.used(), 100 + 250); // c + d
-        assert!(p.contains("c") && p.contains("d"));
+        let mut p = CachePool::new(400);
+        admit(&mut p, 0, 100, 1).unwrap();
+        admit(&mut p, 1, 100, 2).unwrap();
+        admit(&mut p, 2, 100, 3).unwrap();
+        let evicted = admit(&mut p, 3, 250, 4).unwrap();
+        assert_eq!(evicted, vec![0, 1]);
+        assert_eq!(p.used(), 100 + 250); // 2 + 3
+        assert!(p.contains(2) && p.contains(3));
     }
 
     #[test]
     fn remove_frees_space() {
-        let mut p = CachePool::<String>::new(100);
-        p.admit("a", 80, 1).unwrap();
-        assert!(p.remove("a").is_some());
+        let mut p = CachePool::new(100);
+        admit(&mut p, 0, 80, 1).unwrap();
+        assert!(p.remove(0, &Obs::disabled(), 0).is_some());
         assert_eq!(p.used(), 0);
-        assert!(p.remove("a").is_none());
+        assert!(p.remove(0, &Obs::disabled(), 0).is_none());
+        admit(&mut p, 1, 80, 2).unwrap();
+        p.clear();
+        assert_eq!(p.used(), 0);
+        assert!(!p.contains(1));
     }
 
     #[test]
     fn recency_listing() {
-        let mut p = CachePool::<String>::new(1000);
-        p.admit("a", 10, 5).unwrap();
-        p.admit("b", 10, 9).unwrap();
-        p.admit("c", 10, 7).unwrap();
-        assert_eq!(p.names_by_recency(), vec!["b", "c", "a"]);
+        // Victims leave in recency order, least recent first; equal stamps
+        // fall back to the VMI index.
+        let mut p = CachePool::new(40);
+        admit(&mut p, 0, 10, 5).unwrap();
+        admit(&mut p, 1, 10, 9).unwrap();
+        admit(&mut p, 2, 10, 7).unwrap();
+        admit(&mut p, 3, 10, 7).unwrap();
+        assert_eq!(admit(&mut p, 4, 40, 10).unwrap(), vec![0, 2, 3, 1]);
     }
 
     #[test]
     fn touch_missing_returns_false() {
-        let mut p = CachePool::<String>::new(10);
-        assert!(!p.touch("ghost", 1));
+        let mut p = CachePool::new(10);
+        assert_eq!(p.touch(7, 1), None);
     }
 
     #[test]
-    fn degraded_entries_are_preferred_victims() {
-        let mut p = CachePool::<String>::new(250);
-        p.admit("a", 100, 1).unwrap();
-        p.admit("b", 100, 2).unwrap();
-        // b is more recent, but degraded: it must go before LRU a.
-        assert!(p.mark_degraded("b"));
-        assert!(p.is_degraded("b"));
-        let evicted = p.admit("c", 100, 3).unwrap();
-        assert_eq!(evicted, vec!["b".to_string()]);
-        assert!(p.contains("a") && p.contains("c"));
-    }
-
-    #[test]
-    fn readmit_clears_degraded_flag() {
-        let mut p = CachePool::<String>::new(300);
-        p.admit("a", 100, 1).unwrap();
-        p.mark_degraded("a");
-        // A fresh admission is a rebuilt cache: healthy again.
-        p.admit("a", 100, 2).unwrap();
-        assert!(!p.is_degraded("a"));
+    fn touch_reports_when_the_cache_is_usable() {
+        let mut p = CachePool::new(100);
+        assert!(p
+            .admit(0, 50, 90, 10, &Obs::disabled(), 0, &mut Vec::new())
+            .is_ok());
+        admit(&mut p, 1, 50, 15).unwrap();
+        assert_eq!(p.ready_at(0), Some(90));
+        assert_eq!(p.touch(0, 20), Some(90));
+        // The touch made 1 the LRU entry; reading `ready_at` changed nothing.
+        assert_eq!(p.ready_at(1), Some(15));
+        assert_eq!(admit(&mut p, 2, 50, 30).unwrap(), vec![1]);
     }
 
     #[test]
@@ -349,9 +278,9 @@ mod tests {
         use vmi_obs::{ManualClock, RecorderHandle};
         let (rec, sink) = RecorderHandle::jsonl();
         let obs = rec.attach(Arc::new(ManualClock::new(0)));
-        let mut p = CachePool::<String>::new(100);
-        p.admit("a", 80, 1).unwrap();
-        assert!(p.remove_with_obs("a", &obs, 3).is_some());
+        let mut p = CachePool::new(100);
+        admit(&mut p, 0, 80, 1).unwrap();
+        assert!(p.remove(0, &obs, 3).is_some());
         assert_eq!(obs.counter_value(met::CACHE_EVICTIONS), 1);
         let lines = sink.lines();
         assert!(
@@ -363,22 +292,16 @@ mod tests {
     }
 
     #[test]
-    fn mark_degraded_missing_returns_false() {
-        let mut p = CachePool::<String>::new(10);
-        assert!(!p.mark_degraded("ghost"));
-        assert!(!p.is_degraded("ghost"));
-    }
-
-    #[test]
     fn integer_keys_render_canonical_names() {
         use std::sync::Arc;
         use vmi_obs::{ManualClock, RecorderHandle};
         let (rec, sink) = RecorderHandle::jsonl();
         let obs = rec.attach(Arc::new(ManualClock::new(0)));
-        let mut p = CachePool::<usize>::new(200);
-        p.admit_with_obs(7usize, 150, 1, &obs, 0).unwrap();
-        assert!(p.contains(&7usize));
-        let evicted = p.admit_with_obs(9usize, 100, 2, &obs, 0).unwrap();
+        let mut p = CachePool::new(200);
+        let mut evicted = Vec::new();
+        p.admit(7, 150, 1, 1, &obs, 0, &mut evicted).unwrap();
+        assert!(p.contains(7));
+        p.admit(9, 100, 2, 2, &obs, 0, &mut evicted).unwrap();
         assert_eq!(evicted, vec![7]);
         assert!(
             sink.lines().iter().any(|l| l.contains("\"vmi\":\"vmi-7\"")),

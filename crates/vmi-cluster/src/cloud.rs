@@ -230,7 +230,7 @@ fn advance_fleet(
     downed: &mut Vec<DownedCache>,
     now: Ns,
     seed: u64,
-    fleet: &mut [NodeState<usize>],
+    fleet: &mut [NodeState],
     running: &mut Vec<(usize, Ns)>,
     warm_local: &mut HashMap<(usize, usize), Arc<SparseDev>>,
     obs: &Obs,
@@ -289,7 +289,7 @@ fn advance_fleet(
 fn restart_node(
     node: usize,
     now: Ns,
-    fleet: &mut [NodeState<usize>],
+    fleet: &mut [NodeState],
     warm_local: &mut HashMap<(usize, usize), Arc<SparseDev>>,
     downed: &mut Vec<DownedCache>,
     obs: &Obs,
@@ -315,9 +315,11 @@ fn restart_node(
         let mut adopted = false;
         if rec.is_usable() {
             let size = container.len();
-            if let Ok(evicted) = fleet[node]
+            let mut evicted = Vec::new();
+            if fleet[node]
                 .caches
-                .admit_with_obs(v, size, now, obs, node as u64)
+                .admit(v, size, now, now, obs, node as u64, &mut evicted)
+                .is_ok()
             {
                 for ev in evicted {
                     warm_local.remove(&(node, ev));
@@ -356,9 +358,9 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
     let obs = cluster.obs.clone();
     let warm_store = WarmStore::new();
 
-    // Fleet state. Integer-keyed cache pools: the per-request hot path below never
-    // formats or hashes a "vmi-N" string (names appear only in events).
-    let mut fleet: Vec<NodeState<usize>> = (0..cfg.nodes)
+    // Fleet state. Cache pools are keyed by VMI index: the per-request hot
+    // path below never formats a "vmi-N" string (names appear only in events).
+    let mut fleet: Vec<NodeState> = (0..cfg.nodes)
         .map(|i| NodeState::new(i, cfg.slots_per_node, cfg.node_cache_bytes))
         .collect();
     let sched = Scheduler::new(cfg.policy, cfg.cache_aware);
@@ -422,7 +424,7 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
         let mut start_at = req.at;
         let mut rescheduled_from: Option<usize> = None;
         let booted = loop {
-            let Some(decision) = sched.place_with_obs(&mut fleet, &req.vmi, start_at, &obs) else {
+            let Some(decision) = sched.place(&mut fleet, req.vmi, start_at, &obs) else {
                 break None;
             };
             let node_idx = decision.node;
@@ -510,14 +512,15 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
                 .get_or_prepare(&cfg.profile, &cluster.vmis[req.vmi].trace, cfg.quota, 9)
                 .map(|w| w.file_size)
                 .unwrap_or(cfg.quota);
-            if let Ok(evicted) =
-                node.caches
-                    .admit_with_obs(req.vmi, size, req.at, &obs, node_idx as u64)
-            {
-                for v in evicted {
-                    warm_local.remove(&(node_idx, v));
-                    report.evictions += 1;
-                }
+            // A cache larger than the whole pool is simply not kept.
+            let mut evicted = Vec::new();
+            let (at, id) = (req.at, node_idx as u64);
+            let _ = node
+                .caches
+                .admit(req.vmi, size, at, at, &obs, id, &mut evicted);
+            for v in evicted {
+                warm_local.remove(&(node_idx, v));
+                report.evictions += 1;
             }
         }
     }
@@ -770,6 +773,52 @@ mod tests {
         // The full merged event stream is bit-identical per seed.
         let (_, lines2) = run();
         assert_eq!(lines, lines2, "restart day JSONL must be reproducible");
+    }
+
+    #[test]
+    fn power_cut_day_is_pinned() {
+        // Small pools (evictions) plus two power cuts (readoption through
+        // the pools): the whole event stream and every count are pinned.
+        let mut c = cfg(true, true);
+        c.node_cache_bytes = c.profile.unique_read_bytes * 3;
+        let reqs = stream();
+        let at = reqs[reqs.len() / 3].at + 1;
+        c.node_failures = vec![
+            NodeFailure::power_cut(0, at, 4_000_000_000),
+            NodeFailure::power_cut(2, at, 9_000_000_000),
+        ];
+        let (rec, sink) = RecorderHandle::jsonl();
+        c.recorder = rec;
+        let rep = run_cloud(&c, &reqs).unwrap();
+        let jsonl = sink.lines().join("\n");
+        let hash = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let got = format!(
+            "placed={} rejected={} warm={} cold={} evictions={} failures={} rescheduled={} \
+             restarts={} readopted={} refetched={} mean={:?} p95={:?} storage_mb={:?} \
+             jsonl={hash:016x}",
+            rep.placed,
+            rep.rejected,
+            rep.warm_boots,
+            rep.cold_boots,
+            rep.evictions,
+            rep.node_failures,
+            rep.rescheduled_boots,
+            rep.node_restarts,
+            rep.caches_readopted,
+            rep.caches_refetched,
+            rep.mean_boot_secs,
+            rep.p95_boot_secs,
+            rep.storage_traffic_mb,
+        );
+        assert_eq!(
+            got,
+            "placed=48 rejected=12 warm=34 cold=14 evictions=5 failures=2 rescheduled=0 \
+             restarts=2 readopted=3 refetched=1 mean=0.14960798622916666 p95=0.198874905 \
+             storage_mb=42.942464 jsonl=50e404a151ad229e"
+        );
+        assert!(jsonl.contains("\"cache_evict\"") && jsonl.contains("\"vmi\":\"vmi-"));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! [`run_cloud`] (a day of arrivals, evictions and node failures) — all
 //! three on one private byte-level cluster core, differing in what they
 //! decide around its deploy and run steps — and [`run_scale`], the 10k-node
-//! model of the same mechanism.
+//! model of the same mechanism. There is one LRU: a node's cache pool, a
+//! scale node cache and a rack or zone tier are all a [`CachePool`] keyed
+//! by VMI index.
 
 //! ```
 //! use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement};
@@ -44,7 +46,6 @@ pub mod cloud;
 mod cluster;
 pub mod deploy;
 pub mod experiment;
-pub mod intern;
 pub mod mixed;
 pub mod node;
 pub mod placement;
@@ -54,11 +55,10 @@ pub mod telemetry;
 pub mod topology;
 pub mod vm;
 
-pub use cachepool::{CacheEntry, CachePool, PoolKey};
+pub use cachepool::{CacheEntry, CachePool};
 pub use cloud::{generate_requests, run_cloud, CloudConfig, CloudReport, NodeFailure, VmRequest};
 pub use deploy::{build_chain, prepare_warm_cache, ChainSpec, Mode, Placement, WarmCache};
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentOutcome, WarmStore};
-pub use intern::{Sym, SymTable};
 pub use mixed::{run_hybrid_boot, run_mixed_experiment, MixedConfig, MixedOutcome};
 pub use node::{ComputeNode, StorageNode};
 pub use placement::{choose_chain, ChainPlan, StorageCacheLocation, StorageCacheState};

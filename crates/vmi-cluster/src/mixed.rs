@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockError, Result, SharedDev, SparseDev};
-use vmi_obs::RecorderHandle;
+use vmi_obs::{Obs, RecorderHandle};
 use vmi_qcow::{CreateOpts, QcowImage};
 use vmi_sim::NetSpec;
 use vmi_trace::VmiProfile;
@@ -81,10 +81,13 @@ pub fn run_mixed_experiment(cfg: &MixedConfig) -> Result<MixedOutcome> {
     let mut fleet: Vec<NodeState> = (0..cfg.nodes)
         .map(|i| NodeState::new(i, 1, 1 << 30))
         .collect();
+    let obs = Obs::disabled();
+    // The experiment boots one VMI: index 0 of the cluster's catalog.
     for node in fleet.iter_mut().rev().take(warm_count) {
+        let id = node.id as u64;
         if node
             .caches
-            .admit(&cfg.profile.name, warm.file_size, 0)
+            .admit(0, warm.file_size, 0, 0, &obs, id, &mut Vec::new())
             .is_err()
         {
             return Err(BlockError::unsupported(
@@ -99,7 +102,7 @@ pub fn run_mixed_experiment(cfg: &MixedConfig) -> Result<MixedOutcome> {
     let mut vms = Vec::with_capacity(cfg.vms);
     let mut warm_placements = 0;
     for t in 0..cfg.vms {
-        let Some(decision) = sched.place(&mut fleet, &cfg.profile.name, t as u64) else {
+        let Some(decision) = sched.place(&mut fleet, 0, t as u64, &obs) else {
             return Err(BlockError::unsupported(
                 "fleet has no capacity for the next request",
             ));

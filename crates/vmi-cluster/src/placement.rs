@@ -31,10 +31,10 @@ pub enum StorageCacheLocation {
     Disk,
 }
 
-/// Storage-node cache state for placement decisions.
+/// Storage-node cache state for placement decisions, keyed by VMI index.
 #[derive(Debug, Default)]
 pub struct StorageCacheState {
-    entries: std::collections::HashMap<String, StorageCacheLocation>,
+    entries: std::collections::HashMap<usize, StorageCacheLocation>,
 }
 
 impl StorageCacheState {
@@ -44,18 +44,18 @@ impl StorageCacheState {
     }
 
     /// Record a cache for `vmi` at `loc`.
-    pub fn set(&mut self, vmi: impl Into<String>, loc: StorageCacheLocation) {
-        self.entries.insert(vmi.into(), loc);
+    pub fn set(&mut self, vmi: usize, loc: StorageCacheLocation) {
+        self.entries.insert(vmi, loc);
     }
 
     /// Location of the cache for `vmi`, if present.
-    pub fn get(&self, vmi: &str) -> Option<StorageCacheLocation> {
-        self.entries.get(vmi).copied()
+    pub fn get(&self, vmi: usize) -> Option<StorageCacheLocation> {
+        self.entries.get(&vmi).copied()
     }
 
     /// Remove the record for `vmi`.
-    pub fn remove(&mut self, vmi: &str) {
-        self.entries.remove(vmi);
+    pub fn remove(&mut self, vmi: usize) {
+        self.entries.remove(&vmi);
     }
 }
 
@@ -80,17 +80,16 @@ pub enum ChainPlan {
     },
 }
 
-/// Run Algorithm 1 for VMI `base` booting on a node whose local cache pool
-/// is `compute`, with storage-side state `storage`. Touches the local pool's
-/// recency on a hit.
+/// Run Algorithm 1 for VMI index `base` booting on a node whose local cache
+/// pool is `compute`, with storage-side state `storage`. Touches the local
+/// pool's recency on a hit.
 pub fn choose_chain(
     compute: &mut CachePool,
     storage: &StorageCacheState,
-    base: &str,
+    base: usize,
     now: Stamp,
 ) -> ChainPlan {
-    if compute.contains(base) {
-        compute.touch(base, now);
+    if compute.touch(base, now).is_some() {
         return ChainPlan::UseLocalCache;
     }
     if let Some(loc) = storage.get(base) {
@@ -106,31 +105,39 @@ pub fn choose_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmi_obs::Obs;
+
+    const CENTOS: usize = 0;
 
     #[test]
     fn local_cache_wins() {
-        let mut pool = CachePool::new(1000);
-        pool.admit("centos", 100, 1).unwrap();
+        let mut pool = CachePool::new(200);
+        let obs = Obs::disabled();
+        let mut evicted = Vec::new();
+        pool.admit(CENTOS, 100, 1, 1, &obs, 0, &mut evicted)
+            .unwrap();
+        pool.admit(1, 100, 2, 2, &obs, 0, &mut evicted).unwrap();
         let mut storage = StorageCacheState::new();
-        storage.set("centos", StorageCacheLocation::Memory);
+        storage.set(CENTOS, StorageCacheLocation::Memory);
         // Local beats storage even when both exist ("prefers chaining to a
         // local cache (if it exists) to avoid the network as much as
         // possible").
         assert_eq!(
-            choose_chain(&mut pool, &storage, "centos", 5),
+            choose_chain(&mut pool, &storage, CENTOS, 5),
             ChainPlan::UseLocalCache
         );
-        // Recency was updated.
-        assert_eq!(pool.names_by_recency()[0], "centos");
+        // Recency was updated: the other cache is now the LRU victim.
+        pool.admit(2, 100, 6, 6, &obs, 0, &mut evicted).unwrap();
+        assert_eq!(evicted, vec![1]);
     }
 
     #[test]
     fn storage_memory_cache_chained_directly() {
         let mut pool = CachePool::new(1000);
         let mut storage = StorageCacheState::new();
-        storage.set("debian", StorageCacheLocation::Memory);
+        storage.set(1, StorageCacheLocation::Memory);
         assert_eq!(
-            choose_chain(&mut pool, &storage, "debian", 1),
+            choose_chain(&mut pool, &storage, 1, 1),
             ChainPlan::ChainToStorageCache {
                 copy_to_tmpfs: false
             }
@@ -141,9 +148,9 @@ mod tests {
     fn storage_disk_cache_requires_tmpfs_copy() {
         let mut pool = CachePool::new(1000);
         let mut storage = StorageCacheState::new();
-        storage.set("win", StorageCacheLocation::Disk);
+        storage.set(2, StorageCacheLocation::Disk);
         assert_eq!(
-            choose_chain(&mut pool, &storage, "win", 1),
+            choose_chain(&mut pool, &storage, 2, 1),
             ChainPlan::ChainToStorageCache {
                 copy_to_tmpfs: true
             }
@@ -155,7 +162,7 @@ mod tests {
         let mut pool = CachePool::new(1000);
         let storage = StorageCacheState::new();
         assert_eq!(
-            choose_chain(&mut pool, &storage, "new-vmi", 1),
+            choose_chain(&mut pool, &storage, 3, 1),
             ChainPlan::CreateLocalCache {
                 transfer_to_storage_on_shutdown: true
             }
@@ -166,10 +173,10 @@ mod tests {
     fn removed_storage_entry_falls_through() {
         let mut pool = CachePool::new(1000);
         let mut storage = StorageCacheState::new();
-        storage.set("x", StorageCacheLocation::Memory);
-        storage.remove("x");
+        storage.set(4, StorageCacheLocation::Memory);
+        storage.remove(4);
         assert!(matches!(
-            choose_chain(&mut pool, &storage, "x", 1),
+            choose_chain(&mut pool, &storage, 4, 1),
             ChainPlan::CreateLocalCache { .. }
         ));
     }

@@ -22,14 +22,16 @@
 //!    closed set and can be processed rack-parallel.
 //!
 //! State is O(active fills), not O(boots): arrivals are injected one wave at
-//! a time, identifiers are interned `u32` handles ([`crate::intern`]), and
-//! per-boot records are kept only on request ([`ScaleConfig::keep_records`]).
+//! a time, images are `u32` indices, and per-boot records are kept only on
+//! request ([`ScaleConfig::keep_records`]). Node caches and the rack and
+//! zone tiers are the crate's one LRU, [`CachePool`].
 
 use std::collections::HashMap;
 
+use vmi_obs::{Histogram, HistogramSnapshot, Obs};
 use vmi_sim::{EventKey, Link, LinkStats, Ns, Shard, ShardedEventQueue, SEC};
 
-use crate::intern::{Sym, SymTable};
+use crate::cachepool::CachePool;
 use crate::topology::Topology;
 
 const TAG_ARRIVE: u8 = 0;
@@ -109,7 +111,7 @@ pub struct BootRecord {
     pub boot: u64,
     /// Global node id.
     pub node: u32,
-    /// Image handle into [`ScaleConfig::catalog`].
+    /// Image index (`img-{k}`, `k < ScaleConfig::images`).
     pub image: u32,
     /// Arrival time.
     pub at: Ns,
@@ -129,8 +131,8 @@ pub struct BootRecord {
 pub struct ScaleConfig {
     /// Cache-distribution topology.
     pub topology: Topology,
-    /// Image catalog; handle `k` is drawn with Zipf weight `1/(k+1)`.
-    pub catalog: SymTable,
+    /// Catalog size; image `k` is drawn with Zipf weight `1/(k+1)`.
+    pub images: usize,
     /// Size of every image.
     pub image_bytes: u64,
     /// Node-local cache capacity.
@@ -155,14 +157,9 @@ impl ScaleConfig {
     /// Defaults sized like the paper's workload: 64 MiB images, 256 MiB
     /// node caches, 4 waves 30 s apart, 2 s CPU boot.
     pub fn new(topology: Topology, images: usize) -> Self {
-        let images = images.max(1);
-        let mut catalog = SymTable::with_capacity(images);
-        for k in 0..images {
-            catalog.intern(&format!("img-{k}"));
-        }
         Self {
             topology,
-            catalog,
+            images: images.max(1),
             image_bytes: 64 << 20,
             node_cache_bytes: 256 << 20,
             waves: 4,
@@ -183,7 +180,7 @@ impl ScaleConfig {
     /// Panic on configurations the engine cannot run.
     pub fn validate(&self) {
         self.topology.validate();
-        assert!(!self.catalog.is_empty(), "need at least one image");
+        assert!(self.images >= 1, "need at least one image");
         assert!(
             self.image_bytes > 0 && self.image_bytes <= self.node_cache_bytes,
             "node cache must hold at least one image"
@@ -231,7 +228,7 @@ pub struct ScaleReport {
     pub makespan_ns: Ns,
     /// Mean arrival→running latency.
     pub mean_boot_ns: f64,
-    /// Median boot latency (log2-bucket upper edge).
+    /// Median boot latency ([`Histogram`] log2-bucket upper edge).
     pub p50_boot_ns: u64,
     /// 99th-percentile boot latency (log2-bucket upper edge).
     pub p99_boot_ns: u64,
@@ -245,15 +242,14 @@ pub struct ScaleReport {
 impl ScaleReport {
     /// Render kept records as JSONL, one boot per line in boot-id order.
     /// Identical across serial and sharded runs of the same seed.
-    pub fn jsonl(&self, catalog: &SymTable) -> String {
+    pub fn jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            let img = catalog.resolve(Sym(r.image)).unwrap_or("?");
             out.push_str(&format!(
-                "{{\"boot\":{},\"node\":\"n{}\",\"img\":\"{}\",\"at\":{},\"done\":{},\"src\":\"{}\"",
+                "{{\"boot\":{},\"node\":\"n{}\",\"img\":\"img-{}\",\"at\":{},\"done\":{},\"src\":\"{}\"",
                 r.boot,
                 r.node,
-                img,
+                r.image,
                 r.at,
                 r.done,
                 r.src.name()
@@ -294,25 +290,6 @@ fn fill_key(image: u32, gen: u32) -> u64 {
     ((image as u64) << 32) | gen as u64
 }
 
-/// Latency histogram bucket: `⌊log2⌋ + 1` (0 for 0).
-fn bucket(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-fn bucket_edge(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else if b >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << b) - 1
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Simulation state
 // ---------------------------------------------------------------------------
@@ -323,133 +300,36 @@ enum Ev {
     FillDone { node: u32, image: u32, gen: u32 },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct NodeEntry {
-    image: u32,
-    bytes: u64,
-    warm_at: Ns,
-    last_used: Ns,
+/// A rack or zone tier serves `image` only once its fill has landed: an
+/// entry still arriving is a miss and keeps its recency.
+fn tier_hit(tier: &mut CachePool, image: u32, now: Ns) -> Option<Ns> {
+    let ready_at = tier.ready_at(image as usize)?;
+    if ready_at > now {
+        return None;
+    }
+    tier.touch(image as usize, now)
 }
 
-/// A node-local image cache: small (a handful of images), linear-scanned,
-/// LRU-evicted. `warm_at` may lie in the future while the fill's last rack
-/// leg is still in flight.
-#[derive(Debug)]
-struct NodeCache {
-    cap: u64,
-    used: u64,
-    entries: Vec<NodeEntry>,
-}
-
-impl NodeCache {
-    fn new(cap: u64) -> Self {
-        Self {
-            cap,
-            used: 0,
-            entries: Vec::new(),
-        }
-    }
-
-    fn probe(&mut self, image: u32, now: Ns) -> Option<Ns> {
-        let e = self.entries.iter_mut().find(|e| e.image == image)?;
-        e.last_used = now;
-        Some(e.warm_at)
-    }
-
-    fn touch(&mut self, image: u32, now: Ns) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.image == image) {
-            e.last_used = now;
-        }
-    }
-
-    /// Insert `image`, evicting LRU entries to fit; returns evicted images.
-    fn insert(&mut self, image: u32, bytes: u64, warm_at: Ns, now: Ns) -> Vec<u32> {
-        let mut evicted = Vec::new();
-        while self.used + bytes > self.cap && !self.entries.is_empty() {
-            let mut victim = 0;
-            for i in 1..self.entries.len() {
-                let v = &self.entries[victim];
-                let c = &self.entries[i];
-                if (c.last_used, c.image) < (v.last_used, v.image) {
-                    victim = i;
-                }
-            }
-            let gone = self.entries.remove(victim);
-            self.used -= gone.bytes;
-            evicted.push(gone.image);
-        }
-        self.used += bytes;
-        self.entries.push(NodeEntry {
-            image,
-            bytes,
-            warm_at,
-            last_used: now,
-        });
-        evicted
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TierEntry {
+/// Stage `image` in a rack or zone tier unless the tier already holds it
+/// (landed or still arriving) or is disabled (capacity 0). Returns the LRU
+/// evictions it caused; `scratch` is a reused victim buffer, left empty.
+fn tier_admit(
+    tier: &mut CachePool,
     image: u32,
     bytes: u64,
     ready_at: Ns,
-    last_used: Ns,
-}
-
-/// A rack- or zone-level cache tier. Capacity 0 disables the tier.
-#[derive(Debug)]
-struct TierCache {
-    cap: u64,
-    used: u64,
-    entries: Vec<TierEntry>,
-    evictions: u64,
-}
-
-impl TierCache {
-    fn new(cap: u64) -> Self {
-        Self {
-            cap,
-            used: 0,
-            entries: Vec::new(),
-            evictions: 0,
-        }
+    now: Ns,
+    scratch: &mut Vec<usize>,
+) -> u64 {
+    if tier.contains(image as usize) {
+        return 0;
     }
-
-    fn probe(&mut self, image: u32, now: Ns) -> Option<Ns> {
-        let e = self.entries.iter_mut().find(|e| e.image == image)?;
-        if e.ready_at > now {
-            return None;
-        }
-        e.last_used = now;
-        Some(e.ready_at)
-    }
-
-    fn insert(&mut self, image: u32, bytes: u64, ready_at: Ns, now: Ns) {
-        if self.cap == 0 || bytes > self.cap || self.entries.iter().any(|e| e.image == image) {
-            return;
-        }
-        while self.used + bytes > self.cap && !self.entries.is_empty() {
-            let mut victim = 0;
-            for i in 1..self.entries.len() {
-                let v = &self.entries[victim];
-                let c = &self.entries[i];
-                if (c.last_used, c.image) < (v.last_used, v.image) {
-                    victim = i;
-                }
-            }
-            let gone = self.entries.remove(victim);
-            self.used -= gone.bytes;
-            self.evictions += 1;
-        }
-        self.used += bytes;
-        self.entries.push(TierEntry {
-            image,
-            bytes,
-            ready_at,
-            last_used: now,
-        });
-    }
+    let obs = Obs::disabled();
+    // A disabled tier rejects every image; that is not an error here.
+    let _ = tier.admit(image as usize, bytes, ready_at, now, &obs, 0, scratch);
+    let evictions = scratch.len() as u64;
+    scratch.clear();
+    evictions
 }
 
 /// An in-flight intra-rack peer transfer (the only truncatable kind).
@@ -500,7 +380,7 @@ struct RackAgg {
     node_evictions: u64,
     peer_truncations: u64,
     peer_degrades: u64,
-    hist: [u64; 65],
+    hist: Histogram,
     lat_sum: u128,
     max_done: Ns,
     digest: u64,
@@ -519,7 +399,7 @@ impl RackAgg {
             node_evictions: 0,
             peer_truncations: 0,
             peer_degrades: 0,
-            hist: [0; 65],
+            hist: Histogram::default(),
             lat_sum: 0,
             max_done: 0,
             digest: FNV_BASIS,
@@ -533,7 +413,7 @@ impl RackAgg {
     fn record(&mut self, keep: bool, rec: BootRecord) {
         self.boots += 1;
         let lat = rec.done.saturating_sub(rec.at);
-        self.hist[bucket(lat)] += 1;
+        self.hist.record(lat);
         self.lat_sum += lat as u128;
         self.max_done = self.max_done.max(rec.done);
         let fb = rec.fallback.map_or(0, |f| f.tag() + 1);
@@ -559,13 +439,18 @@ impl RackAgg {
 struct RackState {
     rack: u32,
     node0: u32,
-    caches: Vec<NodeCache>,
+    /// Node caches; an entry's `ready_at` may lie in the future while the
+    /// fill's last rack leg is still in flight.
+    caches: Vec<CachePool>,
     pending: HashMap<(u32, u32), Pending>,
     /// image → warm holders, sorted by node id.
     registry: HashMap<u32, Vec<(u32, Ns)>>,
     transfers: Vec<Transfer>,
     link: Link,
-    tier: TierCache,
+    tier: CachePool,
+    tier_evictions: u64,
+    /// Victim buffer for node and rack-tier admits, reused across fills.
+    evicted: Vec<usize>,
     next_gen: u32,
     agg: RackAgg,
 }
@@ -574,7 +459,10 @@ struct RackState {
 struct SharedState {
     storage: Link,
     zone_links: Vec<Link>,
-    zone_tiers: Vec<TierCache>,
+    zone_tiers: Vec<CachePool>,
+    zone_tier_evictions: u64,
+    /// Victim buffer for zone-tier admits.
+    evicted: Vec<usize>,
 }
 
 /// A rack-handler request against shared-phase resources. Sorting by
@@ -632,7 +520,7 @@ fn handle_arrive(
     let ib = cfg.image_bytes;
 
     // 1. Warm hit: the image is (or will shortly be) in the node cache.
-    if let Some(warm_at) = rk.caches[ni].probe(image, t) {
+    if let Some(warm_at) = rk.caches[ni].touch(image as usize, t) {
         rk.agg.warm_hits += 1;
         rk.agg.record(
             cfg.keep_records,
@@ -691,7 +579,7 @@ fn handle_arrive(
                 }
                 rk.agg.peer_degrades += 1;
                 p.seg0 = Some((FillSource::Peer, served));
-                if let Some(ready) = rk.tier.probe(image, t_fail) {
+                if let Some(ready) = tier_hit(&mut rk.tier, image, t_fail) {
                     let end = rk.link.transfer(t_fail.max(ready), rest);
                     p.seg1 = Some((FillSource::Rack, rest));
                     p.warm_at = end;
@@ -720,7 +608,7 @@ fn handle_arrive(
             } else {
                 // Healthy peer: full image across the rack link; registered
                 // as truncatable until it completes.
-                rk.caches[(src - rk.node0) as usize].touch(image, t);
+                rk.caches[(src - rk.node0) as usize].touch(image as usize, t);
                 let end = rk.link.transfer(t, ib);
                 rk.transfers.push(Transfer {
                     src_node: src,
@@ -749,7 +637,7 @@ fn handle_arrive(
     }
 
     // 3b. Rack tier.
-    if let Some(ready) = rk.tier.probe(image, t) {
+    if let Some(ready) = tier_hit(&mut rk.tier, image, t) {
         let end = rk.link.transfer(t.max(ready), ib);
         p.seg0 = Some((FillSource::Rack, ib));
         p.warm_at = end;
@@ -813,20 +701,33 @@ fn handle_filldone(
     rk.transfers
         .retain(|tr| tr.end > t && !(tr.dst_node == node && tr.image == image));
 
-    // Install into the node cache; evictions may truncate outgoing peers.
+    // Install into the node cache (`validate` guarantees an image fits);
+    // evictions may truncate outgoing peers.
     let ni = (node - rk.node0) as usize;
-    let evicted = rk.caches[ni].insert(image, cfg.image_bytes, warm, t);
+    let mut evicted = std::mem::take(&mut rk.evicted);
+    let (img, obs) = (image as usize, Obs::disabled());
+    let _ = rk.caches[ni].admit(
+        img,
+        cfg.image_bytes,
+        warm,
+        t,
+        &obs,
+        node as u64,
+        &mut evicted,
+    );
     rk.agg.node_evictions += evicted.len() as u64;
-    for gone in evicted {
-        process_eviction(cfg, rk, shard, key, node, gone, t, effects, base);
+    for gone in evicted.drain(..) {
+        process_eviction(cfg, rk, shard, key, node, gone as u32, t, effects, base);
     }
+    rk.evicted = evicted;
 
     // Fills that crossed the zone boundary also populate the rack tier.
     let from_above = |s: &Option<(FillSource, u64)>| {
         matches!(s, Some((FillSource::Zone | FillSource::Storage, _)))
     };
     if from_above(&p.seg0) || from_above(&p.seg1) {
-        rk.tier.insert(image, cfg.image_bytes, warm, t);
+        let (bytes, scratch) = (cfg.image_bytes, &mut rk.evicted);
+        rk.tier_evictions += tier_admit(&mut rk.tier, image, bytes, warm, t, scratch);
     }
 
     // Advertise this node as a warm holder for peer fetch.
@@ -916,7 +817,8 @@ fn process_eviction(
             let served = if t <= tr.start {
                 0
             } else {
-                tr.bytes * (t - tr.start) / (tr.end - tr.start)
+                // u128: a 64 MiB image times ≥ 2^38 ns overflows u64.
+                (tr.bytes as u128 * (t - tr.start) as u128 / (tr.end - tr.start) as u128) as u64
             };
             let rest = tr.bytes - served;
             if let Some(p) = rk.pending.get_mut(&(tr.dst_node, tr.image)) {
@@ -925,7 +827,7 @@ fn process_eviction(
                 rk.next_gen += 1;
                 p.gen = rk.next_gen;
                 let gen = p.gen;
-                if let Some(ready) = rk.tier.probe(image, t) {
+                if let Some(ready) = tier_hit(&mut rk.tier, image, t) {
                     let end = rk.link.transfer(t.max(ready), rest);
                     p.seg1 = Some((FillSource::Rack, rest));
                     p.warm_at = end;
@@ -978,7 +880,8 @@ fn process_effect(
     ef: Effect,
 ) {
     let zone = cfg.topology.zone_of(ef.rack as usize);
-    let (src, end) = if let Some(ready) = shared.zone_tiers[zone].probe(ef.image, ef.start) {
+    let (src, end) = if let Some(ready) = tier_hit(&mut shared.zone_tiers[zone], ef.image, ef.start)
+    {
         (
             FillSource::Zone,
             shared.zone_links[zone].transfer(ef.start.max(ready), ef.bytes),
@@ -986,7 +889,14 @@ fn process_effect(
     } else {
         let t1 = shared.storage.transfer(ef.start, ef.bytes);
         let end = shared.zone_links[zone].transfer(t1, ef.bytes);
-        shared.zone_tiers[zone].insert(ef.image, cfg.image_bytes, end, ef.start);
+        shared.zone_tier_evictions += tier_admit(
+            &mut shared.zone_tiers[zone],
+            ef.image,
+            cfg.image_bytes,
+            end,
+            ef.start,
+            &mut shared.evicted,
+        );
         (FillSource::Storage, end)
     };
     let rk = &mut racks[ef.rack as usize];
@@ -1025,13 +935,15 @@ fn init_racks(cfg: &ScaleConfig) -> Vec<RackState> {
                 rack: r as u32,
                 node0: start as u32,
                 caches: (0..count)
-                    .map(|_| NodeCache::new(cfg.node_cache_bytes))
+                    .map(|_| CachePool::new(cfg.node_cache_bytes))
                     .collect(),
                 pending: HashMap::new(),
                 registry: HashMap::new(),
                 transfers: Vec::new(),
                 link: Link::new(topo.rack_link),
-                tier: TierCache::new(topo.rack_cache_bytes),
+                tier: CachePool::new(topo.rack_cache_bytes),
+                tier_evictions: 0,
+                evicted: Vec::new(),
                 next_gen: 0,
                 agg: RackAgg::new(),
             }
@@ -1047,8 +959,10 @@ fn init_shared(cfg: &ScaleConfig) -> SharedState {
             .map(|_| Link::new(topo.zone_link))
             .collect(),
         zone_tiers: (0..topo.zones())
-            .map(|_| TierCache::new(topo.zone_cache_bytes))
+            .map(|_| CachePool::new(topo.zone_cache_bytes))
             .collect(),
+        zone_tier_evictions: 0,
+        evicted: Vec::new(),
     }
 }
 
@@ -1076,7 +990,7 @@ fn inject_wave(queue: &mut ShardedEventQueue<Ev>, cfg: &ScaleConfig, cum: &[f64]
 
 /// Serial reference: strict global key order, effects processed immediately.
 fn run_serial(cfg: &ScaleConfig) -> ScaleReport {
-    let cum = zipf_cum(cfg.catalog.len());
+    let cum = zipf_cum(cfg.images);
     let mut racks = init_racks(cfg);
     let mut shared = init_shared(cfg);
     let mut queue = ShardedEventQueue::new(1, cfg.topology.racks());
@@ -1126,7 +1040,7 @@ fn process_batch(
 /// phase between epochs. Identical output to [`run_serial`] for any shard
 /// count (the proptest and the bench's determinism gate both check this).
 fn run_epochs(cfg: &ScaleConfig) -> ScaleReport {
-    let cum = zipf_cum(cfg.catalog.len());
+    let cum = zipf_cum(cfg.images);
     let mut racks = init_racks(cfg);
     let mut shared = init_shared(cfg);
     let mut queue = ShardedEventQueue::new(cfg.shards, cfg.topology.racks());
@@ -1209,7 +1123,7 @@ fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> Scal
         fill_bytes: 0,
         node_evictions: 0,
         rack_tier_evictions: 0,
-        zone_tier_evictions: shared.zone_tiers.iter().map(|t| t.evictions).sum(),
+        zone_tier_evictions: shared.zone_tier_evictions,
         peer_truncations: 0,
         peer_degrades: 0,
         storage_link: shared.storage.stats(),
@@ -1222,7 +1136,7 @@ fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> Scal
         digest: FNV_BASIS,
         records: Vec::new(),
     };
-    let mut hist = [0u64; 65];
+    let mut hist = HistogramSnapshot::default();
     let mut lat_sum = 0u128;
     for rk in racks {
         let a = rk.agg;
@@ -1235,14 +1149,12 @@ fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> Scal
         }
         report.fill_bytes += a.fill_bytes;
         report.node_evictions += a.node_evictions;
-        report.rack_tier_evictions += rk.tier.evictions;
+        report.rack_tier_evictions += rk.tier_evictions;
         report.peer_truncations += a.peer_truncations;
         report.peer_degrades += a.peer_degrades;
         report.rack_link_bytes += rk.link.stats().bytes;
         report.makespan_ns = report.makespan_ns.max(a.max_done);
-        for (i, n) in a.hist.iter().enumerate() {
-            hist[i] += n;
-        }
+        hist.merge(&a.hist.snapshot());
         lat_sum += a.lat_sum;
         report.digest = (report.digest ^ a.digest).wrapping_mul(FNV_PRIME);
         report.records.extend(a.records);
@@ -1251,22 +1163,10 @@ fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> Scal
     report.records.sort_unstable_by_key(|r| r.boot);
     if report.boots > 0 {
         report.mean_boot_ns = lat_sum as f64 / report.boots as f64;
-        report.p50_boot_ns = percentile(&hist, report.boots, 0.50);
-        report.p99_boot_ns = percentile(&hist, report.boots, 0.99);
+        report.p50_boot_ns = hist.quantile(0.50);
+        report.p99_boot_ns = hist.quantile(0.99);
     }
     report
-}
-
-fn percentile(hist: &[u64; 65], count: u64, q: f64) -> u64 {
-    let target = ((count as f64 * q).ceil() as u64).max(1);
-    let mut acc = 0u64;
-    for (b, &n) in hist.iter().enumerate() {
-        acc += n;
-        if acc >= target {
-            return bucket_edge(b);
-        }
-    }
-    u64::MAX
 }
 
 /// Run one scale experiment: serial reference when `cfg.shards == 0`, the
@@ -1305,13 +1205,13 @@ mod tests {
             cfg.degrade_ppm = 200_000; // stress the fallback paths too
             let reference = run_scale(&cfg);
             assert_eq!(reference.boots, cfg.boots());
-            let ref_jsonl = reference.jsonl(&cfg.catalog);
+            let ref_jsonl = reference.jsonl();
             for shards in [1usize, 2, 8] {
                 let mut c = cfg.clone();
                 c.shards = shards;
                 let got = run_scale(&c);
                 assert_eq!(got.digest, reference.digest, "digest @ {shards} shards");
-                assert_eq!(got.jsonl(&c.catalog), ref_jsonl, "jsonl @ {shards} shards");
+                assert_eq!(got.jsonl(), ref_jsonl, "jsonl @ {shards} shards");
                 assert_eq!(got.storage_link, reference.storage_link);
                 assert_eq!(got.fills, reference.fills);
                 assert_eq!(got.makespan_ns, reference.makespan_ns);
@@ -1427,13 +1327,42 @@ mod tests {
     }
 
     #[test]
+    fn long_truncated_peer_transfer_keeps_exact_byte_counts() {
+        // 64 MiB over a 100 kB/s rack link takes ~11 minutes, so a source
+        // evicts the image well past 2^38 ns into the transfer: the bytes
+        // served so far must not overflow their product.
+        let mut topo = Topology::tiered_p2p(4, 0, 0).with_fanout(4, 1);
+        topo.rack_link = NetSpec {
+            bw_bps: 100_000,
+            ..NetSpec::tor_25g()
+        };
+        // (seed, truncations, peer bytes): the served prefix of each
+        // truncated transfer is exact, not a wrapped product.
+        for (seed, truncations, peer_bytes) in
+            [(1u64, 2, 8_320_623), (3, 1, 4_642_913), (15, 5, 7_623_680)]
+        {
+            let mut cfg = ScaleConfig::new(topo.clone(), 3);
+            cfg.node_cache_bytes = cfg.image_bytes;
+            cfg.waves = 12;
+            cfg.wave_gap_ns = 400 * SEC;
+            cfg.seed = seed;
+            cfg.keep_records = true;
+            let rep = run_scale(&cfg);
+            assert_eq!(rep.peer_truncations, truncations, "seed {seed}");
+            assert_eq!(rep.tier_bytes[0], peer_bytes, "seed {seed}");
+            assert_eq!(rep.tier_bytes.iter().sum::<u64>(), rep.fill_bytes);
+            for r in &rep.records {
+                if !matches!(r.src, FillSource::Warm | FillSource::Join) {
+                    assert_eq!(r.fill_bytes, cfg.image_bytes, "seed {seed} boot {}", r.boot);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn joins_and_warm_hits_dominate_repeat_waves() {
         let mut cfg = small_cfg(Topology::tiered(64, 64 << 20, 256 << 20), 5);
-        cfg.catalog = {
-            let mut t = SymTable::new();
-            t.intern("img-only");
-            t
-        };
+        cfg.images = 1;
         let rep = run_scale(&cfg);
         // One image, 4 waves: wave 1 fills, later waves are all warm hits.
         assert_eq!(rep.boots, 256);

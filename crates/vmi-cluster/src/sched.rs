@@ -10,12 +10,9 @@
 //! nodes holding a warm cache for the requested VMI whenever any such node
 //! has capacity.
 
-use std::borrow::Borrow;
-use std::hash::Hash;
-
 use vmi_obs::{met, Event, Obs};
 
-use crate::cachepool::{CachePool, PoolKey, Stamp};
+use crate::cachepool::{CachePool, Stamp};
 
 /// Base placement strategy (the OpenNebula options of §3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,11 +27,9 @@ pub enum Policy {
     LoadAware,
 }
 
-/// Scheduler's view of one compute node. Generic over the cache-pool key:
-/// `String` VMI names by default, integer ids on the cloud controller's
-/// hot path (see [`PoolKey`]).
+/// Scheduler's view of one compute node.
 #[derive(Debug)]
-pub struct NodeState<K: PoolKey = String> {
+pub struct NodeState {
     /// Stable node identifier.
     pub id: usize,
     /// VMs currently running.
@@ -47,10 +42,10 @@ pub struct NodeState<K: PoolKey = String> {
     /// their caches are unreachable until the node is restored.
     pub up: bool,
     /// The node's local VMI-cache pool.
-    pub caches: CachePool<K>,
+    pub caches: CachePool,
 }
 
-impl<K: PoolKey> NodeState<K> {
+impl NodeState {
     /// A node with `capacity` VM slots and `cache_bytes` of cache space.
     pub fn new(id: usize, capacity: usize, cache_bytes: u64) -> Self {
         Self {
@@ -73,10 +68,7 @@ impl<K: PoolKey> NodeState<K> {
     pub fn fail(&mut self) {
         self.up = false;
         self.running_vms = 0;
-        let names = self.caches.names_by_recency();
-        for name in names {
-            self.caches.remove(&name);
-        }
+        self.caches.clear();
     }
 
     /// Bring a previously failed node back, empty.
@@ -111,36 +103,18 @@ impl Scheduler {
         }
     }
 
-    /// Place one VM booting from `vmi`. Updates the chosen node's VM count
-    /// and cache recency. Returns `None` when no node has room.
-    pub fn place<K, Q>(
+    /// Place one VM booting from VMI index `vmi`. Updates the chosen node's
+    /// VM count and cache recency. Returns `None` when no node has room.
+    /// Each decision bumps [`met::SCHED_PLACEMENTS`] and emits a
+    /// [`Event::SchedPlace`]; the VMI is rendered to a name only inside the
+    /// lazy event closure, so the hot path stays allocation-free.
+    pub fn place(
         &self,
-        nodes: &mut [NodeState<K>],
-        vmi: &Q,
-        now: Stamp,
-    ) -> Option<PlacementDecision>
-    where
-        K: PoolKey + Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
-        self.place_with_obs(nodes, vmi, now, &Obs::disabled())
-    }
-
-    /// [`Scheduler::place`] with an observability handle: each decision
-    /// bumps [`met::SCHED_PLACEMENTS`] and emits a [`Event::SchedPlace`].
-    /// The VMI key is rendered to a name only inside the lazy event
-    /// closure, so the hot path stays allocation-free.
-    pub fn place_with_obs<K, Q>(
-        &self,
-        nodes: &mut [NodeState<K>],
-        vmi: &Q,
+        nodes: &mut [NodeState],
+        vmi: usize,
         now: Stamp,
         obs: &Obs,
-    ) -> Option<PlacementDecision>
-    where
-        K: PoolKey + Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
+    ) -> Option<PlacementDecision> {
         let candidates: Vec<usize> = (0..nodes.len()).filter(|&i| nodes[i].has_room()).collect();
         if candidates.is_empty() {
             return None;
@@ -168,11 +142,11 @@ impl Scheduler {
         })?;
         let node = &mut nodes[best];
         node.running_vms += 1;
-        let cache_hit = node.caches.touch(vmi, now);
+        let cache_hit = node.caches.touch(vmi, now).is_some();
         obs.count(met::SCHED_PLACEMENTS, 1);
         let node_id = node.id;
         obs.emit(|| Event::SchedPlace {
-            vmi: vmi.to_owned().render(),
+            vmi: format!("vmi-{vmi}"),
             node: node_id as u64,
             cache_hit,
         });
@@ -183,7 +157,7 @@ impl Scheduler {
     }
 
     /// Lower rank = preferred.
-    fn rank<K: PoolKey>(&self, n: &NodeState<K>) -> (f64, usize) {
+    fn rank(&self, n: &NodeState) -> (f64, usize) {
         match self.policy {
             // Packing prefers fuller nodes (but never full ones — filtered).
             Policy::Packing => (-(n.running_vms as f64), n.id),
@@ -193,7 +167,7 @@ impl Scheduler {
     }
 
     /// Release one VM slot on `node` (VM terminated).
-    pub fn release<K: PoolKey>(nodes: &mut [NodeState<K>], node: usize) {
+    pub fn release(nodes: &mut [NodeState], node: usize) {
         if let Some(n) = nodes.iter_mut().find(|n| n.id == node) {
             n.running_vms = n.running_vms.saturating_sub(1);
         }
@@ -208,12 +182,29 @@ mod tests {
         (0..n).map(|i| NodeState::new(i, 4, 1000)).collect()
     }
 
+    fn place(
+        s: &Scheduler,
+        nodes: &mut [NodeState],
+        vmi: usize,
+        now: Stamp,
+    ) -> Option<PlacementDecision> {
+        s.place(nodes, vmi, now, &Obs::disabled())
+    }
+
+    fn warm(node: &mut NodeState, vmi: usize) {
+        let id = node.id as u64;
+        let admitted = node
+            .caches
+            .admit(vmi, 100, 0, 0, &Obs::disabled(), id, &mut Vec::new());
+        assert!(admitted.is_ok());
+    }
+
     #[test]
     fn striping_spreads() {
         let s = Scheduler::new(Policy::Striping, false);
         let mut nodes = fleet(3);
         let picks: Vec<usize> = (0..6)
-            .map(|t| s.place(&mut nodes, "v", t).unwrap().node)
+            .map(|t| place(&s, &mut nodes, 0, t).unwrap().node)
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -223,7 +214,7 @@ mod tests {
         let s = Scheduler::new(Policy::Packing, false);
         let mut nodes = fleet(3);
         let picks: Vec<usize> = (0..5)
-            .map(|t| s.place(&mut nodes, "v", t).unwrap().node)
+            .map(|t| place(&s, &mut nodes, 0, t).unwrap().node)
             .collect();
         assert_eq!(
             picks,
@@ -238,16 +229,16 @@ mod tests {
         let mut nodes = fleet(2);
         nodes[0].load = 0.9;
         nodes[1].load = 0.1;
-        assert_eq!(s.place(&mut nodes, "v", 0).unwrap().node, 1);
+        assert_eq!(place(&s, &mut nodes, 0, 0).unwrap().node, 1);
     }
 
     #[test]
     fn cache_aware_overrides_base_order() {
         let s = Scheduler::new(Policy::Striping, true);
         let mut nodes = fleet(3);
-        nodes[2].caches.admit("centos", 100, 0).unwrap();
+        warm(&mut nodes[2], 0);
         // Striping alone would pick node 0; cache awareness narrows to node 2.
-        let d = s.place(&mut nodes, "centos", 1).unwrap();
+        let d = place(&s, &mut nodes, 0, 1).unwrap();
         assert_eq!(d.node, 2);
         assert!(d.cache_hit);
     }
@@ -256,7 +247,7 @@ mod tests {
     fn cache_aware_falls_back_when_no_warm_node() {
         let s = Scheduler::new(Policy::Striping, true);
         let mut nodes = fleet(2);
-        let d = s.place(&mut nodes, "unknown", 1).unwrap();
+        let d = place(&s, &mut nodes, 5, 1).unwrap();
         assert_eq!(d.node, 0);
         assert!(!d.cache_hit);
     }
@@ -265,9 +256,9 @@ mod tests {
     fn cache_aware_ignores_full_warm_nodes() {
         let s = Scheduler::new(Policy::Striping, true);
         let mut nodes = fleet(2);
-        nodes[1].caches.admit("v", 100, 0).unwrap();
+        warm(&mut nodes[1], 0);
         nodes[1].running_vms = 4; // full
-        let d = s.place(&mut nodes, "v", 1).unwrap();
+        let d = place(&s, &mut nodes, 0, 1).unwrap();
         assert_eq!(d.node, 0, "full warm node cannot take the VM");
         assert!(!d.cache_hit);
     }
@@ -277,21 +268,21 @@ mod tests {
         let s = Scheduler::new(Policy::Packing, true);
         let mut nodes = fleet(1);
         for t in 0..4 {
-            assert!(s.place(&mut nodes, "v", t).is_some());
+            assert!(place(&s, &mut nodes, 0, t).is_some());
         }
-        assert!(s.place(&mut nodes, "v", 9).is_none());
+        assert!(place(&s, &mut nodes, 0, 9).is_none());
     }
 
     #[test]
     fn failed_nodes_take_no_placements() {
         let s = Scheduler::new(Policy::Striping, true);
         let mut nodes = fleet(2);
-        nodes[0].caches.admit("v", 100, 0).unwrap();
+        warm(&mut nodes[0], 0);
         nodes[0].fail();
         assert!(!nodes[0].has_room());
-        assert!(!nodes[0].caches.contains("v"), "caches die with the node");
+        assert!(!nodes[0].caches.contains(0), "caches die with the node");
         // Even as the warm node, node 0 is excluded; node 1 takes the VM.
-        let d = s.place(&mut nodes, "v", 1).unwrap();
+        let d = place(&s, &mut nodes, 0, 1).unwrap();
         assert_eq!(d.node, 1);
         assert!(!d.cache_hit);
         nodes[0].restore();
@@ -304,9 +295,9 @@ mod tests {
         let s = Scheduler::new(Policy::Packing, false);
         let mut nodes = fleet(1);
         for t in 0..4 {
-            s.place(&mut nodes, "v", t).unwrap();
+            place(&s, &mut nodes, 0, t).unwrap();
         }
         Scheduler::release(&mut nodes, 0);
-        assert!(s.place(&mut nodes, "v", 10).is_some());
+        assert!(place(&s, &mut nodes, 0, 10).is_some());
     }
 }

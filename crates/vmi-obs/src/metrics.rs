@@ -180,6 +180,18 @@ impl HistogramSnapshot {
         2u64.saturating_pow(self.buckets.last().map(|&(k, _)| k + 1).unwrap_or(0)) - 1
     }
 
+    /// Fold `other` in, as if both histograms had recorded into one.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        for &(k, n) in &other.buckets {
+            match self.buckets.binary_search_by_key(&k, |&(b, _)| b) {
+                Ok(i) => self.buckets[i].1 += n,
+                Err(i) => self.buckets.insert(i, (k, n)),
+            }
+        }
+    }
+
     /// Exact mean of all recorded samples (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -421,6 +433,26 @@ mod tests {
     fn empty_histogram_quantile_is_zero() {
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
         assert_eq!(HistogramSnapshot::default().mean(), 0.0);
+    }
+
+    #[test]
+    fn merged_snapshots_equal_one_histogram() {
+        let (a, b, both) = (
+            Histogram::default(),
+            Histogram::default(),
+            Histogram::default(),
+        );
+        for v in [3u64, 100, 100, 1 << 40] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [0u64, 100, 5000] {
+            b.record(v);
+            both.record(v);
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged, both.snapshot());
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{lockrank, rank, Condvar, Mutex, RwLock};
-use vmi_blockdev::{BlockDev, BlockError, ByteRange, Result, SharedDev};
+use vmi_blockdev::{BlockDev, BlockError, ByteRange, Result};
 use vmi_obs::{Obs, SpanId};
 
 use crate::image::{QcowImage, UNALLOCATED};
@@ -517,16 +517,11 @@ impl BlockDev for ConcurrentImage {
     }
 }
 
-/// A `SharedDev` wrapper helper: wrap an image for concurrent sharing.
-pub fn share_concurrent(img: Arc<QcowImage>) -> SharedDev {
-    ConcurrentImage::new(img)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::CreateOpts;
-    use vmi_blockdev::MemDev;
+    use vmi_blockdev::{MemDev, SharedDev};
 
     fn mem() -> SharedDev {
         Arc::new(MemDev::new())

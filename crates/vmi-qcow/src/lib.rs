@@ -76,7 +76,7 @@ pub use chain::{
     create_cow_over_cache, create_cow_over_cache_with_obs, open_chain, open_chain_with_obs,
     DevResolver, MapResolver,
 };
-pub use concurrent::{share_concurrent, ConcStats, ConcurrentImage};
+pub use concurrent::{ConcStats, ConcurrentImage};
 pub use dedup::{analyze as dedup_analyze, DedupReport};
 pub use engine::{Completion, Request, RequestEngine};
 pub use header::{CacheExt, Header};

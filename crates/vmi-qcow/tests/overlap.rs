@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vmi_blockdev::{BlockDev, MemDev, Result, SharedDev};
-use vmi_qcow::{share_concurrent, CreateOpts, QcowImage, Request, RequestEngine};
+use vmi_qcow::{ConcurrentImage, CreateOpts, QcowImage, Request, RequestEngine};
 
 /// Virtual size of the image under test.
 const VSIZE: u64 = 4 << 20;
@@ -128,8 +128,8 @@ fn mib_per_s(dev: SharedDev, depth: usize) -> f64 {
 
 #[test]
 fn warm_reads_scale_with_depth() {
-    let depth1 = mib_per_s(share_concurrent(warm_image()), 1);
-    let depth8 = mib_per_s(share_concurrent(warm_image()), 8);
+    let depth1 = mib_per_s(ConcurrentImage::new(warm_image()), 1);
+    let depth8 = mib_per_s(ConcurrentImage::new(warm_image()), 8);
     assert!(
         depth8 >= 2.0 * depth1,
         "read scaling {:.2}x < 2x (depth 1: {depth1:.1} MiB/s, depth 8: {depth8:.1} MiB/s)",
@@ -139,7 +139,7 @@ fn warm_reads_scale_with_depth() {
 
 #[test]
 fn plain_image_does_not_scale() {
-    let concurrent = mib_per_s(share_concurrent(warm_image()), 8);
+    let concurrent = mib_per_s(ConcurrentImage::new(warm_image()), 8);
     let plain = mib_per_s(warm_image() as SharedDev, 8);
     assert!(
         plain < concurrent / 1.5,

@@ -14,28 +14,24 @@ use rand::{Rng, SeedableRng};
 use vmi_cluster::{
     choose_chain, ChainPlan, NodeState, Policy, Scheduler, StorageCacheLocation, StorageCacheState,
 };
+use vmi_obs::Obs;
 
 const NODES: usize = 16;
 const NODE_CACHE_SPACE: u64 = 400; // MB of cache space per node
-const CACHE_SIZES: &[(&str, u64)] = &[
-    ("webapp-frontend", 94),
-    ("webapp-backend", 101),
-    ("tenant-batch", 207),
-    ("tenant-ci", 40),
-];
 
-fn cache_size(vmi: &str) -> u64 {
-    CACHE_SIZES
-        .iter()
-        .find(|(n, _)| *n == vmi)
-        .map(|(_, s)| *s)
-        .unwrap_or(100)
-}
+// The VMI catalog: the web service's two images and two other tenants'.
+const FRONTEND: usize = 0;
+const BACKEND: usize = 1;
+const BATCH: usize = 2;
+const CI: usize = 3;
+/// Cache image size in MB, indexed by VMI.
+const CACHE_MB: [u64; 4] = [94, 101, 207, 40];
 
 /// One simulated day of VM placements; returns (warm hits, total placements,
 /// evictions).
 fn simulate(cache_aware: bool, seed: u64) -> (usize, usize, usize) {
     let sched = Scheduler::new(Policy::Striping, cache_aware);
+    let obs = Obs::disabled();
     let mut nodes: Vec<NodeState> = (0..NODES)
         .map(|i| NodeState::new(i, 4, NODE_CACHE_SPACE))
         .collect();
@@ -47,20 +43,16 @@ fn simulate(cache_aware: bool, seed: u64) -> (usize, usize, usize) {
     // Interleave: frontend scale-outs (bursts of 2-6 VMs), backend pairs,
     // and other tenants' VMs booting at random.
     for _hour in 0..24 {
-        let mut requests: Vec<&str> = Vec::new();
-        requests.resize(rng.gen_range(2..6), "webapp-frontend");
-        requests.push("webapp-backend");
+        let mut requests: Vec<usize> = Vec::new();
+        requests.resize(rng.gen_range(2..6), FRONTEND);
+        requests.push(BACKEND);
         for _ in 0..rng.gen_range(1..4) {
-            requests.push(if rng.gen_bool(0.5) {
-                "tenant-batch"
-            } else {
-                "tenant-ci"
-            });
+            requests.push(if rng.gen_bool(0.5) { BATCH } else { CI });
         }
         for vmi in requests {
             clock += 1;
             total += 1;
-            let Some(decision) = sched.place(&mut nodes, vmi, clock) else {
+            let Some(decision) = sched.place(&mut nodes, vmi, clock, &obs) else {
                 continue; // cluster full this instant; request dropped
             };
             if decision.cache_hit {
@@ -73,9 +65,12 @@ fn simulate(cache_aware: bool, seed: u64) -> (usize, usize, usize) {
                 match plan {
                     ChainPlan::UseLocalCache => hits += 1,
                     ChainPlan::ChainToStorageCache { .. } | ChainPlan::CreateLocalCache { .. } => {
-                        if let Ok(evicted) = node.caches.admit(vmi, cache_size(vmi), clock) {
-                            evictions += evicted.len();
-                        }
+                        let (size, id) = (CACHE_MB[vmi], node.id as u64);
+                        let mut evicted = Vec::new();
+                        let _ = node
+                            .caches
+                            .admit(vmi, size, clock, clock, &obs, id, &mut evicted);
+                        evictions += evicted.len();
                         if matches!(
                             plan,
                             ChainPlan::CreateLocalCache {

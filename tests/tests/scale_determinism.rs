@@ -6,8 +6,8 @@
 //! mid-flight.
 
 use proptest::prelude::*;
-use vmi_cluster::{run_scale, FillSource, ScaleConfig, Topology};
-use vmi_sim::SEC;
+use vmi_cluster::{run_scale, FillSource, ScaleConfig, ScaleReport, Topology};
+use vmi_sim::{NetSpec, SEC};
 
 #[derive(Debug, Clone, Copy)]
 enum Shape {
@@ -86,7 +86,7 @@ proptest! {
     fn sharded_matches_serial_bit_for_bit(a in arb_config()) {
         let serial_cfg = build(&a);
         let serial = run_scale(&serial_cfg);
-        let reference = serial.jsonl(&serial_cfg.catalog);
+        let reference = serial.jsonl();
         for shards in [1usize, 2, 8] {
             let mut cfg = build(&a);
             cfg.shards = shards;
@@ -96,7 +96,7 @@ proptest! {
                 "digest diverged at {} shards (cfg {:?})", shards, a
             );
             prop_assert_eq!(
-                &reference, &sharded.jsonl(&cfg.catalog),
+                &reference, &sharded.jsonl(),
                 "jsonl diverged at {} shards (cfg {:?})", shards, a
             );
             prop_assert_eq!(serial.storage_link, sharded.storage_link);
@@ -127,4 +127,151 @@ proptest! {
         prop_assert_eq!(tier_total, rep.fill_bytes);
         prop_assert_eq!(rep.boots, cfg.boots());
     }
+}
+
+/// FNV-1a over a string: a stable fingerprint for pinned JSONL.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every field of a report on one line, records folded into a hash.
+fn pin(rep: &ScaleReport) -> String {
+    format!(
+        "digest={:016x} boots={} warm={} joins={} fills={:?} tier_bytes={:?} fill_bytes={} \
+         evictions={}/{}/{} truncations={} degrades={} storage={:?} zone_bytes={} \
+         rack_bytes={} makespan={} mean={:?} p50={} p99={} jsonl={:016x}",
+        rep.digest,
+        rep.boots,
+        rep.warm_hits,
+        rep.joins,
+        rep.fills,
+        rep.tier_bytes,
+        rep.fill_bytes,
+        rep.node_evictions,
+        rep.rack_tier_evictions,
+        rep.zone_tier_evictions,
+        rep.peer_truncations,
+        rep.peer_degrades,
+        rep.storage_link,
+        rep.zone_link_bytes,
+        rep.rack_link_bytes,
+        rep.makespan_ns,
+        rep.mean_boot_ns,
+        rep.p50_boot_ns,
+        rep.p99_boot_ns,
+        fnv(&rep.jsonl()),
+    )
+}
+
+/// The determinism section of `BENCH_pr10_scale.json`: the same 96-node
+/// config serially and at 1, 2 and 8 shards lands on the committed digest.
+#[test]
+fn bench_determinism_config_reproduces_the_committed_digest() {
+    let topo = Topology::tiered_p2p(96, 256 << 20, 1 << 30).with_fanout(12, 4);
+    let mut cfg = ScaleConfig::new(topo, 16);
+    cfg.image_bytes = 16 << 20;
+    cfg.node_cache_bytes = 48 << 20;
+    cfg.waves = 4;
+    cfg.seed = 42;
+    cfg.degrade_ppm = 100_000;
+    for shards in [0usize, 1, 2, 8] {
+        cfg.shards = shards;
+        assert_eq!(
+            format!("{:016x}", run_scale(&cfg).digest),
+            "72e48d9085b0d01e",
+            "@ {shards} shards"
+        );
+    }
+}
+
+/// Twelve 8 MiB images over 48 nodes, two images per node cache, with
+/// degraded peers: every cache in the model evicts.
+fn golden_cfg(topology: Topology) -> ScaleConfig {
+    let mut cfg = ScaleConfig::new(topology.with_fanout(8, 3), 12);
+    cfg.image_bytes = 8 << 20;
+    cfg.node_cache_bytes = 16 << 20;
+    cfg.waves = 5;
+    cfg.wave_gap_ns = 5 * SEC;
+    cfg.seed = 3;
+    cfg.degrade_ppm = 150_000;
+    cfg.keep_records = true;
+    cfg
+}
+
+/// Whole reports of three small configs, pinned: any change to the fill
+/// ladder, the caches' victim order or the percentiles moves a field.
+#[test]
+fn small_config_reports_are_pinned() {
+    let mut p2p = Topology::tiered_p2p(48, 32 << 20, 64 << 20);
+    // A slow top-of-rack link keeps peer transfers in flight long enough
+    // for the source to evict and truncate them.
+    p2p.rack_link = NetSpec {
+        bw_bps: 3_000_000,
+        ..NetSpec::tor_25g()
+    };
+    let cases = [
+        (
+            Topology::flat(48),
+            "digest=60c8d3f1958e3dff boots=240 warm=43 joins=0 fills=[0, 0, 0, 197] \
+             tier_bytes=[0, 0, 0, 1652555776] fill_bytes=1652555776 evictions=101/0/0 \
+             truncations=0 degrades=0 storage=LinkStats { messages: 197, bytes: 1652555776, \
+             busy_ns: 517211680 } zone_bytes=1652555776 rack_bytes=1652555776 \
+             makespan=22094542840 mean=2044403037.8333333 p50=2147483647 p99=2147483647 \
+             jsonl=23c03531ff290a27",
+        ),
+        (
+            Topology::tiered(48, 32 << 20, 64 << 20),
+            "digest=56e028485bc2c102 boots=240 warm=43 joins=0 fills=[0, 54, 51, 92] \
+             tier_bytes=[0, 452984832, 427819008, 771751936] fill_bytes=1652555776 \
+             evictions=101/69/22 truncations=0 degrades=0 storage=LinkStats { messages: 92, \
+             bytes: 771751936, busy_ns: 241540480 } zone_bytes=1199570944 \
+             rack_bytes=1652555776 makespan=22049036540 mean=2023993686.425 p50=2147483647 \
+             p99=2147483647 jsonl=7004fd50feb1e28b",
+        ),
+        (
+            p2p,
+            "digest=3743412d9079158e boots=240 warm=35 joins=14 fills=[37, 1, 75, 93] \
+             tier_bytes=[257684793, 3774874, 573928844, 766835617] fill_bytes=1602224128 \
+             evictions=95/65/21 truncations=11 degrades=4 storage=LinkStats { messages: 93, \
+             bytes: 766835617, busy_ns: 240008129 } zone_bytes=1340764461 \
+             rack_bytes=1629324186 makespan=100709397545 mean=37029290808.754166 \
+             p50=34359738367 p99=137438953471 jsonl=237511ba64c12741",
+        ),
+    ];
+    for (topo, want) in cases {
+        let name = topo.name;
+        for shards in [0usize, 2] {
+            let mut cfg = golden_cfg(topo.clone());
+            cfg.shards = shards;
+            assert_eq!(pin(&run_scale(&cfg)), want, "{name} @ {shards} shards");
+        }
+    }
+}
+
+/// The three 10k-node × 1M-boot points of the committed
+/// `BENCH_pr10_scale.json`, rerun: every field but the wall-clock ones
+/// must come out as committed. The expected values are a copy of that
+/// artifact without its wall-clock lines, kept under `golden/` so that
+/// running `scale_sweep` (which rewrites the artifact) cannot move them.
+/// Release only (a few seconds there).
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn full_sweep_reproduces_the_committed_artifact() {
+    const WALL: [&str; 4] = [
+        "\"wall_ns\"",
+        "\"boots_per_sec\"",
+        "\"agg_boots_per_sec\"",
+        "\"wall_s\"",
+    ];
+    let stable = |json: &str| -> Vec<String> {
+        json.lines()
+            .filter(|l| !WALL.iter().any(|k| l.trim_start().starts_with(k)))
+            .map(|l| l.trim_end().trim_end_matches(',').to_string())
+            .collect()
+    };
+    let got = vmi_bench::run_scale_sweep_full().to_json();
+    let golden = include_str!("golden/scale_sweep_full.json");
+    assert_eq!(stable(&got), stable(golden));
 }
