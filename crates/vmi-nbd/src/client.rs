@@ -98,6 +98,9 @@ impl NbdClient {
     /// Issue `TRIM` for `[off, off + len)`: one request per `u32::MAX` bytes,
     /// the most the wire format's length field holds.
     pub fn trim(&self, off: u64, len: u64) -> Result<()> {
+        if self.read_only {
+            return Err(BlockError::read_only("NBD export is read-only"));
+        }
         let mut c = self.conn.lock();
         let (mut at, mut left) = (off, len);
         while left > 0 {

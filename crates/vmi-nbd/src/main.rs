@@ -5,18 +5,24 @@
 //! ```
 //!
 //! Each `PATH` is opened with its backing chain (the §4.3 flag dance) and
-//! exported under `NAME`. Caches opened through a chain keep warming as
-//! clients read. Ctrl-C to stop.
+//! exported under `NAME`; with `--pipeline N` for N ≥ 2 an image chain is
+//! exported through `ConcurrentImage`, so a connection's N requests in
+//! service do not queue on the image's state mutex. Caches opened through
+//! a chain keep warming as clients read. Ctrl-C to stop.
 
 use std::sync::Arc;
 
 use vmi_nbd::NbdServer;
 
+fn usage() -> ! {
+    eprintln!("usage: vmi-nbd serve [--addr HOST:PORT] [--ro] [--pipeline N] NAME=PATH ...");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) != Some("serve") {
-        eprintln!("usage: vmi-nbd serve [--addr HOST:PORT] [--ro] [--pipeline N] NAME=PATH ...");
-        std::process::exit(2);
+        usage();
     }
     let mut addr = "127.0.0.1:10809".to_string();
     let mut read_only = false;
@@ -32,12 +38,13 @@ fn main() {
                 })
             }
             "--ro" => read_only = true,
-            "--pipeline" => {
-                pipeline = iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+            "--pipeline" => match iter.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n >= 1 => pipeline = n,
+                _ => {
                     eprintln!("--pipeline needs a positive integer");
-                    std::process::exit(2);
-                })
-            }
+                    usage();
+                }
+            },
             spec => match spec.split_once('=') {
                 Some((name, path)) => exports.push((name.to_string(), path.to_string())),
                 None => {
@@ -61,10 +68,10 @@ fn main() {
     };
     server.set_pipeline_depth(pipeline);
     for (name, path) in &exports {
-        match vmi_img_open(path, read_only) {
+        match vmi_img_open(path, read_only, pipeline) {
             Ok(dev) => {
+                println!("exported {name} <- {path} as {}", dev.describe());
                 server.add_export(name.clone(), dev, read_only);
-                println!("exported {name} <- {path}");
             }
             Err(e) => {
                 eprintln!("open {path}: {e}");
@@ -81,8 +88,14 @@ fn main() {
     }
 }
 
-/// Open `path` as an image chain if it parses as one, else as a raw file.
-fn vmi_img_open(path: &str, read_only: bool) -> vmi_blockdev::Result<vmi_blockdev::SharedDev> {
+/// Open `path` as an image chain if it parses as one (wrapped in
+/// `ConcurrentImage` when `pipeline` ≥ 2, as `NbdServer::add_image_concurrent`
+/// does), else as a raw file.
+fn vmi_img_open(
+    path: &str,
+    read_only: bool,
+    pipeline: usize,
+) -> vmi_blockdev::Result<vmi_blockdev::SharedDev> {
     let p = std::path::Path::new(path);
     let raw: vmi_blockdev::SharedDev = if read_only {
         Arc::new(vmi_blockdev::FileDev::open_read_only(p)?)
@@ -96,7 +109,12 @@ fn vmi_img_open(path: &str, read_only: bool) -> vmi_blockdev::Result<vmi_blockde
             .file_name()
             .and_then(|n| n.to_str())
             .ok_or_else(|| vmi_blockdev::BlockError::unsupported("bad path"))?;
-        Ok(vmi_qcow::open_chain(&resolver, name, read_only)? as vmi_blockdev::SharedDev)
+        let img = vmi_qcow::open_chain(&resolver, name, read_only)?;
+        Ok(if pipeline > 1 {
+            vmi_qcow::ConcurrentImage::new(img)
+        } else {
+            img
+        })
     } else {
         Ok(raw)
     }

@@ -221,11 +221,6 @@ pub(crate) fn encode_simple_reply(error: u32, handle: u64) -> [u8; SIMPLE_REPLY_
     b
 }
 
-/// Write a simple reply header.
-pub fn write_simple_reply(w: &mut impl Write, error: u32, handle: u64) -> Result<()> {
-    write_all(w, &encode_simple_reply(error, handle))
-}
-
 /// Decode a simple reply header, checking its magic; returns
 /// (error, handle).
 pub(crate) fn decode_simple_reply(b: &[u8; SIMPLE_REPLY_LEN]) -> Result<(u32, u64)> {
@@ -283,8 +278,7 @@ mod tests {
 
     #[test]
     fn simple_reply_roundtrip() {
-        let mut buf = Vec::new();
-        write_simple_reply(&mut buf, NBD_ENOSPC, 77).unwrap();
+        let buf = encode_simple_reply(NBD_ENOSPC, 77);
         let (err, handle) = read_simple_reply(&mut &buf[..]).unwrap();
         assert_eq!(err, NBD_ENOSPC);
         assert_eq!(handle, 77);

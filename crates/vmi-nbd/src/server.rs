@@ -12,11 +12,12 @@ use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-use parking_lot::{lockrank, Mutex};
+use parking_lot::{lockrank, Mutex, RwLock};
 use vmi_blockdev::{BlockErrorKind, Result, SharedDev};
-use vmi_obs::{met, Obs};
-use vmi_qcow::{ConcurrentImage, QcowImage, RequestEngine};
+use vmi_obs::{met, Obs, SpanId};
+use vmi_qcow::{ConcurrentImage, QcowImage};
 
 use crate::proto::*;
 
@@ -29,30 +30,23 @@ struct Export {
 impl Export {
     /// TRIM maps to image discard when the export is an image layer (plain
     /// or wrapped in [`ConcurrentImage`]); raw devices acknowledge without
-    /// action, and read-only image exports refuse. The range is validated
-    /// against the export like a READ/WRITE range (no size cap: TRIM
-    /// carries no payload).
+    /// action, and read-only exports refuse, as they refuse WRITE. The
+    /// range is validated against the export like a READ/WRITE range (no
+    /// size cap: TRIM carries no payload).
     fn trim(&self, off: u64, len: u64) -> u32 {
         match off.checked_add(len) {
             Some(end) if end <= self.dev.len() => {}
             _ => return NBD_EINVAL,
         }
+        if self.read_only {
+            return NBD_EPERM;
+        }
         let any = self.dev.as_any();
         if let Some(conc) = any.and_then(|a| a.downcast_ref::<ConcurrentImage>()) {
-            if self.read_only {
-                return NBD_EPERM;
-            }
-            return match conc.discard(off, len) {
-                Ok(_) => 0,
-                Err(e) => errno(&e),
-            };
+            return status(conc.discard(off, len));
         }
         match any.and_then(|a| a.downcast_ref::<QcowImage>()) {
-            Some(img) if !self.read_only => match img.discard(off, len) {
-                Ok(_) => 0,
-                Err(e) => errno(&e),
-            },
-            Some(_) => NBD_EPERM,
+            Some(img) => status(img.discard(off, len)),
             None => 0,
         }
     }
@@ -155,14 +149,14 @@ impl NbdServer {
     /// Set the per-connection request pipeline depth for connections
     /// accepted *from now on*.
     ///
-    /// Depth 1 (the default) keeps the classic serial loop: read a request,
-    /// serve it, reply, repeat — and with it the bit-identical span stream
-    /// the tracing tests pin down. Depth ≥ 2 switches new connections to
-    /// the submission/completion front-end: the reader thread parses and
-    /// submits up to `depth` requests into a [`RequestEngine`] whose
-    /// workers serve them against the shared export device, and replies go
-    /// out in completion order (NBD explicitly permits out-of-order replies
-    /// — clients match on the handle).
+    /// A connection at depth N is served by N threads taking turns on its
+    /// socket: one parses a request, then serves it against the export
+    /// device while the next thread parses, so up to N requests are in
+    /// service at once and replies go out in completion order (NBD
+    /// explicitly permits out-of-order replies — clients match on the
+    /// handle). Depth 1 (the default) is the connection thread alone:
+    /// read a request, serve it, reply, repeat — and with it the
+    /// bit-identical span stream the tracing tests pin down.
     pub fn set_pipeline_depth(&self, depth: usize) {
         self.pipeline_depth.store(depth.max(1), Ordering::Release);
     }
@@ -320,274 +314,176 @@ fn handle_connection(
     };
 
     // --- transmission ------------------------------------------------------
-    if depth > 1 {
-        return transmission_pipelined(r, w, &export, served, obs, depth);
-    }
-    transmission_serial(r, w, &export, served, obs)
-}
-
-/// Classic serial transmission loop: one request at a time, in order.
-fn transmission_serial(
-    mut r: BufReader<TcpStream>,
-    mut w: BufWriter<TcpStream>,
-    export: &Export,
-    served: &AtomicU64,
-    obs: &Obs,
-) -> Result<()> {
-    let mut data = Vec::new();
-    loop {
-        let req = read_request(&mut r)?;
-        served.fetch_add(1, Ordering::Relaxed);
-        let req_start = obs.enabled().then(std::time::Instant::now);
-        // One root span per request: everything the device layers emit while
-        // serving it (qcow reads, L2 walks, CoR fills, retries) parents here.
-        let span = obs.span("nbd.request", || {
-            format!(
-                "ty={} off={} len={}",
-                cmd_name(req.ty),
-                req.offset,
-                req.length
-            )
-        });
-        match req.ty {
-            NBD_CMD_DISC => return Ok(()),
-            NBD_CMD_READ => match validate_range(req.offset, req.length, export.dev.len()) {
-                Err(err) => write_simple_reply(&mut w, err, req.handle)?,
-                Ok(()) => {
-                    data.resize(req.length as usize, 0);
-                    match export.dev.read_at_in(&mut data, req.offset, span.id()) {
-                        Ok(()) => write_frame(&mut w, &encode_simple_reply(0, req.handle), &data)?,
-                        Err(e) => write_simple_reply(&mut w, errno(&e), req.handle)?,
-                    }
-                }
-            },
-            NBD_CMD_WRITE => {
-                // An oversized write is rejected *without* buffering its
-                // payload: drain it to keep the stream framed, then reply.
-                if req.length > MAX_REQUEST_BYTES {
-                    drain_payload(&mut r, req.length as u64)?;
-                    write_simple_reply(&mut w, NBD_EINVAL, req.handle)?;
-                } else {
-                    data.resize(req.length as usize, 0);
-                    read_exact(&mut r, &mut data)?;
-                    let err = if export.read_only {
-                        NBD_EPERM
-                    } else if validate_range(req.offset, req.length, export.dev.len()).is_err() {
-                        NBD_EINVAL
-                    } else {
-                        match export.dev.write_at_in(&data, req.offset, span.id()) {
-                            Ok(()) => 0,
-                            Err(e) => errno(&e),
-                        }
-                    };
-                    write_simple_reply(&mut w, err, req.handle)?;
-                }
-            }
-            NBD_CMD_FLUSH => {
-                let err = match export.dev.flush() {
-                    Ok(()) => 0,
-                    Err(e) => errno(&e),
-                };
-                write_simple_reply(&mut w, err, req.handle)?;
-            }
-            NBD_CMD_TRIM => {
-                let err = export.trim(req.offset, req.length as u64);
-                write_simple_reply(&mut w, err, req.handle)?;
-            }
-            _ => {
-                write_simple_reply(&mut w, NBD_EINVAL, req.handle)?;
-            }
-        }
-        w.flush().map_err(io_err)?;
-        drop(span);
-        if let Some(start) = req_start {
-            obs.observe(met::NBD_REQUEST_NS, start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// Bookkeeping for one in-flight pipelined request.
-struct Pending {
-    handle: u64,
-    is_read: bool,
-    span: vmi_obs::SpanGuard,
-    start: Option<std::time::Instant>,
-}
-
-/// Write one reply frame (header + optional read payload, in one vectored
-/// write) atomically with respect to other repliers sharing the writer.
-fn locked_reply(
-    writer: &Mutex<BufWriter<TcpStream>>,
-    err: u32,
-    handle: u64,
-    payload: Option<&[u8]>,
-) -> Result<()> {
-    let payload = match payload {
-        Some(p) if err == 0 => p,
-        _ => &[],
+    let conn = Transmission {
+        export: &export,
+        served,
+        obs,
+        pipelined: depth > 1,
+        reader: Mutex::new(r),
+        writer: Mutex::new(w),
+        in_service: RwLock::new(()),
+        done: AtomicBool::new(false),
     };
-    let mut w = writer.lock();
-    write_frame(&mut *w, &encode_simple_reply(err, handle), payload)?;
-    w.flush().map_err(io_err)
-}
-
-/// Pipelined transmission: the reader thread parses and submits requests
-/// into a [`RequestEngine`] (up to `depth` workers serving the shared
-/// export device); a drain thread writes replies as completions arrive, in
-/// whatever order the device finishes them. `FLUSH`/`TRIM`/`DISC` drain
-/// in-flight requests first, preserving their barrier meaning.
-fn transmission_pipelined(
-    mut r: BufReader<TcpStream>,
-    w: BufWriter<TcpStream>,
-    export: &Arc<Export>,
-    served: &AtomicU64,
-    obs: &Obs,
-    depth: usize,
-) -> Result<()> {
-    let engine = Arc::new(RequestEngine::new(export.dev.clone(), depth));
-    let writer = Arc::new(Mutex::new(w));
-    writer.set_rank(lockrank::NBD_WRITER);
-    let pending: Arc<Mutex<HashMap<u64, Pending>>> = Arc::new(Mutex::new(HashMap::new()));
-    pending.set_rank(lockrank::NBD_PENDING);
-
-    let drain = {
-        let engine = engine.clone();
-        let writer = writer.clone();
-        let pending = pending.clone();
-        let obs = obs.clone();
-        std::thread::spawn(move || {
-            while let Some(c) = engine.next_completion() {
-                let Some(p) = pending.lock().remove(&c.id) else {
-                    continue;
-                };
-                let err = match &c.result {
-                    Ok(()) => 0,
-                    Err(e) => errno(e),
-                };
-                let payload = if p.is_read { c.data.as_deref() } else { None };
-                let sent = locked_reply(&writer, err, p.handle, payload);
-                drop(p.span);
-                if let Some(start) = p.start {
-                    obs.observe(met::NBD_REQUEST_NS, start.elapsed().as_nanos() as u64);
-                }
-                if sent.is_err() {
-                    // Client went away; stop writing. The reader will hit
-                    // EOF and shut the engine down.
-                    break;
-                }
-            }
+    conn.reader.set_rank(lockrank::NBD_READER);
+    conn.writer.set_rank(lockrank::NBD_WRITER);
+    conn.in_service.set_rank(lockrank::NBD_IN_SERVICE);
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..depth).map(|_| s.spawn(|| conn.serve())).collect();
+        helpers.into_iter().fold(conn.serve(), |outcome, h| {
+            outcome.and(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
         })
-    };
+    })
+}
 
-    let outcome = (|| -> Result<()> {
+/// One connection's transmission phase, shared by the threads serving it.
+///
+/// Each thread loops: take the reader lock, parse one request (with its
+/// WRITE payload), enter service, release the reader, serve the request
+/// with its own reused buffer, and reply under the writer lock. So a
+/// connection at depth N has up to N requests in service, and a request is
+/// served on the thread that parsed it. `FLUSH` and `TRIM` keep the reader
+/// lock until every earlier-parsed request has replied, then act: nothing
+/// parsed before them is still running, and nothing parsed after them
+/// starts before they are done.
+struct Transmission<'a> {
+    export: &'a Export,
+    served: &'a AtomicU64,
+    obs: &'a Obs,
+    /// Marks the request spans of connections deeper than 1.
+    pipelined: bool,
+    reader: Mutex<BufReader<TcpStream>>,
+    writer: Mutex<BufWriter<TcpStream>>,
+    /// Held shared by each request from its parse to its reply: the count
+    /// of its holders is the count of requests in service, and a barrier
+    /// waits for it to reach 0 by taking it exclusively.
+    in_service: RwLock<()>,
+    /// Set on `DISC` or a socket or framing error: threads waiting for
+    /// their turn on the reader exit instead.
+    done: AtomicBool,
+}
+
+impl Transmission<'_> {
+    /// One serving thread's loop; returns when the connection is done.
+    fn serve(&self) -> Result<()> {
         let mut data = Vec::new();
         loop {
-            let req = read_request(&mut r)?;
-            served.fetch_add(1, Ordering::Relaxed);
-            let start = obs.enabled().then(std::time::Instant::now);
-            let span = obs.span("nbd.request", || {
+            let mut r = self.reader.lock();
+            if self.done.load(Ordering::Acquire) {
+                return Ok(());
+            }
+            let req = self.or_done(read_request(&mut *r))?;
+            self.served.fetch_add(1, Ordering::Relaxed);
+            let start = self.obs.enabled().then(Instant::now);
+            // One root span per request: everything the device layers emit
+            // while serving it (qcow reads, L2 walks, CoR fills, retries)
+            // parents here.
+            let span = self.obs.span("nbd.request", || {
                 format!(
-                    "ty={} off={} len={} pipelined",
+                    "ty={} off={} len={}{}",
                     cmd_name(req.ty),
                     req.offset,
-                    req.length
+                    req.length,
+                    if self.pipelined { " pipelined" } else { "" }
                 )
             });
-            let inline_err: Option<u32> = match req.ty {
+            match req.ty {
+                // An oversized write is rejected *without* buffering its
+                // payload: drain it to keep the stream framed.
+                NBD_CMD_WRITE if req.length > MAX_REQUEST_BYTES => {
+                    self.or_done(drain_payload(&mut *r, req.length as u64))?
+                }
+                NBD_CMD_WRITE => {
+                    data.resize(req.length as usize, 0);
+                    self.or_done(read_exact(&mut *r, &mut data))?;
+                }
                 NBD_CMD_DISC => {
-                    engine.wait_idle();
+                    self.done.store(true, Ordering::Release);
+                    self.wait_idle();
                     return Ok(());
                 }
-                NBD_CMD_READ => match validate_range(req.offset, req.length, export.dev.len()) {
-                    Err(err) => Some(err),
-                    Ok(()) => {
-                        // Hold the pending lock across submit: a fast worker
-                        // could otherwise complete before the insert and the
-                        // drain thread would drop the reply on the floor.
-                        let mut p = pending.lock();
-                        let id = engine.submit_in(
-                            vmi_qcow::Request::Read {
-                                off: req.offset,
-                                len: req.length as usize,
-                            },
-                            span.id(),
-                        );
-                        p.insert(
-                            id,
-                            Pending {
-                                handle: req.handle,
-                                is_read: true,
-                                span,
-                                start,
-                            },
-                        );
-                        continue;
-                    }
-                },
-                NBD_CMD_WRITE => {
-                    if req.length > MAX_REQUEST_BYTES {
-                        drain_payload(&mut r, req.length as u64)?;
-                        Some(NBD_EINVAL)
+                NBD_CMD_FLUSH | NBD_CMD_TRIM => {
+                    self.wait_idle();
+                    let err = if req.ty == NBD_CMD_FLUSH {
+                        status(self.export.dev.flush())
                     } else {
-                        data.resize(req.length as usize, 0);
-                        read_exact(&mut r, &mut data)?;
-                        if export.read_only {
-                            Some(NBD_EPERM)
-                        } else if validate_range(req.offset, req.length, export.dev.len()).is_err()
-                        {
-                            Some(NBD_EINVAL)
-                        } else {
-                            // Same submit-vs-drain race as the read path:
-                            // insert must be visible before the completion.
-                            let mut p = pending.lock();
-                            let id = engine.submit_in(
-                                vmi_qcow::Request::Write {
-                                    off: req.offset,
-                                    data: std::mem::take(&mut data),
-                                },
-                                span.id(),
-                            );
-                            p.insert(
-                                id,
-                                Pending {
-                                    handle: req.handle,
-                                    is_read: false,
-                                    span,
-                                    start,
-                                },
-                            );
-                            continue;
-                        }
-                    }
+                        self.export.trim(req.offset, req.length as u64)
+                    };
+                    drop(r);
+                    self.reply(req.handle, err, &[])?;
+                    self.finish(span, start);
+                    continue;
                 }
-                NBD_CMD_FLUSH => {
-                    // Barrier: everything submitted before the flush must
-                    // have hit the device before the flush itself runs.
-                    engine.wait_idle();
-                    Some(match export.dev.flush() {
-                        Ok(()) => 0,
-                        Err(e) => errno(&e),
-                    })
-                }
-                NBD_CMD_TRIM => {
-                    engine.wait_idle();
-                    Some(export.trim(req.offset, req.length as u64))
-                }
-                _ => Some(NBD_EINVAL),
+                _ => {}
+            }
+            let serving = self.in_service.read();
+            drop(r);
+            let err = self.execute(&req, &mut data, span.id());
+            let payload: &[u8] = match (req.ty, err) {
+                (NBD_CMD_READ, 0) => &data,
+                _ => &[],
             };
-            if let Some(err) = inline_err {
-                locked_reply(&writer, err, req.handle, None)?;
-            }
-            drop(span);
-            if let Some(start) = start {
-                obs.observe(met::NBD_REQUEST_NS, start.elapsed().as_nanos() as u64);
-            }
+            let sent = self.reply(req.handle, err, payload);
+            drop(serving);
+            sent?;
+            self.finish(span, start);
         }
-    })();
+    }
 
-    engine.shutdown();
-    let _ = drain.join();
-    outcome
+    /// Serve a parsed READ, WRITE or unknown command against the export;
+    /// returns the reply's error. A READ leaves its payload in `data`, a
+    /// WRITE finds its payload there.
+    fn execute(&self, req: &Request, data: &mut Vec<u8>, parent: Option<SpanId>) -> u32 {
+        let dev = &self.export.dev;
+        match req.ty {
+            NBD_CMD_READ => match validate_range(req.offset, req.length, dev.len()) {
+                Err(err) => err,
+                Ok(()) => {
+                    data.resize(req.length as usize, 0);
+                    status(dev.read_at_in(data, req.offset, parent))
+                }
+            },
+            NBD_CMD_WRITE if req.length > MAX_REQUEST_BYTES => NBD_EINVAL,
+            NBD_CMD_WRITE if self.export.read_only => NBD_EPERM,
+            NBD_CMD_WRITE => match validate_range(req.offset, req.length, dev.len()) {
+                Err(err) => err,
+                Ok(()) => status(dev.write_at_in(data, req.offset, parent)),
+            },
+            _ => NBD_EINVAL,
+        }
+    }
+
+    /// Block until every request in service has replied. Called with the
+    /// reader lock held, so no further request enters service meanwhile.
+    fn wait_idle(&self) {
+        drop(self.in_service.write());
+    }
+
+    /// Write one reply frame (header and READ payload in one vectored
+    /// write) atomically with respect to the connection's other threads.
+    fn reply(&self, handle: u64, err: u32, payload: &[u8]) -> Result<()> {
+        let mut w = self.writer.lock();
+        let sent = write_frame(&mut *w, &encode_simple_reply(err, handle), payload)
+            .and_then(|()| w.flush().map_err(io_err));
+        self.or_done(sent)
+    }
+
+    /// Close the request's span and time it.
+    fn finish(&self, span: vmi_obs::SpanGuard, start: Option<Instant>) {
+        drop(span);
+        if let Some(start) = start {
+            self.obs
+                .observe(met::NBD_REQUEST_NS, start.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// `res`, marking the connection done if it is a socket or framing
+    /// error.
+    fn or_done<T>(&self, res: Result<T>) -> Result<T> {
+        if res.is_err() {
+            self.done.store(true, Ordering::Release);
+        }
+        res
+    }
 }
 
 fn cmd_name(ty: u16) -> &'static str {
@@ -601,12 +497,14 @@ fn cmd_name(ty: u16) -> &'static str {
     }
 }
 
-fn errno(e: &vmi_blockdev::BlockError) -> u32 {
-    match e.kind() {
-        BlockErrorKind::NoSpace => NBD_ENOSPC,
-        BlockErrorKind::ReadOnly => NBD_EPERM,
-        BlockErrorKind::OutOfBounds => NBD_EINVAL,
-        _ => NBD_EIO,
+/// The error a device result replies with (0 on success).
+fn status<T>(res: Result<T>) -> u32 {
+    match res.map_err(|e| e.kind()) {
+        Ok(_) => 0,
+        Err(BlockErrorKind::NoSpace) => NBD_ENOSPC,
+        Err(BlockErrorKind::ReadOnly) => NBD_EPERM,
+        Err(BlockErrorKind::OutOfBounds) => NBD_EINVAL,
+        Err(_) => NBD_EIO,
     }
 }
 

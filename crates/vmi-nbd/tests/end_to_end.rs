@@ -55,6 +55,16 @@ fn read_only_export_rejects_writes_with_eperm() {
 }
 
 #[test]
+fn trim_on_a_read_only_export_is_refused_before_sending() {
+    let srv = server();
+    srv.add_export("ro", Arc::new(MemDev::with_len(4096)), true);
+    let client = NbdClient::connect(&srv.addr().to_string(), "ro").unwrap();
+    let err = client.trim(0, 4096).unwrap_err();
+    assert_eq!(err.kind(), BlockErrorKind::ReadOnly);
+    assert_eq!(srv.served_requests(), 0, "nothing went on the wire");
+}
+
+#[test]
 fn out_of_range_read_maps_to_einval() {
     let srv = server();
     srv.add_export("small", Arc::new(MemDev::with_len(1024)), false);

@@ -1,75 +1,18 @@
-//! Wire-level tests for the PR-8 front-end work: proper error *replies*
-//! (never dropped connections) on oversized/overlapping requests, and
-//! request pipelining within one connection over a shared image.
+//! Wire-level tests for the NBD front end: proper error *replies* (never
+//! dropped connections) on oversized/overlapping requests, and request
+//! pipelining within one connection over a shared image, with FLUSH and
+//! DISC waiting for the requests already in service.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 mod common;
 
+use common::{RawConn, SleepDev};
 use vmi_blockdev::{BlockDev, MemDev, SharedDev};
 use vmi_nbd::proto::*;
 use vmi_nbd::{NbdClient, NbdServer};
-
-/// A raw NBD connection that lets tests drive arbitrary frames.
-struct RawConn {
-    r: BufReader<TcpStream>,
-    w: BufWriter<TcpStream>,
-    size: u64,
-}
-
-impl RawConn {
-    fn connect(addr: &str, export: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).ok();
-        let mut r = BufReader::new(stream.try_clone().unwrap());
-        let mut w = BufWriter::new(stream);
-        assert_eq!(read_u64(&mut r).unwrap(), NBDMAGIC);
-        assert_eq!(read_u64(&mut r).unwrap(), IHAVEOPT);
-        let flags = read_u16(&mut r).unwrap();
-        assert!(flags & NBD_FLAG_FIXED_NEWSTYLE != 0);
-        let cflags = NBD_FLAG_C_FIXED_NEWSTYLE | NBD_FLAG_C_NO_ZEROES;
-        write_all(&mut w, &cflags.to_be_bytes()).unwrap();
-        write_all(&mut w, &IHAVEOPT.to_be_bytes()).unwrap();
-        write_all(&mut w, &NBD_OPT_EXPORT_NAME.to_be_bytes()).unwrap();
-        write_all(&mut w, &(export.len() as u32).to_be_bytes()).unwrap();
-        write_all(&mut w, export.as_bytes()).unwrap();
-        w.flush().unwrap();
-        let size = read_u64(&mut r).unwrap();
-        let _tflags = read_u16(&mut r).unwrap();
-        Self { r, w, size }
-    }
-
-    fn send(&mut self, ty: u16, handle: u64, offset: u64, length: u32, payload: &[u8]) {
-        write_request(
-            &mut self.w,
-            &Request {
-                flags: 0,
-                ty,
-                handle,
-                offset,
-                length,
-            },
-        )
-        .unwrap();
-        if !payload.is_empty() {
-            write_all(&mut self.w, payload).unwrap();
-        }
-        self.w.flush().unwrap();
-    }
-
-    fn recv(&mut self) -> (u32, u64) {
-        read_simple_reply(&mut self.r).unwrap()
-    }
-
-    fn recv_data(&mut self, len: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; len];
-        self.r.read_exact(&mut buf).unwrap();
-        buf
-    }
-}
 
 fn serve_mem(len: u64) -> (NbdServer, SharedDev) {
     let srv = NbdServer::start("127.0.0.1:0").unwrap();
@@ -140,27 +83,56 @@ fn read_and_write_past_export_end_reply_einval() {
     c.recv_data(8);
 }
 
+#[test]
+fn trim_on_a_read_only_raw_export_replies_eperm() {
+    let srv = NbdServer::start("127.0.0.1:0").unwrap();
+    srv.add_export("ro", Arc::new(MemDev::with_len(1 << 16)) as SharedDev, true);
+    let mut c = RawConn::connect(&srv.addr().to_string(), "ro");
+    // Refused like a WRITE, not acknowledged as a no-op.
+    c.send(NBD_CMD_TRIM, 1, 0, 4096, &[]);
+    assert_eq!(c.recv(), (NBD_EPERM, 1));
+    c.send(NBD_CMD_WRITE, 2, 0, 4, b"nope");
+    assert_eq!(c.recv(), (NBD_EPERM, 2));
+    // An out-of-range TRIM is still an invalid request first.
+    c.send(NBD_CMD_TRIM, 3, 1 << 16, 1, &[]);
+    assert_eq!(c.recv(), (NBD_EINVAL, 3));
+}
+
 // ----------------------------------------------------------------------
 // pipelining
 // ----------------------------------------------------------------------
 
+/// A server at `depth` over `disk`, whose every read and write sleeps
+/// 20 ms: long enough that requests are still in service when a barrier
+/// arrives behind them.
+fn serve_slow(disk: &Arc<MemDev>, depth: usize) -> NbdServer {
+    let srv = NbdServer::start("127.0.0.1:0").unwrap();
+    srv.set_pipeline_depth(depth);
+    assert_eq!(srv.pipeline_depth(), depth);
+    let slow = SleepDev {
+        inner: disk.clone(),
+        delay: Duration::from_millis(20),
+    };
+    srv.add_export("disk", Arc::new(slow) as SharedDev, false);
+    srv
+}
+
 #[test]
 fn pipelined_reads_complete_out_of_order_by_handle() {
-    let srv = NbdServer::start("127.0.0.1:0").unwrap();
-    srv.set_pipeline_depth(8);
-    assert_eq!(srv.pipeline_depth(), 8);
-    let dev = MemDev::with_len(1 << 20);
+    let disk = Arc::new(MemDev::with_len(1 << 20));
     // Stamp each 4 KiB block with its index so replies are checkable.
     for i in 0..256u64 {
-        dev.write_at(&i.to_be_bytes(), i * 4096).unwrap();
+        disk.write_at(&i.to_be_bytes(), i * 4096).unwrap();
     }
-    srv.add_export("disk", Arc::new(dev), false);
-
+    let srv = serve_slow(&disk, 8);
     let mut c = RawConn::connect(&srv.addr().to_string(), "disk");
-    // Fire a burst of reads without waiting for any reply.
+    // Fire a burst of reads without waiting for any reply, then DISC
+    // while most of them are still in service: each must be answered
+    // before the connection closes.
     for h in 0..32u64 {
         c.send(NBD_CMD_READ, h, h * 4096, 8, &[]);
     }
+    c.send(NBD_CMD_DISC, 99, 0, 0, &[]);
     let mut seen = HashMap::new();
     for _ in 0..32 {
         let (err, handle) = c.recv();
@@ -172,40 +144,35 @@ fn pipelined_reads_complete_out_of_order_by_handle() {
     for (handle, block) in seen {
         assert_eq!(handle, block, "handle {handle} got block {block}");
     }
+    assert!(c.at_eof(), "the connection closes after the last reply");
 }
 
 #[test]
 fn pipelined_writes_then_flush_then_readback() {
-    let srv = NbdServer::start("127.0.0.1:0").unwrap();
-    srv.set_pipeline_depth(4);
-    let (_, dev) = {
-        let dev: SharedDev = Arc::new(MemDev::with_len(1 << 20));
-        srv.add_export("disk", dev.clone(), false);
-        ((), dev)
-    };
+    let disk = Arc::new(MemDev::with_len(1 << 20));
+    let srv = serve_slow(&disk, 4);
     let mut c = RawConn::connect(&srv.addr().to_string(), "disk");
     for h in 0..16u64 {
         c.send(NBD_CMD_WRITE, h, h * 512, 512, &[h as u8 + 1; 512]);
     }
-    // FLUSH is a barrier: all 16 writes must be on the device before it
-    // returns. Its reply may arrive before some write replies (NBD allows
-    // reordering), so collect until the flush handle shows up…
+    // FLUSH is a barrier: it is answered only after every write parsed
+    // before it has replied…
     c.send(NBD_CMD_FLUSH, 99, 0, 0, &[]);
-    let mut pending = (0..16u64).collect::<std::collections::HashSet<_>>();
-    let mut flushed = false;
-    while !pending.is_empty() || !flushed {
+    let mut replied = Vec::new();
+    loop {
         let (err, handle) = c.recv();
         assert_eq!(err, 0);
         if handle == 99 {
-            flushed = true;
-        } else {
-            assert!(pending.remove(&handle), "duplicate reply {handle}");
+            break;
         }
+        replied.push(handle);
     }
-    // …then verify the bytes actually landed.
+    replied.sort_unstable();
+    assert_eq!(replied, (0..16).collect::<Vec<u64>>());
+    // …so the bytes are on the device when its reply arrives.
     for h in 0..16u64 {
         let mut buf = [0u8; 512];
-        dev.read_at(&mut buf, h * 512).unwrap();
+        disk.read_at(&mut buf, h * 512).unwrap();
         assert_eq!(buf, [h as u8 + 1; 512], "write {h} not durable after flush");
     }
 }

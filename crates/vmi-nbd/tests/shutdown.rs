@@ -1,14 +1,19 @@
 //! The accept thread blocks in `accept`, so stopping it depends on the
 //! wake-up connection `shutdown` makes: a missed wake-up hangs `shutdown`
-//! and `Drop`. Each test runs under a watchdog so a hang fails the test
-//! instead of wedging the suite.
+//! and `Drop`. A connection's serving threads must likewise all exit when
+//! its client goes away. Each test runs under a watchdog so a hang fails
+//! the test instead of wedging the suite.
 
 use std::io::ErrorKind;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use vmi_blockdev::{BlockDev, MemDev};
+mod common;
+
+use common::{RawConn, SleepDev};
+use vmi_blockdev::{BlockDev, MemDev, SharedDev};
+use vmi_nbd::proto::{NBD_CMD_READ, NBD_CMD_WRITE};
 use vmi_nbd::{NbdClient, NbdServer};
 
 /// Run `body` on its own thread and fail if it has not finished in 20 s.
@@ -24,7 +29,7 @@ fn watchdog(body: impl FnOnce() + Send + 'static) {
         Err(mpsc::RecvTimeoutError::Disconnected) => {
             std::panic::resume_unwind(worker.join().unwrap_err())
         }
-        Err(mpsc::RecvTimeoutError::Timeout) => panic!("hung: no wake-up reached accept"),
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("hung: still running after 20 s"),
     }
 }
 
@@ -66,5 +71,31 @@ fn drop_with_a_live_client_returns_and_the_client_keeps_working() {
         buf.fill(0);
         client.read_at(&mut buf, 4096).unwrap();
         assert_eq!(&buf, b"still served");
+    });
+}
+
+#[test]
+fn disconnect_mid_write_payload_ends_every_connection_thread() {
+    watchdog(|| {
+        let srv = NbdServer::start("127.0.0.1:0").unwrap();
+        srv.set_pipeline_depth(4);
+        let disk: SharedDev = Arc::new(SleepDev {
+            inner: Arc::new(MemDev::with_len(1 << 20)),
+            delay: Duration::from_millis(20),
+        });
+        srv.add_export("disk", disk.clone(), false);
+        let mut c = RawConn::connect(&srv.addr().to_string(), "disk");
+        // Two slow reads in service, a WRITE cut off 100 bytes into its
+        // 4 KiB payload, then the client hangs up.
+        c.send(NBD_CMD_READ, 1, 0, 4096, &[]);
+        c.send(NBD_CMD_READ, 2, 4096, 4096, &[]);
+        c.send(NBD_CMD_WRITE, 3, 0, 4096, &[7u8; 100]);
+        drop(c);
+        // Each connection thread holds the export, and so the device,
+        // until it exits.
+        assert!(srv.remove_export("disk"));
+        while Arc::strong_count(&disk) > 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     });
 }

@@ -300,27 +300,17 @@ impl ConcurrentImage {
     // warm mapping resolution
     // ------------------------------------------------------------------
 
-    /// Container offset of the cluster holding `vba` in *this* layer, if
-    /// mapped, using only the mirror + shard caches (never the image
-    /// mutex). Caller must hold a range lock covering `vba`.
-    fn mapping(&self, vba: u64) -> Result<Option<u64>> {
-        let l1_idx = self.geom.l1_index(vba);
-        let l2_off = match self.l1.read().get(l1_idx) {
-            Some(&e) => e,
-            None => return Ok(None),
-        };
+    /// The L2 snapshot under `l1_idx` in *this* layer (`None` when no table
+    /// is allocated there), using only the mirror + shard caches (never the
+    /// image mutex). Caller must hold a range lock covering every address
+    /// it resolves through the table.
+    fn l2_for(&self, l1_idx: usize) -> Result<Option<Arc<Vec<u64>>>> {
+        // The L1 guard drops with this statement, before any shard lock.
+        let l2_off = self.l1.read().get(l1_idx).copied().unwrap_or(UNALLOCATED);
         if l2_off == UNALLOCATED {
             return Ok(None);
         }
-        let table = self.l2_table(l1_idx, l2_off)?;
-        let entry = table
-            .get(self.geom.l2_index(vba))
-            .copied()
-            .unwrap_or(UNALLOCATED);
-        if entry == UNALLOCATED {
-            return Ok(None);
-        }
-        Ok(Some(entry))
+        self.l2_table(l1_idx, l2_off).map(Some)
     }
 
     fn l2_table(&self, l1_idx: usize, l2_off: u64) -> Result<Arc<Vec<u64>>> {
@@ -413,11 +403,22 @@ impl ConcurrentImage {
         // Resolve to physically contiguous container runs (the PR-5 extent
         // unit, found over the snapshot tables instead of the live ones)
         // before reading anything: one unmapped cluster sends the whole
-        // request down the serialized path.
+        // request down the serialized path. Clusters resolve against one L2
+        // snapshot per table the request spans, not one lookup per cluster.
+        let mut table: (usize, Option<Arc<Vec<u64>>>) = (usize::MAX, None);
+        let mut resolve = |vba: u64| -> Result<Option<u64>> {
+            let l1_idx = self.geom.l1_index(vba);
+            if table.0 != l1_idx {
+                table = (l1_idx, self.l2_for(l1_idx)?);
+            }
+            let l2_idx = self.geom.l2_index(vba);
+            let entry = table.1.as_deref().and_then(|t| t.get(l2_idx));
+            Ok(entry.copied().filter(|&e| e != UNALLOCATED))
+        };
         let mut runs: Vec<(u64, usize)> = Vec::new();
         let mut pos = off;
         while pos < end {
-            let run = contiguous_run(&self.geom, pos, end - pos, |vba| self.mapping(vba))?;
+            let run = contiguous_run(&self.geom, pos, end - pos, &mut resolve)?;
             let Some((cont, run_bytes, _)) = run else {
                 return Ok(false);
             };

@@ -10,9 +10,8 @@
 //! non-overlapping requests genuinely overlap their device service time.
 //!
 //! Ordering contract: completions are unordered across requests. Callers
-//! that need a barrier (e.g. an NBD `FLUSH` covering all prior writes)
-//! call [`RequestEngine::wait_idle`] first — exactly what the vmi-nbd
-//! pipelined front-end does.
+//! that need a barrier (a flush covering all prior writes, say) call
+//! [`RequestEngine::wait_idle`] first.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +20,6 @@ use std::thread::JoinHandle;
 
 use parking_lot::{lockrank, Condvar, Mutex};
 use vmi_blockdev::{BlockError, Result, SharedDev};
-use vmi_obs::SpanId;
 
 /// One queued I/O operation.
 #[derive(Debug, Clone)]
@@ -57,7 +55,7 @@ pub struct Completion {
 
 #[derive(Default)]
 struct EngineState {
-    queue: VecDeque<(u64, Request, Option<SpanId>)>,
+    queue: VecDeque<(u64, Request)>,
     done: VecDeque<Completion>,
     inflight: usize,
     stopping: bool,
@@ -122,13 +120,6 @@ impl RequestEngine {
 
     /// Queue a request; returns its completion id immediately.
     pub fn submit(&self, req: Request) -> u64 {
-        self.submit_in(req, None)
-    }
-
-    /// [`RequestEngine::submit`] with a trace-span parent: the worker
-    /// passes it down the `_in` device path so the request's spans hang
-    /// off the submitter's tree even though another thread runs them.
-    pub fn submit_in(&self, req: Request, parent: Option<SpanId>) -> u64 {
         let id = self.sh.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let mut st = self.sh.st.lock();
         if st.stopping {
@@ -141,7 +132,7 @@ impl RequestEngine {
             self.sh.complete_cv.notify_all();
             return id;
         }
-        st.queue.push_back((id, req, parent));
+        st.queue.push_back((id, req));
         drop(st);
         self.sh.submit_cv.notify_one();
         id
@@ -211,7 +202,7 @@ impl Drop for RequestEngine {
 
 fn worker(sh: &Shared) {
     loop {
-        let (id, req, parent) = {
+        let (id, req) = {
             let mut st = sh.st.lock();
             loop {
                 if let Some(item) = st.queue.pop_front() {
@@ -226,7 +217,7 @@ fn worker(sh: &Shared) {
                 sh.submit_cv.wait(&mut st);
             }
         };
-        let (data, result) = execute(&sh.dev, req, parent);
+        let (data, result) = execute(&sh.dev, req);
         let mut st = sh.st.lock();
         st.inflight -= 1;
         st.done.push_back(Completion { id, data, result });
@@ -235,16 +226,16 @@ fn worker(sh: &Shared) {
     }
 }
 
-fn execute(dev: &SharedDev, req: Request, parent: Option<SpanId>) -> (Option<Vec<u8>>, Result<()>) {
+fn execute(dev: &SharedDev, req: Request) -> (Option<Vec<u8>>, Result<()>) {
     match req {
         Request::Read { off, len } => {
             let mut buf = vec![0u8; len];
-            match dev.read_at_in(&mut buf, off, parent) {
+            match dev.read_at(&mut buf, off) {
                 Ok(()) => (Some(buf), Ok(())),
                 Err(e) => (None, Err(e)),
             }
         }
-        Request::Write { off, data } => (None, dev.write_at_in(&data, off, parent)),
+        Request::Write { off, data } => (None, dev.write_at(&data, off)),
         // An explicit client Flush against whatever device is being driven
         // (not necessarily an image); QcowImage routes it through barrier().
         Request::Flush => (None, dev.flush()), // lint:allow(qcow-barrier)

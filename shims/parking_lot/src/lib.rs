@@ -40,8 +40,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 pub mod lockrank {
     /// NBD server export registry.
     pub const NBD_EXPORTS: u32 = 10;
-    /// NBD pipelined-connection pending-reply map (held across submit).
-    pub const NBD_PENDING: u32 = 12;
+    /// NBD per-connection request reader (held across socket reads, and
+    /// across a FLUSH/TRIM barrier's wait and device call).
+    pub const NBD_READER: u32 = 12;
+    /// NBD per-connection in-service lock: held shared by each request
+    /// being served, exclusively by a FLUSH/TRIM/DISC barrier.
+    pub const NBD_IN_SERVICE: u32 = 13;
     /// Request-engine submission/completion state.
     pub const ENGINE_QUEUE: u32 = 14;
     /// Request-engine worker-handle list (Debug/shutdown only).
@@ -99,7 +103,8 @@ pub mod lockrank {
     pub fn name(rank: u32) -> &'static str {
         match rank {
             NBD_EXPORTS => "nbd.exports",
-            NBD_PENDING => "nbd.pending",
+            NBD_READER => "nbd.reader",
+            NBD_IN_SERVICE => "nbd.in_service",
             ENGINE_QUEUE => "engine.queue",
             ENGINE_WORKERS => "engine.workers",
             NBD_WRITER => "nbd.writer",

@@ -43,7 +43,10 @@ fn witness_constants_agree_with_manifest_ranks() {
     let m = workspace_manifest();
     let expect = [
         ("nbd.exports", lockrank::NBD_EXPORTS),
+        ("nbd.reader", lockrank::NBD_READER),
+        ("nbd.in_service", lockrank::NBD_IN_SERVICE),
         ("engine.queue", lockrank::ENGINE_QUEUE),
+        ("nbd.writer", lockrank::NBD_WRITER),
         ("qcow.range", lockrank::QCOW_RANGE),
         ("qcow.state", lockrank::QCOW_STATE),
         ("qcow.shard", lockrank::QCOW_SHARD),
