@@ -4,8 +4,12 @@
 //! figures --all                 # everything, paper scale
 //! figures fig2 fig12 table1    # selected artifacts
 //! figures --smoke --all        # reduced scale (seconds, for CI)
-//! figures --out results/       # output directory (default: results/)
+//! figures --out results/       # output directory
 //! ```
+//!
+//! Paper-scale runs write to `results/` unless `--out` says otherwise;
+//! `--smoke` runs write files only when `--out` is given, so they never
+//! overwrite the committed paper-scale artifacts.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -31,7 +35,7 @@ const ALL: &[&str] = &[
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
@@ -39,10 +43,10 @@ fn main() {
             "--smoke" => scale = Scale::Smoke,
             "--all" => wanted.extend(ALL.iter().map(|s| s.to_string())),
             "--out" => {
-                out_dir = PathBuf::from(iter.next().unwrap_or_else(|| {
+                out_dir = Some(PathBuf::from(iter.next().unwrap_or_else(|| {
                     eprintln!("--out needs a directory");
                     std::process::exit(2);
-                }))
+                })))
             }
             "--help" | "-h" => {
                 eprintln!("usage: figures [--smoke] [--out DIR] (--all | ARTIFACT...)");
@@ -66,10 +70,13 @@ fn main() {
     // Run each artifact once, in the order first named.
     let mut seen = std::collections::HashSet::new();
     wanted.retain(|name| seen.insert(name.clone()));
+    if scale == Scale::Paper {
+        out_dir.get_or_insert_with(|| PathBuf::from("results"));
+    }
 
     for name in &wanted {
         let t0 = Instant::now();
-        let result = run_one(name, scale, &out_dir);
+        let result = run_one(name, scale, out_dir.as_deref());
         match result {
             Ok(rendered) => {
                 println!("{rendered}");
@@ -81,40 +88,48 @@ fn main() {
             }
         }
     }
-    println!("results written to {}", out_dir.display());
+    if let Some(dir) = &out_dir {
+        println!("results written to {}", dir.display());
+    }
 }
 
 fn run_one(
     name: &str,
     scale: Scale,
-    out: &std::path::Path,
+    out: Option<&std::path::Path>,
 ) -> Result<String, Box<dyn std::error::Error>> {
+    let save_table = |t: &vmi_bench::TableData| match out {
+        Some(dir) => t.save(dir),
+        None => Ok(()),
+    };
     let mut rendered = String::new();
     let mut fig = |fg: vmi_bench::Figure| -> Result<(), Box<dyn std::error::Error>> {
-        fg.save(out)?;
+        if let Some(dir) = out {
+            fg.save(dir)?;
+        }
         rendered.push_str(&fg.render());
         Ok(())
     };
     match name {
         "table1" => {
             let t = f::table1(scale);
-            t.save(out)?;
+            save_table(&t)?;
             return Ok(t.render());
         }
         "table2" => {
             let t = f::table2(scale)?;
-            t.save(out)?;
+            save_table(&t)?;
             return Ok(t.render());
         }
         "sec6" => {
             let t = f::sec6(scale)?;
-            t.save(out)?;
+            save_table(&t)?;
             return Ok(t.render());
         }
         "ablations" => {
             let mut all = String::new();
             for t in vmi_bench::ablations::all(scale)? {
-                t.save(out)?;
+                save_table(&t)?;
                 all.push_str(&t.render());
                 all.push('\n');
             }

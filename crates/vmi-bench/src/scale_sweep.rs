@@ -1,7 +1,7 @@
 //! The PR-10 scale sweep: 100× the paper's cluster, measured.
 //!
-//! The paper's largest experiment deploys across **64 nodes**. The sharded
-//! event engine ([`vmi_cluster::run_scale`]) exists so the simulator can
+//! The paper's largest experiment deploys across **64 nodes**. The scale
+//! engine ([`vmi_cluster::run_scale`]) exists so the simulator can
 //! answer the same questions at 10,000 nodes — what does the storage link
 //! carry, how long do boots take — in seconds of wall clock. This sweep
 //! drives that engine across three topologies (the paper's `flat`
@@ -9,15 +9,11 @@
 //! compute-to-compute peer fetch), several seeds, and records boots/sec,
 //! storage-link bytes, and makespans per point.
 //!
-//! The artifact `BENCH_pr10_scale.json` also carries a **determinism**
-//! section: the same configuration run serially and at 1, 2, and 8 shards
-//! must produce the same order-sensitive digest — the sweep refuses to
-//! report performance numbers for an engine that isn't reproducible.
-//!
 //! `--check` gates (the CI `scale-smoke` job runs `--smoke --check`):
-//! digests equal across shard counts, tiered storage traffic strictly
-//! below flat, peer fetch active under `tiered+p2p`, boots/sec at or
-//! above a floor, and total wall clock inside a budget.
+//! tiered storage traffic strictly below flat, peer fetch active under
+//! `tiered+p2p`, boots/sec at or above a floor, and total wall clock inside
+//! a budget. Every non-wall field of the committed `BENCH_pr10_scale.json`
+//! is pinned by `tests/tests/scale_determinism.rs`.
 
 use std::time::Instant;
 
@@ -35,10 +31,6 @@ pub struct SweepConfig {
     pub images: usize,
     /// Seeds swept per (topology, nodes) point.
     pub seeds: Vec<u64>,
-    /// Shard counts for the epoch engine in the perf sweep (`0` = serial).
-    pub shards: usize,
-    /// Fleet size of the cross-shard determinism check.
-    pub determinism_nodes: usize,
     /// Gate: aggregate boots/sec across all perf points must reach this.
     pub min_boots_per_sec: f64,
     /// Gate: whole-sweep wall clock must stay under this many seconds.
@@ -54,8 +46,6 @@ impl SweepConfig {
             waves: 6,
             images: 64,
             seeds: vec![11, 42],
-            shards: 2,
-            determinism_nodes: 96,
             // The engine clears ~200k boots/s on a loaded 1-CPU container;
             // gate an order of magnitude below to catch real regressions
             // (a return to O(boots) allocation churn) without flaking.
@@ -81,7 +71,6 @@ impl SweepConfig {
         let mut cfg = ScaleConfig::new(topology, self.images);
         cfg.waves = self.waves;
         cfg.seed = seed;
-        cfg.shards = self.shards;
         cfg.degrade_ppm = 2_000;
         cfg
     }
@@ -134,28 +123,6 @@ pub struct SweepPoint {
     pub digest: String,
 }
 
-/// One engine's digest in the determinism check.
-#[derive(Debug, Clone, Serialize)]
-pub struct EngineDigest {
-    /// Engine label: `serial`, `shards-1`, `shards-2`, or `shards-8`.
-    pub engine: String,
-    /// Order-sensitive schedule digest, hex.
-    pub digest: String,
-}
-
-/// The cross-shard determinism check: one config, four engines.
-#[derive(Debug, Clone, Serialize)]
-pub struct DeterminismCheck {
-    /// Fleet size of the check config.
-    pub nodes: usize,
-    /// Seed of the check config.
-    pub seed: u64,
-    /// Digest per engine.
-    pub digests: Vec<EngineDigest>,
-    /// Whether every digest matched the serial reference.
-    pub identical: bool,
-}
-
 /// The whole `BENCH_pr10_scale.json` artifact.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleSweepReport {
@@ -171,8 +138,6 @@ pub struct ScaleSweepReport {
     pub paper_scale_x: f64,
     /// Perf points, one per (topology, seed).
     pub points: Vec<SweepPoint>,
-    /// Serial-vs-sharded digest comparison.
-    pub determinism: DeterminismCheck,
     /// Aggregate boots/sec across every perf point (gated).
     pub agg_boots_per_sec: f64,
     /// Whole-sweep wall clock, seconds.
@@ -210,17 +175,6 @@ impl ScaleSweepReport {
                 p.p99_boot_ms,
             ));
         }
-        let d = &self.determinism;
-        out.push_str(&format!(
-            "determinism ({} nodes, seed {}): {}\n",
-            d.nodes,
-            d.seed,
-            if d.identical {
-                "serial == shards 1/2/8"
-            } else {
-                "DIGEST MISMATCH"
-            }
-        ));
         out.push_str(&format!(
             "aggregate {:.0} boots/s over {:.2}s wall (floor {:.0})\n",
             self.agg_boots_per_sec, self.wall_s, self.min_boots_per_sec
@@ -231,12 +185,6 @@ impl ScaleSweepReport {
     /// Evaluate every acceptance gate; returns human-readable failures.
     pub fn check(&self, cfg: &SweepConfig) -> Vec<String> {
         let mut fails = Vec::new();
-        if !self.determinism.identical {
-            fails.push(format!(
-                "determinism: digests diverge across engines: {:?}",
-                self.determinism.digests
-            ));
-        }
         for &seed in &cfg.seeds {
             let bytes = |name: &str| {
                 self.points
@@ -285,53 +233,9 @@ impl ScaleSweepReport {
     }
 }
 
-/// Run the serial-vs-sharded digest comparison at `nodes` scale.
-fn determinism_check(cfg: &SweepConfig) -> DeterminismCheck {
-    let nodes = cfg.determinism_nodes;
-    let seed = cfg.seeds.first().copied().unwrap_or(42);
-    let base = {
-        let topo = Topology::tiered_p2p(nodes, 256 << 20, 1 << 30).with_fanout(12, 4);
-        let mut c = ScaleConfig::new(topo, cfg.images.min(16));
-        c.image_bytes = 16 << 20;
-        c.node_cache_bytes = 48 << 20;
-        c.waves = 4;
-        c.seed = seed;
-        c.degrade_ppm = 100_000;
-        c
-    };
-    let mut digests = Vec::with_capacity(4);
-    let mut identical = true;
-    let mut reference = None;
-    for shards in [0usize, 1, 2, 8] {
-        let mut c = base.clone();
-        c.shards = shards;
-        let digest = run_scale(&c).digest;
-        match reference {
-            None => reference = Some(digest),
-            Some(r) => identical &= r == digest,
-        }
-        let engine = if shards == 0 {
-            "serial".to_string()
-        } else {
-            format!("shards-{shards}")
-        };
-        digests.push(EngineDigest {
-            engine,
-            digest: format!("{digest:016x}"),
-        });
-    }
-    DeterminismCheck {
-        nodes,
-        seed,
-        digests,
-        identical,
-    }
-}
-
 /// Run the sweep described by `cfg`.
 pub fn run_scale_sweep_with(cfg: &SweepConfig, mode: &str) -> ScaleSweepReport {
     let t0 = Instant::now(); // lint:allow(no-raw-clock): the bench reports real wall time
-    let determinism = determinism_check(cfg);
     let mut points = Vec::with_capacity(3 * cfg.seeds.len());
     let mut total_boots = 0u64;
     let mut total_wall_ns = 0u64;
@@ -371,7 +275,6 @@ pub fn run_scale_sweep_with(cfg: &SweepConfig, mode: &str) -> ScaleSweepReport {
         boots_per_point,
         paper_scale_x: cfg.nodes as f64 / 64.0,
         points,
-        determinism,
         agg_boots_per_sec: total_boots as f64 / (total_wall_ns as f64 / 1e9).max(1e-9),
         wall_s: t0.elapsed().as_secs_f64(),
         min_boots_per_sec: cfg.min_boots_per_sec,
@@ -398,8 +301,6 @@ mod tests {
             waves: 3,
             images: 12,
             seeds: vec![7],
-            shards: 2,
-            determinism_nodes: 48,
             min_boots_per_sec: 1.0,
             wall_budget_s: 60.0,
         }
@@ -416,7 +317,6 @@ mod tests {
             rep.render()
         );
         assert_eq!(rep.points.len(), 3);
-        assert!(rep.determinism.identical);
     }
 
     #[test]
@@ -425,7 +325,6 @@ mod tests {
         let json = rep.to_json();
         assert!(json.contains("\"pr10_scale\""));
         assert!(json.contains("tiered+p2p"));
-        assert!(json.contains("determinism"));
         assert!(rep.render().contains("scale sweep"));
     }
 

@@ -1,4 +1,5 @@
-//! Command-line behaviour of the `figures` and `trace_report` binaries.
+//! Command-line behaviour of the `figures`, `scale_sweep` and
+//! `trace_report` binaries.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -80,6 +81,35 @@ fn figures_runs_an_artifact_named_twice_once() {
     };
     assert_eq!(runs("table1"), 1, "{stdout}");
     assert_eq!(runs("table2"), 1, "{stdout}");
+}
+
+/// Run `bin` with `args` from a fresh scratch directory; it must succeed
+/// and leave the directory empty.
+fn assert_writes_nothing(name: &str, bin: &str, args: &[&str]) {
+    let dir = scratch(name);
+    let out = Command::new(bin)
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(left.is_empty(), "{bin} {args:?} wrote {left:?}");
+}
+
+#[test]
+fn figures_smoke_without_out_writes_nothing() {
+    let bin = env!("CARGO_BIN_EXE_figures");
+    assert_writes_nothing("figures_smoke_no_out", bin, &["--smoke", "table1"]);
+}
+
+#[test]
+fn scale_sweep_without_out_writes_nothing() {
+    let bin = env!("CARGO_BIN_EXE_scale_sweep");
+    assert_writes_nothing("scale_sweep_no_out", bin, &["--smoke"]);
 }
 
 #[test]

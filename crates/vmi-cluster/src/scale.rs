@@ -1,35 +1,28 @@
-//! Rack-sharded conservative-parallel cluster simulator (DESIGN.md §16).
+//! The 10k-node cluster simulator (DESIGN.md §16).
 //!
 //! The paper's evaluation tops out at 64 compute nodes; this engine runs the
-//! same cache-fill physics at O(10k) nodes and O(1M) boots. Three ideas make
+//! same cache-fill physics at O(10k) nodes and O(1M) boots. Two ideas make
 //! that tractable:
 //!
 //! 1. **Content-keyed events** ([`vmi_sim::EventKey`]): the schedule is a
-//!    pure function of the event *set*, so a serial run and a sharded run
-//!    that create the same events observe the same total order — per-seed
-//!    output is bit-identical across 1/2/8 shards and the serial reference.
-//! 2. **Rack = lane = unit of locality**: node caches, the peer registry,
-//!    in-flight peer transfers, the top-of-rack link and the rack cache tier
-//!    are all owned by one rack and touched only by that rack's events, so
-//!    worker threads never contend. Zone links, zone tiers and the storage
-//!    link are the *shared phase*: rack handlers emit [`Effect`]s, and the
-//!    main thread resolves them between epochs in deterministic
-//!    `(event key, emission index)` order.
-//! 3. **Conservative epochs**: the barrier is `t0 + lookahead` where
-//!    lookahead is the smallest link latency in the [`Topology`]. Every
-//!    event a handler creates is the delivery time of a link transfer, hence
-//!    at least one latency in the future — events below the barrier are a
-//!    closed set and can be processed rack-parallel.
+//!    pure function of the event *set*, not of the order handlers create
+//!    events in, so per-seed output is bit-identical run to run. One serial
+//!    loop pops them in key order.
+//! 2. **Compact state**: state is O(active fills), not O(boots). Arrivals
+//!    are injected one wave at a time, images are `u32` indices, and
+//!    per-boot records are kept only on request
+//!    ([`ScaleConfig::keep_records`]). Node caches and the rack and zone
+//!    tiers are the crate's one LRU, [`CachePool`].
 //!
-//! State is O(active fills), not O(boots): arrivals are injected one wave at
-//! a time, images are `u32` indices, and per-boot records are kept only on
-//! request ([`ScaleConfig::keep_records`]). Node caches and the rack and
-//! zone tiers are the crate's one LRU, [`CachePool`].
+//! Each rack owns its node caches, peer registry, in-flight peer transfers,
+//! top-of-rack link and rack tier. Zone links, zone tiers and the storage
+//! link sit above the racks; a handler resolves an above-rack fetch against
+//! them at the point where it needs one.
 
 use std::collections::HashMap;
 
 use vmi_obs::{Histogram, HistogramSnapshot, Obs};
-use vmi_sim::{EventKey, Link, LinkStats, Ns, Shard, ShardedEventQueue, SEC};
+use vmi_sim::{EventKey, Link, LinkStats, Ns, Shard, SEC};
 
 use crate::cachepool::CachePool;
 use crate::topology::Topology;
@@ -38,8 +31,6 @@ const TAG_ARRIVE: u8 = 0;
 const TAG_FILL: u8 = 1;
 /// Mixed into the seed for the independent degraded-peer coin.
 const DEGRADE_SALT: u64 = 0x6b5f_e273_9cd1_aa41;
-/// Below this many events per epoch, thread spawn costs more than it saves.
-const SPAWN_MIN: usize = 512;
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -147,8 +138,6 @@ pub struct ScaleConfig {
     pub degrade_ppm: u32,
     /// Seed for image choice and degradation coins.
     pub seed: u64,
-    /// Worker shards; `0` runs the serial reference (strict global order).
-    pub shards: usize,
     /// Keep per-boot [`BootRecord`]s (O(boots) memory — off by default).
     pub keep_records: bool,
 }
@@ -167,7 +156,6 @@ impl ScaleConfig {
             boot_cpu_ns: 2 * SEC,
             degrade_ppm: 0,
             seed: 42,
-            shards: 0,
             keep_records: false,
         }
     }
@@ -233,7 +221,7 @@ pub struct ScaleReport {
     /// 99th-percentile boot latency (log2-bucket upper edge).
     pub p99_boot_ns: u64,
     /// Order-sensitive FNV-1a digest of every boot outcome; equal digests ⇒
-    /// identical schedules (the determinism gate compares these).
+    /// identical schedules (the scale goldens pin these).
     pub digest: u64,
     /// Per-boot records, sorted by boot id (empty unless requested).
     pub records: Vec<BootRecord>,
@@ -241,7 +229,7 @@ pub struct ScaleReport {
 
 impl ScaleReport {
     /// Render kept records as JSONL, one boot per line in boot-id order.
-    /// Identical across serial and sharded runs of the same seed.
+    /// Like every report field, a pure function of the config.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
@@ -300,6 +288,18 @@ enum Ev {
     FillDone { node: u32, image: u32, gen: u32 },
 }
 
+/// The `FillDone` of `(node, image)` at generation `gen`, due at `at`.
+fn fill_done(rack: u32, node: u32, image: u32, gen: u32, at: Ns) -> (EventKey, Ev) {
+    let key = EventKey {
+        at,
+        lane: rack,
+        tag: TAG_FILL,
+        a: node as u64,
+        b: fill_key(image, gen),
+    };
+    (key, Ev::FillDone { node, image, gen })
+}
+
 /// A rack or zone tier serves `image` only once its fill has landed: an
 /// entry still arriving is a miss and keeps its recency.
 fn tier_hit(tier: &mut CachePool, image: u32, now: Ns) -> Option<Ns> {
@@ -350,7 +350,8 @@ struct Pending {
     gen: u32,
     boot: u64,
     at: Ns,
-    /// Completion time, or `Ns::MAX` while an above-rack fetch is pending.
+    /// Completion time, or `Ns::MAX` for an above-rack fill, whose last
+    /// rack leg is charged when it reaches the zone boundary.
     warm_at: Ns,
     seg0: Option<(FillSource, u64)>,
     seg1: Option<(FillSource, u64)>,
@@ -408,8 +409,8 @@ impl RackAgg {
     }
 
     /// Record a finished boot: histogram, digest fold, optional record.
-    /// Called in rack-event order, which both runners reproduce exactly —
-    /// so the digest is schedule-sensitive.
+    /// Called in the rack's event order, so the digest is
+    /// schedule-sensitive.
     fn record(&mut self, keep: bool, rec: BootRecord) {
         self.boots += 1;
         let lat = rec.done.saturating_sub(rec.at);
@@ -455,7 +456,7 @@ struct RackState {
     agg: RackAgg,
 }
 
-/// Shared-phase resources, touched only between epochs on the main thread.
+/// Resources above the racks, shared by every rack's events.
 struct SharedState {
     storage: Link,
     zone_links: Vec<Link>,
@@ -465,57 +466,62 @@ struct SharedState {
     evicted: Vec<usize>,
 }
 
-/// A rack-handler request against shared-phase resources. Sorting by
-/// `(key, idx)` reproduces the serial runner's immediate-processing order.
-#[derive(Debug, Clone, Copy)]
-struct Effect {
-    key: EventKey,
-    idx: u32,
+/// Fetch `bytes` of `image` for `p` from above the rack, starting at
+/// `start`: zone tier if warm, else storage → zone (store-and-forward),
+/// populating the zone tier. The fill lands at the zone boundary; its
+/// `FillDone` charges the last rack leg.
+#[allow(clippy::too_many_arguments)]
+fn fetch_above(
+    cfg: &ScaleConfig,
+    shared: &mut SharedState,
+    queue: &mut Shard<Ev>,
     rack: u32,
     node: u32,
     image: u32,
-    gen: u32,
+    p: &mut Pending,
     bytes: u64,
     start: Ns,
-}
-
-// ---------------------------------------------------------------------------
-// Rack-local handlers
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn handle_event(
-    cfg: &ScaleConfig,
-    rk: &mut RackState,
-    shard: &mut Shard<Ev>,
-    key: EventKey,
-    ev: Ev,
-    effects: &mut Vec<Effect>,
 ) {
-    let base = effects.len();
-    match ev {
-        Ev::Arrive { boot, node, image } => {
-            handle_arrive(cfg, rk, shard, key, boot, node, image, effects, base)
-        }
-        Ev::FillDone { node, image, gen } => {
-            handle_filldone(cfg, rk, shard, key, node, image, gen, effects, base)
-        }
-    }
+    let zone = cfg.topology.zone_of(rack as usize);
+    let (src, end) = if let Some(ready) = tier_hit(&mut shared.zone_tiers[zone], image, start) {
+        (
+            FillSource::Zone,
+            shared.zone_links[zone].transfer(start.max(ready), bytes),
+        )
+    } else {
+        let t1 = shared.storage.transfer(start, bytes);
+        let end = shared.zone_links[zone].transfer(t1, bytes);
+        shared.zone_tier_evictions += tier_admit(
+            &mut shared.zone_tiers[zone],
+            image,
+            cfg.image_bytes,
+            end,
+            start,
+            &mut shared.evicted,
+        );
+        (FillSource::Storage, end)
+    };
+    push_seg(p, src, bytes);
+    p.rack_leg_bytes = bytes;
+    let (key, ev) = fill_done(rack, node, image, p.gen, end);
+    queue.push(key, ev);
 }
+
+// ---------------------------------------------------------------------------
+// Handlers
+// ---------------------------------------------------------------------------
 
 #[allow(clippy::too_many_arguments)]
 fn handle_arrive(
     cfg: &ScaleConfig,
     rk: &mut RackState,
-    shard: &mut Shard<Ev>,
-    key: EventKey,
+    shared: &mut SharedState,
+    queue: &mut Shard<Ev>,
+    t: Ns,
     boot: u64,
     node: u32,
     image: u32,
-    effects: &mut Vec<Effect>,
-    base: usize,
 ) {
-    let t = key.at;
     let ni = (node - rk.node0) as usize;
     let ib = cfg.image_bytes;
 
@@ -583,27 +589,12 @@ fn handle_arrive(
                     let end = rk.link.transfer(t_fail.max(ready), rest);
                     p.seg1 = Some((FillSource::Rack, rest));
                     p.warm_at = end;
-                    shard.push(
-                        EventKey {
-                            at: end,
-                            lane: rk.rack,
-                            tag: TAG_FILL,
-                            a: node as u64,
-                            b: fill_key(image, gen),
-                        },
-                        Ev::FillDone { node, image, gen },
-                    );
+                    let (key, ev) = fill_done(rk.rack, node, image, gen, end);
+                    queue.push(key, ev);
                 } else {
-                    effects.push(Effect {
-                        key,
-                        idx: (effects.len() - base) as u32,
-                        rack: rk.rack,
-                        node,
-                        image,
-                        gen,
-                        bytes: rest,
-                        start: t_fail,
-                    });
+                    fetch_above(
+                        cfg, shared, queue, rk.rack, node, image, &mut p, rest, t_fail,
+                    );
                 }
             } else {
                 // Healthy peer: full image across the rack link; registered
@@ -620,16 +611,8 @@ fn handle_arrive(
                 });
                 p.seg0 = Some((FillSource::Peer, ib));
                 p.warm_at = end;
-                shard.push(
-                    EventKey {
-                        at: end,
-                        lane: rk.rack,
-                        tag: TAG_FILL,
-                        a: node as u64,
-                        b: fill_key(image, gen),
-                    },
-                    Ev::FillDone { node, image, gen },
-                );
+                let (key, ev) = fill_done(rk.rack, node, image, gen, end);
+                queue.push(key, ev);
             }
             rk.pending.insert((node, image), p);
             return;
@@ -641,31 +624,14 @@ fn handle_arrive(
         let end = rk.link.transfer(t.max(ready), ib);
         p.seg0 = Some((FillSource::Rack, ib));
         p.warm_at = end;
-        shard.push(
-            EventKey {
-                at: end,
-                lane: rk.rack,
-                tag: TAG_FILL,
-                a: node as u64,
-                b: fill_key(image, gen),
-            },
-            Ev::FillDone { node, image, gen },
-        );
+        let (key, ev) = fill_done(rk.rack, node, image, gen, end);
+        queue.push(key, ev);
         rk.pending.insert((node, image), p);
         return;
     }
 
-    // 3c. Above the rack: resolved by the shared phase.
-    effects.push(Effect {
-        key,
-        idx: (effects.len() - base) as u32,
-        rack: rk.rack,
-        node,
-        image,
-        gen,
-        bytes: ib,
-        start: t,
-    });
+    // 3c. Above the rack.
+    fetch_above(cfg, shared, queue, rk.rack, node, image, &mut p, ib, t);
     rk.pending.insert((node, image), p);
 }
 
@@ -673,15 +639,13 @@ fn handle_arrive(
 fn handle_filldone(
     cfg: &ScaleConfig,
     rk: &mut RackState,
-    shard: &mut Shard<Ev>,
-    key: EventKey,
+    shared: &mut SharedState,
+    queue: &mut Shard<Ev>,
+    t: Ns,
     node: u32,
     image: u32,
     gen: u32,
-    effects: &mut Vec<Effect>,
-    base: usize,
 ) {
-    let t = key.at;
     // Stale completion of a rescheduled fill?
     if rk.pending.get(&(node, image)).is_none_or(|p| p.gen != gen) {
         return;
@@ -717,7 +681,7 @@ fn handle_filldone(
     );
     rk.agg.node_evictions += evicted.len() as u64;
     for gone in evicted.drain(..) {
-        process_eviction(cfg, rk, shard, key, node, gone as u32, t, effects, base);
+        process_eviction(cfg, rk, shared, queue, node, gone as u32, t);
     }
     rk.evicted = evicted;
 
@@ -788,17 +752,14 @@ fn handle_filldone(
 /// A node evicted `image`: unadvertise it and truncate any outgoing peer
 /// transfer mid-flight — the destination keeps the bytes already served and
 /// refetches exactly the remainder from the next tier (never both).
-#[allow(clippy::too_many_arguments)]
 fn process_eviction(
     cfg: &ScaleConfig,
     rk: &mut RackState,
-    shard: &mut Shard<Ev>,
-    ekey: EventKey,
+    shared: &mut SharedState,
+    queue: &mut Shard<Ev>,
     owner: u32,
     image: u32,
     t: Ns,
-    effects: &mut Vec<Effect>,
-    base: usize,
 ) {
     if cfg.topology.peer_fetch {
         if let Some(v) = rk.registry.get_mut(&image) {
@@ -826,37 +787,15 @@ fn process_eviction(
                 p.seg1 = None;
                 rk.next_gen += 1;
                 p.gen = rk.next_gen;
-                let gen = p.gen;
                 if let Some(ready) = tier_hit(&mut rk.tier, image, t) {
                     let end = rk.link.transfer(t.max(ready), rest);
                     p.seg1 = Some((FillSource::Rack, rest));
                     p.warm_at = end;
-                    shard.push(
-                        EventKey {
-                            at: end,
-                            lane: rk.rack,
-                            tag: TAG_FILL,
-                            a: tr.dst_node as u64,
-                            b: fill_key(image, gen),
-                        },
-                        Ev::FillDone {
-                            node: tr.dst_node,
-                            image,
-                            gen,
-                        },
-                    );
+                    let (key, ev) = fill_done(rk.rack, tr.dst_node, image, p.gen, end);
+                    queue.push(key, ev);
                 } else {
                     p.warm_at = Ns::MAX;
-                    effects.push(Effect {
-                        key: ekey,
-                        idx: (effects.len() - base) as u32,
-                        rack: rk.rack,
-                        node: tr.dst_node,
-                        image,
-                        gen,
-                        bytes: rest,
-                        start: t,
-                    });
+                    fetch_above(cfg, shared, queue, rk.rack, tr.dst_node, image, p, rest, t);
                 }
             }
         } else {
@@ -866,64 +805,7 @@ fn process_eviction(
 }
 
 // ---------------------------------------------------------------------------
-// Shared phase
-// ---------------------------------------------------------------------------
-
-/// Resolve one above-rack fetch: zone tier if warm, else storage → zone
-/// (store-and-forward), populating the zone tier. Runs on the main thread
-/// in `(key, idx)` order — exactly the serial runner's order.
-fn process_effect(
-    cfg: &ScaleConfig,
-    shared: &mut SharedState,
-    racks: &mut [RackState],
-    queue: &mut ShardedEventQueue<Ev>,
-    ef: Effect,
-) {
-    let zone = cfg.topology.zone_of(ef.rack as usize);
-    let (src, end) = if let Some(ready) = tier_hit(&mut shared.zone_tiers[zone], ef.image, ef.start)
-    {
-        (
-            FillSource::Zone,
-            shared.zone_links[zone].transfer(ef.start.max(ready), ef.bytes),
-        )
-    } else {
-        let t1 = shared.storage.transfer(ef.start, ef.bytes);
-        let end = shared.zone_links[zone].transfer(t1, ef.bytes);
-        shared.zone_tier_evictions += tier_admit(
-            &mut shared.zone_tiers[zone],
-            ef.image,
-            cfg.image_bytes,
-            end,
-            ef.start,
-            &mut shared.evicted,
-        );
-        (FillSource::Storage, end)
-    };
-    let rk = &mut racks[ef.rack as usize];
-    if let Some(p) = rk.pending.get_mut(&(ef.node, ef.image)) {
-        if p.gen == ef.gen {
-            push_seg(p, src, ef.bytes);
-            p.rack_leg_bytes = ef.bytes;
-            queue.push(
-                EventKey {
-                    at: end,
-                    lane: ef.rack,
-                    tag: TAG_FILL,
-                    a: ef.node as u64,
-                    b: fill_key(ef.image, ef.gen),
-                },
-                Ev::FillDone {
-                    node: ef.node,
-                    image: ef.image,
-                    gen: ef.gen,
-                },
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Runners
+// Runner
 // ---------------------------------------------------------------------------
 
 fn init_racks(cfg: &ScaleConfig) -> Vec<RackState> {
@@ -966,7 +848,7 @@ fn init_shared(cfg: &ScaleConfig) -> SharedState {
     }
 }
 
-fn inject_wave(queue: &mut ShardedEventQueue<Ev>, cfg: &ScaleConfig, cum: &[f64], wave: usize) {
+fn inject_wave(queue: &mut Shard<Ev>, cfg: &ScaleConfig, cum: &[f64], wave: usize) {
     let at = wave as u64 * cfg.wave_gap_ns;
     for node in 0..cfg.topology.nodes {
         let boot = wave as u64 * cfg.topology.nodes as u64 + node as u64;
@@ -986,129 +868,6 @@ fn inject_wave(queue: &mut ShardedEventQueue<Ev>, cfg: &ScaleConfig, cum: &[f64]
             },
         );
     }
-}
-
-/// Serial reference: strict global key order, effects processed immediately.
-fn run_serial(cfg: &ScaleConfig) -> ScaleReport {
-    let cum = zipf_cum(cfg.images);
-    let mut racks = init_racks(cfg);
-    let mut shared = init_shared(cfg);
-    let mut queue = ShardedEventQueue::new(1, cfg.topology.racks());
-    let mut next_wave = 0usize;
-    let mut effects: Vec<Effect> = Vec::new();
-    loop {
-        while next_wave < cfg.waves {
-            let wt = next_wave as u64 * cfg.wave_gap_ns;
-            if queue.min_time().is_none_or(|m| wt <= m) {
-                inject_wave(&mut queue, cfg, &cum, next_wave);
-                next_wave += 1;
-            } else {
-                break;
-            }
-        }
-        let Some((key, ev)) = queue.pop_min() else {
-            break;
-        };
-        {
-            let rk = &mut racks[key.lane as usize];
-            let shard = &mut queue.shards_mut()[0];
-            handle_event(cfg, rk, shard, key, ev, &mut effects);
-        }
-        for ef in effects.drain(..) {
-            process_effect(cfg, &mut shared, &mut racks, &mut queue, ef);
-        }
-    }
-    finish(cfg, racks, shared)
-}
-
-fn process_batch(
-    cfg: &ScaleConfig,
-    rack0: u32,
-    rchunk: &mut [RackState],
-    shard: &mut Shard<Ev>,
-    batch: Vec<(EventKey, Ev)>,
-) -> Vec<Effect> {
-    let mut effects = Vec::new();
-    for (key, ev) in batch {
-        let rk = &mut rchunk[(key.lane - rack0) as usize];
-        handle_event(cfg, rk, shard, key, ev, &mut effects);
-    }
-    effects
-}
-
-/// Epoch runner: conservative barriers, rack-parallel handlers, shared
-/// phase between epochs. Identical output to [`run_serial`] for any shard
-/// count (the proptest and the bench's determinism gate both check this).
-fn run_epochs(cfg: &ScaleConfig) -> ScaleReport {
-    let cum = zipf_cum(cfg.images);
-    let mut racks = init_racks(cfg);
-    let mut shared = init_shared(cfg);
-    let mut queue = ShardedEventQueue::new(cfg.shards, cfg.topology.racks());
-    let lookahead = cfg.topology.lookahead();
-    let lps = queue.lanes_per_shard();
-    let mut next_wave = 0usize;
-    loop {
-        let wmin = (next_wave < cfg.waves).then(|| next_wave as u64 * cfg.wave_gap_ns);
-        let t0 = match (queue.min_time(), wmin) {
-            (Some(q), Some(w)) => q.min(w),
-            (Some(q), None) => q,
-            (None, Some(w)) => w,
-            (None, None) => break,
-        };
-        let barrier = t0 + lookahead;
-        while next_wave < cfg.waves && (next_wave as u64 * cfg.wave_gap_ns) < barrier {
-            inject_wave(&mut queue, cfg, &cum, next_wave);
-            next_wave += 1;
-        }
-        let mut batches: Vec<Vec<(EventKey, Ev)>> = Vec::with_capacity(queue.num_shards());
-        let mut total = 0usize;
-        for s in queue.shards_mut() {
-            let mut b = Vec::new();
-            s.drain_until(barrier, &mut b);
-            total += b.len();
-            batches.push(b);
-        }
-        let mut all_effects: Vec<Effect> = if total >= SPAWN_MIN && queue.num_shards() > 1 {
-            let shards = queue.shards_mut();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = racks
-                    .chunks_mut(lps)
-                    .zip(shards.iter_mut())
-                    .zip(batches)
-                    .enumerate()
-                    .map(|(i, ((rchunk, shard), batch))| {
-                        s.spawn(move || process_batch(cfg, (i * lps) as u32, rchunk, shard, batch))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(v) => v,
-                        Err(e) => std::panic::resume_unwind(e),
-                    })
-                    .collect()
-            })
-        } else {
-            let shards = queue.shards_mut();
-            let mut out = Vec::new();
-            for (i, ((rchunk, shard), batch)) in racks
-                .chunks_mut(lps)
-                .zip(shards.iter_mut())
-                .zip(batches)
-                .enumerate()
-            {
-                out.extend(process_batch(cfg, (i * lps) as u32, rchunk, shard, batch));
-            }
-            out
-        };
-        // Effect keys are unique per generating event; (key, idx) restores
-        // the serial runner's immediate-processing order.
-        all_effects.sort_unstable_by_key(|e| (e.key, e.idx));
-        for ef in all_effects {
-            process_effect(cfg, &mut shared, &mut racks, &mut queue, ef);
-        }
-    }
-    finish(cfg, racks, shared)
 }
 
 fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> ScaleReport {
@@ -1169,16 +928,40 @@ fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> Scal
     report
 }
 
-/// Run one scale experiment: serial reference when `cfg.shards == 0`, the
-/// conservative epoch runner otherwise. Output is a pure function of the
-/// config — same seed, any shard count, same [`ScaleReport::digest`].
+/// Run one scale experiment: pop events in global key order, injecting each
+/// wave once no earlier event is pending. Output is a pure function of the
+/// config — same seed, same [`ScaleReport::digest`].
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     cfg.validate();
-    if cfg.shards == 0 {
-        run_serial(cfg)
-    } else {
-        run_epochs(cfg)
+    let cum = zipf_cum(cfg.images);
+    let mut racks = init_racks(cfg);
+    let mut shared = init_shared(cfg);
+    let mut queue = Shard::default();
+    let mut next_wave = 0usize;
+    loop {
+        while next_wave < cfg.waves {
+            let wt = next_wave as u64 * cfg.wave_gap_ns;
+            if queue.min_key().is_some_and(|k| k.at < wt) {
+                break;
+            }
+            inject_wave(&mut queue, cfg, &cum, next_wave);
+            next_wave += 1;
+        }
+        let Some((key, ev)) = queue.pop() else {
+            break;
+        };
+        let rk = &mut racks[key.lane as usize];
+        let (sh, t) = (&mut shared, key.at);
+        match ev {
+            Ev::Arrive { boot, node, image } => {
+                handle_arrive(cfg, rk, sh, &mut queue, t, boot, node, image)
+            }
+            Ev::FillDone { node, image, gen } => {
+                handle_filldone(cfg, rk, sh, &mut queue, t, node, image, gen)
+            }
+        }
     }
+    finish(cfg, racks, shared)
 }
 
 #[cfg(test)]
@@ -1195,28 +978,6 @@ mod tests {
         cfg.seed = seed;
         cfg.keep_records = true;
         cfg
-    }
-
-    #[test]
-    fn serial_and_sharded_runs_are_bit_identical() {
-        for seed in [1u64, 7, 2026] {
-            let topo = Topology::tiered_p2p(96, 64 << 20, 256 << 20).with_fanout(12, 4);
-            let mut cfg = small_cfg(topo, seed);
-            cfg.degrade_ppm = 200_000; // stress the fallback paths too
-            let reference = run_scale(&cfg);
-            assert_eq!(reference.boots, cfg.boots());
-            let ref_jsonl = reference.jsonl();
-            for shards in [1usize, 2, 8] {
-                let mut c = cfg.clone();
-                c.shards = shards;
-                let got = run_scale(&c);
-                assert_eq!(got.digest, reference.digest, "digest @ {shards} shards");
-                assert_eq!(got.jsonl(), ref_jsonl, "jsonl @ {shards} shards");
-                assert_eq!(got.storage_link, reference.storage_link);
-                assert_eq!(got.fills, reference.fills);
-                assert_eq!(got.makespan_ns, reference.makespan_ns);
-            }
-        }
     }
 
     #[test]
@@ -1310,20 +1071,15 @@ mod tests {
                 }
             }
             if rep.peer_truncations > 0 {
-                found = Some((cfg, rep));
+                found = Some(rep);
                 break;
             }
         }
-        let (cfg, rep) = found.expect("some seed must truncate a peer transfer");
+        let rep = found.expect("some seed must truncate a peer transfer");
         // Truncated fills fell back a tier (rack tier disabled ⇒ zone or
-        // storage) and the determinism gate still holds under truncation.
+        // storage).
         assert!(rep.records.iter().any(|r| r.src == FillSource::Peer
             && matches!(r.fallback, Some(FillSource::Zone | FillSource::Storage))));
-        for shards in [2usize, 8] {
-            let mut c = cfg.clone();
-            c.shards = shards;
-            assert_eq!(run_scale(&c).digest, rep.digest, "@ {shards} shards");
-        }
     }
 
     #[test]

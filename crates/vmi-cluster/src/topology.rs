@@ -16,7 +16,7 @@
 //! rack, one zone, passthrough internal links, storage as the only shared
 //! resource.
 
-use vmi_sim::{NetSpec, Ns};
+use vmi_sim::NetSpec;
 
 /// A hierarchical cache-distribution topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,26 +125,15 @@ impl Topology {
         (start, count)
     }
 
-    /// The conservative scheduler's lookahead: the smallest link latency in
-    /// the topology. Every event an in-epoch handler creates lands at least
-    /// one link latency in the future, so events below `t0 + lookahead` are
-    /// a closed set (DESIGN.md §16).
-    pub fn lookahead(&self) -> Ns {
-        self.rack_link
-            .latency_ns
-            .min(self.zone_link.latency_ns)
-            .min(self.storage_link.latency_ns)
-    }
-
-    /// Panic on configurations the simulator cannot schedule (zero-latency
-    /// links would collapse the lookahead window; empty fleets have no
-    /// events).
+    /// Panic on configurations outside the model: a link with zero latency,
+    /// or an empty fleet (no events).
     pub fn validate(&self) {
         assert!(self.nodes >= 1, "topology needs at least one node");
         assert!(self.nodes_per_rack >= 1 && self.racks_per_zone >= 1);
+        let links = [self.rack_link, self.zone_link, self.storage_link];
         assert!(
-            self.lookahead() > 0,
-            "all link latencies must be positive: lookahead is the epoch barrier"
+            links.iter().all(|l| l.latency_ns > 0),
+            "every link latency must be positive"
         );
     }
 }
@@ -174,8 +163,7 @@ mod tests {
         assert_eq!(t.rack_cache_bytes, 0);
         assert_eq!(t.zone_cache_bytes, 0);
         assert!(!t.peer_fetch);
-        // Passthrough hops cost ~nothing but keep lookahead positive.
-        assert!(t.lookahead() > 0);
+        // Passthrough hops cost ~nothing but keep a positive latency.
         t.validate();
     }
 
@@ -196,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lookahead")]
+    #[should_panic(expected = "latency must be positive")]
     fn zero_latency_rejected() {
         let mut t = Topology::flat(4);
         t.storage_link.latency_ns = 0;

@@ -14,9 +14,8 @@
 //! * [`world::SimWorld`] — the resource registry plus the *op clock* that
 //!   prices real `vmi-qcow` I/O on simulated time;
 //! * [`shard::Shard`] — the one deterministic event heap, ordered by a
-//!   content-derived [`shard::EventKey`]: alone it drives the byte-level
-//!   boot engine in `vmi-cluster`, in a [`shard::ShardedEventQueue`] the
-//!   10k-node scale engine.
+//!   content-derived [`shard::EventKey`]: it drives both the byte-level
+//!   boot engine and the 10k-node scale engine in `vmi-cluster`.
 //!
 //! Everything is deterministic: same inputs → identical timelines.
 
@@ -44,6 +43,6 @@ pub mod world;
 pub use disk::{Disk, DiskSpec, DiskStats};
 pub use net::{Link, LinkDiscipline, LinkStats, NetSpec};
 pub use pagecache::{CacheOutcome, PageCache, PageKey};
-pub use shard::{EventKey, Shard, ShardedEventQueue};
+pub use shard::{EventKey, Shard};
 pub use time::{fmt_secs, transfer_ns, Ns, MSEC, SEC, USEC};
 pub use world::{CacheId, DiskId, LinkId, SimWorld, MEM_BW_BPS};

@@ -99,8 +99,8 @@ impl NetSpec {
 
     /// An effectively unconstrained hop (used to flatten tiers out of a
     /// topology without special-casing the fill path): huge bandwidth,
-    /// minimal — but nonzero — latency so the conservative scheduler's
-    /// lookahead stays positive.
+    /// minimal — but nonzero — latency, as `vmi-cluster`'s topologies
+    /// require of every link.
     pub fn passthrough() -> Self {
         Self {
             bw_bps: u64::MAX / 4,

