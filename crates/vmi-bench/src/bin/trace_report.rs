@@ -15,8 +15,7 @@
 
 use std::path::Path;
 
-use vmi_bench::obs_report::replay_lines_strict;
-use vmi_bench::trace_report::{analyze, TraceForest};
+use vmi_bench::trace_report::{analyze, parse_lines, TraceForest};
 use vmi_obs::Event;
 
 const USAGE: &str =
@@ -97,7 +96,7 @@ fn main() {
         (None, false) => usage_error("pass an input file or --demo"),
     };
 
-    let (summary, bad) = replay_lines_strict(&lines);
+    let (events, bad) = parse_lines(&lines);
     if !bad.is_empty() {
         for (line_no, err) in &bad {
             eprintln!("{source}:{line_no}: malformed event line: {err}");
@@ -106,18 +105,14 @@ fn main() {
         std::process::exit(2);
     }
 
-    let events: Vec<(u64, Event)> = lines
-        .iter()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| Event::parse_line(l).ok())
-        .collect();
     let rep = analyze(&events);
     print!("{}", rep.render());
+    let count = |f: fn(&Event) -> bool| events.iter().filter(|(_, e)| f(e)).count();
+    let starts = count(|e| matches!(e, Event::SpanStart { .. }));
+    let ends = count(|e| matches!(e, Event::SpanEnd { .. }));
     println!(
-        "point events: {} span events: {}+{}",
-        summary.events as u64 - summary.span_starts - summary.span_ends,
-        summary.span_starts,
-        summary.span_ends
+        "point events: {} span events: {starts}+{ends}",
+        events.len() - starts - ends
     );
 
     if let Some(path) = &out {

@@ -18,7 +18,8 @@ use vmi_obs::Event;
 /// One reconstructed span.
 #[derive(Debug, Clone, Serialize)]
 pub struct Span {
-    /// Unique id (node-namespaced: high 16 bits = node, low 48 = sequence).
+    /// Span id: a sequence number of the recording `Obs`, unique within
+    /// one recording (two recordings into one sink reuse ids).
     pub id: u64,
     /// Parent id, 0 for roots.
     pub parent: u64,
@@ -66,6 +67,9 @@ pub struct TraceForest {
     pub roots: Vec<u64>,
     /// `span_end` events whose id was never started (or ended twice).
     pub unmatched_ends: u64,
+    /// `span_start` events whose id was already started; the first span
+    /// with that id is kept.
+    duplicate_starts: u64,
 }
 
 impl TraceForest {
@@ -80,6 +84,10 @@ impl TraceForest {
                     kind,
                     detail,
                 } => {
+                    if f.spans.contains_key(id) {
+                        f.duplicate_starts += 1;
+                        continue;
+                    }
                     f.spans.insert(
                         *id,
                         Span {
@@ -115,10 +123,10 @@ impl TraceForest {
         self.spans.values().filter(|s| s.end_ns.is_none()).count() as u64
     }
 
-    /// Total balance defects: unmatched ends plus unclosed starts. A clean
-    /// run reconstructs with zero.
+    /// Total balance defects: unmatched ends, duplicate starts and unclosed
+    /// starts. A clean run reconstructs with zero.
     pub fn unbalanced(&self) -> u64 {
-        self.unmatched_ends + self.unclosed()
+        self.unmatched_ends + self.duplicate_starts + self.unclosed()
     }
 
     /// The critical path under `root`: greedily follow the longest-duration
@@ -302,6 +310,28 @@ pub struct TraceReport {
     pub stages: Vec<StageStats>,
 }
 
+/// What [`parse_lines`] returns: the `(t_ns, event)` pairs, and each
+/// malformed line's 1-based number with its parse error.
+pub type ParsedLines = (Vec<(u64, Event)>, Vec<(usize, String)>);
+
+/// Parse raw JSONL lines into `(t_ns, event)` pairs. Blank lines are
+/// skipped; malformed ones come back with their 1-based line number and
+/// parse error, so a caller can point at each offender.
+pub fn parse_lines(lines: &[String]) -> ParsedLines {
+    let mut events = Vec::with_capacity(lines.len());
+    let mut bad = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match Event::parse_line(line) {
+            Ok(pair) => events.push(pair),
+            Err(e) => bad.push((i + 1, e.to_string())),
+        }
+    }
+    (events, bad)
+}
+
 /// Analyze a parsed event stream.
 pub fn analyze(events: &[(u64, Event)]) -> TraceReport {
     let forest = TraceForest::from_events(events);
@@ -472,6 +502,57 @@ mod tests {
             .unwrap();
         assert_eq!(boot["ts"].as_f64().unwrap(), 0.1); // 100 ns = 0.1 µs
         assert_eq!(boot["dur"].as_f64().unwrap(), 0.1);
+    }
+
+    /// Two recordings into one sink reuse span ids: each reused start is a
+    /// balance defect (and so is its end), and the first span is kept.
+    #[test]
+    fn reused_span_ids_count_unbalanced_and_keep_the_first_span() {
+        let sink = JsonlSink::new();
+        for (vm, t0) in [(0, 100), (1, 1000)] {
+            let clock = Arc::new(ManualClock::new(t0));
+            let obs = Obs::new(clock.clone(), sink.clone());
+            let boot = obs.span("boot.vm", || format!("vm={vm}"));
+            clock.set(t0 + 10);
+            let q = boot.child("qcow.read", || "layer=cache bytes=512".to_string());
+            clock.set(t0 + 20);
+            drop(q);
+            clock.set(t0 + 50);
+            drop(boot);
+        }
+        let events = sink.events();
+        assert_eq!(events.len(), 8);
+        let f = TraceForest::from_events(&events);
+        assert_eq!(f.spans.len(), 2);
+        assert_eq!(f.roots, vec![1]);
+        assert_eq!(f.unbalanced(), 4, "two reused starts and their ends");
+        let rep = analyze(&events);
+        assert_eq!(rep.boots.len(), 1);
+        assert_eq!(rep.boots[0].detail, "vm=0");
+        assert_eq!(f.spans[&1].start_ns, 100);
+    }
+
+    #[test]
+    fn parse_lines_reports_bad_line_numbers_and_skips_blanks() {
+        let lines = vec![
+            Event::SpanStart {
+                id: 1,
+                parent: 0,
+                kind: "nbd.request".into(),
+                detail: String::new(),
+            }
+            .to_json_line(5),
+            "{broken".to_string(),
+            String::new(),
+            Event::SpanEnd { id: 1 }.to_json_line(9),
+            "also broken".to_string(),
+        ];
+        let (events, bad) = parse_lines(&lines);
+        assert_eq!(events.len(), 2);
+        assert_eq!((events[0].0, events[1].0), (5, 9));
+        assert!(matches!(events[1].1, Event::SpanEnd { id: 1 }));
+        let bad_lines: Vec<usize> = bad.iter().map(|(n, _)| *n).collect();
+        assert_eq!(bad_lines, vec![2, 5], "1-based offender line numbers");
     }
 
     #[test]

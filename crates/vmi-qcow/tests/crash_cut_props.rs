@@ -5,10 +5,10 @@
 //! usable — and every byte that was *not* rewritten after the last
 //! successful guest flush must read back exactly as flushed.
 //!
-//! This is the generative counterpart of the exhaustive `crash_sweep`
-//! campaign in `vmi-bench`: the sweep enumerates every cut point of two
-//! fixed workloads; these properties fix the cut and randomize the
-//! workload.
+//! This is the generative counterpart of the exhaustive crash campaign in
+//! `crash_sweep.rs`: the sweep enumerates every cut point of two fixed
+//! workloads and checks torn unflushed data reads as pattern-or-zero;
+//! these properties fix the cut and randomize the workload.
 
 use std::sync::Arc;
 

@@ -1,4 +1,4 @@
-//! The PR-7 crash campaign: exhaustive power-cut sweep over scripted
+//! The crash campaign: an exhaustive power-cut sweep over scripted
 //! workloads.
 //!
 //! Two workloads run on a write-back [`CrashDev`]: a copy-on-read cache
@@ -8,7 +8,8 @@
 //! replays the workload once per cut point — before, inside (torn at a
 //! seeded intra-run byte offset), and after each write, and at each flush
 //! with several drain depths, half of the cuts under a seeded drain
-//! shuffle. After each cut [`recover`] runs on the surviving medium and
+//! shuffle. After each cut [`recover`] runs on the surviving medium, a
+//! usable verdict must be stable (a second `recover` returns `Clean`), and
 //! the guest-visible bytes are checked against a crash-free oracle:
 //!
 //! * cache workload — a recovered-usable cache must read exactly what the
@@ -19,14 +20,13 @@
 //!   guest data may surface); a `Refetch` after any successful guest
 //!   flush would lose acked data and counts as unrecoverable.
 //!
-//! The gate is the tier-1 test `tests::exhaustive_sweep_meets_the_gate`:
-//! every cut point of both workloads, at least 500 of them, zero
-//! unrecoverable, and a refetch ratio of at most 0.5.
+//! The gate is `exhaustive_sweep_meets_the_gate`: every cut point of both
+//! workloads, at least 500 of them, zero unrecoverable, and a refetch
+//! ratio of at most 0.5. `crash_cut_props` is the generative counterpart:
+//! it fixes the cut and randomizes the workload.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use serde::Serialize;
 use vmi_blockdev::{BlockDev, CrashDev, CrashPlan, MemDev, Result, SharedDev};
 use vmi_qcow::{recover, CreateOpts, QcowImage, RecoveryVerdict};
 
@@ -48,91 +48,13 @@ const SLOTS: usize = 16;
 /// the write boundary.
 const KEEP_ALL: usize = usize::MAX;
 
-/// Aggregate for one workload's sweep.
-#[derive(Debug, Clone, Serialize)]
-pub struct WorkloadSweep {
-    /// Workload id: `cache_cor` or `plain_writes`.
-    pub name: String,
-    /// Durable device writes in the crash-free run (cutting before,
-    /// inside and after each one).
-    pub durable_writes: u64,
-    /// Flushes in the crash-free run (each cut at several drain depths).
-    pub flushes: u64,
-    /// Power cuts injected.
-    pub cut_points: u64,
-    /// Cuts recovered with verdict `clean`.
-    pub clean: u64,
-    /// Cuts recovered with verdict `repaired`.
-    pub repaired: u64,
-    /// Cuts with verdict `refetch` (cold-path fallback, still recovered).
-    pub refetched: u64,
-    /// Individual repairs applied across all cuts.
-    pub repairs_applied: u64,
-    /// Cuts where recovery or the reread invariant failed. Must be zero.
-    pub unrecoverable: u64,
-    /// First invariant violation, verbatim (empty when none).
-    pub first_violation: String,
-    /// Mean wall-clock nanoseconds per `recover` call.
-    pub mean_recover_ns: u64,
-    /// Worst-case recovery time over all cuts.
-    pub max_recover_ns: u64,
-}
-
-/// The whole campaign: per-workload sweeps plus the gated totals.
-#[derive(Debug, Clone, Serialize)]
-pub struct CrashSweepReport {
-    /// Artifact id.
-    pub bench: String,
-    /// Cluster size under test.
-    pub cluster_bits: u32,
-    /// Per-workload sweeps.
-    pub workloads: Vec<WorkloadSweep>,
-    /// Cut points across all workloads.
-    pub total_cut_points: u64,
-    /// Unrecoverable cut points across all workloads. The CI gate.
-    pub unrecoverable: u64,
-    /// `repaired / total` across all workloads.
-    pub repair_ratio: f64,
-    /// `refetched / total` across all workloads.
-    pub refetch_ratio: f64,
-}
-
-impl CrashSweepReport {
-    /// Pretty JSON of the whole report.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes") // lint:allow(no-unwrap): infallible for this shape
-    }
-
-    /// Human-readable summary for the terminal.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("crash_sweep: exhaustive power-cut campaign\n");
-        for w in &self.workloads {
-            out.push_str(&format!(
-                "  {:<12} {:>5} cuts ({} writes, {} flushes): {} clean, {} repaired ({} repairs), {} refetched, {} unrecoverable; recover mean {} ns, max {} ns\n",
-                w.name,
-                w.cut_points,
-                w.durable_writes,
-                w.flushes,
-                w.clean,
-                w.repaired,
-                w.repairs_applied,
-                w.refetched,
-                w.unrecoverable,
-                w.mean_recover_ns,
-                w.max_recover_ns,
-            ));
-            if !w.first_violation.is_empty() {
-                out.push_str(&format!("    FIRST VIOLATION: {}\n", w.first_violation));
-            }
-        }
-        out.push_str(&format!(
-            "  total: {} cuts, {} unrecoverable, repair ratio {:.3}, refetch ratio {:.3}\n",
-            self.total_cut_points, self.unrecoverable, self.repair_ratio, self.refetch_ratio,
-        ));
-        out
-    }
-}
+/// The exhaustive sweep must explore at least this many cut points; a
+/// workload shrink that silently drops coverage fails the gate.
+const MIN_CUT_POINTS: u64 = 500;
+/// Refetches only come from cuts that land before the image is fully
+/// created (there is nothing to repair yet). If more than this fraction
+/// of cuts refetch, repair coverage regressed.
+const MAX_REFETCH_RATIO: f64 = 0.5;
 
 /// The scripted workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,6 +194,14 @@ fn verify(
         }
         return None;
     }
+    // A usable verdict must be stable: a second recovery finds nothing.
+    let again = recover(dev).verdict;
+    if !matches!(again, RecoveryVerdict::Clean) {
+        return Some(format!(
+            "recovery is not idempotent: second pass returned {}",
+            again.as_str()
+        ));
+    }
     match kind {
         Kind::CacheCor => {
             let base = match fresh_base() {
@@ -337,6 +267,10 @@ fn verify(
 /// Tallies for one workload's sweep, updated per cut.
 #[derive(Debug, Default)]
 struct Tally {
+    /// Durable device writes in the crash-free run.
+    writes: u64,
+    /// Flushes in the crash-free run.
+    flushes: u64,
     cuts: u64,
     clean: u64,
     repaired: u64,
@@ -344,12 +278,10 @@ struct Tally {
     repairs: u64,
     unrecoverable: u64,
     first_violation: String,
-    recover_ns_sum: u64,
-    recover_ns_max: u64,
 }
 
 impl Tally {
-    fn record(&mut self, verdict: &RecoveryVerdict, violation: Option<String>, recover_ns: u64) {
+    fn record(&mut self, verdict: &RecoveryVerdict, violation: Option<String>) {
         self.cuts += 1;
         match verdict {
             RecoveryVerdict::Clean => self.clean += 1,
@@ -365,8 +297,6 @@ impl Tally {
                 self.first_violation = v;
             }
         }
-        self.recover_ns_sum += recover_ns;
-        self.recover_ns_max = self.recover_ns_max.max(recover_ns);
     }
 }
 
@@ -383,44 +313,40 @@ fn run_cut(kind: Kind, plan: CrashPlan, shuffle: Option<u64>, tally: &mut Tally)
     let crash_dev: SharedDev = crash.clone();
     // The workload dies at the cut; recovery only sees the durable medium.
     let _ = run_workload(kind, crash_dev, &mut prog);
-    let t0 = Instant::now(); // lint:allow(no-raw-clock): the bench reports real recovery latency
-    let rep = recover(&inner);
-    let recover_ns = t0.elapsed().as_nanos() as u64;
-    let violation = verify(kind, &inner, &rep.verdict, &prog);
-    tally.record(&rep.verdict, violation, recover_ns);
+    let verdict = recover(&inner).verdict;
+    let violation = verify(kind, &inner, &verdict, &prog);
+    tally.record(&verdict, violation);
 }
 
 /// Sweep one workload: counting pass, then a cut at every write boundary
 /// (plus seeded intra-run tears) and every flush (several drain depths).
 /// `stride` samples every `stride`-th write/flush index — 1 is exhaustive
-/// (the gate), larger strides keep the other unit tests fast.
-fn sweep_workload(kind: Kind, stride: u64) -> Result<WorkloadSweep> {
+/// (the gate), larger strides keep the other tests fast.
+fn sweep_workload(kind: Kind, stride: usize) -> Tally {
     // Counting pass: the crash-free run enumerates the cut points and
     // doubles as the oracle check (it must recover clean and verify).
     let inner: SharedDev = Arc::new(MemDev::new());
     let crash = Arc::new(CrashDev::new_writeback(inner.clone()));
     let mut prog = Progress::default();
     let crash_dev: SharedDev = crash.clone();
-    run_workload(kind, crash_dev, &mut prog)?;
-    let writes = crash.durable_writes();
-    let flushes = crash.flushes();
-    let rep = recover(&inner);
-    if !rep.verdict.is_usable() {
-        return Err(vmi_blockdev::BlockError::corrupt(format!(
-            "{}: crash-free run does not recover usable",
-            kind.name()
-        )));
-    }
-    if let Some(v) = verify(kind, &inner, &rep.verdict, &prog) {
-        return Err(vmi_blockdev::BlockError::corrupt(format!(
-            "{}: crash-free oracle violated: {v}",
-            kind.name()
-        )));
+    run_workload(kind, crash_dev, &mut prog).expect("crash-free run completes");
+    let verdict = recover(&inner).verdict;
+    assert!(
+        verdict.is_usable(),
+        "{}: crash-free run does not recover usable",
+        kind.name()
+    );
+    if let Some(v) = verify(kind, &inner, &verdict, &prog) {
+        panic!("{}: crash-free oracle violated: {v}", kind.name());
     }
 
-    let mut tally = Tally::default();
+    let mut tally = Tally {
+        writes: crash.durable_writes(),
+        flushes: crash.flushes(),
+        ..Tally::default()
+    };
     let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ (kind as u64).wrapping_add(1);
-    for n in (0..writes).step_by(stride as usize) {
+    for n in (0..tally.writes).step_by(stride) {
         // Seeded tear inside the run (unit-truncated by the device).
         let intra = (xorshift(&mut seed) % 4096) as usize;
         for keep in [0, KEEP_ALL, intra] {
@@ -430,144 +356,73 @@ fn sweep_workload(kind: Kind, stride: u64) -> Result<WorkloadSweep> {
             run_cut(kind, CrashPlan::NthWrite { n, keep }, shuffle, &mut tally);
         }
     }
-    for n in (0..flushes).step_by(stride as usize) {
+    for n in (0..tally.flushes).step_by(stride) {
         let mid = 1 + (xorshift(&mut seed) % 7) as usize;
         for drain in [0, mid, usize::MAX] {
             let shuffle = (n % 2 == 0).then_some(0xBA55_ED00 ^ n);
             run_cut(kind, CrashPlan::NthFlush { n, drain }, shuffle, &mut tally);
         }
     }
-
-    Ok(WorkloadSweep {
-        name: kind.name().to_string(),
-        durable_writes: writes,
-        flushes,
-        cut_points: tally.cuts,
-        clean: tally.clean,
-        repaired: tally.repaired,
-        refetched: tally.refetched,
-        repairs_applied: tally.repairs,
-        unrecoverable: tally.unrecoverable,
-        first_violation: tally.first_violation,
-        mean_recover_ns: tally.recover_ns_sum / tally.cuts.max(1),
-        max_recover_ns: tally.recover_ns_max,
-    })
+    tally
 }
 
-/// Run the full (exhaustive) sweep: every cut point of both workloads.
-pub fn run_crash_sweep() -> Result<CrashSweepReport> {
-    run_crash_sweep_strided(1)
+/// Sweep both workloads at `stride`.
+fn sweep(stride: usize) -> Vec<(Kind, Tally)> {
+    [Kind::CacheCor, Kind::PlainWrites]
+        .into_iter()
+        .map(|kind| (kind, sweep_workload(kind, stride)))
+        .collect()
 }
 
-/// [`run_crash_sweep`] sampling every `stride`-th write/flush index.
-/// Unit tests use a stride > 1 to stay fast; the gate uses 1.
-pub fn run_crash_sweep_strided(stride: u64) -> Result<CrashSweepReport> {
-    let stride = stride.max(1);
-    let workloads = vec![
-        sweep_workload(Kind::CacheCor, stride)?,
-        sweep_workload(Kind::PlainWrites, stride)?,
-    ];
-    let total: u64 = workloads.iter().map(|w| w.cut_points).sum();
-    let unrecoverable: u64 = workloads.iter().map(|w| w.unrecoverable).sum();
-    let repaired: u64 = workloads.iter().map(|w| w.repaired).sum();
-    let refetched: u64 = workloads.iter().map(|w| w.refetched).sum();
-    Ok(CrashSweepReport {
-        bench: "pr7_crash_sweep".to_string(),
-        cluster_bits: CLUSTER_BITS,
-        workloads,
-        total_cut_points: total,
-        unrecoverable,
-        repair_ratio: repaired as f64 / total.max(1) as f64,
-        refetch_ratio: refetched as f64 / total.max(1) as f64,
-    })
+/// The campaign's gate: every cut point of both workloads recovers,
+/// coverage does not shrink, and repair (not refetch) carries recovery.
+#[test]
+fn exhaustive_sweep_meets_the_gate() {
+    let sweeps = sweep(1);
+    let report: String = sweeps
+        .iter()
+        .map(|(kind, t)| format!("\n  {}: {t:?}", kind.name()))
+        .collect();
+    let total: u64 = sweeps.iter().map(|(_, t)| t.cuts).sum();
+    let unrecoverable: u64 = sweeps.iter().map(|(_, t)| t.unrecoverable).sum();
+    let refetched: u64 = sweeps.iter().map(|(_, t)| t.refetched).sum();
+    let refetch_ratio = refetched as f64 / total.max(1) as f64;
+    assert_eq!(unrecoverable, 0, "unrecoverable cut points:{report}");
+    assert!(
+        total >= MIN_CUT_POINTS,
+        "only {total} cut points explored (< {MIN_CUT_POINTS}):{report}"
+    );
+    assert!(
+        refetch_ratio <= MAX_REFETCH_RATIO,
+        "refetch ratio {refetch_ratio:.3} > {MAX_REFETCH_RATIO}:{report}"
+    );
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The exhaustive sweep must explore at least this many cut points; a
-    /// workload shrink that silently drops coverage fails the gate.
-    const MIN_CUT_POINTS: u64 = 500;
-    /// Refetches only come from cuts that land before the image is fully
-    /// created (there is nothing to repair yet). If more than this fraction
-    /// of cuts refetch, repair coverage regressed.
-    const MAX_REFETCH_RATIO: f64 = 0.5;
-
-    /// The campaign's gate: every cut point of both workloads recovers,
-    /// coverage does not shrink, and repair (not refetch) carries recovery.
-    #[test]
-    fn exhaustive_sweep_meets_the_gate() {
-        let rep = run_crash_sweep().expect("sweep runs");
-        let violations: Vec<String> = rep
-            .workloads
-            .iter()
-            .filter(|w| !w.first_violation.is_empty())
-            .map(|w| format!("{}: {}", w.name, w.first_violation))
-            .collect();
-        assert_eq!(
-            rep.unrecoverable,
-            0,
-            "unrecoverable cut points: {violations:?}\n{}",
-            rep.render()
-        );
-        assert!(
-            rep.total_cut_points >= MIN_CUT_POINTS,
-            "only {} cut points explored (< {MIN_CUT_POINTS})\n{}",
-            rep.total_cut_points,
-            rep.render()
-        );
-        assert!(
-            rep.refetch_ratio <= MAX_REFETCH_RATIO,
-            "refetch ratio {:.3} > {MAX_REFETCH_RATIO}\n{}",
-            rep.refetch_ratio,
-            rep.render()
-        );
+/// A strided sweep still visits both workloads, finds no
+/// unrecoverable cut, and sees a clean verdict somewhere.
+#[test]
+fn strided_sweep_recovers_every_cut() {
+    let sweeps = sweep(9);
+    for (kind, t) in &sweeps {
+        assert_eq!(t.unrecoverable, 0, "{}: {}", kind.name(), t.first_violation);
+        assert!(t.writes > 0 && t.flushes > 0 && t.cuts > 0, "{t:?}");
     }
+    let clean: u64 = sweeps.iter().map(|(_, t)| t.clean).sum();
+    assert!(clean > 0, "some cut points must recover clean");
+}
 
-    /// A strided sweep still visits both workloads, finds no
-    /// unrecoverable cut, and sees all three verdicts somewhere.
-    #[test]
-    fn strided_sweep_recovers_every_cut() {
-        let rep = run_crash_sweep_strided(9).expect("sweep runs");
-        assert_eq!(rep.workloads.len(), 2);
-        assert!(rep.total_cut_points > 0);
-        for w in &rep.workloads {
-            assert_eq!(w.unrecoverable, 0, "{}: {}", w.name, w.first_violation);
-            assert!(w.durable_writes > 0);
-            assert!(w.flushes > 0);
-        }
-        assert_eq!(rep.unrecoverable, 0);
-        let clean: u64 = rep.workloads.iter().map(|w| w.clean).sum();
-        assert!(clean > 0, "some cut points must recover clean");
-    }
-
-    /// The report serializes with the gate fields present.
-    #[test]
-    fn report_json_has_gate_fields() {
-        let rep = run_crash_sweep_strided(31).expect("sweep runs");
-        let json = rep.to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert_eq!(v["bench"].as_str(), Some("pr7_crash_sweep"));
-        assert!(v["total_cut_points"].as_u64().is_some());
-        assert_eq!(v["unrecoverable"].as_u64(), Some(0));
-        assert!(v["repair_ratio"].as_f64().is_some());
-        assert!(!rep.render().is_empty());
-    }
-
-    /// Cutting before the very first durable write leaves an empty
-    /// container: the cache workload must land on the refetch path.
-    #[test]
-    fn first_write_cut_refetches_cache() {
-        let mut tally = Tally::default();
-        run_cut(
-            Kind::CacheCor,
-            CrashPlan::NthWrite { n: 0, keep: 0 },
-            None,
-            &mut tally,
-        );
-        assert_eq!(tally.cuts, 1);
-        assert_eq!(tally.refetched, 1);
-        assert_eq!(tally.unrecoverable, 0);
-    }
+/// Cutting before the very first durable write leaves an empty
+/// container: the cache workload must land on the refetch path.
+#[test]
+fn first_write_cut_refetches_cache() {
+    let mut tally = Tally::default();
+    run_cut(
+        Kind::CacheCor,
+        CrashPlan::NthWrite { n: 0, keep: 0 },
+        None,
+        &mut tally,
+    );
+    assert_eq!(tally.cuts, 1);
+    assert_eq!(tally.refetched, 1);
+    assert_eq!(tally.unrecoverable, 0);
 }

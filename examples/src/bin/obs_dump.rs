@@ -2,8 +2,8 @@
 //! JSONL recorder attached, then pretty-print the telemetry snapshot and
 //! the head of the event stream.
 //!
-//! The same stream drives the replay helpers in `vmi-bench::obs_report`,
-//! so what this binary prints is exactly what the telemetry tests assert.
+//! The telemetry tests (`tests/tests/obs_telemetry.rs`) replay the same
+//! stream and assert it matches this snapshot.
 //!
 //! Run with: `cargo run --release -p vmcache-examples --bin obs_dump`
 //!

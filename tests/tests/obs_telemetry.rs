@@ -1,10 +1,11 @@
 //! Observability end-to-end: the JSONL event stream and the telemetry
 //! section of experiment outcomes must tell the same story as the
-//! simulation itself.
+//! simulation itself. [`replay`] re-derives the counters from the stream,
+//! independently of the live metrics registry, so the two views can be
+//! compared.
 
 use std::sync::Arc;
 
-use vmi_bench::obs_report::{replay, ReplaySummary};
 use vmi_blockdev::{BlockDev, MemDev, SharedDev};
 use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement, Telemetry, WarmStore};
 use vmi_obs::{met, Event, JsonlSink, ManualClock, Obs, RecorderHandle};
@@ -12,6 +13,116 @@ use vmi_qcow::{create_cached_chain_with_obs, MapResolver, QcowImage};
 use vmi_sim::NetSpec;
 
 const QUOTA: u64 = 16 << 20;
+
+/// Counters re-derived by replaying an event stream.
+#[derive(Debug, Default)]
+struct ReplaySummary {
+    events: usize,
+    hit_bytes: u64,
+    miss_bytes: u64,
+    fill_bytes: u64,
+    chain_opens: u64,
+    space_errors: u64,
+    evictions: u64,
+    retries: u64,
+    degradations: u64,
+    recovery_repairs: u64,
+    node_restarts: u64,
+    caches_readopted: u64,
+    caches_refetched: u64,
+    node_failures: u64,
+    reschedules: u64,
+    runs_coalesced: u64,
+    coalesced_bytes: u64,
+}
+
+/// Replay parsed `(timestamp, event)` pairs into a [`ReplaySummary`].
+fn replay(events: &[(u64, Event)]) -> ReplaySummary {
+    let mut s = ReplaySummary {
+        events: events.len(),
+        ..Default::default()
+    };
+    for (_, ev) in events {
+        match ev {
+            Event::CacheHit { bytes } => s.hit_bytes += bytes,
+            Event::CacheMiss { bytes } => s.miss_bytes += bytes,
+            Event::CorFill { bytes } => s.fill_bytes += bytes,
+            Event::ChainOpen { .. } => s.chain_opens += 1,
+            Event::SpaceErrorLatched { .. } => s.space_errors += 1,
+            Event::CacheEvict { .. } => s.evictions += 1,
+            Event::RetryAttempt { .. } => s.retries += 1,
+            Event::CacheDegraded { .. } => s.degradations += 1,
+            Event::RecoveryResult { repairs, .. } => s.recovery_repairs += repairs,
+            Event::NodeRestarted {
+                readopted,
+                refetched,
+                ..
+            } => {
+                s.node_restarts += 1;
+                s.caches_readopted += readopted;
+                s.caches_refetched += refetched;
+            }
+            Event::NodeFailed { .. } => s.node_failures += 1,
+            Event::BootRescheduled { .. } => s.reschedules += 1,
+            Event::RunCoalesced { bytes, .. } => {
+                s.runs_coalesced += 1;
+                s.coalesced_bytes += bytes;
+            }
+            _ => {}
+        }
+    }
+    s
+}
+
+impl ReplaySummary {
+    /// Hit ratio over the replayed stream (1.0 when nothing missed).
+    fn hit_ratio(&self) -> f64 {
+        if self.miss_bytes == 0 {
+            1.0
+        } else {
+            self.hit_bytes as f64 / (self.hit_bytes + self.miss_bytes) as f64
+        }
+    }
+
+    /// Whether the replayed counters agree with a live telemetry snapshot.
+    fn consistent_with(&self, t: &Telemetry) -> bool {
+        let t_hits: u64 = t.per_cache.iter().map(|c| c.hit_bytes).sum();
+        let t_misses: u64 = t.per_cache.iter().map(|c| c.miss_bytes).sum();
+        self.hit_bytes == t_hits
+            && self.miss_bytes == t_misses
+            && self.fill_bytes == t.fill_bytes
+            && self.space_errors == t.space_errors
+            && self.evictions == t.evictions
+            && self.retries == t.retry_attempts
+            && self.degradations == t.caches_degraded
+            && self.node_failures == t.node_failures
+            && self.reschedules == t.boots_rescheduled
+            && self.runs_coalesced == t.runs_coalesced
+            && self.coalesced_bytes == t.coalesced_bytes
+            && self.recovery_repairs == t.recovery_repairs
+            && self.node_restarts == t.node_restarts
+            && self.caches_readopted == t.caches_readopted
+            && self.caches_refetched == t.caches_refetched
+    }
+}
+
+#[test]
+fn replay_accumulates_by_event_kind() {
+    let evs = vec![
+        (0, Event::CacheMiss { bytes: 512 }),
+        (1, Event::CorFill { bytes: 512 }),
+        (2, Event::CacheHit { bytes: 512 }),
+        (3, Event::CacheHit { bytes: 100 }),
+        (4, Event::SpaceErrorLatched { used: 9, quota: 8 }),
+    ];
+    let s = replay(&evs);
+    assert_eq!(s.events, 5);
+    assert_eq!(s.hit_bytes, 612);
+    assert_eq!(s.miss_bytes, 512);
+    assert_eq!(s.fill_bytes, 512);
+    assert_eq!(s.space_errors, 1);
+    assert!((s.hit_ratio() - 612.0 / 1124.0).abs() < 1e-12);
+}
 
 fn cfg(mode: Mode, store: &Arc<WarmStore>, recorder: RecorderHandle) -> ExperimentConfig {
     ExperimentConfig {

@@ -9,8 +9,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use proptest::prelude::*;
-use vmi_bench::obs_report::replay_lines_strict;
-use vmi_bench::trace_report::TraceForest;
+use vmi_bench::trace_report::{parse_lines, TraceForest};
 use vmi_blockdev::{
     BlockDev, BlockErrorKind, FaultDev, FaultPlan, FaultSite, MemDev, RetryDev, RetryPolicy,
     SharedDev,
@@ -74,10 +73,9 @@ fn serial_trace_jsonl_is_bit_identical_per_seed() {
 #[test]
 fn experiment_traces_reconstruct_with_zero_unbalanced_spans() {
     for lines in [record_serial(2, 42), record_serial(3, 42)] {
-        let (summary, bad) = replay_lines_strict(&lines);
+        let (events, bad) = parse_lines(&lines);
         assert!(bad.is_empty(), "stream is parseable: {bad:?}");
-        assert!(summary.spans_balanced(), "start/end counts match");
-        let f = forest_of(&lines);
+        let f = TraceForest::from_events(&events);
         assert_eq!(f.unbalanced(), 0, "every span start has its end");
         assert!(!f.roots.is_empty(), "boots form root spans");
         assert!(
