@@ -82,18 +82,20 @@ impl ClusterSet {
 }
 
 /// Audit one container with default options.
+///
+/// Never panics and never returns `Err`: problems — including I/O problems
+/// reading the container — are reported as [`Violation`]s. The walk collects
+/// as many findings as it can (up to [`AuditOpts::max_violations`]) instead
+/// of stopping at the first, so one fsck run paints the whole picture.
 pub fn audit_image(dev: &dyn BlockDev) -> AuditReport {
-    audit_image_opts(dev, &AuditOpts::default())
+    walk(dev, &AuditOpts::default(), &mut ())
 }
 
-/// Audit one container, emitting an obs event and metrics per violation.
-pub fn audit_image_with_obs(dev: &dyn BlockDev, opts: &AuditOpts, obs: &Obs) -> AuditReport {
-    audit_image_visit(dev, opts, obs, &mut ())
-}
-
-/// [`audit_image_with_obs`] that also hands every mapping table the walk
-/// reads to `tables` (see [`TableVisitor`]), so a caller that opens the
-/// container after a clean audit need not read them a second time.
+/// [`audit_image`] with `opts`, emitting an obs event and metrics per
+/// violation, that also hands every mapping table the walk reads to
+/// `tables` (see [`TableVisitor`]; `&mut ()` keeps none), so a caller that
+/// opens the container after a clean audit need not read them a second
+/// time.
 pub fn audit_image_visit(
     dev: &dyn BlockDev,
     opts: &AuditOpts,
@@ -111,16 +113,6 @@ pub fn audit_image_visit(
         });
     }
     report
-}
-
-/// Audit one container.
-///
-/// Never panics and never returns `Err`: problems — including I/O problems
-/// reading the container — are reported as [`Violation`]s. The walk collects
-/// as many findings as it can (up to [`AuditOpts::max_violations`]) instead
-/// of stopping at the first, so one fsck run paints the whole picture.
-pub fn audit_image_opts(dev: &dyn BlockDev, opts: &AuditOpts) -> AuditReport {
-    walk(dev, opts, &mut ())
 }
 
 fn walk(dev: &dyn BlockDev, opts: &AuditOpts, tables: &mut dyn TableVisitor) -> AuditReport {

@@ -14,13 +14,13 @@
 //!
 //! Entry points:
 //!
-//! * [`audit_image`] / [`audit_image_opts`] / [`audit_image_with_obs`] —
-//!   verify a single container: header and extension framing, geometry,
-//!   L1/L2 table bounds and alignment, overlapping cluster allocations, and
-//!   (for cache images) the recorded used-size and quota accounting.
-//!   [`audit_image_visit`] also hands the raw L1 and L2 tables the walk read
-//!   to a [`TableVisitor`], so a driver opening the container after a clean
-//!   audit can seed its tables instead of reading them again.
+//! * [`audit_image`] / [`audit_image_visit`] — verify a single container:
+//!   header and extension framing, geometry, L1/L2 table bounds and
+//!   alignment, overlapping cluster allocations, and (for cache images) the
+//!   recorded used-size and quota accounting. [`audit_image_visit`] takes
+//!   [`AuditOpts`] and an obs handle, and hands the raw L1 and L2 tables the
+//!   walk read to a [`TableVisitor`], so a driver opening the container
+//!   after a clean audit can seed its tables instead of reading them again.
 //! * [`audit_chain`] — verify a backing chain ordered top → base: per-layer
 //!   structure, acyclicity, virtual-size equality (§4.3: a cache or CoW
 //!   image's size "has to be the same as the base image's"), cluster-size
@@ -43,9 +43,7 @@ pub mod lint;
 use std::fmt;
 
 pub use chain::{audit_chain, ChainReport, MAX_CHAIN_DEPTH};
-pub use image::{
-    audit_image, audit_image_opts, audit_image_visit, audit_image_with_obs, TableVisitor,
-};
+pub use image::{audit_image, audit_image_visit, TableVisitor};
 
 /// Best-effort probe of a container's backing-file name, for chain walkers
 /// (e.g. `vmi-img fsck --chain`) that need to resolve the next layer before
@@ -286,7 +284,7 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Knobs for [`audit_image_opts`].
+/// Knobs for [`audit_image_visit`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AuditOpts {
     /// Compare the recomputed used-size against this value instead of the

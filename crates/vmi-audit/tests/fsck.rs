@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use vmi_audit::{
-    audit_chain, audit_image, audit_image_opts, audit_image_with_obs, probe_backing, AuditOpts,
-    RepairHint, Severity, ViolationKind,
+    audit_chain, audit_image, audit_image_visit, probe_backing, AuditOpts, RepairHint, Severity,
+    ViolationKind,
 };
 use vmi_blockdev::{BlockDev, MemDev, SharedDev};
 
@@ -171,12 +171,14 @@ fn expected_used_override_suppresses_the_torn_warning() {
     b.used = 640;
     let dev = b.build();
     let truth = Builder::cache().map(0, 1536).consistent_used();
-    let rep = audit_image_opts(
+    let rep = audit_image_visit(
         dev.as_ref(),
         &AuditOpts {
             expected_used: Some(truth),
             ..Default::default()
         },
+        &vmi_obs::Obs::disabled(),
+        &mut (),
     );
     assert!(rep.is_clean(), "{:?}", rep.violations);
 }
@@ -309,7 +311,7 @@ fn audit_with_obs_counts_and_emits() {
     let dev = b.build();
     let (rec, sink) = RecorderHandle::jsonl();
     let obs = rec.attach(Arc::new(ManualClock::new(0)));
-    let rep = audit_image_with_obs(dev.as_ref(), &AuditOpts::default(), &obs);
+    let rep = audit_image_visit(dev.as_ref(), &AuditOpts::default(), &obs, &mut ());
     assert_eq!(rep.violations.len(), 1);
     assert_eq!(obs.counter_value(met::AUDIT_RUNS), 1);
     assert_eq!(obs.counter_value(met::AUDIT_VIOLATIONS), 1);

@@ -17,8 +17,7 @@ use std::sync::Arc;
 use vmi_blockdev::{BlockDev, BlockError, Result, SharedDev, SparseDev};
 use vmi_obs::Obs;
 use vmi_qcow::{
-    create_cached_chain, create_cached_chain_with_obs, create_cow_chain_with_obs,
-    open_cache_recovered, CreateOpts, MapResolver, QcowImage,
+    create_cached_chain, create_cow_chain, create_cow_over_recovered_cache, MapResolver, QcowImage,
 };
 use vmi_trace::{BootTrace, OpKind, VmiProfile};
 
@@ -137,6 +136,7 @@ pub fn prepare_warm_cache(
         profile.virtual_size,
         quota,
         cluster_bits,
+        &Obs::disabled(),
     )?;
     replay_unpriced(cow.as_ref(), trace)?;
     drop(cow); // drops the whole chain; the cache's Drop persists `used`
@@ -179,84 +179,61 @@ pub struct ChainSpec<'a> {
     pub obs: Obs,
 }
 
-/// Build the chain; returns the top (CoW) image.
+/// Build the chain; returns the top (CoW) image. Every layer is opened or
+/// created by `vmi_qcow::chain`, which also records it on `spec.obs`.
 pub fn build_chain(spec: ChainSpec<'_>) -> Result<Arc<QcowImage>> {
     let vsize = spec.profile.virtual_size;
     let ns = MapResolver::new();
-    ns.insert("base", spec.base_dev.clone());
+    ns.insert("base", spec.base_dev);
+    let plain = |cow_dev| create_cow_chain(&ns, "base", cow_dev, vsize, &spec.obs);
+    let cache_dev = match (spec.mode, spec.cache_dev) {
+        (Mode::Qcow2, _) => return plain(spec.cow_dev),
+        (_, Some(cache_dev)) => cache_dev,
+        (mode, None) => {
+            return Err(BlockError::unsupported(format!(
+                "{} deployment needs a cache container",
+                mode.label()
+            )))
+        }
+    };
+    ns.insert("cache", cache_dev.clone());
     match spec.mode {
-        Mode::Qcow2 => create_cow_chain_with_obs(&ns, "base", spec.cow_dev, vsize, &spec.obs),
         Mode::ColdCache {
             quota,
             cluster_bits,
             ..
-        } => {
-            let Some(cache_dev) = spec.cache_dev else {
-                return Err(BlockError::unsupported(
-                    "cold-cache deployment needs a cache container",
-                ));
-            };
-            ns.insert("cache", cache_dev.clone());
-            create_cached_chain_with_obs(
-                &ns,
-                "base",
-                "cache",
-                cache_dev,
-                spec.cow_dev,
-                vsize,
-                quota,
-                cluster_bits,
-                &spec.obs,
-            )
-        }
-        Mode::WarmCache { .. } => {
-            let Some(cache_dev) = spec.cache_dev else {
-                return Err(BlockError::unsupported(
-                    "warm-cache deployment needs a cache container",
-                ));
-            };
-            // Crash-consistent recovery: repair the warm container before
-            // trusting it. A torn `used` field or a never-flush-acked table
-            // entry is repaired in place; an unrepairable cache is refetched
-            // and the VM falls back to the plain-QCOW2 chain — a slower
-            // boot, never a failed one.
-            let Some(cache) = open_cache_recovered(
-                cache_dev,
-                Some(spec.base_dev.clone()),
-                spec.cache_read_only,
-                spec.obs.clone(),
-            )?
-            else {
-                return create_cow_chain_with_obs(&ns, "base", spec.cow_dev, vsize, &spec.obs);
-            };
-            // Only a cache that recovery let through counts as opened.
-            spec.obs.count(vmi_obs::met::CHAIN_OPENS, 1);
-            spec.obs.emit(|| vmi_obs::Event::ChainOpen {
-                image: "cache".into(),
-                kind: "cache".into(),
-                writable: !spec.cache_read_only,
-                depth: 1,
-            });
-            spec.obs.count(vmi_obs::met::CHAIN_OPENS, 1);
-            spec.obs.emit(|| vmi_obs::Event::ChainOpen {
-                image: "cow".into(),
-                kind: "cow".into(),
-                writable: true,
-                depth: 0,
-            });
-            QcowImage::create_with_obs(
-                spec.cow_dev,
-                CreateOpts::cow(vsize, "cache"),
-                Some(cache as SharedDev),
-                spec.obs.clone(),
-            )
-        }
+        } => create_cached_chain(
+            &ns,
+            "base",
+            "cache",
+            cache_dev,
+            spec.cow_dev,
+            vsize,
+            quota,
+            cluster_bits,
+            &spec.obs,
+        ),
+        // A warm cache is repaired before it is trusted: a torn `used`
+        // field or a never-flush-acked table entry is repaired in place; an
+        // unrepairable cache is refetched and the VM falls back to the
+        // plain-QCOW2 chain — a slower boot, never a failed one.
+        _ => create_cow_over_recovered_cache(
+            &ns,
+            "base",
+            "cache",
+            spec.cow_dev.clone(),
+            vsize,
+            spec.cache_read_only,
+            &spec.obs,
+        )?
+        .map_or_else(|| plain(spec.cow_dev), Ok),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmi_blockdev::CountingDev;
 
     #[test]
     fn warm_cache_holds_the_working_set() {
@@ -283,32 +260,72 @@ mod tests {
         assert!(warm.used <= quota);
     }
 
+    const COLD: Mode = Mode::ColdCache {
+        placement: Placement::ComputeMem,
+        quota: 16 << 20,
+        cluster_bits: 9,
+    };
+    const WARM: Mode = Mode::WarmCache {
+        placement: Placement::ComputeDisk,
+        quota: 16 << 20,
+        cluster_bits: 9,
+    };
+
+    /// A chain `build_chain` built, with counters on its three containers.
+    struct Boot {
+        chain: Arc<QcowImage>,
+        base: Arc<CountingDev>,
+        cache: Option<Arc<CountingDev>>,
+        cow: Arc<CountingDev>,
+    }
+
+    /// `build_chain` for `mode` over an empty counting base of `p`'s size.
+    fn boot(p: &VmiProfile, mode: Mode, cache: Option<SparseDev>, ro: bool, obs: Obs) -> Boot {
+        let count = |dev: SparseDev| Arc::new(CountingDev::new(Arc::new(dev)));
+        let (base, cache, cow) = (
+            count(SparseDev::with_len(p.virtual_size)),
+            cache.map(count),
+            count(SparseDev::new()),
+        );
+        let chain = build_chain(ChainSpec {
+            mode,
+            profile: p,
+            base_dev: base.clone(),
+            cache_dev: cache.clone().map(|c| c as SharedDev),
+            cow_dev: cow.clone(),
+            cache_read_only: ro,
+            obs,
+        })
+        .unwrap();
+        Boot {
+            chain,
+            base,
+            cache,
+            cow,
+        }
+    }
+
+    /// A warm cache for `p`'s seed-4 boot, and that boot's trace.
+    fn warm_cache(p: &VmiProfile) -> (WarmCache, BootTrace) {
+        let trace = vmi_trace::generate(p, 4);
+        (prepare_warm_cache(p, &trace, 16 << 20, 9).unwrap(), trace)
+    }
+
     #[test]
     fn warm_boot_reads_nothing_from_base() {
         let p = VmiProfile::tiny_test();
-        let trace = vmi_trace::generate(&p, 4);
-        let warm = prepare_warm_cache(&p, &trace, 16 << 20, 9).unwrap();
+        let (warm, trace) = warm_cache(&p);
         // Boot a new VM over a fork of the warm cache and count base reads.
-        let base = Arc::new(vmi_blockdev::CountingDev::new(Arc::new(
-            SparseDev::with_len(p.virtual_size),
-        )));
-        let chain = build_chain(ChainSpec {
-            mode: Mode::WarmCache {
-                placement: Placement::ComputeDisk,
-                quota: 16 << 20,
-                cluster_bits: 9,
-            },
-            profile: &p,
-            base_dev: base.clone(),
-            cache_dev: Some(Arc::new(warm.container.fork())),
-            cow_dev: Arc::new(SparseDev::new()),
-            cache_read_only: false,
-            obs: Obs::disabled(),
-        })
-        .unwrap();
-        replay_unpriced(chain.as_ref(), &trace).unwrap();
+        let b = boot(
+            &p,
+            WARM,
+            Some(warm.container.fork()),
+            false,
+            Obs::disabled(),
+        );
+        replay_unpriced(b.chain.as_ref(), &trace).unwrap();
         assert_eq!(
-            base.stats().snapshot().read_bytes,
+            b.base.stats().snapshot().read_bytes,
             0,
             "a fully warm cache must satisfy the whole boot"
         );
@@ -318,26 +335,9 @@ mod tests {
     fn cold_chain_reads_base_then_warms() {
         let p = VmiProfile::tiny_test();
         let trace = vmi_trace::generate(&p, 4);
-        let base = Arc::new(vmi_blockdev::CountingDev::new(Arc::new(
-            SparseDev::with_len(p.virtual_size),
-        )));
-        let container: SharedDev = Arc::new(SparseDev::new());
-        let chain = build_chain(ChainSpec {
-            mode: Mode::ColdCache {
-                placement: Placement::ComputeMem,
-                quota: 16 << 20,
-                cluster_bits: 9,
-            },
-            profile: &p,
-            base_dev: base.clone(),
-            cache_dev: Some(container),
-            cow_dev: Arc::new(SparseDev::new()),
-            cache_read_only: false,
-            obs: Obs::disabled(),
-        })
-        .unwrap();
-        replay_unpriced(chain.as_ref(), &trace).unwrap();
-        let fetched = base.stats().snapshot().read_bytes;
+        let b = boot(&p, COLD, Some(SparseDev::new()), false, Obs::disabled());
+        replay_unpriced(b.chain.as_ref(), &trace).unwrap();
+        let fetched = b.base.stats().snapshot().read_bytes;
         let unique = vmi_trace::unique_read_bytes(&trace);
         assert!(
             fetched >= unique,
@@ -348,38 +348,21 @@ mod tests {
     #[test]
     fn corrupt_warm_cache_falls_back_to_plain_qcow2() {
         let p = VmiProfile::tiny_test();
-        let trace = vmi_trace::generate(&p, 4);
-        let warm = prepare_warm_cache(&p, &trace, 16 << 20, 9).unwrap();
+        let (warm, trace) = warm_cache(&p);
         // Trash the container header: recovery must answer `Refetch` and
         // the boot must proceed as a plain-QCOW2 deployment over the base.
-        let broken = Arc::new(warm.container.fork());
+        let broken = warm.container.fork();
         broken.write_at(&[0xFF; 64], 0).unwrap();
         let (rec, _sink) = vmi_obs::RecorderHandle::jsonl();
         let obs = rec.attach(Arc::new(vmi_obs::ManualClock::new(0)));
-        let base = Arc::new(vmi_blockdev::CountingDev::new(Arc::new(
-            SparseDev::with_len(p.virtual_size),
-        )));
-        let chain = build_chain(ChainSpec {
-            mode: Mode::WarmCache {
-                placement: Placement::ComputeDisk,
-                quota: 16 << 20,
-                cluster_bits: 9,
-            },
-            profile: &p,
-            base_dev: base.clone(),
-            cache_dev: Some(broken),
-            cow_dev: Arc::new(SparseDev::new()),
-            cache_read_only: false,
-            obs: obs.clone(),
-        })
-        .unwrap();
-        replay_unpriced(chain.as_ref(), &trace).unwrap();
+        let b = boot(&p, WARM, Some(broken), false, obs.clone());
+        replay_unpriced(b.chain.as_ref(), &trace).unwrap();
         assert!(
-            base.stats().snapshot().read_bytes > 0,
+            b.base.stats().snapshot().read_bytes > 0,
             "fallback chain reads the base directly"
         );
         assert!(
-            chain.backing().is_some(),
+            b.chain.backing().is_some(),
             "fallback still has the base as backing"
         );
         assert_eq!(
@@ -389,21 +372,79 @@ mod tests {
         );
     }
 
+    /// One `build_chain` call per mode, pinned: the `ChainOpen` stream as
+    /// `image/kind/rw|ro@depth`, the `(reads, writes)` each of base, cache
+    /// and CoW container sees while the chain is built, and whether the
+    /// CoW's backing is the cache image (what the benchmark's `cache_layer`
+    /// downcasts to). A usable warm cache costs recovery's one table walk
+    /// and nothing below it; a condemned one (`refetch`) deploys plain QCOW2.
+    #[test]
+    fn build_chain_per_mode_is_pinned() {
+        let p = VmiProfile::tiny_test();
+        let (warm, _) = warm_cache(&p);
+        let broken = warm.container.fork();
+        broken.write_at(&[0xFF; 64], 0).unwrap();
+        let cases = [
+            ("qcow2", Mode::Qcow2, None, false),
+            ("cold", COLD, Some(SparseDev::new()), false),
+            ("warm", WARM, Some(warm.container.fork()), false),
+            ("warm shared", WARM, Some(warm.container.fork()), true),
+            ("refetch", WARM, Some(broken), false),
+        ];
+        let mut got = String::new();
+        for (name, mode, cache, ro) in cases {
+            let (rec, sink) = vmi_obs::RecorderHandle::jsonl();
+            let b = boot(
+                &p,
+                mode,
+                cache,
+                ro,
+                rec.attach(Arc::new(vmi_obs::ManualClock::new(0))),
+            );
+            got += name;
+            got += ":";
+            for (_, ev) in sink.events() {
+                if let vmi_obs::Event::ChainOpen {
+                    image,
+                    kind,
+                    writable,
+                    depth,
+                } = ev
+                {
+                    let rw = if writable { "rw" } else { "ro" };
+                    got += &format!(" {image}/{kind}/{rw}@{depth}");
+                }
+            }
+            let io = |d: &CountingDev| (d.stats().snapshot().reads, d.stats().snapshot().writes);
+            let cache_io = b.cache.as_deref().map_or((0, 0), io);
+            let cache_layer = (b.chain.backing())
+                .and_then(|b| b.as_any())
+                .and_then(|a| a.downcast_ref::<QcowImage>())
+                .is_some_and(QcowImage::is_cache);
+            got += &format!(
+                " | io {:?} {cache_io:?} {:?} | cache layer: {cache_layer}\n",
+                io(&b.base),
+                io(&b.cow)
+            );
+        }
+        assert_eq!(
+            got,
+            "\
+qcow2: base/raw/ro@1 cow/cow/rw@0 | io (1, 0) (0, 0) (0, 2) | cache layer: false
+cold: base/raw/ro@2 cache/cache/rw@1 cow/cow/rw@0 | io (1, 0) (1, 3) (0, 2) | cache layer: true
+warm: cache/cache/rw@1 cow/cow/rw@0 | io (0, 0) (109, 0) (0, 2) | cache layer: true
+warm shared: cache/cache/ro@1 cow/cow/rw@0 | io (0, 0) (109, 0) (0, 2) | cache layer: true
+refetch: base/raw/ro@1 cow/cow/rw@0 | io (1, 0) (1, 0) (0, 2) | cache layer: false
+"
+        );
+    }
+
     #[test]
     fn qcow2_chain_works_without_cache() {
         let p = VmiProfile::tiny_test();
         let trace = vmi_trace::generate(&p, 4);
-        let chain = build_chain(ChainSpec {
-            mode: Mode::Qcow2,
-            profile: &p,
-            base_dev: Arc::new(SparseDev::with_len(p.virtual_size)),
-            cache_dev: None,
-            cow_dev: Arc::new(SparseDev::new()),
-            cache_read_only: false,
-            obs: Obs::disabled(),
-        })
-        .unwrap();
-        replay_unpriced(chain.as_ref(), &trace).unwrap();
+        let b = boot(&p, Mode::Qcow2, None, false, Obs::disabled());
+        replay_unpriced(b.chain.as_ref(), &trace).unwrap();
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use vmi_blockdev::{be_u32, be_u64, BlockDev, FileDev};
+use vmi_obs::Obs;
 use vmi_qcow::DEFAULT_CLUSTER_BITS;
 
 use crate::{create_image, open_image, CreateSpec};
@@ -80,7 +81,7 @@ pub fn make_fixtures(dir: &Path) -> Result<Vec<PathBuf>> {
             cache_quota: 0,
         })?
         .close()?;
-        let img = open_image(&ok_cow, false)?;
+        let img = open_image(&ok_cow, false, &Obs::disabled())?;
         img.write_at(&[0xEE; 4096], 8192)?;
         img.close()?;
     }
@@ -180,7 +181,7 @@ fn make_warm_cache(path: &Path, backing: &str) -> Result<()> {
         cache_quota: QUOTA,
     })?
     .close()?;
-    let img = open_image(path, false)?;
+    let img = open_image(path, false, &Obs::disabled())?;
     let mut buf = [0u8; 4096];
     for off in (0..(64u64 << 10)).step_by(4096) {
         img.read_at(&mut buf, off)?;

@@ -13,7 +13,9 @@
 //!   through it (the §3.2 "boot a sample VM upon registration" flow).
 //!
 //! Backing files are resolved relative to the image's directory, like QEMU
-//! does. All commands work on real files through [`vmi_blockdev::FileDev`].
+//! does, by [`vmi_qcow::FsResolver`]; chains open and backings get their
+//! §4.3 permissions through `vmi_qcow::chain` alone. All commands work on
+//! real files through [`vmi_blockdev::FileDev`].
 
 #![forbid(unsafe_code)]
 
@@ -22,67 +24,23 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockDev, BlockError, FileDev, Result, SharedDev};
-use vmi_qcow::{CreateOpts, DevResolver, Header, QcowImage};
+use vmi_obs::Obs;
+use vmi_qcow::{open_backing, CreateOpts, FsResolver, QcowImage};
 
 pub mod fixtures;
 
-/// Resolves backing-file names against a directory on the real filesystem.
-pub struct FsResolver {
-    /// Directory that relative backing names are resolved against.
-    pub dir: PathBuf,
-}
-
-impl FsResolver {
-    /// Resolver rooted at the directory containing `image_path`.
-    pub fn for_image(image_path: &Path) -> Self {
-        Self {
-            dir: image_path.parent().unwrap_or(Path::new(".")).to_path_buf(),
-        }
-    }
-}
-
-impl DevResolver for FsResolver {
-    fn resolve(&self, name: &str) -> Result<SharedDev> {
-        let path = if Path::new(name).is_absolute() {
-            PathBuf::from(name)
-        } else {
-            self.dir.join(name)
-        };
-        // The §4.3 flag dance needs caches writable: open read-write when
-        // permitted, falling back to read-only (open_chain wraps plain
-        // layers read-only regardless).
-        match FileDev::open(&path) {
-            Ok(dev) => Ok(Arc::new(dev)),
-            Err(_) => Ok(Arc::new(FileDev::open_read_only(&path)?)),
-        }
-    }
-}
-
-/// [`open_image`] with an observability handle attached to every layer, so
-/// reads through the returned image feed `obs`'s metrics registry (the
+/// Open the image at `path` together with its backing chain, resolving
+/// backing names next to it ([`FsResolver`]). `obs` is attached to every
+/// layer, so reads through the returned image feed its metrics registry (the
 /// `vmi-img stats` command renders the result via
-/// [`vmi_obs::MetricsSnapshot::to_prometheus`]).
-pub fn open_image_with_obs(
-    path: &Path,
-    read_only: bool,
-    obs: &vmi_obs::Obs,
-) -> Result<Arc<QcowImage>> {
-    let resolver = FsResolver::for_image(path);
+/// [`vmi_obs::MetricsSnapshot::to_prometheus`]); pass [`Obs::disabled`] for
+/// none.
+pub fn open_image(path: &Path, read_only: bool, obs: &Obs) -> Result<Arc<QcowImage>> {
     let name = path
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| BlockError::unsupported("invalid image path"))?;
-    vmi_qcow::open_chain_with_obs(&resolver, name, read_only, obs)
-}
-
-/// Open the image at `path` together with its backing chain.
-pub fn open_image(path: &Path, read_only: bool) -> Result<Arc<QcowImage>> {
-    let resolver = FsResolver::for_image(path);
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| BlockError::unsupported("invalid image path"))?;
-    vmi_qcow::open_chain(&resolver, name, read_only)
+    vmi_qcow::open_chain(&FsResolver::for_image(path), name, read_only, obs)
 }
 
 /// Open `path` and every layer reachable through backing-file names as raw
@@ -90,11 +48,11 @@ pub fn open_image(path: &Path, read_only: bool) -> Result<Arc<QcowImage>> {
 ///
 /// This deliberately bypasses the driver's open path: an fsck must be able
 /// to look at containers too corrupt for [`open_image`] to accept. Backing
-/// names are resolved like the driver resolves them (relative to the layer
-/// naming them). A file reached twice yields the *same* `Arc`, so the
-/// auditor's device-identity check sees backing cycles; the walk itself
-/// stops at the first repeat, and anything deeper than the auditor's depth
-/// limit is left for the auditor to condemn.
+/// names are resolved like the driver resolves them, relative to the layer
+/// naming them ([`FsResolver::path`]). A file reached twice yields the
+/// *same* `Arc`, so the auditor's device-identity check sees backing cycles;
+/// the walk itself stops at the first repeat, and anything deeper than the
+/// auditor's depth limit is left for the auditor to condemn.
 pub fn collect_chain_devs(path: &Path) -> Result<Vec<SharedDev>> {
     let mut seen: HashMap<PathBuf, SharedDev> = HashMap::new();
     let mut devs: Vec<SharedDev> = Vec::new();
@@ -112,14 +70,7 @@ pub fn collect_chain_devs(path: &Path) -> Result<Vec<SharedDev>> {
             break;
         }
         match vmi_audit::probe_backing(dev.as_ref() as &dyn BlockDev) {
-            Some(name) => {
-                let next = if Path::new(&name).is_absolute() {
-                    PathBuf::from(name)
-                } else {
-                    current.parent().unwrap_or(Path::new(".")).join(name)
-                };
-                current = next;
-            }
+            Some(name) => current = FsResolver::for_image(&current).path(&name),
             None => break,
         }
     }
@@ -141,23 +92,16 @@ pub struct CreateSpec {
     pub cache_quota: u64,
 }
 
-/// Create an image file on disk; returns the opened image.
+/// Create an image file on disk; returns the opened image. A backing file
+/// opens through [`vmi_qcow::open_backing`], the §4.3 flag dance.
 pub fn create_image(spec: &CreateSpec) -> Result<Arc<QcowImage>> {
     let dev: SharedDev = Arc::new(FileDev::create(&spec.path)?);
-    let backing = match &spec.backing {
-        None => None,
-        Some(name) => {
-            let resolver = FsResolver::for_image(&spec.path);
-            let bdev = resolver.resolve(name)?;
-            // Determine layer type for the flag dance: image chains open
-            // recursively; raw bases are wrapped read-only.
-            Some(match Header::decode(bdev.as_ref() as &dyn BlockDev) {
-                Ok(h) if h.is_cache() => vmi_qcow::open_chain(&resolver, name, false)? as SharedDev,
-                Ok(_) => vmi_qcow::open_chain(&resolver, name, true)? as SharedDev,
-                Err(_) => Arc::new(vmi_blockdev::ReadOnlyDev::new(bdev)) as SharedDev,
-            })
-        }
-    };
+    let resolver = FsResolver::for_image(&spec.path);
+    let backing = spec
+        .backing
+        .as_deref()
+        .map(|name| open_backing(&resolver, name, 1, &Obs::disabled()))
+        .transpose()?;
     let opts = CreateOpts {
         size: spec.size,
         cluster_bits: spec.cluster_bits,
@@ -167,8 +111,9 @@ pub fn create_image(spec: &CreateSpec) -> Result<Arc<QcowImage>> {
     QcowImage::create(dev, opts, backing)
 }
 
-/// The §4.4 two-step chain in one call: creates `<stem>.cache` and
-/// `<stem>.cow` next to `base`, returns the CoW path.
+/// The §4.4 two-step chain in one call ([`vmi_qcow::create_cached_chain`]
+/// on files): creates `<stem>.cache` and `<stem>.cow` next to `base`,
+/// returns the CoW path.
 pub fn create_chain(
     base: &Path,
     stem: &str,
@@ -176,33 +121,24 @@ pub fn create_chain(
     quota: u64,
     cache_cluster_bits: u32,
 ) -> Result<PathBuf> {
-    let dir = base.parent().unwrap_or(Path::new(".")).to_path_buf();
     let base_name = base
         .file_name()
         .and_then(|n| n.to_str())
-        .ok_or_else(|| BlockError::unsupported("invalid base path"))?
-        .to_string();
-    let cache_path = dir.join(format!("{stem}.cache"));
-    let cow_path = dir.join(format!("{stem}.cow"));
-    // Step 1: "qemu-img is invoked with a cache quota and pointing to the
-    // base image as its backing file."
-    create_image(&CreateSpec {
-        path: cache_path.clone(),
+        .ok_or_else(|| BlockError::unsupported("invalid base path"))?;
+    let resolver = FsResolver::for_image(base);
+    let cache_name = format!("{stem}.cache");
+    let cow_path = resolver.path(&format!("{stem}.cow"));
+    vmi_qcow::create_cached_chain(
+        &resolver,
+        base_name,
+        &cache_name,
+        Arc::new(FileDev::create(resolver.path(&cache_name))?),
+        Arc::new(FileDev::create(&cow_path)?),
         size,
-        cluster_bits: cache_cluster_bits,
-        backing: Some(base_name),
-        cache_quota: quota,
-    })?
-    .close()?;
-    // Step 2: "qemu-img is invoked with no cache quota and pointing to the
-    // cache image as its backing file."
-    create_image(&CreateSpec {
-        path: cow_path.clone(),
-        size,
-        cluster_bits: vmi_qcow::DEFAULT_CLUSTER_BITS,
-        backing: Some(format!("{stem}.cache")),
-        cache_quota: 0,
-    })?
+        quota,
+        cache_cluster_bits,
+        &Obs::disabled(),
+    )?
     .close()?;
     Ok(cow_path)
 }
@@ -214,7 +150,7 @@ pub fn warm_cache(
     profile: &vmi_trace::VmiProfile,
     seed: u64,
 ) -> Result<(u64, u64)> {
-    let img = open_image(cache_path, false)?;
+    let img = open_image(cache_path, false, &Obs::disabled())?;
     if !img.is_cache() {
         return Err(BlockError::unsupported("not a cache image"));
     }
@@ -291,7 +227,7 @@ mod tests {
         img.write_at(b"persisted", 4096).unwrap();
         img.close().unwrap();
         drop(img);
-        let back = open_image(&d.join("a.img"), true).unwrap();
+        let back = open_image(&d.join("a.img"), true, &Obs::disabled()).unwrap();
         let mut buf = [0u8; 9];
         back.read_at(&mut buf, 4096).unwrap();
         assert_eq!(&buf, b"persisted");
@@ -309,7 +245,7 @@ mod tests {
         drop(base);
 
         let cow_path = create_chain(&d.join("base.raw"), "vm1", 16 << 20, 4 << 20, 9).unwrap();
-        let cow = open_image(&cow_path, false).unwrap();
+        let cow = open_image(&cow_path, false, &Obs::disabled()).unwrap();
         let mut buf = [0u8; 8192];
         cow.read_at(&mut buf, 1 << 20).unwrap();
         assert_eq!(buf, [0x42; 8192]);
@@ -317,7 +253,7 @@ mod tests {
         drop(cow);
 
         // The cache file persisted its fill; reopen and verify warm read.
-        let cache = open_image(&d.join("vm1.cache"), true).unwrap();
+        let cache = open_image(&d.join("vm1.cache"), true, &Obs::disabled()).unwrap();
         assert!(cache.is_cache());
         cache.read_at(&mut buf, 1 << 20).unwrap();
         assert_eq!(buf, [0x42; 8192]);

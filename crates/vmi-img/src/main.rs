@@ -16,6 +16,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use vmi_img::{create_chain, create_image, open_image, warm_cache, CreateSpec};
+use vmi_obs::Obs;
 use vmi_trace::VmiProfile;
 
 fn main() {
@@ -128,13 +129,13 @@ fn cmd_create(rest: &[String]) -> CliResult {
 }
 
 fn cmd_info(rest: &[String]) -> CliResult {
-    let img = open_image(&positional(rest)?, true)?;
+    let img = open_image(&positional(rest)?, true, &Obs::disabled())?;
     print!("{}", vmi_qcow::info(&img).render());
     Ok(())
 }
 
 fn cmd_map(rest: &[String]) -> CliResult {
-    let img = open_image(&positional(rest)?, true)?;
+    let img = open_image(&positional(rest)?, true, &Obs::disabled())?;
     let extents = vmi_qcow::map(&img)?;
     println!("{:>12} {:>12} {:>8}", "start", "length", "layer");
     for e in extents {
@@ -149,7 +150,7 @@ fn cmd_map(rest: &[String]) -> CliResult {
 }
 
 fn cmd_check(rest: &[String]) -> CliResult {
-    let img = open_image(&positional(rest)?, true)?;
+    let img = open_image(&positional(rest)?, true, &Obs::disabled())?;
     let rep = vmi_qcow::check(&img)?;
     println!("L2 tables: {}", rep.l2_tables);
     println!("data clusters: {}", rep.data_clusters);
@@ -254,7 +255,7 @@ fn cmd_make_fixtures(rest: &[String]) -> CliResult {
 }
 
 fn cmd_commit(rest: &[String]) -> CliResult {
-    let img = open_image(&positional(rest)?, false)?;
+    let img = open_image(&positional(rest)?, false, &Obs::disabled())?;
     let n = vmi_qcow::commit(&img)?;
     println!("committed {n} bytes into the backing file");
     Ok(())
@@ -263,7 +264,7 @@ fn cmd_commit(rest: &[String]) -> CliResult {
 fn cmd_compact(rest: &[String]) -> CliResult {
     use vmi_blockdev::FileDev;
     let path = positional(rest)?;
-    let img = open_image(&path, false)?;
+    let img = open_image(&path, false, &Obs::disabled())?;
     let before = img.file_size();
     // Compact into a sibling file, then swap it into place.
     let tmp = path.with_extension("compact.tmp");
@@ -288,7 +289,7 @@ fn cmd_discard(rest: &[String]) -> CliResult {
     let path = positional(rest)?;
     let off = parse_size(&flag(rest, "--off").ok_or("--off required")?)?;
     let len = parse_size(&flag(rest, "--len").ok_or("--len required")?)?;
-    let img = open_image(&path, false)?;
+    let img = open_image(&path, false, &Obs::disabled())?;
     let n = img.discard(off, len)?;
     img.close()?;
     println!("discarded {n} cluster(s) in [{off}, {})", off + len);
@@ -298,7 +299,7 @@ fn cmd_discard(rest: &[String]) -> CliResult {
 fn cmd_resize(rest: &[String]) -> CliResult {
     let path = positional(rest)?;
     let new_size = parse_size(&flag(rest, "--size").ok_or("--size required")?)?;
-    let img = open_image(&path, false)?;
+    let img = open_image(&path, false, &Obs::disabled())?;
     let old = img.virtual_size();
     let grown = img.resize(new_size)?;
     grown.close()?;
@@ -308,10 +309,10 @@ fn cmd_resize(rest: &[String]) -> CliResult {
 
 fn cmd_rebase(rest: &[String]) -> CliResult {
     let path = positional(rest)?;
-    let img = open_image(&path, false)?;
+    let img = open_image(&path, false, &Obs::disabled())?;
     let rebased = match flag(rest, "--backing") {
         Some(name) => {
-            let resolver = vmi_img::FsResolver::for_image(&path);
+            let resolver = vmi_qcow::FsResolver::for_image(&path);
             let bdev = vmi_qcow::DevResolver::resolve(&resolver, &name)?;
             img.rebase_unsafe(Some(name.clone()), Some(bdev))?
         }
@@ -329,7 +330,7 @@ fn cmd_rebase(rest: &[String]) -> CliResult {
 fn cmd_snapshot(rest: &[String]) -> CliResult {
     let path = positional(rest)?;
     if rest.iter().any(|a| a == "--list") {
-        let img = open_image(&path, true)?;
+        let img = open_image(&path, true, &Obs::disabled())?;
         let snaps = img.list_snapshots();
         if snaps.is_empty() {
             println!("no snapshots");
@@ -339,7 +340,7 @@ fn cmd_snapshot(rest: &[String]) -> CliResult {
         }
         return Ok(());
     }
-    let img = open_image(&path, false)?;
+    let img = open_image(&path, false, &Obs::disabled())?;
     if let Some(name) = flag(rest, "--create") {
         let id = img.create_snapshot(name.clone())?;
         img.close()?;
@@ -377,14 +378,14 @@ fn cmd_chain(rest: &[String]) -> CliResult {
 
 fn cmd_stats(rest: &[String]) -> CliResult {
     use vmi_blockdev::BlockDev;
-    use vmi_obs::{ManualClock, NullRecorder, Obs};
+    use vmi_obs::{ManualClock, NullRecorder};
 
     let path = positional(rest)?;
     let obs = Obs::new(
         std::sync::Arc::new(ManualClock::new(0)),
         std::sync::Arc::new(NullRecorder),
     );
-    let img = vmi_img::open_image_with_obs(&path, true, &obs)?;
+    let img = open_image(&path, true, &obs)?;
     // One sequential read pass through the metrics-instrumented chain:
     // every L2 lookup, cache hit/miss, and backing fetch lands in the
     // registry, which then renders in the Prometheus text format.

@@ -10,9 +10,13 @@
 //! service do not queue on the image's state mutex. Caches opened through
 //! a chain keep warming as clients read. Ctrl-C to stop.
 
+use std::path::Path;
 use std::sync::Arc;
 
+use vmi_blockdev::{BlockDev, BlockError, FileDev, Result, SharedDev};
 use vmi_nbd::NbdServer;
+use vmi_obs::Obs;
+use vmi_qcow::{open_chain, ConcurrentImage, FsResolver, Header};
 
 fn usage() -> ! {
     eprintln!("usage: vmi-nbd serve [--addr HOST:PORT] [--ro] [--pipeline N] NAME=PATH ...");
@@ -91,52 +95,24 @@ fn main() {
 /// Open `path` as an image chain if it parses as one (wrapped in
 /// `ConcurrentImage` when `pipeline` ≥ 2, as `NbdServer::add_image_concurrent`
 /// does), else as a raw file.
-fn vmi_img_open(
-    path: &str,
-    read_only: bool,
-    pipeline: usize,
-) -> vmi_blockdev::Result<vmi_blockdev::SharedDev> {
-    let p = std::path::Path::new(path);
-    let raw: vmi_blockdev::SharedDev = if read_only {
-        Arc::new(vmi_blockdev::FileDev::open_read_only(p)?)
+fn vmi_img_open(path: &str, read_only: bool, pipeline: usize) -> Result<SharedDev> {
+    let p = Path::new(path);
+    let raw: SharedDev = if read_only {
+        Arc::new(FileDev::open_read_only(p)?)
     } else {
-        Arc::new(vmi_blockdev::FileDev::open(p)?)
+        Arc::new(FileDev::open(p)?)
     };
-    if vmi_qcow::Header::decode(raw.as_ref() as &dyn vmi_blockdev::BlockDev).is_ok() {
-        // Image file: open with its chain via the directory resolver.
-        let resolver = vmi_img_resolver(p);
-        let name = p
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| vmi_blockdev::BlockError::unsupported("bad path"))?;
-        let img = vmi_qcow::open_chain(&resolver, name, read_only)?;
-        Ok(if pipeline > 1 {
-            vmi_qcow::ConcurrentImage::new(img)
-        } else {
-            img
-        })
+    if Header::decode(raw.as_ref() as &dyn BlockDev).is_err() {
+        return Ok(raw);
+    }
+    let name = p
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| BlockError::unsupported("bad path"))?;
+    let img = open_chain(&FsResolver::for_image(p), name, read_only, &Obs::disabled())?;
+    Ok(if pipeline > 1 {
+        ConcurrentImage::new(img)
     } else {
-        Ok(raw)
-    }
-}
-
-fn vmi_img_resolver(path: &std::path::Path) -> impl vmi_qcow::DevResolver {
-    struct R(std::path::PathBuf);
-    impl vmi_qcow::DevResolver for R {
-        fn resolve(&self, name: &str) -> vmi_blockdev::Result<vmi_blockdev::SharedDev> {
-            let p = if std::path::Path::new(name).is_absolute() {
-                std::path::PathBuf::from(name)
-            } else {
-                self.0.join(name)
-            };
-            match vmi_blockdev::FileDev::open(&p) {
-                Ok(d) => Ok(Arc::new(d)),
-                Err(_) => Ok(Arc::new(vmi_blockdev::FileDev::open_read_only(&p)?)),
-            }
-        }
-    }
-    R(path
-        .parent()
-        .unwrap_or(std::path::Path::new("."))
-        .to_path_buf())
+        img
+    })
 }

@@ -208,7 +208,8 @@ impl QcowImage {
             expected_used: self.header.is_cache().then_some(st.cache_used),
             ..Default::default()
         };
-        let report = vmi_audit::audit_image_opts(self.dev.as_ref(), &opts);
+        let report =
+            vmi_audit::audit_image_visit(self.dev.as_ref(), &opts, &Obs::disabled(), &mut ());
         if !report.is_clean() {
             panic!("paranoid audit failed after {op}: {:?}", report.violations) // lint:allow(no-unwrap)
         }

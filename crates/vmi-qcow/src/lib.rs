@@ -14,7 +14,9 @@
 //! * `qemu-img`-style chain building (§4.4) and maintenance ops
 //!   ([`ops::info`], [`ops::map`], [`ops::check`], [`ops::commit`],
 //!   [`ops::compact`]);
-//! * the §4.3 backing-file permission "flag dance" in [`chain::open_chain`];
+//! * the §4.3 backing-file permission "flag dance" in
+//!   [`chain::open_backing`], the one place a backing-file name becomes an
+//!   opened layer;
 //! * the rest of a production driver's surface: `discard` (TRIM) with
 //!   cluster reuse and quota re-arming, grow-only `resize`, unsafe
 //!   `rebase`, bounded L2-table caching, **internal snapshots**
@@ -31,6 +33,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use vmi_blockdev::{BlockDev, MemDev};
+//! use vmi_obs::Obs;
 //! use vmi_qcow::chain::{create_cached_chain, MapResolver};
 //!
 //! let ns = MapResolver::new();
@@ -46,7 +49,7 @@
 //! let cache_dev = ns.create_mem("cache.img");
 //! let cow = create_cached_chain(
 //!     &ns, "base.img", "cache.img", cache_dev, Arc::new(MemDev::new()),
-//!     64 << 20, 8 << 20, 9).unwrap();
+//!     64 << 20, 8 << 20, 9, &Obs::disabled()).unwrap();
 //! let mut buf = [0u8; 4096];
 //! cow.read_at(&mut buf, 1 << 20).unwrap();
 //! assert_eq!(buf, [7u8; 4096]);
@@ -72,9 +75,8 @@ pub mod snapshot;
 mod write;
 
 pub use chain::{
-    create_cached_chain, create_cached_chain_with_obs, create_cow_chain, create_cow_chain_with_obs,
-    create_cow_over_cache, create_cow_over_cache_with_obs, open_chain, open_chain_with_obs,
-    DevResolver, MapResolver,
+    create_cached_chain, create_cow_chain, create_cow_over_cache, create_cow_over_recovered_cache,
+    open_backing, open_chain, DevResolver, FsResolver, MapResolver,
 };
 pub use concurrent::{ConcStats, ConcurrentImage};
 pub use dedup::{analyze as dedup_analyze, DedupReport};

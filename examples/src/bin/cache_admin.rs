@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockDev, FileDev, SharedDev};
+use vmi_obs::Obs;
 use vmi_qcow::{check, create_cached_chain, info, map, open_chain, MapResolver};
 
 fn main() {
@@ -47,6 +48,7 @@ fn main() {
         256 << 20,
         quota,
         9,
+        &Obs::disabled(),
     )
     .expect("chain builds");
 
@@ -73,7 +75,7 @@ fn main() {
 
     // 4. Inspect each layer from its file, like an operator would.
     for name in ["cow.img", "cache.img"] {
-        let img = open_chain(&ns, name, true).expect("opens");
+        let img = open_chain(&ns, name, true, &Obs::disabled()).expect("opens");
         println!("--- {name} ---");
         print!("{}", info(&img).render());
         let rep = check(&img).expect("check");
@@ -93,7 +95,7 @@ fn main() {
     }
 
     // 5. Verify the warm chain still reads correctly from disk files.
-    let cow2 = open_chain(&ns, "cow.img", false).expect("reopen");
+    let cow2 = open_chain(&ns, "cow.img", false, &Obs::disabled()).expect("reopen");
     cow2.read_at(&mut buf[..19], 200 << 20).unwrap();
     assert_eq!(&buf[..19], b"guest-visible write");
     println!("reopened chain serves guest data correctly — files are durable.");

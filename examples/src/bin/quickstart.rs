@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockDev, CountingDev, SharedDev, SparseDev};
+use vmi_obs::Obs;
 use vmi_qcow::{create_cached_chain, create_cow_over_cache, info, MapResolver};
 use vmi_trace::VmiProfile;
 
@@ -41,6 +42,7 @@ fn main() {
         profile.virtual_size,
         8 << 20, // quota
         9,       // 512 B cache clusters (the paper's final arrangement)
+        &Obs::disabled(),
     )
     .expect("chain builds");
 
@@ -60,6 +62,7 @@ fn main() {
         "cache.img",
         Arc::new(SparseDev::new()),
         profile.virtual_size,
+        &Obs::disabled(),
     )
     .expect("warm chain builds");
     replay(&trace, cow2.as_ref());
@@ -70,7 +73,8 @@ fn main() {
     );
 
     // Inspect the cache image like `qemu-img info` would.
-    let cache_img = vmi_qcow::open_chain(&ns, "cache.img", true).expect("cache opens");
+    let cache_img =
+        vmi_qcow::open_chain(&ns, "cache.img", true, &Obs::disabled()).expect("cache opens");
     println!("\n--- qemu-img style info for cache.img ---");
     print!("{}", info(&cache_img).render());
     let report = vmi_qcow::check(&cache_img).expect("check runs");

@@ -46,6 +46,7 @@ fn cold_boot_then_warm_boot_through_shared_namespace() {
             profile.virtual_size,
             QUOTA,
             9,
+            &vmi_obs::Obs::disabled(),
         )
         .unwrap();
         replay(&trace, cow.as_ref());
@@ -60,6 +61,7 @@ fn cold_boot_then_warm_boot_through_shared_namespace() {
             "cache",
             Arc::new(SparseDev::new()),
             profile.virtual_size,
+            &vmi_obs::Obs::disabled(),
         )
         .unwrap();
         replay(&trace, cow.as_ref());

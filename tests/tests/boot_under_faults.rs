@@ -12,7 +12,7 @@ use vmi_blockdev::{
     SharedDev,
 };
 use vmi_obs::{met, ManualClock, RecorderHandle};
-use vmi_qcow::{create_cached_chain_with_obs, MapResolver, QcowImage};
+use vmi_qcow::{create_cached_chain, MapResolver, QcowImage};
 
 const VSIZE: u64 = 4 << 20;
 
@@ -47,7 +47,7 @@ fn run_once(seed: u64) -> RunResult {
     ns.insert("base", base.clone() as SharedDev);
     let container = Arc::new(FaultDev::new(Arc::new(MemDev::new())));
     ns.insert("cache", container.clone() as SharedDev);
-    let cow = create_cached_chain_with_obs(
+    let cow = create_cached_chain(
         &ns,
         "base",
         "cache",

@@ -46,6 +46,7 @@ fn build_chain(seed: u8, quota: u64) -> (Vec<u8>, Arc<QcowImage>, SharedDev) {
         VSIZE,
         quota,
         9,
+        &vmi_obs::Obs::disabled(),
     )
     .expect("chain builds");
     (reference, cow, base_dev)

@@ -36,6 +36,7 @@ fn base_read_error_propagates_without_corrupting_cache() {
         VSIZE,
         2 << 20,
         9,
+        &vmi_obs::Obs::disabled(),
     )
     .unwrap();
 
@@ -75,6 +76,7 @@ fn cache_container_write_error_degrades_instead_of_failing() {
         VSIZE,
         2 << 20,
         9,
+        &vmi_obs::Obs::disabled(),
     )
     .unwrap();
     // Arm after creation so header/L1 writes succeed.
@@ -163,6 +165,7 @@ fn quota_exhaustion_is_graceful_not_an_error() {
         VSIZE,
         quota,
         9,
+        &vmi_obs::Obs::disabled(),
     )
     .unwrap();
     let mut buf = vec![0u8; 8192];
@@ -194,6 +197,7 @@ fn reread_after_partial_fill_failure_is_consistent() {
         VSIZE,
         2 << 20,
         9,
+        &vmi_obs::Obs::disabled(),
     )
     .unwrap();
     // Fail the 5th container write: some clusters of the request fill, then

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use vmi_blockdev::{BlockDev, MemDev, SharedDev};
 use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement, Telemetry, WarmStore};
 use vmi_obs::{met, Event, JsonlSink, ManualClock, Obs, RecorderHandle};
-use vmi_qcow::{create_cached_chain_with_obs, MapResolver, QcowImage};
+use vmi_qcow::{create_cached_chain, MapResolver, QcowImage};
 use vmi_sim::NetSpec;
 
 const QUOTA: u64 = 16 << 20;
@@ -251,7 +251,7 @@ fn quota_exhaustion_latches_once_and_reads_continue() {
 
     let sink = JsonlSink::new();
     let obs = Obs::new(Arc::new(ManualClock::new(0)), sink.clone());
-    let cow = create_cached_chain_with_obs(
+    let cow = create_cached_chain(
         &ns,
         "base",
         "cache",

@@ -16,7 +16,7 @@ use vmi_blockdev::{
 };
 use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement, WarmStore};
 use vmi_obs::{Event, JsonlSink, ManualClock, Obs, RecorderHandle};
-use vmi_qcow::{create_cached_chain_with_obs, CreateOpts, MapResolver, QcowImage};
+use vmi_qcow::{create_cached_chain, CreateOpts, MapResolver, QcowImage};
 use vmi_sim::NetSpec;
 
 const QUOTA: u64 = 16 << 20;
@@ -113,7 +113,7 @@ fn fault_injected_boot_keeps_spans_balanced() {
     ns.insert("base", base as SharedDev);
     let container = Arc::new(FaultDev::new(Arc::new(MemDev::new())));
     ns.insert("cache", container.clone() as SharedDev);
-    let cow = create_cached_chain_with_obs(
+    let cow = create_cached_chain(
         &ns,
         "base",
         "cache",
