@@ -26,7 +26,7 @@ use vmi_trace::VmiProfile;
 
 use crate::cluster::{CacheSource, Cluster};
 use crate::deploy::{Mode, Placement};
-use crate::experiment::{vmi_seed, WarmStore};
+use crate::experiment::vmi_seed;
 use crate::sched::{NodeState, Policy, Scheduler};
 use crate::telemetry::Telemetry;
 
@@ -356,7 +356,6 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
     let seeds = (0..cfg.vmis).map(|v| vmi_seed(cfg.seed, v));
     let mut cluster = Cluster::new(&cfg.profile, cfg.net, &cfg.recorder, cfg.nodes, seeds);
     let obs = cluster.obs.clone();
-    let warm_store = WarmStore::new();
 
     // Fleet state. Cache pools are keyed by VMI index: the per-request hot
     // path below never formats a "vmi-N" string (names appear only in events).
@@ -504,14 +503,11 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
         boot_times.push(outcome.boot_ns);
         running.push((node_idx, outcome.done_at + req.lifetime_ns));
 
-        // Admit the (now warm) cache into the node's pool; evictions drop
-        // the corresponding local containers.
+        // Admit the cache this cold boot just filled into the node's pool;
+        // evictions drop the corresponding local containers.
         if cfg.use_caches && !warm_hit {
             let node = &mut fleet[node_idx];
-            let size = warm_store
-                .get_or_prepare(&cfg.profile, &cluster.vmis[req.vmi].trace, cfg.quota, 9)
-                .map(|w| w.file_size)
-                .unwrap_or(cfg.quota);
+            let size = warm_local[&(node_idx, req.vmi)].len();
             // A cache larger than the whole pool is simply not kept.
             let mut evicted = Vec::new();
             let (at, id) = (req.at, node_idx as u64);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use vmi_blockdev::{Result, SharedDev, SparseDev};
 use vmi_obs::{Obs, RecorderHandle};
 use vmi_qcow::QcowImage;
-use vmi_remote::{MountOpts, NfsExport, NfsMount};
+use vmi_remote::{NfsExport, NfsMount};
 use vmi_sim::{NetSpec, Ns, SimWorld};
 use vmi_trace::{BootTrace, VmiProfile};
 
@@ -102,7 +102,7 @@ impl<'a> Cluster<'a> {
 
     /// `export` as a compute node sees it: an NFS mount over the storage NIC.
     pub(crate) fn mount(&self, export: &Arc<NfsExport>) -> SharedDev {
-        NfsMount::new(export.clone(), self.storage.nic, MountOpts::default())
+        NfsMount::new(export.clone(), self.storage.nic)
     }
 
     /// Deploy one VM of `vmi` on `node` at `start_at`: mount the base, place

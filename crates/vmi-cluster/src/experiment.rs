@@ -335,7 +335,6 @@ mod tests {
             bw_bps: 4_000_000,
             latency_ns: 120_000,
             per_msg_ns: 15_000,
-            discipline: vmi_sim::LinkDiscipline::Fifo,
         };
         let nodes = 8;
         let q = run_experiment(&tiny(nodes, 1, Mode::Qcow2, slow)).unwrap();
@@ -542,5 +541,95 @@ mod tests {
         .unwrap();
         assert_eq!(mixed.warm_placements, 0);
         assert_eq!((mixed.stats.min_ns, mixed.stats.max_ns), (boot_ns, boot_ns));
+    }
+
+    /// The simulated model, pinned: every mode the chain builder accepts on
+    /// both interconnects, plus the hybrid chain. A change to how any
+    /// simulated medium prices I/O moves a value here.
+    #[test]
+    fn simulated_model_is_pinned() {
+        use crate::mixed::run_hybrid_boot;
+
+        let mut modes = vec![Mode::Qcow2];
+        for placement in [
+            Placement::ComputeDisk,
+            Placement::ComputeMem,
+            Placement::StorageMem,
+        ] {
+            let (quota, cluster_bits) = (QUOTA, 9);
+            modes.push(Mode::ColdCache {
+                placement,
+                quota,
+                cluster_bits,
+            });
+            modes.push(Mode::WarmCache {
+                placement,
+                quota,
+                cluster_bits,
+            });
+        }
+        let store = WarmStore::new();
+        let mut got = Vec::new();
+        for net in [NetSpec::gbe_1(), NetSpec::ib_32g()] {
+            for &mode in &modes {
+                let mut cfg = tiny(4, 2, mode, net);
+                cfg.warm_store = Some(store.clone());
+                let out = run_experiment(&cfg).unwrap();
+                let boot: u64 = out.outcomes.iter().map(|o| o.boot_ns).sum();
+                let (nic, disk) = (out.storage_nic, out.storage_disk);
+                got.push(format!(
+                    "{} {}: boot={boot} nic=({}, {}, {}) disk=({}, {}, {}) pc={:?} sizes={:?}",
+                    net.label(),
+                    mode.label(),
+                    nic.messages,
+                    nic.bytes,
+                    nic.busy_ns,
+                    disk.read_ops,
+                    disk.seeks,
+                    disk.busy_ns,
+                    out.storage_page_cache,
+                    out.cache_file_sizes,
+                ));
+            }
+            let (secs, reads) =
+                run_hybrid_boot(&VmiProfile::tiny_test(), net, QUOTA, 7, &store).unwrap();
+            got.push(format!(
+                "{} hybrid: boot={secs:?} disk_reads={reads}",
+                net.label()
+            ));
+        }
+        let want = [
+            "1GbE QCOW2: boot=2176248900 nic=(452, 12386304, 144405336) \
+             disk=(125, 99, 418136250) pc=(385, 125) sizes=[]",
+            "1GbE Cold cache (compute disk): boot=3975853736 nic=(452, 12386304, 144405336) \
+             disk=(125, 106, 449336250) pc=(385, 125) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "1GbE Warm cache (compute disk): boot=525564208 nic=(0, 0, 0) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "1GbE Cold cache (compute mem): boot=2172837396 nic=(452, 12386304, 144405336) \
+             disk=(125, 99, 418136250) pc=(385, 125) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "1GbE Warm cache (compute mem): boot=401628556 nic=(0, 0, 0) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "1GbE Cold cache (storage mem): boot=2238058481 nic=(454, 17250304, 198479780) \
+             disk=(125, 99, 418136250) pc=(385, 125) sizes=[2430976, 2433024]",
+            "1GbE Warm cache (storage mem): boot=962160238 nic=(586, 9764864, 117288224) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "1GbE hybrid: boot=0.146189388 disk_reads=0",
+            "32GbIB QCOW2: boot=1977950840 nic=(452, 12386304, 5678720) \
+             disk=(125, 102, 432936250) pc=(385, 125) sizes=[]",
+            "32GbIB Cold cache (compute disk): boot=3760348638 nic=(452, 12386304, 5678720) \
+             disk=(125, 105, 452736250) pc=(385, 125) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "32GbIB Warm cache (compute disk): boot=525564208 nic=(0, 0, 0) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "32GbIB Cold cache (compute mem): boot=1978717932 nic=(452, 12386304, 5678720) \
+             disk=(125, 102, 432936250) pc=(385, 125) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "32GbIB Warm cache (compute mem): boot=401628556 nic=(0, 0, 0) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "32GbIB Cold cache (storage mem): boot=1980099159 nic=(454, 17250304, 7206720) \
+             disk=(125, 102, 432936250) pc=(385, 125) sizes=[2430976, 2433024]",
+            "32GbIB Warm cache (storage mem): boot=458894297 nic=(586, 9764864, 5395520) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
+            "32GbIB hybrid: boot=0.105411712 disk_reads=0",
+        ];
+        assert_eq!(got, want);
     }
 }

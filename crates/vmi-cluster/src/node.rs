@@ -129,13 +129,13 @@ impl ComputeNode {
     pub fn disk_file(&mut self, inner: SharedDev, sync_writes: bool) -> SharedDev {
         let base = self.next_file_base;
         self.next_file_base += FILE_SPACING;
-        vmi_remote::local_disk_dev_cached(
+        vmi_remote::local_disk_dev(
             self.world.clone(),
             self.disk,
             base,
             inner,
             sync_writes,
-            Some(self.page_cache),
+            self.page_cache,
         )
     }
 
@@ -169,7 +169,7 @@ impl ComputeNode {
 mod tests {
     use super::*;
     use vmi_blockdev::BlockDev;
-    use vmi_remote::{MountOpts, NfsMount};
+    use vmi_remote::NfsMount;
 
     #[test]
     fn storage_node_allocates_distinct_files() {
@@ -187,7 +187,7 @@ mod tests {
         let mut s = StorageNode::new(&w, NetSpec::ib_32g());
         let dev: SharedDev = Arc::new(SparseDev::with_len(1 << 20));
         let exp = s.export_on_tmpfs(dev);
-        let m = NfsMount::new(exp, s.nic, MountOpts::default());
+        let m = NfsMount::new(exp, s.nic);
         w.begin_op(0);
         let mut buf = [0u8; 4096];
         m.read_at(&mut buf, 0).unwrap();

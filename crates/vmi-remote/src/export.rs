@@ -68,6 +68,9 @@ impl NfsExport {
     /// file on the op clock: page-cache probes, disk reads on miss (or
     /// memory copies for tmpfs).
     pub fn charge_read(&self, off: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
         self.served_bytes.fetch_add(len, Ordering::Relaxed);
         match self.medium {
             ExportMedium::Tmpfs => {
@@ -91,13 +94,8 @@ impl NfsExport {
                                 false,
                             );
                             let ready = self.world.op_now();
-                            self.world.cache_insert(
-                                self.page_cache,
-                                self.file_id,
-                                page,
-                                ready,
-                                false,
-                            );
+                            self.world
+                                .cache_insert(self.page_cache, self.file_id, page, ready);
                         }
                     }
                 }
@@ -107,6 +105,9 @@ impl NfsExport {
 
     /// Charge the server-side cost of absorbing a client write.
     pub fn charge_write(&self, off: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
         self.received_bytes.fetch_add(len, Ordering::Relaxed);
         match self.medium {
             ExportMedium::Tmpfs => self.world.charge_mem(len),
@@ -116,11 +117,11 @@ impl NfsExport {
                 self.world
                     .charge_disk(disk, self.disk_base + off, len, true);
                 let first = off / SERVER_PAGE;
-                let last = (off + len.max(1) - 1) / SERVER_PAGE;
+                let last = (off + len - 1) / SERVER_PAGE;
                 let ready = self.world.op_now();
                 for page in first..=last {
                     self.world
-                        .cache_insert(self.page_cache, self.file_id, page, ready, false);
+                        .cache_insert(self.page_cache, self.file_id, page, ready);
                 }
             }
         }
@@ -225,5 +226,21 @@ mod tests {
         assert_eq!(w.disk_stats(d).read_ops, 0, "read served from cache");
         assert!(t2 > t1);
         assert_eq!(exp.received_bytes(), SERVER_PAGE);
+    }
+
+    #[test]
+    fn zero_length_charges_are_free() {
+        let (w, d, c) = world_with_disk();
+        let dev = StdArc::new(MemDev::with_len(1 << 20));
+        let exp = NfsExport::new(w.clone(), 4, dev, 0, ExportMedium::Disk(d), c);
+        for off in [0, 100] {
+            w.begin_op(7);
+            exp.charge_read(off, 0);
+            exp.charge_write(off, 0);
+            assert_eq!(w.end_op(), 7);
+        }
+        assert_eq!(w.disk_stats(d), Default::default());
+        assert_eq!(w.cache_stats(c), (0, 0));
+        assert_eq!((exp.served_bytes(), exp.received_bytes()), (0, 0));
     }
 }

@@ -11,8 +11,8 @@
 //!   whose reads/writes carry real bytes immediately and charge the
 //!   storage disk + shared NIC on the simulated op clock, with client-side
 //!   page caching and `rwsize`-capped RPCs;
-//! * [`sim_dev`] — cost hooks for node-local media (compute disk with
-//!   optional synchronous writes, memory).
+//! * [`sim_dev`] — cost hooks for node-local media (compute disk behind
+//!   the node's page cache, with optional synchronous writes; memory).
 
 #![forbid(unsafe_code)]
 
@@ -21,8 +21,5 @@ pub mod mount;
 pub mod sim_dev;
 
 pub use export::{ExportMedium, NfsExport, SERVER_PAGE};
-pub use mount::{MountOpts, NfsMount, DEFAULT_CLIENT_PAGE, DEFAULT_RWSIZE};
-pub use sim_dev::{
-    local_disk_dev, local_disk_dev_cached, memory_dev, DEFAULT_READAHEAD, DEFAULT_SYNC_PENALTY_NS,
-    NODE_PAGE,
-};
+pub use mount::{NfsMount, CLIENT_PAGE, RWSIZE};
+pub use sim_dev::{local_disk_dev, memory_dev, NODE_PAGE, READAHEAD, SYNC_PENALTY_NS};

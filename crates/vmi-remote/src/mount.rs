@@ -6,12 +6,12 @@
 //! location", §5).
 //!
 //! Cost model per read:
-//! * the client caches fetched pages (`client_page` bytes, default 16 KiB —
-//!   the kernel's effective fetch unit with moderate readahead under the
-//!   tuned `rwsize` of 64 KiB);
-//! * uncached page runs become RPCs capped at `rwsize`: the server charges
-//!   its page-cache/disk path, then the response occupies the shared
-//!   storage-node link;
+//! * the client caches fetched pages of [`CLIENT_PAGE`] bytes (16 KiB — the
+//!   kernel's effective fetch unit with moderate readahead under the tuned
+//!   `rwsize` of 64 KiB);
+//! * uncached page runs become RPCs of at most [`RWSIZE`] bytes: the server
+//!   charges its page-cache/disk path, then the response occupies the
+//!   shared storage-node link;
 //! * fully client-cached reads are free (no RPC).
 
 use std::collections::HashSet;
@@ -23,52 +23,33 @@ use vmi_sim::LinkId;
 
 use crate::export::NfsExport;
 
-/// Default effective client fetch granularity.
-pub const DEFAULT_CLIENT_PAGE: u64 = 16 * 1024;
+/// Client fetch and caching granularity.
+pub const CLIENT_PAGE: u64 = 16 * 1024;
 
-/// Default maximum RPC transfer size (the paper tunes NFS `rwsize` to the
-/// 64 KiB QCOW2 cluster size, §5).
-pub const DEFAULT_RWSIZE: u64 = 64 * 1024;
+/// Maximum bytes per RPC (the paper tunes NFS `rwsize` to the 64 KiB QCOW2
+/// cluster size, §5).
+pub const RWSIZE: u64 = 64 * 1024;
 
-/// Mount options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MountOpts {
-    /// Client fetch/caching granularity in bytes (power of two).
-    pub client_page: u64,
-    /// Maximum bytes per RPC.
-    pub rwsize: u64,
-}
-
-impl Default for MountOpts {
-    fn default() -> Self {
-        Self {
-            client_page: DEFAULT_CLIENT_PAGE,
-            rwsize: DEFAULT_RWSIZE,
-        }
-    }
-}
+/// Client pages per full-size RPC.
+const PAGES_PER_RPC: u64 = RWSIZE / CLIENT_PAGE;
 
 /// A mounted remote file.
 pub struct NfsMount {
     export: Arc<NfsExport>,
     /// The storage node's NIC (shared by every mount in the experiment).
     link: LinkId,
-    opts: MountOpts,
     /// Client-side page cache: set of fetched page indices.
     cached: Mutex<HashSet<u64>>,
 }
 
 impl NfsMount {
     /// Mount `export` over `link`.
-    pub fn new(export: Arc<NfsExport>, link: LinkId, opts: MountOpts) -> Arc<Self> {
-        assert!(opts.client_page.is_power_of_two());
-        assert!(opts.rwsize >= opts.client_page);
+    pub fn new(export: Arc<NfsExport>, link: LinkId) -> Arc<Self> {
         let cached = Mutex::new(HashSet::new());
         cached.set_rank(parking_lot::lockrank::REMOTE_CACHED);
         Arc::new(Self {
             export,
             link,
-            opts,
             cached,
         })
     }
@@ -78,11 +59,6 @@ impl NfsMount {
         &self.export
     }
 
-    /// Drop the client cache (remount / memory pressure).
-    pub fn drop_client_cache(&self) {
-        self.cached.lock().clear();
-    }
-
     /// Number of client pages currently cached.
     pub fn cached_pages(&self) -> usize {
         self.cached.lock().len()
@@ -90,9 +66,8 @@ impl NfsMount {
 
     /// Charge one fetch RPC covering pages `[first, last]` (inclusive).
     fn charge_fetch(&self, first_page: u64, last_page: u64) {
-        let cp = self.opts.client_page;
-        let off = first_page * cp;
-        let bytes = (last_page - first_page + 1) * cp;
+        let off = first_page * CLIENT_PAGE;
+        let bytes = (last_page - first_page + 1) * CLIENT_PAGE;
         // Server produces the bytes…
         self.export.charge_read(off, bytes);
         // …then they cross the shared storage NIC.
@@ -108,17 +83,15 @@ impl BlockDev for NfsMount {
             return Ok(());
         }
         // Price the uncached page runs.
-        let cp = self.opts.client_page;
-        let pages_per_rpc = (self.opts.rwsize / cp).max(1);
-        let first = off / cp;
-        let last = (off + buf.len() as u64 - 1) / cp;
+        let first = off / CLIENT_PAGE;
+        let last = (off + buf.len() as u64 - 1) / CLIENT_PAGE;
         let mut cached = self.cached.lock();
         let mut run_start: Option<u64> = None;
         let flush_run = |s: u64, e: u64| {
             // Split long runs at rwsize.
             let mut p = s;
             while p <= e {
-                let chunk_end = (p + pages_per_rpc - 1).min(e);
+                let chunk_end = (p + PAGES_PER_RPC - 1).min(e);
                 self.charge_fetch(p, chunk_end);
                 p = chunk_end + 1;
             }
@@ -145,9 +118,8 @@ impl BlockDev for NfsMount {
         }
         // Client pages covered by the write become cached (write-through
         // with local copy); the data crosses the link and hits the server.
-        let cp = self.opts.client_page;
-        let first = off / cp;
-        let last = (off + buf.len() as u64 - 1) / cp;
+        let first = off / CLIENT_PAGE;
+        let last = (off + buf.len() as u64 - 1) / CLIENT_PAGE;
         {
             let mut cached = self.cached.lock();
             for page in first..=last {
@@ -198,7 +170,6 @@ mod tests {
             bw_bps: 100_000_000,
             latency_ns: 100_000,
             per_msg_ns: 0,
-            discipline: vmi_sim::LinkDiscipline::Fifo,
         });
         let dev = Arc::new(MemDev::with_len(8 << 20));
         dev.write_at(&[0xAB; 1 << 20], 0).unwrap();
@@ -208,7 +179,7 @@ mod tests {
             ExportMedium::Tmpfs
         };
         let exp = NfsExport::new(w.clone(), 1, dev, 0, medium, c);
-        let m = NfsMount::new(exp, link, MountOpts::default());
+        let m = NfsMount::new(exp, link);
         (w, m, link)
     }
 
@@ -230,17 +201,13 @@ mod tests {
         m.read_at(&mut buf, 0).unwrap();
         w.end_op();
         // 4 KiB read fetched one 16 KiB client page.
-        assert_eq!(w.link_stats(link).bytes, DEFAULT_CLIENT_PAGE);
+        assert_eq!(w.link_stats(link).bytes, CLIENT_PAGE);
         assert_eq!(m.cached_pages(), 1);
         // Re-read and nearby read inside the same page are free.
         w.begin_op(1_000_000_000);
         m.read_at(&mut buf, 8192).unwrap();
         let done = w.end_op();
-        assert_eq!(
-            w.link_stats(link).bytes,
-            DEFAULT_CLIENT_PAGE,
-            "no new traffic"
-        );
+        assert_eq!(w.link_stats(link).bytes, CLIENT_PAGE, "no new traffic");
         assert_eq!(
             done, 1_000_000_000,
             "client-cached read takes no simulated time"
@@ -283,14 +250,12 @@ mod tests {
             bw_bps: 1_000_000,
             latency_ns: 0,
             per_msg_ns: 0,
-            discipline: vmi_sim::LinkDiscipline::Fifo,
         });
         let mk = |id: u64| {
             let dev = Arc::new(MemDev::with_len(1 << 20));
             NfsMount::new(
                 NfsExport::new(w.clone(), id, dev, 0, ExportMedium::Tmpfs, c),
                 link,
-                MountOpts::default(),
             )
         };
         let (a, b) = (mk(1), mk(2));

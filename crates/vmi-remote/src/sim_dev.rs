@@ -27,14 +27,14 @@ use vmi_sim::{CacheId, CacheOutcome, DiskId, SimWorld};
 /// Page size of the node page cache / readahead unit.
 pub const NODE_PAGE: u64 = 16 * 1024;
 
-/// Default readahead window for sequential streams.
-pub const DEFAULT_READAHEAD: u64 = 512 * 1024;
+/// Readahead window for sequential streams.
+pub const READAHEAD: u64 = 512 * 1024;
 
-/// Default per-write penalty for synchronous cache-file writes.
-pub const DEFAULT_SYNC_PENALTY_NS: u64 = 400_000;
+/// Extra stall per synchronous cache-file write.
+pub const SYNC_PENALTY_NS: u64 = 400_000;
 
-/// Charges operations against a node-local disk, through an optional node
-/// page cache with readahead.
+/// Charges operations against a node-local disk, through the node's page
+/// cache with readahead.
 pub struct LocalDiskCost {
     world: SimWorld,
     disk: DiskId,
@@ -43,18 +43,15 @@ pub struct LocalDiskCost {
     file_base: u64,
     /// When set, every write stalls on the platter.
     sync_writes: bool,
-    /// Extra penalty per synchronous write.
-    sync_penalty_ns: u64,
     /// The node's page cache (keyed by `file_base` + page index).
-    page_cache: Option<CacheId>,
-    /// Bytes prefetched beyond a sequential read.
-    readahead: u64,
+    page_cache: CacheId,
     /// End offset of the last read (sequentiality detection).
     last_read_end: Mutex<u64>,
 }
 
 impl LocalDiskCost {
-    fn read_through_cache(&self, cache: CacheId, off: u64, len: usize) {
+    fn read_through_cache(&self, off: u64, len: usize) {
+        let cache = self.page_cache;
         let first = off / NODE_PAGE;
         let last = (off + len as u64 - 1) / NODE_PAGE;
         for page in first..=last {
@@ -71,8 +68,7 @@ impl LocalDiskCost {
                         false,
                     );
                     let ready = self.world.op_now();
-                    self.world
-                        .cache_insert(cache, self.file_base, page, ready, false);
+                    self.world.cache_insert(cache, self.file_base, page, ready);
                 }
             }
         }
@@ -82,9 +78,9 @@ impl LocalDiskCost {
         let sequential = off <= *last_end + NODE_PAGE && off + len as u64 > *last_end;
         *last_end = off + len as u64;
         drop(last_end);
-        if sequential && self.readahead > 0 {
+        if sequential {
             let ra_first = last + 1;
-            let ra_last = ra_first + self.readahead / NODE_PAGE;
+            let ra_last = ra_first + READAHEAD / NODE_PAGE;
             let mut t = self.world.op_now();
             for page in ra_first..ra_last {
                 // Only prefetch pages not already cached. The presence check
@@ -97,8 +93,7 @@ impl LocalDiskCost {
                         NODE_PAGE,
                         false,
                     );
-                    self.world
-                        .cache_insert(cache, self.file_base, page, t, false);
+                    self.world.cache_insert(cache, self.file_base, page, t);
                 }
             }
         }
@@ -107,21 +102,19 @@ impl LocalDiskCost {
 
 impl CostHook for LocalDiskCost {
     fn charge(&self, kind: OpKind, off: u64, len: usize) {
+        // A zero-length op moves no bytes and touches no page.
+        if len == 0 {
+            return;
+        }
         match kind {
-            OpKind::Read => match self.page_cache {
-                Some(cache) => self.read_through_cache(cache, off, len),
-                None => self
-                    .world
-                    .charge_disk(self.disk, self.file_base + off, len as u64, false),
-            },
+            OpKind::Read => self.read_through_cache(off, len),
             OpKind::Write if self.sync_writes => {
                 // Synchronous writes go through to the platter and stall the
                 // writer — the §5.1 cold-cache-on-disk behaviour. They still
                 // populate the page cache.
                 self.world
                     .charge_disk(self.disk, self.file_base + off, len as u64, true);
-                self.world
-                    .wait_until(self.world.op_now() + self.sync_penalty_ns);
+                self.world.wait_until(self.world.op_now() + SYNC_PENALTY_NS);
                 self.insert_written_pages(off, len);
             }
             OpKind::Write => {
@@ -136,30 +129,25 @@ impl CostHook for LocalDiskCost {
 
 impl LocalDiskCost {
     fn insert_written_pages(&self, off: u64, len: usize) {
-        if let Some(cache) = self.page_cache {
-            if len == 0 {
-                return;
-            }
-            let first = off / NODE_PAGE;
-            let last = (off + len as u64 - 1) / NODE_PAGE;
-            let now = self.world.op_now();
-            for page in first..=last {
-                self.world
-                    .cache_insert(cache, self.file_base, page, now, false);
-            }
+        let first = off / NODE_PAGE;
+        let last = (off + len as u64 - 1) / NODE_PAGE;
+        let now = self.world.op_now();
+        for page in first..=last {
+            self.world
+                .cache_insert(self.page_cache, self.file_base, page, now);
         }
     }
 }
 
-/// Wrap `inner` so its I/O is charged to `disk` at `file_base`, going
-/// through the node page cache `page_cache` (pass `None` for raw access).
-pub fn local_disk_dev_cached(
+/// Wrap `inner` so its I/O is charged to `disk` at `file_base`, reading
+/// through the node page cache `page_cache`.
+pub fn local_disk_dev(
     world: SimWorld,
     disk: DiskId,
     file_base: u64,
     inner: SharedDev,
     sync_writes: bool,
-    page_cache: Option<CacheId>,
+    page_cache: CacheId,
 ) -> SharedDev {
     Arc::new(LatencyDev::new(
         inner,
@@ -168,9 +156,7 @@ pub fn local_disk_dev_cached(
             disk,
             file_base,
             sync_writes,
-            sync_penalty_ns: DEFAULT_SYNC_PENALTY_NS,
             page_cache,
-            readahead: DEFAULT_READAHEAD,
             last_read_end: {
                 let m = Mutex::new(u64::MAX - (1 << 30));
                 m.set_rank(parking_lot::lockrank::REMOTE_STREAM);
@@ -178,18 +164,6 @@ pub fn local_disk_dev_cached(
             },
         },
     ))
-}
-
-/// Wrap `inner` so its I/O is charged to `disk` at `file_base`, without a
-/// page cache (every read hits the platter model).
-pub fn local_disk_dev(
-    world: SimWorld,
-    disk: DiskId,
-    file_base: u64,
-    inner: SharedDev,
-    sync_writes: bool,
-) -> SharedDev {
-    local_disk_dev_cached(world, disk, file_base, inner, sync_writes, None)
 }
 
 /// Charges operations against the node's memory bus (tmpfs-resident files:
@@ -217,7 +191,7 @@ mod tests {
     use vmi_blockdev::{BlockDev, MemDev};
     use vmi_sim::{DiskSpec, MSEC};
 
-    fn world_disk() -> (SimWorld, DiskId) {
+    fn world_disk() -> (SimWorld, DiskId, CacheId) {
         let w = SimWorld::new();
         let d = w.add_disk(DiskSpec {
             seq_bw_bps: 100_000_000,
@@ -227,13 +201,21 @@ mod tests {
             per_op_ns: 100_000,
             adjacency_window: 65536,
         });
-        (w, d)
+        let pc = w.add_cache(1 << 30, NODE_PAGE);
+        (w, d, pc)
     }
 
     #[test]
     fn disk_dev_charges_reads() {
-        let (w, d) = world_disk();
-        let dev = local_disk_dev(w.clone(), d, 0, Arc::new(MemDev::with_len(1 << 20)), false);
+        let (w, d, pc) = world_disk();
+        let dev = local_disk_dev(
+            w.clone(),
+            d,
+            0,
+            Arc::new(MemDev::with_len(1 << 20)),
+            false,
+            pc,
+        );
         w.begin_op(0);
         let mut buf = [0u8; 4096];
         dev.read_at(&mut buf, 512 << 10).unwrap(); // far from head: seeks
@@ -244,10 +226,10 @@ mod tests {
 
     #[test]
     fn sync_writes_pay_penalty() {
-        let (w, d) = world_disk();
+        let (w, d, pc) = world_disk();
         let base = Arc::new(MemDev::new());
-        let plain = local_disk_dev(w.clone(), d, 0, base.clone(), false);
-        let synced = local_disk_dev(w.clone(), d, 0, base, true);
+        let plain = local_disk_dev(w.clone(), d, 0, base.clone(), false, pc);
+        let synced = local_disk_dev(w.clone(), d, 0, base, true, pc);
         w.begin_op(0);
         plain.write_at(&[0; 512], 0).unwrap();
         let t_plain = w.end_op();
@@ -255,15 +237,15 @@ mod tests {
         synced.write_at(&[0; 512], 512).unwrap();
         let t_sync = w.end_op() - t_plain;
         assert!(
-            t_sync >= t_plain + DEFAULT_SYNC_PENALTY_NS / 2,
+            t_sync >= t_plain + SYNC_PENALTY_NS / 2,
             "sync write {t_sync} must exceed plain {t_plain}"
         );
     }
 
     #[test]
     fn buffered_writes_are_memory_speed() {
-        let (w, d) = world_disk();
-        let dev = local_disk_dev(w.clone(), d, 0, Arc::new(MemDev::new()), false);
+        let (w, d, pc) = world_disk();
+        let dev = local_disk_dev(w.clone(), d, 0, Arc::new(MemDev::new()), false, pc);
         w.begin_op(0);
         dev.write_at(&[0u8; 65536], 0).unwrap();
         let t = w.end_op();
@@ -285,15 +267,12 @@ mod tests {
 
     #[test]
     fn file_base_separates_files_for_seek_purposes() {
-        let (w, d) = world_disk();
-        let a = local_disk_dev(w.clone(), d, 0, Arc::new(MemDev::with_len(1 << 20)), false);
-        let b = local_disk_dev(
-            w.clone(),
-            d,
-            10 << 30,
-            Arc::new(MemDev::with_len(1 << 20)),
-            false,
-        );
+        let (w, d, pc) = world_disk();
+        let file = |base| {
+            let inner = Arc::new(MemDev::with_len(1 << 20));
+            local_disk_dev(w.clone(), d, base, inner, false, pc)
+        };
+        let (a, b) = (file(0), file(10 << 30));
         w.begin_op(0);
         let mut buf = [0u8; 512];
         a.read_at(&mut buf, 0).unwrap();
@@ -304,15 +283,14 @@ mod tests {
 
     #[test]
     fn page_cache_makes_rereads_free() {
-        let (w, d) = world_disk();
-        let pc = w.add_cache(1 << 30, NODE_PAGE);
-        let dev = local_disk_dev_cached(
+        let (w, d, pc) = world_disk();
+        let dev = local_disk_dev(
             w.clone(),
             d,
             0,
             Arc::new(MemDev::with_len(1 << 20)),
             false,
-            Some(pc),
+            pc,
         );
         let mut buf = [0u8; 4096];
         w.begin_op(0);
@@ -327,15 +305,14 @@ mod tests {
 
     #[test]
     fn readahead_overlaps_sequential_stream() {
-        let (w, d) = world_disk();
-        let pc = w.add_cache(1 << 30, NODE_PAGE);
-        let dev = local_disk_dev_cached(
+        let (w, d, pc) = world_disk();
+        let dev = local_disk_dev(
             w.clone(),
             d,
             0,
             Arc::new(MemDev::with_len(16 << 20)),
             false,
-            Some(pc),
+            pc,
         );
         // Read sequentially with "think time" between ops; after the first
         // few reads the prefetcher runs ahead and reads become waits-free.
@@ -359,9 +336,8 @@ mod tests {
 
     #[test]
     fn written_pages_are_read_back_from_cache() {
-        let (w, d) = world_disk();
-        let pc = w.add_cache(1 << 30, NODE_PAGE);
-        let dev = local_disk_dev_cached(w.clone(), d, 0, Arc::new(MemDev::new()), false, Some(pc));
+        let (w, d, pc) = world_disk();
+        let dev = local_disk_dev(w.clone(), d, 0, Arc::new(MemDev::new()), false, pc);
         w.begin_op(0);
         dev.write_at(&[1u8; 4096], 0).unwrap();
         let mut buf = [0u8; 4096];
@@ -369,5 +345,22 @@ mod tests {
         let t = w.end_op();
         assert!(t < 100_000, "read-own-write served from page cache: {t}");
         assert_eq!(w.disk_stats(d).read_ops, 0);
+    }
+
+    #[test]
+    fn zero_length_ops_charge_nothing() {
+        let (w, d, pc) = world_disk();
+        for sync_writes in [false, true] {
+            let inner = Arc::new(MemDev::with_len(1 << 20));
+            let dev = local_disk_dev(w.clone(), d, 0, inner, sync_writes, pc);
+            for off in [0, 100] {
+                w.begin_op(7);
+                dev.read_at(&mut [], off).unwrap();
+                dev.write_at(&[], off).unwrap();
+                assert_eq!(w.end_op(), 7, "zero-length ops at {off} take no time");
+            }
+        }
+        assert_eq!(w.disk_stats(d), Default::default());
+        assert_eq!(w.cache_stats(pc), (0, 0));
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vmi_blockdev::{BlockDev, MemDev, SharedDev};
-use vmi_remote::{ExportMedium, MountOpts, NfsExport, NfsMount};
+use vmi_remote::{ExportMedium, NfsExport, NfsMount};
 use vmi_sim::{DiskSpec, NetSpec, SimWorld};
 
 const FILE_SIZE: u64 = 1 << 20;
@@ -25,11 +25,7 @@ fn setup(content: &[u8]) -> (SimWorld, Arc<NfsMount>, vmi_sim::LinkId) {
     let link = w.add_link(NetSpec::gbe_1());
     let dev: SharedDev = Arc::new(MemDev::from_vec(content.to_vec()));
     let exp = NfsExport::new(w.clone(), 1, dev, 0, ExportMedium::Disk(d), c);
-    (
-        w.clone(),
-        NfsMount::new(exp, link, MountOpts::default()),
-        link,
-    )
+    (w.clone(), NfsMount::new(exp, link), link)
 }
 
 proptest! {
@@ -77,7 +73,7 @@ proptest! {
         let second = w.link_stats(link).bytes;
         prop_assert_eq!(first, second, "repeat reads must be free");
         // Bound: page-rounded unique coverage.
-        let page = vmi_remote::DEFAULT_CLIENT_PAGE;
+        let page = vmi_remote::CLIENT_PAGE;
         let mut rs = vmi_trace::RangeSet::new();
         for &(off, len) in &reads {
             rs.insert(off / page * page, (off + len as u64).div_ceil(page) * page);

@@ -8,9 +8,8 @@
 //!   storage-node bottleneck of Fig. 3 / §2.2);
 //! * [`net::Link`] — FIFO bandwidth pipe (the 1 GbE bottleneck of Fig. 2),
 //!   with presets [`net::NetSpec::gbe_1`] and [`net::NetSpec::ib_32g`];
-//! * [`pagecache::PageCache`] — the storage node's RAM (why single-VMI
-//!   boots scale flat over InfiniBand), with pinning for tmpfs-resident
-//!   cache images (§3.3);
+//! * [`pagecache::PageCache`] — LRU page cache of a node's RAM: the
+//!   storage node's is why single-VMI boots scale flat over InfiniBand;
 //! * [`world::SimWorld`] — the resource registry plus the *op clock* that
 //!   prices real `vmi-qcow` I/O on simulated time;
 //! * [`shard::Shard`] — the one deterministic event heap, ordered by a
@@ -41,7 +40,7 @@ pub mod time;
 pub mod world;
 
 pub use disk::{Disk, DiskSpec, DiskStats};
-pub use net::{Link, LinkDiscipline, LinkStats, NetSpec};
+pub use net::{Link, LinkStats, NetSpec};
 pub use pagecache::{CacheOutcome, PageCache, PageKey};
 pub use shard::{EventKey, Shard};
 pub use time::{fmt_secs, transfer_ns, Ns, MSEC, SEC, USEC};

@@ -1,10 +1,11 @@
-//! Storage-node page cache: LRU over `(file, page)` with readiness times.
+//! Node page cache: LRU over `(file, page)` with readiness times.
 //!
 //! This models the OS page cache on the storage node's 24 GB of RAM — the
 //! reason single-VMI boots scale flat on InfiniBand (Fig. 2): the first
 //! requester pulls each block off the disk, every later requester hits
-//! memory. It also backs the `tmpfs` placement of VMI caches in storage
-//! memory (§3.3, Fig. 13): pinned entries never age out.
+//! memory. Each compute node has one too, in front of its local disk.
+//! Files on `tmpfs` (VMI caches in storage memory, §3.3 and Fig. 13) never
+//! pass through a page cache: they are priced as plain memory copies.
 //!
 //! Each cached page carries a `ready_at` time: a hit on a page that is
 //! still being faulted in waits for the in-flight disk read.
@@ -32,13 +33,11 @@ pub type PageKey = (u64, u64);
 struct Entry {
     ready_at: Ns,
     tick: u64,
-    pinned: bool,
 }
 
 /// An LRU page cache with byte capacity.
 #[derive(Debug, Clone)]
 pub struct PageCache {
-    page_size: u64,
     capacity_pages: usize,
     map: HashMap<PageKey, Entry>,
     /// LRU order: tick → key (ticks are unique).
@@ -46,7 +45,6 @@ pub struct PageCache {
     next_tick: u64,
     hits: u64,
     misses: u64,
-    pinned_pages: usize,
 }
 
 impl PageCache {
@@ -54,29 +52,17 @@ impl PageCache {
     pub fn new(capacity_bytes: u64, page_size: u64) -> Self {
         assert!(page_size.is_power_of_two());
         Self {
-            page_size,
             capacity_pages: (capacity_bytes / page_size) as usize,
             map: HashMap::new(),
             order: std::collections::BTreeMap::new(),
             next_tick: 0,
             hits: 0,
             misses: 0,
-            pinned_pages: 0,
         }
     }
 
-    /// Page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
-    }
-
-    /// Page index containing byte `off`.
-    pub fn page_of(&self, off: u64) -> u64 {
-        off / self.page_size
-    }
-
-    /// Probe the cache at simulated time `now`, updating recency on hit.
-    pub fn probe(&mut self, key: PageKey, _now: Ns) -> CacheOutcome {
+    /// Probe the cache, updating recency on hit.
+    pub fn probe(&mut self, key: PageKey) -> CacheOutcome {
         self.next_tick += 1;
         let tick = self.next_tick;
         match self.map.get_mut(&key) {
@@ -105,74 +91,17 @@ impl PageCache {
     /// Insert a page whose content becomes available at `ready_at`
     /// (the disk fetch's completion time), evicting LRU pages as needed.
     pub fn insert(&mut self, key: PageKey, ready_at: Ns) {
-        self.insert_inner(key, ready_at, false)
-    }
-
-    /// Insert a *pinned* page (tmpfs-resident cache images): never evicted.
-    pub fn insert_pinned(&mut self, key: PageKey, ready_at: Ns) {
-        self.insert_inner(key, ready_at, true)
-    }
-
-    fn insert_inner(&mut self, key: PageKey, ready_at: Ns, pinned: bool) {
         self.next_tick += 1;
         let tick = self.next_tick;
-        if let Some(old) = self.map.insert(
-            key,
-            Entry {
-                ready_at,
-                tick,
-                pinned,
-            },
-        ) {
+        if let Some(old) = self.map.insert(key, Entry { ready_at, tick }) {
             self.order.remove(&old.tick);
-            if old.pinned {
-                self.pinned_pages -= 1;
-            }
         }
         self.order.insert(tick, key);
-        if pinned {
-            self.pinned_pages += 1;
-        }
-        // Evict unpinned LRU pages past capacity.
         while self.map.len() > self.capacity_pages {
-            let Some((&t, &k)) = self.order.iter().next() else {
+            let Some((_, k)) = self.order.pop_first() else {
                 break;
             };
-            // Skip pinned entries by refreshing them to the back.
-            if self.map[&k].pinned {
-                self.order.remove(&t);
-                self.next_tick += 1;
-                let nt = self.next_tick;
-                self.order.insert(nt, k);
-                if let Some(e) = self.map.get_mut(&k) {
-                    e.tick = nt;
-                }
-                // If everything left is pinned, stop evicting.
-                if self.pinned_pages >= self.map.len() {
-                    break;
-                }
-                continue;
-            }
-            self.order.remove(&t);
             self.map.remove(&k);
-        }
-    }
-
-    /// Drop every page of file `file_id` (file deleted / replaced).
-    pub fn invalidate_file(&mut self, file_id: u64) {
-        let keys: Vec<PageKey> = self
-            .map
-            .keys()
-            .filter(|(f, _)| *f == file_id)
-            .copied()
-            .collect();
-        for k in keys {
-            if let Some(e) = self.map.remove(&k) {
-                self.order.remove(&e.tick);
-                if e.pinned {
-                    self.pinned_pages -= 1;
-                }
-            }
         }
     }
 
@@ -198,9 +127,9 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = pc(16);
-        assert_eq!(c.probe((1, 0), 0), CacheOutcome::Miss);
+        assert_eq!(c.probe((1, 0)), CacheOutcome::Miss);
         c.insert((1, 0), 500);
-        assert_eq!(c.probe((1, 0), 600), CacheOutcome::Hit { ready_at: 500 });
+        assert_eq!(c.probe((1, 0)), CacheOutcome::Hit { ready_at: 500 });
         assert_eq!(c.stats(), (1, 1));
     }
 
@@ -210,32 +139,11 @@ mod tests {
         c.insert((1, 0), 0);
         c.insert((1, 1), 0);
         // Touch page 0 so page 1 is LRU.
-        c.probe((1, 0), 0);
+        c.probe((1, 0));
         c.insert((1, 2), 0); // evicts (1,1)
-        assert_eq!(c.probe((1, 1), 0), CacheOutcome::Miss);
-        assert!(matches!(c.probe((1, 0), 0), CacheOutcome::Hit { .. }));
-        assert!(matches!(c.probe((1, 2), 0), CacheOutcome::Hit { .. }));
-    }
-
-    #[test]
-    fn pinned_pages_survive_pressure() {
-        let mut c = pc(2);
-        c.insert_pinned((9, 0), 0);
-        for i in 0..10 {
-            c.insert((1, i), 0);
-        }
-        assert!(matches!(c.probe((9, 0), 0), CacheOutcome::Hit { .. }));
-        assert!(c.resident_pages() <= 3, "capacity roughly respected");
-    }
-
-    #[test]
-    fn invalidate_file_clears_only_that_file() {
-        let mut c = pc(16);
-        c.insert((1, 0), 0);
-        c.insert((2, 0), 0);
-        c.invalidate_file(1);
-        assert_eq!(c.probe((1, 0), 0), CacheOutcome::Miss);
-        assert!(matches!(c.probe((2, 0), 0), CacheOutcome::Hit { .. }));
+        assert_eq!(c.probe((1, 1)), CacheOutcome::Miss);
+        assert!(matches!(c.probe((1, 0)), CacheOutcome::Hit { .. }));
+        assert!(matches!(c.probe((1, 2)), CacheOutcome::Hit { .. }));
     }
 
     #[test]
@@ -243,25 +151,7 @@ mod tests {
         let mut c = pc(4);
         c.insert((1, 0), 100);
         c.insert((1, 0), 900);
-        assert_eq!(c.probe((1, 0), 1000), CacheOutcome::Hit { ready_at: 900 });
+        assert_eq!(c.probe((1, 0)), CacheOutcome::Hit { ready_at: 900 });
         assert_eq!(c.resident_pages(), 1);
-    }
-
-    #[test]
-    fn all_pinned_does_not_livelock() {
-        let mut c = pc(1);
-        c.insert_pinned((1, 0), 0);
-        c.insert_pinned((1, 1), 0);
-        c.insert_pinned((1, 2), 0);
-        // Over capacity but all pinned: nothing evictable, all present.
-        assert_eq!(c.resident_pages(), 3);
-    }
-
-    #[test]
-    fn page_of_math() {
-        let c = pc(4);
-        assert_eq!(c.page_of(0), 0);
-        assert_eq!(c.page_of(4095), 0);
-        assert_eq!(c.page_of(4096), 1);
     }
 }

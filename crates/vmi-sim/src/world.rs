@@ -172,8 +172,7 @@ impl SimWorld {
     /// op clock waits for the page's readiness.
     pub fn cache_probe(&self, id: CacheId, file: u64, page: u64) -> CacheOutcome {
         let mut w = self.inner.lock();
-        let now = w.op_now;
-        let out = w.caches[id.0].probe((file, page), now);
+        let out = w.caches[id.0].probe((file, page));
         if let CacheOutcome::Hit { ready_at } = out {
             if w.op_now < ready_at {
                 w.op_now = ready_at;
@@ -189,23 +188,8 @@ impl SimWorld {
     }
 
     /// Insert into page cache `id` a page that becomes ready at `ready_at`.
-    pub fn cache_insert(&self, id: CacheId, file: u64, page: u64, ready_at: Ns, pinned: bool) {
-        let mut w = self.inner.lock();
-        if pinned {
-            w.caches[id.0].insert_pinned((file, page), ready_at);
-        } else {
-            w.caches[id.0].insert((file, page), ready_at);
-        }
-    }
-
-    /// Page size of cache `id`.
-    pub fn cache_page_size(&self, id: CacheId) -> u64 {
-        self.inner.lock().caches[id.0].page_size()
-    }
-
-    /// Drop all pages of `file` from cache `id`.
-    pub fn cache_invalidate_file(&self, id: CacheId, file: u64) {
-        self.inner.lock().caches[id.0].invalidate_file(file);
+    pub fn cache_insert(&self, id: CacheId, file: u64, page: u64, ready_at: Ns) {
+        self.inner.lock().caches[id.0].insert((file, page), ready_at);
     }
 
     // ------------------------------------------------------------------
@@ -269,7 +253,6 @@ mod tests {
             bw_bps: 100_000_000,
             latency_ns: 0,
             per_msg_ns: 0,
-            discipline: Default::default(),
         });
         w.begin_op(SEC);
         w.charge_disk(disk, 0, 50_000_000, false); // +0.5 s
@@ -285,7 +268,6 @@ mod tests {
             bw_bps: 100_000_000,
             latency_ns: 0,
             per_msg_ns: 0,
-            discipline: Default::default(),
         });
         // VM A occupies the pipe for 1 s starting at t=0.
         w.begin_op(0);
@@ -303,7 +285,7 @@ mod tests {
         let c = w.add_cache(1 << 20, 4096);
         w.begin_op(0);
         assert_eq!(w.cache_probe(c, 1, 0), CacheOutcome::Miss);
-        w.cache_insert(c, 1, 0, 700, false);
+        w.cache_insert(c, 1, 0, 700);
         assert_eq!(w.end_op(), 0);
         // Second VM probes at t=100 and must wait until 700.
         w.begin_op(100);
@@ -329,7 +311,6 @@ mod tests {
             bw_bps: 100_000_000,
             latency_ns: 0,
             per_msg_ns: 0,
-            discipline: Default::default(),
         });
         let done = w.bulk_transfer(link, 0, 100_000_000);
         assert_eq!(done, SEC);

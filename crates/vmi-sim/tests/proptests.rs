@@ -52,7 +52,7 @@ proptest! {
         bw in 1_000_000u64..1_000_000_000,
         sizes in proptest::collection::vec(1u64..(1 << 22), 1..100),
     ) {
-        let mut l = Link::new(NetSpec { bw_bps: bw, latency_ns: 10_000, per_msg_ns: 500, discipline: Default::default() });
+        let mut l = Link::new(NetSpec { bw_bps: bw, latency_ns: 10_000, per_msg_ns: 500 });
         let mut last = 0;
         for (i, &s) in sizes.iter().enumerate() {
             let done = l.transfer(i as u64, s);
@@ -82,7 +82,7 @@ proptest! {
         }
     }
 
-    /// Page cache: capacity is respected (modulo pinned entries) and a hit
+    /// Page cache: capacity is respected and a hit
     /// is always preceded by an insert of the same key.
     #[test]
     fn page_cache_capacity_and_hits(
@@ -92,7 +92,7 @@ proptest! {
         let mut pc = PageCache::new(cap_pages * 4096, 4096);
         let mut inserted = std::collections::HashSet::new();
         for (i, &(f, p)) in keys.iter().enumerate() {
-            match pc.probe((f, p), i as u64) {
+            match pc.probe((f, p)) {
                 CacheOutcome::Hit { .. } => {
                     prop_assert!(inserted.contains(&(f, p)), "hit without insert");
                 }
