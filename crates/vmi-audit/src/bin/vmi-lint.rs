@@ -1,8 +1,9 @@
 //! vmi-lint — project-specific source lints for the vmcache workspace.
 //!
 //! Thin CLI over [`vmi_audit::lint`]; see that module for the rule list
-//! (seven per-line rules plus the `LOCK_ORDER.toml`-driven `lock-order`
-//! and `blocking-under-lock` analysis) and the engine internals.
+//! (the per-line `obs-twin` and `qcow-barrier` rules plus the
+//! `LOCK_ORDER.toml`-driven `lock-order` and `blocking-under-lock`
+//! analysis) and the engine internals.
 //!
 //! Exceptions live in an allowlist file (default `.vmi-lint.allow` at the
 //! scan root), one `rule:path-substring:line-substring` triple per line, or

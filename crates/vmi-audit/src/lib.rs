@@ -34,6 +34,13 @@
 //! (in `src/bin/`) enforces *source-level* rules over the workspace.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod chain;
 mod format;

@@ -4,18 +4,22 @@
 //!
 //! * [`tokenizer`] — dependency-free lexical scanner (strings, nested block
 //!   comments, attributes, brace/`cfg(test)`/`fn` scope tracking);
-//! * [`rules`] — the per-line rules (`no-unwrap`, `no-raw-clock`,
-//!   `no-raw-sleep`, `obs-twin`, `span-pair`, `qcow-barrier`,
-//!   `no-std-lock`) ported onto it;
+//! * [`rules`] — the per-line rules (`obs-twin`, `qcow-barrier`) on top
+//!   of it;
 //! * [`lockorder`] — the interprocedural lock-order analyzer driven by
 //!   `LOCK_ORDER.toml` (`lock-order`, `blocking-under-lock`).
 //!
-//! [`run`] reproduces the historical `vmi-lint` behaviour bit-for-bit:
-//! same `--json` object shape, same allowlist semantics
-//! (`rule:path-substring:line-substring`, inline `lint:allow(rule)`), same
-//! exit codes (0 clean, 1 findings, 2 usage/I-O error). New here: the
-//! lock-order rules and `--strict`, which turns stale allowlist entries
-//! from warnings into failures.
+//! The engine keeps only what clippy cannot express. Raw clocks, raw
+//! sleeps and `std` locks are `disallowed-methods` / `disallowed-types` in
+//! the root `clippy.toml`, `unwrap`/`expect`/`panic!` are crate-root clippy
+//! lints, and `vmi-obs` seals its span events with `#[non_exhaustive]`.
+//! Their exemptions are `#[expect(..., reason = "...")]` at each site.
+//!
+//! [`run`] emits findings as text or `--json` objects. Exceptions are
+//! allowlist lines (`rule:path-substring:line-substring`) or inline
+//! `lint:allow(rule)` comments. Exit codes: 0 clean, 1 findings, 2
+//! usage/I-O error. `--strict` turns stale allowlist entries from
+//! warnings into failures.
 
 pub mod lockorder;
 pub mod rules;

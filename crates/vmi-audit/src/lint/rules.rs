@@ -1,9 +1,9 @@
-//! The per-line lint rules, ported onto the [`tokenizer`](super::tokenizer).
+//! The per-line lint rules, on top of the [`tokenizer`](super::tokenizer).
 //!
-//! Rule semantics (needles, messages, exemptions) are bit-compatible with
-//! the historical `vmi-lint` line scanner; only the lexical substrate
-//! changed (the tokenizer handles multi-line raw strings and nested block
-//! comments that the old per-line stripper could not).
+//! Only what clippy cannot express lives here. Raw clocks and sleeps and
+//! `std` locks are `disallowed-methods` / `disallowed-types` in the root
+//! `clippy.toml`; `unwrap`/`expect`/`panic!` are crate-root clippy lints;
+//! span events are sealed by `#[non_exhaustive]` in `vmi-obs`.
 
 use super::tokenizer::FileView;
 use super::{Finding, ObsTwinRegistry};
@@ -11,19 +11,15 @@ use super::{Finding, ObsTwinRegistry};
 /// Every rule the linter knows, in reporting order. The lock-order rules
 /// are implemented in [`lockorder`](super::lockorder) but share this
 /// registry (and the allowlist machinery).
-pub const RULES: [&str; 9] = [
-    "no-unwrap",
-    "no-raw-clock",
-    "no-raw-sleep",
+pub const RULES: [&str; 4] = [
     "obs-twin",
-    "span-pair",
     "qcow-barrier",
-    "no-std-lock",
     "lock-order",
     "blocking-under-lock",
 ];
 
-/// Run the seven per-line rules over one scanned file.
+/// Run the per-line rules (`obs-twin` inventory, `qcow-barrier`) over one
+/// scanned file.
 ///
 /// `rel` is the root-relative path (forward slashes), `raw_lines` the
 /// original source lines (for `line_text` used by allowlist matching).
@@ -35,76 +31,22 @@ pub fn scan_file(
     findings: &mut Vec<Finding>,
     pub_fns: &mut ObsTwinRegistry,
 ) {
-    // Binary entry points may use unwrap/expect freely: a CLI aborting with
-    // a message is the intended behaviour there.
-    let is_bin = rel.contains("/src/bin/") || rel.ends_with("/main.rs");
-
     for (i, lv) in view.lines.iter().enumerate() {
-        let line_no = i + 1;
-        let raw = raw_lines.get(i).copied().unwrap_or("");
-        let code = lv.code.as_str();
-        let comment = lv.comment.as_str();
-        let trimmed_code = code.trim();
-        let in_test = lv.in_test;
-        let inline_allow = |rule: &str| comment.contains(&format!("lint:allow({rule})"));
-
-        // Collect the pub fn inventory (non-test code only).
-        if !in_test {
-            if let Some(name) = pub_fn_name(trimmed_code) {
-                pub_fns.0.push(name.to_string());
-                if name.ends_with("_with_obs") && !inline_allow("obs-twin") {
-                    pub_fns.1.push((rel.to_string(), line_no, name.to_string()));
-                }
-            }
-        }
-
-        if in_test {
+        if lv.in_test {
             continue;
         }
+        let line_no = i + 1;
+        let code = lv.code.as_str();
+        let inline_allow = |rule: &str| lv.comment.contains(&format!("lint:allow({rule})"));
 
-        if !is_bin {
-            for needle in [".unwrap()", ".expect(", "panic!", "unimplemented!", "todo!"] {
-                if code.contains(needle) && !inline_allow("no-unwrap") {
-                    findings.push(Finding {
-                        rule: "no-unwrap",
-                        path: rel.to_string(),
-                        line_no,
-                        message: format!(
-                            "`{needle}` in library code; return a typed error instead"
-                        ),
-                        line_text: raw.to_string(),
-                    });
-                }
+        // Collect the pub fn inventory.
+        if let Some(name) = pub_fn_name(code.trim()) {
+            pub_fns.0.push(name.to_string());
+            if name.ends_with("_with_obs") && !inline_allow("obs-twin") {
+                pub_fns.1.push((rel.to_string(), line_no, name.to_string()));
             }
         }
-        if crate_name != "vmi-obs" {
-            for needle in ["Instant::now", "SystemTime::now"] {
-                if code.contains(needle) && !inline_allow("no-raw-clock") {
-                    findings.push(Finding {
-                        rule: "no-raw-clock",
-                        path: rel.to_string(),
-                        line_no,
-                        message: format!("`{needle}` outside vmi-obs clocks; take a `Clock`"),
-                        line_text: raw.to_string(),
-                    });
-                }
-            }
-        }
-        if crate_name != "vmi-obs"
-            && code.contains("emit")
-            && (code.contains("Event::SpanStart") || code.contains("Event::SpanEnd"))
-            && !inline_allow("span-pair")
-        {
-            findings.push(Finding {
-                rule: "span-pair",
-                path: rel.to_string(),
-                line_no,
-                message: "hand-emitted span event; use `Obs::span`/`span_in` so the guard \
-                          emits the matching end"
-                    .to_string(),
-                line_text: raw.to_string(),
-            });
-        }
+
         if crate_name == "vmi-qcow" && code.contains(".flush()") && !inline_allow("qcow-barrier") {
             findings.push(Finding {
                 rule: "qcow-barrier",
@@ -113,35 +55,7 @@ pub fn scan_file(
                 message: "direct `.flush()` in vmi-qcow; order metadata through \
                           `QcowImage::barrier` (or justify with an allow entry)"
                     .to_string(),
-                line_text: raw.to_string(),
-            });
-        }
-        for needle in [
-            "std::sync::Mutex",
-            "std::sync::RwLock",
-            ".lock().unwrap()",
-            ".read().unwrap()",
-            ".write().unwrap()",
-        ] {
-            if code.contains(needle) && !inline_allow("no-std-lock") {
-                findings.push(Finding {
-                    rule: "no-std-lock",
-                    path: rel.to_string(),
-                    line_no,
-                    message: format!(
-                        "`{needle}`: use the non-poisoning `parking_lot` facade on request paths"
-                    ),
-                    line_text: raw.to_string(),
-                });
-            }
-        }
-        if code.contains("thread::sleep") && !inline_allow("no-raw-sleep") {
-            findings.push(Finding {
-                rule: "no-raw-sleep",
-                path: rel.to_string(),
-                line_no,
-                message: "`thread::sleep` outside the RetryPolicy sleep hook".to_string(),
-                line_text: raw.to_string(),
+                line_text: raw_lines.get(i).copied().unwrap_or("").to_string(),
             });
         }
     }

@@ -75,6 +75,7 @@ fn main() {
     }
 
     for name in &wanted {
+        #[expect(clippy::disallowed_methods, reason = "the harness times real runs")]
         let t0 = Instant::now();
         let result = run_one(name, scale, out_dir.as_deref());
         match result {

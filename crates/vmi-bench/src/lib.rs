@@ -18,6 +18,13 @@
 //! campaign is a `vmi-qcow` test (`crates/vmi-qcow/tests/crash_sweep.rs`).
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod ablations;
 pub mod figset;

@@ -235,14 +235,16 @@ impl ScaleSweepReport {
 
 /// Run the sweep described by `cfg`.
 pub fn run_scale_sweep_with(cfg: &SweepConfig, mode: &str) -> ScaleSweepReport {
-    let t0 = Instant::now(); // lint:allow(no-raw-clock): the bench reports real wall time
+    #[expect(clippy::disallowed_methods, reason = "the bench reports wall time")]
+    let t0 = Instant::now();
     let mut points = Vec::with_capacity(3 * cfg.seeds.len());
     let mut total_boots = 0u64;
     let mut total_wall_ns = 0u64;
     for topology in cfg.topologies(cfg.nodes) {
         for &seed in &cfg.seeds {
             let run_cfg = cfg.point(topology.clone(), seed);
-            let p0 = Instant::now(); // lint:allow(no-raw-clock): per-point boots/sec
+            #[expect(clippy::disallowed_methods, reason = "per-point boots/sec")]
+            let p0 = Instant::now();
             let rep = run_scale(&run_cfg);
             let wall_ns = p0.elapsed().as_nanos() as u64;
             total_boots += rep.boots;

@@ -83,6 +83,7 @@ impl TraceForest {
                     parent,
                     kind,
                     detail,
+                    ..
                 } => {
                     if f.spans.contains_key(id) {
                         f.duplicate_starts += 1;
@@ -108,7 +109,7 @@ impl TraceForest {
                         f.roots.push(*id);
                     }
                 }
-                Event::SpanEnd { id } => match f.spans.get_mut(id) {
+                Event::SpanEnd { id, .. } => match f.spans.get_mut(id) {
                     Some(s) if s.end_ns.is_none() => s.end_ns = Some(*t),
                     _ => f.unmatched_ends += 1,
                 },
@@ -188,6 +189,7 @@ impl TraceForest {
     /// Export the forest as Chrome `trace_event` JSON (complete `"X"`
     /// events, microsecond timestamps), loadable in Perfetto or
     /// `chrome://tracing`, on one track.
+    #[expect(clippy::expect_used, reason = "serde on POD structs is infallible")]
     pub fn to_chrome_trace(&self) -> String {
         #[derive(Serialize)]
         struct ChromeEvent {
@@ -235,7 +237,7 @@ impl TraceForest {
                 serde::Value::Str("ns".to_string()),
             ),
         ]);
-        serde_json::to_string_pretty(&doc).expect("chrome trace serializes") // lint:allow(no-unwrap): serde on POD structs is infallible
+        serde_json::to_string_pretty(&doc).expect("chrome trace serializes")
     }
 }
 
@@ -374,8 +376,9 @@ pub fn analyze(events: &[(u64, Event)]) -> TraceReport {
 
 impl TraceReport {
     /// Serialize to pretty JSON.
+    #[expect(clippy::expect_used, reason = "serde on POD structs is infallible")]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes") // lint:allow(no-unwrap): serde on POD structs is infallible
+        serde_json::to_string_pretty(self).expect("report serializes")
     }
 
     /// Render an aligned text summary.
@@ -534,23 +537,18 @@ mod tests {
 
     #[test]
     fn parse_lines_reports_bad_line_numbers_and_skips_blanks() {
-        let lines = vec![
-            Event::SpanStart {
-                id: 1,
-                parent: 0,
-                kind: "nbd.request".into(),
-                detail: String::new(),
-            }
-            .to_json_line(5),
-            "{broken".to_string(),
-            String::new(),
-            Event::SpanEnd { id: 1 }.to_json_line(9),
-            "also broken".to_string(),
-        ];
+        let lines = [
+            r#"{"t":5,"ev":"span_start","id":1,"parent":0,"kind":"nbd.request","detail":""}"#,
+            "{broken",
+            "",
+            r#"{"t":9,"ev":"span_end","id":1}"#,
+            "also broken",
+        ]
+        .map(String::from);
         let (events, bad) = parse_lines(&lines);
         assert_eq!(events.len(), 2);
         assert_eq!((events[0].0, events[1].0), (5, 9));
-        assert!(matches!(events[1].1, Event::SpanEnd { id: 1 }));
+        assert!(matches!(events[1].1, Event::SpanEnd { id: 1, .. }));
         let bad_lines: Vec<usize> = bad.iter().map(|(n, _)| *n).collect();
         assert_eq!(bad_lines, vec![2, 5], "1-based offender line numbers");
     }
@@ -563,7 +561,7 @@ mod tests {
         assert_eq!(f.unclosed(), 1);
         assert_eq!(f.unbalanced(), 1);
         // An end for a span that never started.
-        events.push((999, Event::SpanEnd { id: 0xDEAD }));
+        events.push(Event::parse_line(r#"{"t":999,"ev":"span_end","id":57005}"#).unwrap());
         let f = TraceForest::from_events(&events);
         assert_eq!(f.unbalanced(), 2);
     }

@@ -4,8 +4,6 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use vmi_obs::Event;
-
 /// A fresh scratch directory for one test.
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
@@ -25,32 +23,11 @@ fn trace_report(args: &[&str]) -> Output {
 
 /// A two-span stream (one root, one child, both closed) in `dir`.
 fn small_trace(dir: &std::path::Path) -> String {
-    let events = [
-        (
-            0,
-            Event::SpanStart {
-                id: 1,
-                parent: 0,
-                kind: "boot.vm".into(),
-                detail: String::new(),
-            },
-        ),
-        (
-            5,
-            Event::SpanStart {
-                id: 2,
-                parent: 1,
-                kind: "qcow.read".into(),
-                detail: String::new(),
-            },
-        ),
-        (9, Event::SpanEnd { id: 2 }),
-        (12, Event::SpanEnd { id: 1 }),
-    ];
-    let text: String = events
-        .iter()
-        .map(|(t, ev)| ev.to_json_line(*t) + "\n")
-        .collect();
+    let text = r#"{"t":0,"ev":"span_start","id":1,"parent":0,"kind":"boot.vm","detail":""}
+{"t":5,"ev":"span_start","id":2,"parent":1,"kind":"qcow.read","detail":""}
+{"t":9,"ev":"span_end","id":2}
+{"t":12,"ev":"span_end","id":1}
+"#;
     let path = dir.join("in.jsonl");
     std::fs::write(&path, text).unwrap();
     path.to_str().unwrap().to_string()

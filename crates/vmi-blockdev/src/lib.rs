@@ -39,6 +39,13 @@
 //! across image-chain layers and simulator actors via `Arc`.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod counting;
 mod crash;

@@ -415,7 +415,7 @@ mod tests {
                     }
                     open.push(*id);
                 }
-                Event::SpanEnd { id } => {
+                Event::SpanEnd { id, .. } => {
                     assert_eq!(open.pop(), Some(*id), "spans nest properly");
                 }
                 _ => {}
@@ -441,7 +441,7 @@ mod tests {
         };
         let end = events
             .iter()
-            .find(|(_, e)| matches!(e, Event::SpanEnd { id } if *id == first_backoff_id))
+            .find(|(_, e)| matches!(e, Event::SpanEnd { id, .. } if *id == first_backoff_id))
             .map(|(t, _)| *t)
             .unwrap();
         assert_eq!(end - start, schedule[0]);

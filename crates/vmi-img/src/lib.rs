@@ -18,6 +18,13 @@
 //! real files through [`vmi_blockdev::FileDev`].
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

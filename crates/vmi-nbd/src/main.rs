@@ -88,6 +88,7 @@ fn main() {
         server.addr()
     );
     loop {
+        #[expect(clippy::disallowed_methods, reason = "parks main while serving")]
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
 }

@@ -373,6 +373,9 @@ impl Transmission<'_> {
             }
             let req = self.or_done(read_request(&mut *r))?;
             self.served.fetch_add(1, Ordering::Relaxed);
+            // vmi-nbd talks to a real network and never runs under the
+            // simulator, so request latency is wall time.
+            #[expect(clippy::disallowed_methods, reason = "real server request latency")]
             let start = self.obs.enabled().then(Instant::now);
             // One root span per request: everything the device layers emit
             // while serving it (qcow reads, L2 walks, CoR fills, retries)
@@ -528,6 +531,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "waits on real threads")]
     fn request_latency_lands_in_histogram() {
         let rec: Arc<vmi_obs::JsonlSink> = vmi_obs::JsonlSink::new();
         let obs = Obs::new(Arc::new(vmi_obs::WallClock::new()), rec);

@@ -116,6 +116,7 @@ pub struct SleepDev {
     pub delay: Duration,
 }
 
+#[expect(clippy::disallowed_methods, reason = "service time is a real sleep")]
 impl BlockDev for SleepDev {
     fn read_at(&self, buf: &mut [u8], off: u64) -> Result<()> {
         std::thread::sleep(self.delay);

@@ -95,6 +95,7 @@ fn disconnect_mid_write_payload_ends_every_connection_thread() {
         // until it exits.
         assert!(srv.remove_export("disk"));
         while Arc::strong_count(&disk) > 1 {
+            #[expect(clippy::disallowed_methods, reason = "polls real connection threads")]
             std::thread::sleep(Duration::from_millis(1));
         }
     });

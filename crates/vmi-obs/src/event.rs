@@ -16,6 +16,28 @@
 use std::fmt::Write as _;
 
 /// One structured observability event.
+///
+/// Span events are sealed (`#[non_exhaustive]`): outside this crate they
+/// come only from the guard of [`Obs::span`](crate::Obs::span) or
+/// [`Obs::span_in`](crate::Obs::span_in), so every recorded start has its
+/// end.
+///
+/// ```
+/// use std::sync::Arc;
+/// use vmi_obs::{Event, ManualClock, RecorderHandle};
+///
+/// let (handle, sink) = RecorderHandle::jsonl();
+/// drop(handle.attach(Arc::new(ManualClock::new(7))).span("qcow.read", String::new));
+/// let evs = sink.events();
+/// assert!(matches!(&evs[0].1, Event::SpanStart { id: 1, parent: 0, .. }));
+/// assert!(matches!(evs[1].1, Event::SpanEnd { id: 1, .. }));
+/// ```
+///
+/// A hand-built span event does not compile:
+///
+/// ```compile_fail,E0639
+/// let _ = vmi_obs::Event::SpanEnd { id: 1 };
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// An image (or chain layer) was opened. `kind` is `base`, `cow`,
@@ -161,7 +183,9 @@ pub enum Event {
     /// unique within one recorded stream (a per-`Obs` sequence, offset by a
     /// per-node base under the parallel runner), `parent` links to the
     /// enclosing span (`0` = root). The matching [`Event::SpanEnd`] carries
-    /// the same `id`; the two timestamps bound the span's duration.
+    /// the same `id`; the two timestamps bound the span's duration. Sealed
+    /// (see [`Event`]): other crates match span events with `..`.
+    #[non_exhaustive]
     SpanStart {
         /// Stream-unique span id (never 0).
         id: u64,
@@ -174,6 +198,7 @@ pub enum Event {
         detail: String,
     },
     /// A causal span closed; `id` matches the opening [`Event::SpanStart`].
+    #[non_exhaustive]
     SpanEnd {
         /// Id of the span being closed.
         id: u64,
@@ -493,73 +518,48 @@ impl Fields {
     }
 }
 
+/// Parse `{"key":value,...}` with no whitespace inside, exactly the form
+/// [`Event::to_json_line`] writes. Anything else is an error: a missing
+/// `,`, a duplicate key, or text after the closing `}`.
 fn parse_flat_object(line: &str) -> Result<Fields, ParseError> {
     let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::new();
+    let mut fields: Vec<(String, FieldVal)> = Vec::new();
     if chars.next() != Some('{') {
         return Err(ParseError("expected '{'".into()));
     }
     loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some(',') => {
-                chars.next();
-            }
-            Some('"') => {}
-            Some(c) => return Err(ParseError(format!("unexpected char {c:?}"))),
-            None => return Err(ParseError("unterminated object".into())),
+        let key = parse_string(&mut chars)?;
+        if fields.iter().any(|(k, _)| *k == key) {
+            return Err(ParseError(format!("duplicate key {key:?}")));
         }
-        if chars.peek() == Some(&'"') {
-            let key = parse_string(&mut chars)?;
-            if chars.next() != Some(':') {
-                return Err(ParseError(format!("missing ':' after key {key:?}")));
-            }
-            let val = match chars.peek() {
-                Some('"') => FieldVal::Str(parse_string(&mut chars)?),
-                Some('t') | Some('f') => {
-                    let word: String = chars
-                        .by_ref()
-                        .take_while(|c| c.is_ascii_alphabetic())
-                        .collect();
-                    // take_while consumed the delimiter (',' or '}'); put the
-                    // object back on track by re-checking below via remainder.
-                    match word.as_str() {
-                        "true" => FieldVal::Bool(true),
-                        "false" => FieldVal::Bool(false),
-                        w => return Err(ParseError(format!("bad literal {w:?}"))),
-                    }
-                }
-                Some(c) if c.is_ascii_digit() || *c == '-' => {
-                    let mut num = String::new();
-                    while let Some(&c) = chars.peek() {
-                        if c.is_ascii_digit() || c == '-' {
-                            num.push(c);
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    FieldVal::Num(
-                        num.parse::<u64>()
-                            .map_err(|_| ParseError(format!("bad number {num:?}")))?,
-                    )
-                }
-                other => return Err(ParseError(format!("unexpected value start {other:?}"))),
-            };
-            let consumed_delim = matches!(val, FieldVal::Bool(_));
-            fields.push((key, val));
-            if consumed_delim {
-                // take_while already ate one ',' or '}'. If the line is
-                // exhausted the object is closed; otherwise continue parsing
-                // from the next key.
-                if chars.peek().is_none() {
-                    break;
-                }
-            }
+        if chars.next() != Some(':') {
+            return Err(ParseError(format!("missing ':' after key {key:?}")));
         }
+        let val = if chars.peek() == Some(&'"') {
+            FieldVal::Str(parse_string(&mut chars)?)
+        } else {
+            let mut word = String::new();
+            while let Some(c) = chars.next_if(char::is_ascii_alphanumeric) {
+                word.push(c);
+            }
+            match word.as_str() {
+                "true" => FieldVal::Bool(true),
+                "false" => FieldVal::Bool(false),
+                num => FieldVal::Num(
+                    num.parse()
+                        .map_err(|_| ParseError(format!("bad value {num:?}")))?,
+                ),
+            }
+        };
+        fields.push((key, val));
+        match chars.next() {
+            Some(',') => {}
+            Some('}') => break,
+            other => return Err(ParseError(format!("expected ',' or '}}', got {other:?}"))),
+        }
+    }
+    if let Some(c) = chars.next() {
+        return Err(ParseError(format!("text after '}}': {c:?}")));
     }
     Ok(Fields(fields))
 }
@@ -600,6 +600,7 @@ fn parse_string(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(t: u64, ev: Event) {
         let line = ev.to_json_line(t);
@@ -768,5 +769,69 @@ mod tests {
             Event::parse_line(r#"{"t":1,"ev":"cache_hit"}"#).is_err(),
             "missing bytes"
         );
+        for line in [
+            r#"{"t":1"ev":"cache_hit""bytes":5}"#,
+            r#"{"t":1,"ev":"cache_hit","bytes":5} trailing"#,
+            r#"{"t":1,"ev":"cache_hit","bytes":5,"bytes":6}"#,
+            r#"{"t":1,"ev":"sched_place","vmi":"v","node":2,"cache_hit":true}"x":1}"#,
+        ] {
+            assert!(Event::parse_line(line).is_err(), "accepted {line}");
+        }
+    }
+
+    /// Arbitrary span-kind strings: lowercase words.
+    fn kind_strategy() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0u8..26, 1..12)
+            .prop_map(|v| v.iter().map(|b| (b'a' + b) as char).collect())
+    }
+
+    /// Arbitrary attribute strings over a palette that stresses the JSONL
+    /// escaper: quotes, backslashes, control characters, and unicode.
+    fn detail_strategy() -> impl Strategy<Value = String> {
+        const PALETTE: [char; 12] = [
+            'a',
+            'Z',
+            '9',
+            ' ',
+            '=',
+            '"',
+            '\\',
+            '\n',
+            '\t',
+            '\u{1}',
+            'é',
+            '\u{1F600}',
+        ];
+        proptest::collection::vec(0usize..PALETTE.len(), 0..24)
+            .prop_map(|v| v.iter().map(|&i| PALETTE[i]).collect())
+    }
+
+    proptest! {
+        /// Span events survive the JSONL wire format for arbitrary ids and
+        /// attribute strings (quotes, backslashes, control chars, unicode).
+        #[test]
+        fn span_event_wire_roundtrip(
+            t in any::<u64>(),
+            id in 1..u64::MAX,
+            parent in any::<u64>(),
+            kind in kind_strategy(),
+            detail in detail_strategy(),
+        ) {
+            let ev = Event::SpanStart {
+                id,
+                parent,
+                kind: kind.clone(),
+                detail: detail.clone(),
+            };
+            let line = ev.to_json_line(t);
+            let (t2, ev2) = Event::parse_line(&line).unwrap();
+            prop_assert_eq!(t2, t);
+            prop_assert_eq!(ev2, ev);
+
+            let end = Event::SpanEnd { id };
+            let (t3, end2) = Event::parse_line(&end.to_json_line(t)).unwrap();
+            prop_assert_eq!(t3, t);
+            prop_assert_eq!(end2, end);
+        }
     }
 }

@@ -41,6 +41,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod event;
 mod metrics;
@@ -99,6 +106,7 @@ pub struct WallClock {
 }
 
 impl Default for WallClock {
+    #[expect(clippy::disallowed_methods, reason = "the one wall-time source")]
     fn default() -> Self {
         Self {
             origin: Instant::now(),

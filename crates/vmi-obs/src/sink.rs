@@ -7,9 +7,19 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::event::Event;
+
+/// The lock around a sink's buffers: a poisoning `std` mutex, recovered
+/// with `into_inner` at every acquisition.
+#[expect(
+    clippy::disallowed_types,
+    reason = "vmi-obs has no dependencies: `parking_lot` as a normal dependency \
+              rewrites e2e/Cargo.lock and breaks its --locked build, so the move \
+              to the facade waits for a change to the benchmark"
+)]
+type SinkLock<T> = std::sync::Mutex<T>;
 
 /// Consumer of emitted events. `t_ns` is the [`Clock`](crate::Clock)
 /// timestamp at emission.
@@ -28,12 +38,12 @@ pub trait Recorder: Send + Sync {
 /// no matter how long the run.
 pub struct JsonlSink {
     /// In-memory lines; bounded to the most recent `tail_cap` when set.
-    lines: Mutex<VecDeque<String>>,
+    lines: SinkLock<VecDeque<String>>,
     /// `None` = unbounded (buffer-everything mode).
     tail_cap: Option<usize>,
     /// Streaming target receiving every line (plus newline) as it is
     /// recorded.
-    writer: Option<Mutex<Box<dyn Write + Send>>>,
+    writer: Option<SinkLock<Box<dyn Write + Send>>>,
     /// Lines recorded over the sink's lifetime (≥ the buffered tail).
     total: AtomicU64,
 }
@@ -51,7 +61,7 @@ impl std::fmt::Debug for JsonlSink {
 impl Default for JsonlSink {
     fn default() -> Self {
         Self {
-            lines: Mutex::new(VecDeque::new()),
+            lines: SinkLock::new(VecDeque::new()),
             tail_cap: None,
             writer: None,
             total: AtomicU64::new(0),
@@ -74,9 +84,9 @@ impl JsonlSink {
     /// tail keeps working regardless.
     pub fn with_writer(w: impl Write + Send + 'static, tail_cap: usize) -> Arc<Self> {
         Arc::new(Self {
-            lines: Mutex::new(VecDeque::with_capacity(tail_cap.min(4096))),
+            lines: SinkLock::new(VecDeque::with_capacity(tail_cap.min(4096))),
             tail_cap: Some(tail_cap),
-            writer: Some(Mutex::new(Box::new(w))),
+            writer: Some(SinkLock::new(Box::new(w))),
             total: AtomicU64::new(0),
         })
     }
@@ -188,7 +198,7 @@ mod tests {
     /// `Write` target backed by a shared buffer, so the test can read back
     /// what the sink streamed out.
     #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    struct SharedBuf(Arc<SinkLock<Vec<u8>>>);
 
     impl Write for SharedBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {

@@ -536,6 +536,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "lets the waiter jump ahead")]
     fn range_locks_shared_overlap_exclusive_excludes() {
         let locks = RangeLocks::default();
         let a = locks.acquire(ByteRange::at(0, 100), Mode::Shared);

@@ -102,15 +102,16 @@ impl RequestEngine {
         });
         sh.st.set_rank(lockrank::ENGINE_QUEUE);
         let n = workers.max(1);
+        // Thread spawn fails only on resource exhaustion, at which point the
+        // process has no useful recovery path.
+        #[expect(clippy::expect_used, reason = "no recovery from exhaustion")]
         let workers = (0..n)
             .map(|i| {
                 let sh = Arc::clone(&sh);
                 std::thread::Builder::new()
                     .name(format!("vmi-engine-{i}"))
                     .spawn(move || worker(&sh))
-                    // Thread spawn fails only on resource exhaustion, at
-                    // which point the process has no useful recovery path.
-                    .expect("spawn engine worker") // lint:allow(no-unwrap)
+                    .expect("spawn engine worker")
             })
             .collect();
         let workers = Mutex::new(workers);

@@ -200,6 +200,7 @@ impl QcowImage {
     /// for release use. Degraded images are skipped — the latch already
     /// marks them as known-inconsistent.
     #[cfg(feature = "paranoid")]
+    #[expect(clippy::panic, reason = "paranoid builds abort on broken invariants")]
     pub(crate) fn paranoid_audit(&self, st: &MutState, op: &str) {
         if !cfg!(debug_assertions) || self.is_degraded() {
             return;
@@ -211,7 +212,7 @@ impl QcowImage {
         let report =
             vmi_audit::audit_image_visit(self.dev.as_ref(), &opts, &Obs::disabled(), &mut ());
         if !report.is_clean() {
-            panic!("paranoid audit failed after {op}: {:?}", report.violations) // lint:allow(no-unwrap)
+            panic!("paranoid audit failed after {op}: {:?}", report.violations)
         }
     }
 

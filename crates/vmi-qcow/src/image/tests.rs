@@ -109,6 +109,7 @@ fn cold_read_span_tree_is_balanced_and_causal() {
                 parent,
                 kind,
                 detail,
+                ..
             } => {
                 assert!(
                     parent == 0 || stack.contains(&parent),
@@ -117,7 +118,7 @@ fn cold_read_span_tree_is_balanced_and_causal() {
                 stack.push(id);
                 starts.insert(id, (kind, detail, parent));
             }
-            Event::SpanEnd { id } => {
+            Event::SpanEnd { id, .. } => {
                 assert_eq!(stack.pop(), Some(id), "span end out of order");
             }
             _ => {}

@@ -32,6 +32,7 @@ struct SleepDev {
     inner: SharedDev,
 }
 
+#[expect(clippy::disallowed_methods, reason = "service time is a real sleep")]
 impl BlockDev for SleepDev {
     fn read_at(&self, buf: &mut [u8], off: u64) -> Result<()> {
         std::thread::sleep(SERVICE);
@@ -112,6 +113,7 @@ fn schedule() -> Vec<Request> {
 fn mib_per_s(dev: SharedDev, depth: usize) -> f64 {
     let reqs = schedule();
     let engine = RequestEngine::new(dev, depth);
+    #[expect(clippy::disallowed_methods, reason = "the gate times wall clock")]
     let start = Instant::now();
     let mut next = 0;
     for done in 0..reqs.len() {

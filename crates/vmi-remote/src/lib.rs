@@ -15,6 +15,13 @@
 //!   the node's page cache, with optional synchronous writes; memory).
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod export;
 pub mod mount;

@@ -82,6 +82,7 @@ impl BootTrace {
     }
 
     /// Serialize to JSON.
+    #[expect(clippy::expect_used, reason = "serde on POD structs is infallible")]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("trace serialization cannot fail")
     }

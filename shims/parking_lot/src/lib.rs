@@ -26,6 +26,8 @@
 //! Non-facade synchronisation (the QCOW byte-range locks) joins the same
 //! per-thread stack through [`rank::held`] / [`rank::held_reentrant`] tokens.
 
+#![expect(clippy::disallowed_types, reason = "this crate is the std facade")]
+
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The project-wide lock-rank table.
@@ -615,6 +617,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the waiter must block first")]
     fn condvar_wait_keeps_token() {
         use std::sync::Arc;
         let m = Arc::new(Mutex::new(false));
