@@ -12,9 +12,10 @@ use parking_lot::{lockrank, RwLock};
 use crate::dev::check_bounds;
 use crate::{BlockDev, Result};
 
-/// Power-of-two page size used by the sparse store (64 KiB, matching the
-/// default QCOW2 cluster size so aligned cluster I/O touches one page).
-pub const SPARSE_PAGE: usize = 64 * 1024;
+/// Power-of-two page size used by the sparse store: 512 B, the smallest
+/// QCOW2 cluster, so a 512 B L2-table write into an otherwise all-zero
+/// cache container materialises 512 B rather than a much larger page.
+pub const SPARSE_PAGE: usize = 512;
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -225,8 +226,17 @@ mod tests {
         for i in 0..100u64 {
             dev.write_at(&[7u8; 4096], i * (64 << 20)).unwrap();
         }
-        assert!(dev.resident_bytes() <= 200 * SPARSE_PAGE as u64);
+        // 100 × 4 KiB, rounded up to whole pages.
+        let touched = (100 * 4096u64).div_ceil(SPARSE_PAGE as u64) * SPARSE_PAGE as u64;
+        assert!(dev.resident_bytes() <= touched);
         assert_eq!(dev.len(), 8 << 30);
+    }
+
+    #[test]
+    fn smallest_cluster_write_materialises_one_cluster() {
+        let dev = SparseDev::with_len(1 << 20);
+        dev.write_at(&[1u8; 512], 4096).unwrap();
+        assert_eq!(dev.resident_bytes(), 512);
     }
 
     #[test]
