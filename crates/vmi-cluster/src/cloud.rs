@@ -811,8 +811,8 @@ mod tests {
         assert_eq!(
             got,
             "placed=48 rejected=12 warm=34 cold=14 evictions=5 failures=2 rescheduled=0 \
-             restarts=2 readopted=3 refetched=1 mean=0.14960798622916666 p95=0.198874905 \
-             storage_mb=42.942464 jsonl=63b4f2e1c20df316"
+             restarts=2 readopted=3 refetched=1 mean=0.147938856 p95=0.198874905 \
+             storage_mb=42.942464 jsonl=b0ca10fc7221ab5b"
         );
         assert!(jsonl.contains("\"cache_evict\"") && jsonl.contains("\"vmi\":\"vmi-"));
     }

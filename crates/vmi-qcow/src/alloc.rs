@@ -60,15 +60,23 @@ impl QcowImage {
     }
 
     /// Ensure an L2 table exists for `vba`; returns (l1_idx, l2_offset).
-    pub(crate) fn ensure_l2(&self, st: &mut MutState, vba: u64) -> Result<(usize, u64)> {
+    ///
+    /// The caller allocates `data_clusters` data clusters after a new
+    /// table, the last of them the table's first mapping; on a cache image
+    /// the table is allocated only if the quota holds them all, so no
+    /// metadata cluster is stranded with nothing to map.
+    pub(crate) fn ensure_l2(
+        &self,
+        st: &mut MutState,
+        vba: u64,
+        data_clusters: u64,
+    ) -> Result<(usize, u64)> {
         let l1_idx = self.geom.l1_index(vba);
         let existing = st.l1[l1_idx];
         if existing != UNALLOCATED {
             return Ok((l1_idx, existing));
         }
-        // Need a data cluster too in the caller; reserve room for both so a
-        // cache image doesn't strand a metadata cluster it can't use.
-        let l2_off = self.alloc_cluster(st, self.geom.cluster_size())?;
+        let l2_off = self.alloc_cluster(st, data_clusters * self.geom.cluster_size())?;
         // Materialize an all-zero L2 table on the container, then point L1
         // at it (write-through).
         let zeros = vec![0u8; self.geom.cluster_size() as usize];

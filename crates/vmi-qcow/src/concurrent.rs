@@ -403,22 +403,18 @@ impl ConcurrentImage {
         // Resolve to physically contiguous container runs (the PR-5 extent
         // unit, found over the snapshot tables instead of the live ones)
         // before reading anything: one unmapped cluster sends the whole
-        // request down the serialized path. Clusters resolve against one L2
-        // snapshot per table the request spans, not one lookup per cluster.
-        let mut table: (usize, Option<Arc<Vec<u64>>>) = (usize::MAX, None);
-        let mut resolve = |vba: u64| -> Result<Option<u64>> {
-            let l1_idx = self.geom.l1_index(vba);
-            if table.0 != l1_idx {
-                table = (l1_idx, self.l2_for(l1_idx)?);
-            }
-            let l2_idx = self.geom.l2_index(vba);
-            let entry = table.1.as_deref().and_then(|t| t.get(l2_idx));
-            Ok(entry.copied().filter(|&e| e != UNALLOCATED))
-        };
+        // request down the serialized path. Each run resolves one L2
+        // snapshot per table it spans, not one lookup per cluster.
         let mut runs: Vec<(u64, usize)> = Vec::new();
         let mut pos = off;
         while pos < end {
-            let run = contiguous_run(&self.geom, pos, end - pos, &mut resolve)?;
+            let run = contiguous_run(
+                &self.geom,
+                pos,
+                end - pos,
+                |l1_idx, scan| Ok(scan(self.l2_for(l1_idx)?.as_deref().map(Vec::as_slice))),
+                |_| true,
+            )?;
             let Some((cont, run_bytes, _)) = run else {
                 return Ok(false);
             };

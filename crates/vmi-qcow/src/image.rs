@@ -125,8 +125,9 @@ pub(crate) struct MutState {
 
 /// An open image.
 ///
-/// Cheap to share: all mutable state lives behind a mutex, and the hot read
-/// path takes it once per cluster segment.
+/// Cheap to share: all mutable state lives behind a mutex, which a read or
+/// write takes once per request and holds across its container and backing
+/// I/O ([`crate::ConcurrentImage`] adds parallel warm reads on top).
 pub struct QcowImage {
     pub(crate) dev: SharedDev,
     pub(crate) geom: Geometry,

@@ -456,6 +456,58 @@ fn lookup_run_spans_contiguous_fills() {
 }
 
 #[test]
+fn warm_reread_of_a_multi_table_fill_is_one_container_read() {
+    // 512 B clusters: one L2 table maps 32 KiB, so this read spans four
+    // tables. The fill places all four tables ahead of the data, which
+    // then lands in one physically contiguous run.
+    let content: Vec<u8> = (0..MB).map(|i| (i % 251) as u8).collect();
+    for coalesce in [false, true] {
+        let base = QcowImage::create(mem(), CreateOpts::plain(4 * MB), None).unwrap();
+        base.write_at(&content, 0).unwrap();
+        let container = Arc::new(vmi_blockdev::CountingDev::new(mem()));
+        let cache = QcowImage::create(
+            container.clone() as SharedDev,
+            CreateOpts::cache(4 * MB, "b", 2 * MB),
+            Some(base as SharedDev),
+        )
+        .unwrap();
+        let cov = cache.geom.l2_coverage();
+        let (off, len) = (cov / 2, 3 * cov);
+        cache.set_coalescing(coalesce);
+        let mut cold = vec![0u8; len as usize];
+        cache.read_at(&mut cold, off).unwrap();
+        assert_eq!(cold, &content[off as usize..][..len as usize]);
+        let reads = || container.stats().snapshot().reads;
+
+        cache.set_coalescing(true);
+        let before = reads();
+        let mut warm = vec![0u8; len as usize];
+        cache.read_at(&mut warm, off).unwrap();
+        assert_eq!(warm, cold);
+        assert_eq!(
+            reads() - before,
+            1,
+            "coalesce={coalesce}: one container read"
+        );
+
+        // The concurrent warm path loads its own table snapshots on the
+        // first read; the second is data only.
+        let conc = crate::ConcurrentImage::new(cache);
+        let mut warm = vec![0u8; len as usize];
+        conc.read_at(&mut warm, off).unwrap();
+        let before = reads();
+        conc.read_at(&mut warm, off).unwrap();
+        assert_eq!(warm, cold);
+        assert_eq!(conc.stats().warm_reads, 2);
+        assert_eq!(
+            reads() - before,
+            1,
+            "coalesce={coalesce}: one warm-path read"
+        );
+    }
+}
+
+#[test]
 fn coalesced_and_scalar_caches_are_bit_identical() {
     // Same workload against two caches over identical bases, one with
     // coalescing disabled: guest data, CoR counters, and the entire

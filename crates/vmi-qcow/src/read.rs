@@ -96,10 +96,9 @@ impl QcowImage {
                 None => {
                     // Extend across every consecutive unmapped cluster so
                     // the backing chain sees one batched request.
-                    let mut run_end = (self.geom.cluster_start(pos) + cs).min(end);
-                    while run_end < end && self.lookup(&mut st, run_end)?.is_none() {
-                        run_end = (run_end + cs).min(end);
-                    }
+                    let next = self.geom.cluster_start(pos) + cs;
+                    let more = self.unmapped_clusters(&mut st, next, end)?;
+                    let run_end = (next + more * cs).min(end);
                     let out = &mut buf[(pos - off) as usize..(run_end - off) as usize];
                     self.read_unmapped_run(&mut st, out, pos, me)?;
                     pos = run_end;
@@ -196,6 +195,9 @@ impl QcowImage {
         span_end: u64,
         parent: Option<SpanId>,
     ) {
+        if !self.ensure_span_tables(st, span_start, span_end) {
+            return;
+        }
         let cs = self.geom.cluster_size();
         let mut cluster_vba = span_start;
         while cluster_vba < span_end {
@@ -247,14 +249,17 @@ impl QcowImage {
         span_end: u64,
         parent: Option<SpanId>,
     ) {
+        if !self.ensure_span_tables(st, span_start, span_end) {
+            return;
+        }
         let cs = self.geom.cluster_size();
-        let table_span = cs * self.geom.l2_entries();
+        let table_span = self.geom.l2_coverage();
         let mut cluster_vba = span_start;
         while cluster_vba < span_end {
             let table_end = (cluster_vba / table_span + 1) * table_span;
             let chunk_end = span_end.min(table_end);
             let want = (chunk_end - cluster_vba).div_ceil(cs);
-            let l1_idx = match self.ensure_l2(st, cluster_vba) {
+            let l1_idx = match self.ensure_l2(st, cluster_vba, 1) {
                 Ok((l1_idx, _)) => l1_idx,
                 Err(e) if e.is_no_space() => {
                     self.latch_space_error(st);
@@ -316,6 +321,40 @@ impl QcowImage {
         }
     }
 
+    /// Allocate every L2 table the fill of `[span_start, span_end)` needs
+    /// before any of its data, so the span's data lands physically
+    /// contiguous behind them — `[T1][T2][data…]`, not
+    /// `[T1][data][T2][data]` — and a warm re-read of it is one container
+    /// read. Both fill modes call this first, so they keep one bump order.
+    ///
+    /// A table is allocated only if the quota also holds every data cluster
+    /// the fill places before the table's first one, plus that one. That is
+    /// the test the in-order allocation would meet on reaching the table, so
+    /// the quota latches at the same byte either way and no published table
+    /// is left mapping nothing. The first table that fails it stops the
+    /// lookahead, and the fill loop meets it again in order. Any other error
+    /// latches the fill off and returns `false`.
+    fn ensure_span_tables(&self, st: &mut MutState, span_start: u64, span_end: u64) -> bool {
+        let cs = self.geom.cluster_size();
+        let table_span = self.geom.l2_coverage();
+        let mut vba = span_start;
+        let mut data_before = 0;
+        while vba < span_end {
+            match self.ensure_l2(st, vba, data_before + 1) {
+                Ok(_) => {}
+                Err(e) if e.is_no_space() => break,
+                Err(_) => {
+                    self.fill_failed(st);
+                    return false;
+                }
+            }
+            let chunk_end = span_end.min((vba / table_span + 1) * table_span);
+            data_before += (chunk_end - vba).div_ceil(cs);
+            vba = chunk_end;
+        }
+        true
+    }
+
     /// A failed fill must never fail the guest read — the data is already
     /// in the fetched span. Latch degraded (stops all future fills) and let
     /// the caller serve from what it fetched.
@@ -353,7 +392,7 @@ impl QcowImage {
         data: &[u8],
         parent: Option<SpanId>,
     ) -> Result<()> {
-        let (l1_idx, _l2_off) = self.ensure_l2(st, cluster_vba)?;
+        let (l1_idx, _l2_off) = self.ensure_l2(st, cluster_vba, 1)?;
         let data_off = self.alloc_cluster(st, 0)?;
         self.dev.write_at_in(data, data_off, parent)?;
         // Data durable before the L2 entry publishes it.

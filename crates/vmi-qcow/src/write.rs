@@ -80,7 +80,7 @@ impl QcowImage {
         };
         let in_cluster = (vba - cluster_vba) as usize;
         cluster_buf[in_cluster..in_cluster + data.len()].copy_from_slice(data);
-        let (l1_idx, _l2_off) = self.ensure_l2(st, cluster_vba)?;
+        let (l1_idx, _l2_off) = self.ensure_l2(st, cluster_vba, 1)?;
         let data_off = self.alloc_cluster(st, 0)?;
         let dsp = self
             .obs
@@ -162,7 +162,7 @@ impl QcowImage {
                 pos += cs;
                 continue;
             }
-            let (l1_idx, _l2_off) = self.ensure_l2(st, pos)?;
+            let (l1_idx, _l2_off) = self.ensure_l2(st, pos, 1)?;
             let (data_off, got) = self.alloc_cluster_run(st, k);
             if got == 0 {
                 return Err(self.quota_exhausted(st));

@@ -159,4 +159,30 @@ proptest! {
         prop_assert_eq!(scalar.cache_used, coalesced.cache_used);
         prop_assert_eq!(&scalar.container, &coalesced.container);
     }
+
+    /// Same tight quotas: every L2 table that reaches the container maps at
+    /// least one cluster. Tables allocated ahead of their data must never
+    /// take the quota that data needed.
+    #[test]
+    fn every_published_table_maps_a_cluster(
+        coalesce in any::<bool>(),
+        cluster_bits in 9u32..=11,
+        quota_clusters in 1u64..64,
+        base_segs in base_strategy(),
+        ops in proptest::collection::vec(op_strategy(), 1..10),
+    ) {
+        let quota = quota_clusters << cluster_bits;
+        let observed = run_mode(coalesce, cluster_bits, &base_segs, quota, &ops);
+        let container = Arc::new(MemDev::from_vec(observed.container)) as SharedDev;
+        let backing = Arc::new(MemDev::with_len(VSIZE)) as SharedDev;
+        let img = QcowImage::open(container, Some(backing), true).unwrap();
+        for l2_off in img.l1_snapshot().into_iter().filter(|&off| off != 0) {
+            let table = img.l2_snapshot(l2_off).unwrap();
+            prop_assert!(
+                table.iter().any(|&entry| entry != 0),
+                "L2 table at {} maps nothing",
+                l2_off
+            );
+        }
+    }
 }
