@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockDev, Result, SharedDev};
-use vmi_obs::{met, Event, Obs};
+use vmi_obs::{met, Obs};
 use vmi_sim::{EventKey, Ns, Shard, SimWorld};
 use vmi_trace::{BootTrace, OpKind};
 
@@ -64,9 +64,9 @@ fn wake(at: Ns, vm: usize) -> EventKey {
 /// Replay all `vms` to completion; returns one outcome per VM, in input
 /// order. Deterministic: identical inputs give identical timelines.
 ///
-/// Each VM emits [`Event::BootPhase`] markers through `obs` (`issue` at its
-/// first op, `connect_back` at completion) and every trace op's simulated
-/// latency is recorded into the [`met::VM_OP_NS`] histogram; pass
+/// Each VM's boot is one `boot.vm` span through `obs`, opened at its first
+/// op (issue) and closed at completion (connect-back), and every trace op's
+/// simulated latency is recorded into the [`met::VM_OP_NS`] histogram; pass
 /// [`Obs::disabled`] to record nothing.
 ///
 /// # Errors
@@ -104,15 +104,11 @@ pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmO
                 boot_ns,
                 io_wait_ns: boot_ns.saturating_sub(think),
             });
-            // Stamp the connect-back marker and the boot span's end at the
-            // completion time (we are outside any priced op window here).
+            // Stamp the boot span's end at the completion time (we are
+            // outside any priced op window here).
             let span = st.span.take();
             world.with_time(done_at, || {
                 obs.count(met::BOOTS_DONE, 1);
-                obs.emit(|| Event::BootPhase {
-                    vm: vm as u64,
-                    phase: "connect_back".into(),
-                });
                 drop(span);
             });
             continue;
@@ -120,10 +116,6 @@ pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmO
         if st.next_op == 0 {
             let nops = trace.ops.len();
             st.span = Some(world.with_time(now, || {
-                obs.emit(|| Event::BootPhase {
-                    vm: vm as u64,
-                    phase: "issue".into(),
-                });
                 obs.span("boot.vm", || format!("vm={vm} ops={nops}"))
             }));
         }

@@ -348,11 +348,6 @@ impl RecorderHandle {
         (Self::of(sink.clone()), sink)
     }
 
-    /// Whether a recorder was configured.
-    pub fn is_set(&self) -> bool {
-        self.rec.is_some()
-    }
-
     /// Build the [`Obs`] handle: enabled iff a recorder was configured.
     pub fn attach(&self, clock: Arc<dyn Clock>) -> Obs {
         match &self.rec {
@@ -406,24 +401,18 @@ mod tests {
     #[test]
     fn recorder_handle_roundtrip() {
         let none = RecorderHandle::none();
-        assert!(!none.is_set());
         assert!(!none.attach(Arc::new(ManualClock::default())).enabled());
         assert_eq!(format!("{none:?}"), "RecorderHandle(none)");
 
         let (handle, sink) = RecorderHandle::jsonl();
-        assert!(handle.is_set());
+        assert_eq!(format!("{handle:?}"), "RecorderHandle(set)");
         let obs = handle.attach(Arc::new(ManualClock::new(3)));
-        obs.emit(|| Event::BootPhase {
-            vm: 1,
-            phase: "issue".into(),
-        });
+        assert!(obs.enabled());
+        obs.emit(|| Event::NodeFailed { node: 1 });
         assert_eq!(sink.len(), 1);
         // The handle survives cloning into a second, independent Obs.
         let obs2 = handle.clone().attach(Arc::new(ManualClock::new(4)));
-        obs2.emit(|| Event::BootPhase {
-            vm: 2,
-            phase: "issue".into(),
-        });
+        obs2.emit(|| Event::NodeFailed { node: 2 });
         assert_eq!(sink.len(), 2, "clones share the sink");
     }
 

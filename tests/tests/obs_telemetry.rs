@@ -7,7 +7,10 @@
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockDev, MemDev, SharedDev};
-use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement, Telemetry, WarmStore};
+use vmi_cluster::{
+    generate_requests, run_cloud, run_experiment, CloudConfig, ExperimentConfig, Mode, NodeFailure,
+    Placement, Policy, Telemetry, WarmStore,
+};
 use vmi_obs::{met, Event, JsonlSink, ManualClock, Obs, RecorderHandle};
 use vmi_qcow::{create_cached_chain, MapResolver, QcowImage};
 use vmi_sim::NetSpec;
@@ -23,6 +26,8 @@ struct ReplaySummary {
     fill_bytes: u64,
     chain_opens: u64,
     space_errors: u64,
+    quota_rearms: u64,
+    sched_places: u64,
     evictions: u64,
     retries: u64,
     degradations: u64,
@@ -49,6 +54,8 @@ fn replay(events: &[(u64, Event)]) -> ReplaySummary {
             Event::CorFill { bytes } => s.fill_bytes += bytes,
             Event::ChainOpen { .. } => s.chain_opens += 1,
             Event::SpaceErrorLatched { .. } => s.space_errors += 1,
+            Event::QuotaRearmed { .. } => s.quota_rearms += 1,
+            Event::SchedPlace { .. } => s.sched_places += 1,
             Event::CacheEvict { .. } => s.evictions += 1,
             Event::RetryAttempt { .. } => s.retries += 1,
             Event::CacheDegraded { .. } => s.degradations += 1,
@@ -238,8 +245,10 @@ fn cold_then_warm_replay_matches_telemetry() {
     assert!(cold.telemetry.fill_bytes > 0, "cold boots fill the cache");
 }
 
-#[test]
-fn quota_exhaustion_latches_once_and_reads_continue() {
+/// A cow → cache → base chain over a patterned 4 MiB base. The cache has
+/// 512 B clusters and a quota that holds its header, L1 table and 20 more
+/// clusters, so copy-on-read latches after a few reads.
+fn tight_quota_chain() -> (Vec<u8>, Arc<QcowImage>, Obs, Arc<JsonlSink>) {
     const VSIZE: u64 = 4 << 20;
     let content: Vec<u8> = (0..VSIZE as usize).map(|i| (i % 251) as u8).collect();
     let base: SharedDev = Arc::new(MemDev::from_vec(content.clone()));
@@ -263,7 +272,20 @@ fn quota_exhaustion_latches_once_and_reads_continue() {
         &obs,
     )
     .unwrap();
+    (content, cow, obs, sink)
+}
 
+/// The cache layer under `cow`.
+fn cache_layer(cow: &QcowImage) -> &QcowImage {
+    cow.backing()
+        .and_then(|b| b.as_any())
+        .and_then(|a| a.downcast_ref::<QcowImage>())
+        .expect("cache layer")
+}
+
+#[test]
+fn quota_exhaustion_latches_once_and_reads_continue() {
+    let (content, cow, obs, sink) = tight_quota_chain();
     let mut buf = vec![0u8; 8192];
     for i in 0..128u64 {
         cow.read_at(&mut buf, i * 8192).unwrap();
@@ -293,15 +315,110 @@ fn quota_exhaustion_latches_once_and_reads_continue() {
         "no fill bytes after the latch"
     );
 
-    let cache = cow.backing().unwrap();
-    let cache_img = cache
-        .as_any()
-        .and_then(|a| a.downcast_ref::<QcowImage>())
-        .expect("cache layer");
     assert!(
-        cache_img.cor_stats().fill_rejects > 0,
+        cache_layer(&cow).cor_stats().fill_rejects > 0,
         "rejected fills are counted"
     );
+}
+
+#[test]
+fn discard_rearms_a_latched_cache_once() {
+    let (_, cow, obs, sink) = tight_quota_chain();
+    let cache = cache_layer(&cow);
+    let mut buf = vec![0u8; 8192];
+    for i in 0..128u64 {
+        if !cache.fill_enabled() {
+            break;
+        }
+        cow.read_at(&mut buf, i * 8192).unwrap();
+    }
+    assert!(!cache.fill_enabled(), "the cache latched at its quota");
+    let rearms = |sink: &JsonlSink| -> Vec<(usize, Event)> {
+        sink.events()
+            .into_iter()
+            .map(|(_, e)| e)
+            .enumerate()
+            .filter(|(_, e)| matches!(e, Event::QuotaRearmed { .. }))
+            .collect()
+    };
+    assert!(rearms(&sink).is_empty());
+
+    // Freeing two clusters re-arms copy-on-read, reported once.
+    assert_eq!(cache.discard(0, 1024).unwrap(), 2);
+    assert!(cache.fill_enabled());
+    let after = rearms(&sink);
+    assert_eq!(
+        after.iter().map(|(_, e)| e.clone()).collect::<Vec<_>>(),
+        vec![Event::QuotaRearmed {
+            used: cache.cache_used(),
+            quota: cache.cache_quota(),
+        }]
+    );
+    assert_eq!(
+        obs.counter_value(met::QUOTA_REARMS),
+        replay(&sink.events()).quota_rearms
+    );
+
+    // The next cold read fills again.
+    cow.read_at(&mut buf[..512], 0).unwrap();
+    let rearm_at = after[0].0;
+    assert!(
+        sink.events()[rearm_at..]
+            .iter()
+            .any(|(_, e)| matches!(e, Event::CorFill { .. })),
+        "no cor_fill after the re-arm"
+    );
+
+    // A discard while armed is not a re-arm.
+    assert_eq!(cache.discard(0, 512).unwrap(), 1);
+    assert_eq!(rearms(&sink).len(), 1);
+    assert_eq!(obs.counter_value(met::QUOTA_REARMS), 1);
+}
+
+/// The power-cut day that `cloud::tests::power_cut_day_is_pinned` pins:
+/// every placement is one `sched_place`, and its `cache_hit` is set exactly
+/// for the warm boots.
+#[test]
+fn sched_place_events_count_placements_and_warm_boots() {
+    let profile = vmi_trace::VmiProfile::tiny_test();
+    let reqs = generate_requests(3, 60, 4, 2_000_000_000, 20_000_000_000);
+    let at = reqs[reqs.len() / 3].at + 1;
+    let (recorder, sink) = RecorderHandle::jsonl();
+    let cfg = CloudConfig {
+        nodes: 4,
+        slots_per_node: 2,
+        node_cache_bytes: profile.unique_read_bytes * 3,
+        vmis: 4,
+        profile,
+        net: NetSpec::gbe_1(),
+        quota: QUOTA,
+        use_caches: true,
+        cache_aware: true,
+        policy: Policy::Striping,
+        seed: 9,
+        node_failures: vec![
+            NodeFailure::power_cut(0, at, 4_000_000_000),
+            NodeFailure::power_cut(2, at, 9_000_000_000),
+        ],
+        recorder,
+    };
+    let rep = run_cloud(&cfg, &reqs).unwrap();
+    assert_eq!((rep.placed, rep.warm_boots), (48, 34), "the pinned day");
+    let events = sink.events();
+    assert_eq!(replay(&events).sched_places, rep.placed as u64);
+    let warm = events
+        .iter()
+        .filter(|(_, e)| {
+            matches!(
+                e,
+                Event::SchedPlace {
+                    cache_hit: true,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(warm, rep.warm_boots);
 }
 
 #[test]
