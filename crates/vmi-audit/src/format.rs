@@ -21,7 +21,8 @@ pub const FIXED_HEADER_LEN: u64 = 48;
 pub const EXT_END: u32 = 0;
 /// The paper's cache extension (quota + used, two u64s).
 pub const EXT_CACHE: u32 = 0xCAC8_E001;
-/// Snapshot-table pointer extension.
+/// Snapshot-table pointer extension (`offset u64, len u32, count u32`).
+/// Internal snapshots are unsupported: only an empty table is accepted.
 pub const EXT_SNAPTAB: u32 = 0x534E_4150;
 /// Longest accepted backing-file name.
 pub const MAX_BACKING_NAME: usize = 1023;
@@ -41,8 +42,6 @@ pub struct RawHeader {
     pub backing_file: Option<String>,
     /// `(quota, used)` from the cache extension, if present.
     pub cache: Option<(u64, u64)>,
-    /// `(offset, len, count)` from the snapshot-table extension, if present.
-    pub snaptab: Option<(u64, u32, u32)>,
 }
 
 /// Parse the header, returning the first fatal problem as a [`Violation`].
@@ -94,7 +93,6 @@ pub fn parse_header(dev: &dyn BlockDev) -> Result<RawHeader, Violation> {
 
     // Walk the extension frames (8-byte header, payload padded to 8).
     let mut cache = None;
-    let mut snaptab = None;
     let mut pos = FIXED_HEADER_LEN;
     loop {
         let mut frame = [0u8; 8];
@@ -149,11 +147,14 @@ pub fn parse_header(dev: &dyn BlockDev) -> Result<RawHeader, Violation> {
                         format!("snapshot extension payload {len} bytes (expected 16)"),
                     ));
                 }
-                snaptab = Some((
-                    be_u64(&payload[0..]),
-                    be_u32(&payload[8..]),
-                    be_u32(&payload[12..]),
-                ));
+                // Refused before the table it points at is looked at.
+                let count = be_u32(&payload[12..]);
+                if count != 0 {
+                    return Err(Violation::error(
+                        ViolationKind::SnapshotTableInvalid,
+                        format!("header counts {count} internal snapshot(s); none are supported"),
+                    ));
+                }
             }
             // Unknown extensions are skipped — the QCOW2 forward-compat rule.
             _ => {}
@@ -188,7 +189,6 @@ pub fn parse_header(dev: &dyn BlockDev) -> Result<RawHeader, Violation> {
         l1_size,
         backing_file,
         cache,
-        snaptab,
     })
 }
 

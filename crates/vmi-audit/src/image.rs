@@ -201,27 +201,6 @@ fn walk(dev: &dyn BlockDev, opts: &AuditOpts, tables: &mut dyn TableVisitor) -> 
     for c in 0..l1_bytes / cs {
         refs.insert(raw.l1_table_offset / cs + c);
     }
-    if let Some((snap_off, snap_len, _count)) = raw.snaptab {
-        // checked_add: a crafted pointer near u64::MAX is out of bounds,
-        // not an overflow.
-        let snap_end = snap_off.checked_add(u64::from(snap_len));
-        if snap_len > 0 && (snap_end.is_none_or(|end| end > file_end) || snap_off % cs != 0) {
-            rep.violations.push(Violation::error(
-                ViolationKind::SnapshotTableInvalid,
-                format!(
-                    "snapshot table at {snap_off:#x}+{snap_len} is misaligned or out of bounds"
-                ),
-            ));
-        }
-        // The snapshot table's own clusters are allocated like any others;
-        // only its in-bounds part can overlap anything.
-        if snap_len > 0 {
-            let end = snap_end.map_or(file_end, |end| end.min(file_end));
-            for c in snap_off / cs..end.div_ceil(cs) {
-                refs.insert(c);
-            }
-        }
-    }
 
     let mut l2_tables = 0u64;
     let mut data_clusters = 0u64;

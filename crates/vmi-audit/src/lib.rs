@@ -120,7 +120,9 @@ pub enum ViolationKind {
     L2EntryOutOfBounds,
     /// Two mappings (or a mapping and metadata) share a container cluster.
     OverlappingClusters,
-    /// The snapshot-table pointer is out of bounds.
+    /// The header's snapshot-table extension counts a snapshot. Internal
+    /// snapshots are unsupported, so the image is refused before its table
+    /// is read (the driver returns `Unsupported`).
     SnapshotTableInvalid,
     /// Recorded used-size differs from the recomputed ground truth (the
     /// classic torn close §4.3); repairable in place.

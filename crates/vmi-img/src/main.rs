@@ -40,7 +40,6 @@ fn main() {
         "discard" => cmd_discard(rest),
         "resize" => cmd_resize(rest),
         "rebase" => cmd_rebase(rest),
-        "snapshot" => cmd_snapshot(rest),
         "chain" => cmd_chain(rest),
         "warm" => cmd_warm(rest),
         "stats" => cmd_stats(rest),
@@ -69,7 +68,6 @@ fn usage() {
     eprintln!("  discard <path> --off N --len N");
     eprintln!("  resize <path> --size N   (grow only)");
     eprintln!("  rebase <path> [--backing F]   (unsafe rebase; omit --backing to detach)");
-    eprintln!("  snapshot <path> --create NAME | --list | --apply ID | --delete ID");
     eprintln!("  chain <base> --stem S --size N [--quota N] [--cluster N]");
     eprintln!("  warm <cache> [--profile centos|debian|windows|tiny] [--seed N]");
     eprintln!("  stats <path> [--limit N]   (read pass; Prometheus metrics on stdout)");
@@ -324,38 +322,6 @@ fn cmd_rebase(rest: &[String]) -> CliResult {
         path.display(),
         rebased.header().backing_file.as_deref().unwrap_or("<none>")
     );
-    Ok(())
-}
-
-fn cmd_snapshot(rest: &[String]) -> CliResult {
-    let path = positional(rest)?;
-    if rest.iter().any(|a| a == "--list") {
-        let img = open_image(&path, true, &Obs::disabled())?;
-        let snaps = img.list_snapshots();
-        if snaps.is_empty() {
-            println!("no snapshots");
-        }
-        for s in snaps {
-            println!("{:>4}  {}", s.id, s.name);
-        }
-        return Ok(());
-    }
-    let img = open_image(&path, false, &Obs::disabled())?;
-    if let Some(name) = flag(rest, "--create") {
-        let id = img.create_snapshot(name.clone())?;
-        img.close()?;
-        println!("created snapshot {id} ({name})");
-    } else if let Some(id) = flag(rest, "--apply") {
-        img.apply_snapshot(id.parse()?)?;
-        img.close()?;
-        println!("reverted to snapshot {id}");
-    } else if let Some(id) = flag(rest, "--delete") {
-        img.delete_snapshot(id.parse()?)?;
-        img.close()?;
-        println!("deleted snapshot {id}");
-    } else {
-        return Err("need one of --create/--list/--apply/--delete".into());
-    }
     Ok(())
 }
 

@@ -7,10 +7,10 @@
 //!   `make-fixtures` fixture: single-container fsck, deep chain fsck,
 //!   in-place recovery on copies, and fsck of each recovered copy;
 //! * `audit_corruptions.txt` — the audit report of a few hundred seeded
-//!   corruptions of a warm cache and of a plain image with a snapshot
-//!   table: table entries aimed at random clusters (overlaps with the
-//!   header, the L1, the snapshot table, other tables and data; misaligned
-//!   and out-of-bounds pointers), byte flips, torn used fields.
+//!   corruptions of a warm cache and of a written plain image: table
+//!   entries aimed at random clusters (overlaps with the header, the L1,
+//!   other tables and data; misaligned and out-of-bounds pointers), byte
+//!   flips, torn used fields.
 //!
 //! Any change to the audit walk that moves a violation, its detail string,
 //! its order or its repair hint, or any change to a recovery verdict, fails
@@ -154,9 +154,9 @@ fn warm_cache_bytes() -> Vec<u8> {
     dev.to_vec()
 }
 
-/// A closed plain image (4 KiB clusters) with one internal snapshot, so its
-/// snapshot table is allocated.
-fn snapshot_image_bytes() -> Vec<u8> {
+/// A closed plain image (4 KiB clusters): sixteen spread writes, then one
+/// overwrite of the first.
+fn plain_image_bytes() -> Vec<u8> {
     let dev = Arc::new(MemDev::new());
     let img = QcowImage::create(
         dev.clone() as SharedDev,
@@ -168,9 +168,7 @@ fn snapshot_image_bytes() -> Vec<u8> {
         img.write_at(&[i as u8 + 1; 4096], i * 12288)
             .expect("write");
     }
-    img.create_snapshot("s1".to_string()).expect("snapshot");
-    img.write_at(&[0xEE; 4096], 0)
-        .expect("write after snapshot");
+    img.write_at(&[0xEE; 4096], 0).expect("overwrite");
     img.close().expect("close plain");
     dev.to_vec()
 }
@@ -217,10 +215,7 @@ fn corrupt(pristine: &[u8], rng: &mut Rng) -> Vec<u8> {
                 (l2 + rng.below(cs / 8) * 8, target(rng))
             }
             2 => (l1_off as u64 + rng.below(l1_size) * 8, target(rng)),
-            3 => match ext_payload(&raw, 0x534E_4150) {
-                Some(p) => (p as u64, target(rng)),
-                None => (l1_off as u64, target(rng)),
-            },
+            3 => (l1_off as u64, target(rng)),
             4 => match ext_payload(&raw, 0xCAC8_E001) {
                 Some(p) => (p as u64 + 8, rng.below(1 << 20)),
                 None => (l1_off as u64, target(rng)),
@@ -245,7 +240,7 @@ fn seeded_corruptions_audit_as_golden() {
     let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
     for (label, pristine) in [
         ("cache", warm_cache_bytes()),
-        ("snap", snapshot_image_bytes()),
+        ("plain", plain_image_bytes()),
     ] {
         for case in 0..200 {
             let rep = vmi_audit::audit_image(&MemDev::from_vec(corrupt(&pristine, &mut rng)));

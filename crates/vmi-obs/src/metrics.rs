@@ -26,12 +26,6 @@ pub mod met {
     pub const QUOTA_REARMS: &str = "qcow.cache.quota_rearms";
     /// Image-chain layers opened (counter).
     pub const CHAIN_OPENS: &str = "qcow.chain.opens";
-    /// Internal snapshots created (counter).
-    pub const SNAPSHOT_CREATES: &str = "qcow.snapshot.creates";
-    /// Internal snapshots applied / reverted to (counter).
-    pub const SNAPSHOT_APPLIES: &str = "qcow.snapshot.applies";
-    /// Internal snapshots deleted (counter).
-    pub const SNAPSHOT_DELETES: &str = "qcow.snapshot.deletes";
     /// Scheduler placement decisions (counter).
     pub const SCHED_PLACEMENTS: &str = "cluster.sched.placements";
     /// Cache-pool evictions across the fleet (counter).

@@ -1,11 +1,10 @@
 //! Container space and the metadata writes that publish it: the cluster
 //! allocator (quota-aware), the [`QcowImage::barrier`] choke point, L2-table
-//! creation and copy-on-write, and write-through entry updates.
+//! creation, and write-through entry updates.
 
 use vmi_blockdev::{BlockDev, BlockError, Result};
 
 use crate::image::{MutState, QcowImage, UNALLOCATED};
-use crate::layout::encode_entries;
 
 impl QcowImage {
     /// Allocate one cluster at end of file. Honours the cache quota when
@@ -116,10 +115,8 @@ impl QcowImage {
 
     /// Point `count` consecutive L2 entries (starting at `first_vba`'s slot)
     /// at physically consecutive data clusters from `data_off`, with one
-    /// write-through container write. If the L2 table is frozen (shared
-    /// with a snapshot), it is copied first. The caller guarantees the
-    /// slots lie within a single L2 table (runs are chunked at table
-    /// boundaries).
+    /// write-through container write. The caller guarantees the slots lie
+    /// within a single L2 table (runs are chunked at table boundaries).
     pub(crate) fn set_l2_entries(
         &self,
         st: &mut MutState,
@@ -128,11 +125,8 @@ impl QcowImage {
         data_off: u64,
         count: u64,
     ) -> Result<()> {
-        let mut l2_off = st.l1[l1_idx];
+        let l2_off = st.l1[l1_idx];
         debug_assert_ne!(l2_off, UNALLOCATED, "caller must ensure_l2 first");
-        if st.frozen.contains(&l2_off) {
-            l2_off = self.cow_l2_table(st, l1_idx, l2_off)?;
-        }
         let l2_idx = self.geom.l2_index(first_vba);
         debug_assert!(
             l2_idx as u64 + count <= self.geom.l2_entries(),
@@ -153,27 +147,6 @@ impl QcowImage {
             }
         }
         Ok(())
-    }
-
-    /// Copy a frozen L2 table into a private cluster and point L1 at the
-    /// copy. The frozen original stays in place for its snapshot(s).
-    fn cow_l2_table(&self, st: &mut MutState, l1_idx: usize, old_off: u64) -> Result<u64> {
-        // Materialize the table contents (cache or container).
-        let table = match st.l2.peek(l1_idx) {
-            Some(t) => t.to_vec(),
-            None => self.read_l2_table(old_off)?,
-        };
-        let new_off = self.alloc_cluster(st, 0)?;
-        self.dev.write_at(&encode_entries(&table), new_off)?;
-        // Copied table durable before L1 repoints at it.
-        self.barrier()?;
-        self.dev.write_at(
-            &new_off.to_be_bytes(),
-            self.header.l1_table_offset + (l1_idx as u64) * 8,
-        )?;
-        st.l1[l1_idx] = new_off;
-        self.l2_cache_put(st, l1_idx, table);
-        Ok(new_off)
     }
 
     /// Container offsets currently queued for reuse (diagnostics).

@@ -38,8 +38,8 @@
 //! `parking_lot::lockrank` witness (ranks registered in
 //! [`ConcurrentImage::new_with_obs`]).
 //!
-//! Not supported concurrently: snapshot create/apply/delete, `resize`, and
-//! `rebase` swap whole tables out from under the mirror — quiesce the
+//! Not supported concurrently: `resize` and `rebase` swap whole tables out
+//! from under the mirror — quiesce the
 //! `ConcurrentImage` (drop in-flight requests) and call those on the inner
 //! [`QcowImage`] directly.
 
@@ -408,13 +408,9 @@ impl ConcurrentImage {
         let mut runs: Vec<(u64, usize)> = Vec::new();
         let mut pos = off;
         while pos < end {
-            let run = contiguous_run(
-                &self.geom,
-                pos,
-                end - pos,
-                |l1_idx, scan| Ok(scan(self.l2_for(l1_idx)?.as_deref().map(Vec::as_slice))),
-                |_| true,
-            )?;
+            let run = contiguous_run(&self.geom, pos, end - pos, |l1_idx, scan| {
+                Ok(scan(self.l2_for(l1_idx)?.as_deref().map(Vec::as_slice)))
+            })?;
             let Some((cont, run_bytes, _)) = run else {
                 return Ok(false);
             };

@@ -8,6 +8,13 @@
 //! with normal QCOW2 images".
 //!
 //! All integers are big-endian, as in QCOW2.
+//!
+//! The driver supports no internal snapshots: the paper's chain is
+//! `Base ← Cache ← CoW`, and a guest's state lives in its CoW layer. A
+//! header whose snapshot-table extension counts any snapshot is refused
+//! with [`vmi_blockdev::BlockErrorKind::Unsupported`]; an empty one (as
+//! written into plain and CoW images by earlier versions) is accepted and
+//! ignored.
 
 use bytes::{Buf, BufMut};
 use vmi_blockdev::{be_u32, BlockDev, BlockError, Result};
@@ -33,7 +40,8 @@ pub const EXT_CACHE: u32 = 0xCAC8_E001;
 /// QCOW2's backing format extension; informational).
 pub const EXT_BACKING_FORMAT: u32 = 0xE279_2ACA;
 
-/// Extension type id of the snapshot-table pointer.
+/// Extension type id of the snapshot-table pointer (`offset u64, len u32,
+/// count u32`). Never written; decoded only to refuse a nonzero count.
 pub const EXT_SNAPTAB: u32 = 0x534E_4150; // "SNAP"
 
 /// Maximum length of a backing-file name we accept.
@@ -48,18 +56,6 @@ pub struct CacheExt {
     pub quota: u64,
     /// Bytes currently used, "written back to the image file" on close.
     pub used: u64,
-}
-
-/// Pointer to the internal-snapshot table (stored out of line in allocated
-/// clusters, like QCOW2's). `count == 0` means no snapshots exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SnapTabExt {
-    /// Container offset of the encoded snapshot table (0 when empty).
-    pub offset: u64,
-    /// Encoded table length in bytes.
-    pub len: u32,
-    /// Number of snapshot records.
-    pub count: u32,
 }
 
 /// Parsed image header.
@@ -80,9 +76,6 @@ pub struct Header {
     pub backing_file: Option<String>,
     /// The VMI-cache extension, present iff this image is a cache.
     pub cache: Option<CacheExt>,
-    /// Snapshot-table pointer; `None` on images created before the feature
-    /// (and on cache images, which do not support snapshots).
-    pub snaptab: Option<SnapTabExt>,
 }
 
 impl Header {
@@ -115,15 +108,6 @@ impl Header {
                 let mut p = Vec::with_capacity(16);
                 p.put_u64(c.quota);
                 p.put_u64(c.used);
-                p
-            });
-        }
-        if let Some(t) = &self.snaptab {
-            put_ext(&mut ext, EXT_SNAPTAB, &{
-                let mut p = Vec::with_capacity(16);
-                p.put_u64(t.offset);
-                p.put_u32(t.len);
-                p.put_u32(t.count);
                 p
             });
         }
@@ -188,7 +172,6 @@ impl Header {
 
         // Walk extensions.
         let mut cache = None;
-        let mut snaptab = None;
         let mut pos = FIXED_HEADER_LEN as u64;
         loop {
             let mut frame = [0u8; 8];
@@ -231,12 +214,14 @@ impl Header {
                         "snapshot extension wrong size {len}"
                     )));
                 }
-                let mut p = &payload[..];
-                snaptab = Some(SnapTabExt {
-                    offset: p.get_u64(),
-                    len: p.get_u32(),
-                    count: p.get_u32(),
-                });
+                // Only the trailing count matters: any snapshot is refused
+                // before its table is looked at.
+                let count = be_u32(&payload[12..]);
+                if count != 0 {
+                    return Err(BlockError::unsupported(format!(
+                        "image carries {count} internal snapshot(s); none are supported"
+                    )));
+                }
             }
         }
 
@@ -262,34 +247,7 @@ impl Header {
             l1_size,
             backing_file,
             cache,
-            snaptab,
         })
-    }
-
-    /// Rewrite only the snapshot-table pointer in place on `dev` (the
-    /// extension payload is fixed-size, so the header layout is unchanged).
-    pub fn update_snaptab(dev: &dyn BlockDev, tab: SnapTabExt) -> Result<()> {
-        let mut pos = FIXED_HEADER_LEN as u64;
-        loop {
-            let mut frame = [0u8; 8];
-            dev.read_at(&mut frame, pos)
-                .map_err(|_| BlockError::corrupt("truncated extension area"))?;
-            let ty = be_u32(&frame[..4]);
-            let len = be_u32(&frame[4..]) as usize;
-            pos += 8;
-            match ty {
-                EXT_END => return Err(BlockError::corrupt("no snapshot extension to update")),
-                EXT_SNAPTAB => {
-                    let mut p = Vec::with_capacity(16);
-                    p.put_u64(tab.offset);
-                    p.put_u32(tab.len);
-                    p.put_u32(tab.count);
-                    dev.write_at(&p, pos)?;
-                    return Ok(());
-                }
-                _ => pos += padded(len) as u64,
-            }
-        }
     }
 
     /// Rewrite only the cache extension's `used` field in place on `dev`.
@@ -332,7 +290,7 @@ fn put_ext(out: &mut Vec<u8>, ty: u32, payload: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmi_blockdev::MemDev;
+    use vmi_blockdev::{BlockErrorKind, MemDev};
 
     fn sample(cache: Option<CacheExt>, backing: Option<&str>) -> Header {
         Header {
@@ -343,14 +301,51 @@ mod tests {
             l1_size: 16,
             backing_file: backing.map(str::to_string),
             cache,
-            snaptab: None,
         }
+    }
+
+    /// A plain header encoded with a snapshot-table frame ahead of its end
+    /// marker: `len` payload bytes, of which the last four of a 16-byte
+    /// payload are the snapshot count.
+    fn with_snaptab(len: usize, count: u32) -> MemDev {
+        let mut payload = vec![0u8; len];
+        if len == 16 {
+            payload[12..].copy_from_slice(&count.to_be_bytes());
+        }
+        let mut frame = Vec::new();
+        put_ext(&mut frame, EXT_SNAPTAB, &payload);
+        let mut bytes = sample(None, None).encode();
+        let at = FIXED_HEADER_LEN as usize;
+        bytes.splice(at..at, frame);
+        let dev = MemDev::new();
+        dev.write_at(&bytes, 0).unwrap();
+        dev
     }
 
     fn roundtrip(h: &Header) -> Header {
         let dev = MemDev::new();
         dev.write_at(&h.encode(), 0).unwrap();
         Header::decode(&dev).unwrap()
+    }
+
+    #[test]
+    fn empty_snapshot_table_decodes_to_the_same_header() {
+        let back = Header::decode(&with_snaptab(16, 0)).unwrap();
+        assert_eq!(back, sample(None, None));
+    }
+
+    #[test]
+    fn snapshot_count_is_refused_as_unsupported() {
+        let err = Header::decode(&with_snaptab(16, u32::MAX)).unwrap_err();
+        assert_eq!(err.kind(), BlockErrorKind::Unsupported, "{err}");
+    }
+
+    #[test]
+    fn misframed_snapshot_extension_is_corrupt() {
+        for len in [0, 8, 15, 17, 24] {
+            let err = Header::decode(&with_snaptab(len, 0)).unwrap_err();
+            assert_eq!(err.kind(), BlockErrorKind::Corrupt, "{len} B: {err}");
+        }
     }
 
     #[test]

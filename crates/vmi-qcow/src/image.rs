@@ -9,10 +9,9 @@
 //! surface. The rest of `impl QcowImage` lives in sibling modules, one per
 //! seam: `open` (create/open/resize/rebase), `lookup` (L2 lookup over the
 //! `l2cache` table cache), `alloc` (allocator, `barrier`, entry writes),
-//! `read` (read path + copy-on-read fill), `write` (write path + discard)
-//! and [`crate::snapshot`] (internal snapshots).
+//! `read` (read path + copy-on-read fill) and `write` (write path +
+//! discard).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::{lockrank, Mutex};
@@ -114,13 +113,6 @@ pub(crate) struct MutState {
     /// at close appear as *leaked* to `check` and are reclaimed by
     /// `compact` (mirroring `qemu-img check`'s leak accounting).
     pub(crate) free_clusters: Vec<u64>,
-    /// Cluster offsets shared with at least one snapshot: writes to them
-    /// must copy-on-write instead of updating in place.
-    pub(crate) frozen: HashSet<u64>,
-    /// Internal snapshots, in table order.
-    pub(crate) snapshots: Vec<crate::snapshot::SnapshotRec>,
-    /// Live snapshot-table pointer (mirrors the header extension).
-    pub(crate) snaptab: crate::header::SnapTabExt,
 }
 
 /// An open image.

@@ -440,18 +440,15 @@ fn lookup_run_spans_contiguous_fills() {
     cache.read_at(&mut buf, 0).unwrap(); // coalesced fill: contiguous clusters
     let mut st = cache.state.lock();
     let (_, run_bytes, clusters) = cache
-        .lookup_run(&mut st, 0, 16 * cs, false)
+        .lookup_run(&mut st, 0, 16 * cs)
         .unwrap()
         .expect("filled clusters are mapped");
     assert_eq!(run_bytes, 16 * cs, "fill landed physically contiguous");
     assert_eq!(clusters, 16);
     // A mid-cluster start still resolves, clamped to the request.
-    let (off_mid, mid_bytes, _) = cache
-        .lookup_run(&mut st, cs / 2, cs, false)
-        .unwrap()
-        .unwrap();
+    let (off_mid, mid_bytes, _) = cache.lookup_run(&mut st, cs / 2, cs).unwrap().unwrap();
     assert_eq!(mid_bytes, cs);
-    let (off_start, _, _) = cache.lookup_run(&mut st, 0, cs, false).unwrap().unwrap();
+    let (off_start, _, _) = cache.lookup_run(&mut st, 0, cs).unwrap().unwrap();
     assert_eq!(off_mid, off_start + cs / 2);
 }
 

@@ -106,11 +106,6 @@ impl L2Cache {
         self.evict_to_limit()
     }
 
-    /// Forget every table (the L1 was swapped wholesale).
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-    }
-
     fn evict_to_limit(&mut self) -> u64 {
         let Some(limit) = self.limit else {
             return 0;
@@ -153,7 +148,5 @@ mod tests {
         assert_eq!(c.set_limit(Some(0)), 1, "limit floors at one table");
         assert_eq!((c.len(), c.limit()), (1, Some(1)));
         assert!(c.peek(2).is_some());
-        c.clear();
-        assert_eq!(c.len(), 0);
     }
 }

@@ -19,9 +19,10 @@
 //!   opened layer;
 //! * the rest of a production driver's surface: `discard` (TRIM) with
 //!   cluster reuse and quota re-arming, grow-only `resize`, unsafe
-//!   `rebase`, bounded L2-table caching, **internal snapshots**
-//!   (copy-on-write freeze / revert / delete, [`snapshot`]), and
-//!   content-dedup analysis across caches ([`dedup`]).
+//!   `rebase`, bounded L2-table caching, and content-dedup analysis across
+//!   caches ([`dedup`]). Internal snapshots are not part of it: the paper's
+//!   chain is the one below, and a header that carries a snapshot table is
+//!   refused at open (see [`header`]).
 //!
 //! ## The Fig. 4 arrangement
 //!
@@ -78,7 +79,6 @@ mod open;
 pub mod ops;
 mod read;
 pub mod recover;
-pub mod snapshot;
 mod write;
 
 pub use chain::{
@@ -95,4 +95,3 @@ pub use ops::{check, commit, compact, info, map, CheckReport, ImageInfo, MapExte
 pub use recover::{
     open_cache_recovered, recover, recover_with_obs, RecoveryReport, RecoveryVerdict,
 };
-pub use snapshot::{SnapshotInfo, SnapshotRec};

@@ -56,18 +56,16 @@ pub(crate) fn scan_entries(
 /// Longest physically contiguous mapped extent starting at `vba`.
 ///
 /// Walks the tables lent by `table` (see [`scan_entries`]); a cluster joins
-/// the run while it is mapped, `usable` accepts its container offset, and
-/// it sits right after the previous one in the container. Returns
-/// `(container_off, run_bytes, clusters)` where `container_off` already
-/// includes the intra-cluster offset of `vba` and `run_bytes <= max_bytes`.
-/// No cluster at or past `vba + max_bytes` is looked at. `Ok(None)` when
-/// `vba`'s own cluster does not qualify.
+/// the run while it is mapped and sits right after the previous one in the
+/// container. Returns `(container_off, run_bytes, clusters)` where
+/// `container_off` already includes the intra-cluster offset of `vba` and
+/// `run_bytes <= max_bytes`. No cluster at or past `vba + max_bytes` is
+/// looked at. `Ok(None)` when `vba`'s own cluster does not qualify.
 pub(crate) fn contiguous_run(
     geom: &Geometry,
     vba: u64,
     max_bytes: u64,
     table: impl FnMut(usize, Scan<'_>) -> Result<bool>,
-    usable: impl Fn(u64) -> bool,
 ) -> Result<Option<(u64, u64, u64)>> {
     let cs = geom.cluster_size();
     let mut first_off = UNALLOCATED;
@@ -75,7 +73,7 @@ pub(crate) fn contiguous_run(
         if k == 0 {
             first_off = entry;
         }
-        entry != UNALLOCATED && entry == first_off + k * cs && usable(entry)
+        entry != UNALLOCATED && entry == first_off + k * cs
     })?;
     if clusters == 0 {
         return Ok(None);
@@ -162,7 +160,7 @@ impl QcowImage {
         self.read_l2_table(l2_off)
     }
 
-    pub(crate) fn read_l2_table(&self, l2_off: u64) -> Result<Vec<u64>> {
+    fn read_l2_table(&self, l2_off: u64) -> Result<Vec<u64>> {
         let mut raw = vec![0u8; self.geom.cluster_size() as usize];
         self.dev.read_at(&mut raw, l2_off)?;
         Ok(decode_entries(&raw))
@@ -217,24 +215,16 @@ impl QcowImage {
 
     /// [`contiguous_run`] over this image's live tables (faulting them into
     /// the table cache as needed).
-    ///
-    /// `stop_at_frozen` excludes snapshot-shared clusters from the run (the
-    /// in-place write path must copy those one at a time).
     pub(crate) fn lookup_run(
         &self,
         st: &mut MutState,
         vba: u64,
         max_bytes: u64,
-        stop_at_frozen: bool,
     ) -> Result<Option<(u64, u64, u64)>> {
-        let MutState { l1, l2, frozen, .. } = st;
-        contiguous_run(
-            &self.geom,
-            vba,
-            max_bytes,
-            |l1_idx, scan| self.scan_table(l1, l2, l1_idx, scan),
-            |off| !(stop_at_frozen && frozen.contains(&off)),
-        )
+        let MutState { l1, l2, .. } = st;
+        contiguous_run(&self.geom, vba, max_bytes, |l1_idx, scan| {
+            self.scan_table(l1, l2, l1_idx, scan)
+        })
     }
 
     /// How many consecutive clusters from `vba`'s, up to the one holding
@@ -273,7 +263,7 @@ mod tests {
             resolved.push(l1_idx);
             Ok(scan(tables.get(l1_idx).map(Vec::as_slice)))
         };
-        let run = contiguous_run(&geom, cs / 2, 3 * per_table * cs - cs, lend, |_| true);
+        let run = contiguous_run(&geom, cs / 2, 3 * per_table * cs - cs, lend);
         let (off, bytes, clusters) = run.unwrap().unwrap();
         assert_eq!(
             (off, bytes, clusters),

@@ -1,7 +1,6 @@
 //! Bringing an image into existence: `create`, `open`, and the two
 //! operations that rewrite the header and reopen (`resize`, `rebase_unsafe`).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -118,10 +117,6 @@ impl QcowImage {
                 quota: opts.cache_quota,
                 used: 0,
             }),
-            // Cache images never carry snapshots (they are transparent
-            // layers); every other image gets an (empty) snapshot table so
-            // the pointer can later be updated in place.
-            snaptab: (opts.cache_quota == 0).then_some(crate::header::SnapTabExt::default()),
         };
         let encoded = header.encode();
         if encoded.len() as u64 > geom.cluster_size() {
@@ -156,9 +151,6 @@ impl QcowImage {
             eof,
             cache_used: initial_used,
             free_clusters: Vec::new(),
-            frozen: HashSet::new(),
-            snapshots: Vec::new(),
-            snaptab: header.snaptab.unwrap_or_default(),
         };
         let fill = header.is_cache();
         let img = Self::assemble(dev, header, geom, backing, false, fill, st, obs);
@@ -250,33 +242,17 @@ impl QcowImage {
             .cache
             .map(|c| c.used + 2 * cluster_size <= c.quota)
             .unwrap_or(false);
-        // Load the snapshot table, if the image carries one.
-        let snaptab = header.snaptab.unwrap_or_default();
-        let snapshots = if snaptab.count > 0 {
-            let mut raw = vec![0u8; snaptab.len as usize];
-            dev.read_at(&mut raw, snaptab.offset)
-                .map_err(|_| BlockError::corrupt("truncated snapshot table"))?;
-            crate::snapshot::decode_table(&raw, snaptab.count)?
-        } else {
-            Vec::new()
-        };
         let st = MutState {
             l1,
             l2: L2Cache::with_tables(&geom, l2),
             eof,
             cache_used,
             free_clusters: Vec::new(),
-            frozen: HashSet::new(),
-            snapshots,
-            snaptab,
         };
         let fill = is_cache && !read_only && has_room;
-        let img = Self::assemble(dev, header, geom, backing, read_only, fill, st, obs);
-        if snaptab.count > 0 {
-            let mut st = img.state.lock();
-            img.recompute_frozen(&mut st)?;
-        }
-        Ok(img)
+        Ok(Self::assemble(
+            dev, header, geom, backing, read_only, fill, st, obs,
+        ))
     }
 
     /// Grow the virtual disk to `new_size` (shrinking is not supported —
@@ -301,17 +277,11 @@ impl QcowImage {
         }
         let new_geom = Geometry::new(self.geom.cluster_bits, new_size)?;
         let mut st = self.state.lock();
-        if !st.snapshots.is_empty() {
-            return Err(BlockError::unsupported(
-                "resize with internal snapshots is not supported (delete them first)",
-            ));
-        }
         let old_entries = st.l1.len();
         let new_entries = new_geom.l1_entries() as usize;
         let mut header = self.header.clone();
         header.size = new_size;
         header.l1_size = new_entries as u32;
-        header.snaptab = header.snaptab.map(|_| st.snaptab);
         if new_entries > old_entries {
             // Relocate the L1 table to a fresh region at end-of-file.
             let new_l1_bytes = new_geom.l1_table_bytes();
@@ -367,7 +337,6 @@ impl QcowImage {
         if let Some(c) = &mut header.cache {
             c.used = self.cache_used();
         }
-        header.snaptab = header.snaptab.map(|_| self.state.lock().snaptab);
         let encoded = header.encode();
         if encoded.len() as u64 > self.geom.cluster_size() {
             return Err(BlockError::unsupported(

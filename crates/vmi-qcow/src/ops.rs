@@ -229,18 +229,13 @@ pub fn check(img: &QcowImage) -> Result<CheckReport> {
             }
         }
     }
-    // Leak accounting: clusters in the data area that nothing references —
-    // neither the active tree, nor any snapshot tree/metadata — and that
-    // are not queued for reuse. Clusters shared between the active tree and
-    // snapshots must not be double-counted.
+    // Leak accounting: clusters in the data area that the tables do not
+    // reference and that are not queued for reuse.
     let data_area_start = cs + g.l1_table_bytes();
     let data_area_clusters = g.align_up(file_len).saturating_sub(data_area_start) / cs;
     let free = img.free_cluster_count() as u64;
-    let snap_refs = img.snapshot_refs()?;
-    let snap_only = snap_refs.iter().filter(|off| !seen.contains(*off)).count() as u64;
     rep.leaked_clusters = data_area_clusters
         .saturating_sub(rep.l2_tables + rep.data_clusters)
-        .saturating_sub(snap_only)
         .saturating_sub(free);
 
     if img.is_cache() {
@@ -275,11 +270,6 @@ pub fn compact(
     new_dev: vmi_blockdev::SharedDev,
     backing: Option<vmi_blockdev::SharedDev>,
 ) -> Result<Arc<QcowImage>> {
-    if !img.list_snapshots().is_empty() {
-        return Err(BlockError::unsupported(
-            "compact would drop internal snapshots; delete them first",
-        ));
-    }
     let h = img.header();
     let opts = crate::image::CreateOpts {
         size: img.virtual_size(),

@@ -36,7 +36,7 @@ impl QcowImage {
             // both modes share one serve path below.
             let lsp = self.obs.span_in(me, "l2.lookup", String::new);
             let mapped = if coalesce {
-                self.lookup_run(&mut st, pos, end - pos, false)?
+                self.lookup_run(&mut st, pos, end - pos)?
             } else {
                 self.lookup(&mut st, pos)?.map(|cluster_off| {
                     let in_cluster = self.geom.in_cluster(pos);

@@ -1,5 +1,5 @@
-//! The write path: guest writes (in place, copy-on-write from the backing
-//! chain or from a snapshot-shared cluster) and `discard`.
+//! The write path: guest writes (in place, or copy-on-write from the
+//! backing chain) and `discard`.
 
 use std::sync::atomic::Ordering;
 
@@ -40,7 +40,7 @@ impl QcowImage {
     }
 
     /// Scalar guest write of one per-cluster segment: in place when the
-    /// cluster is mapped and private to this layer, copy-on-write otherwise.
+    /// cluster is mapped in this layer, copy-on-write otherwise.
     fn write_segment(
         &self,
         st: &mut MutState,
@@ -48,43 +48,34 @@ impl QcowImage {
         vba: u64,
         parent: Option<SpanId>,
     ) -> Result<()> {
-        let mapped = self.lookup(st, vba)?;
-        if let Some(off) = mapped.filter(|off| !st.frozen.contains(off)) {
+        if let Some(off) = self.lookup(st, vba)? {
             let in_cluster = self.geom.in_cluster(vba);
             let dsp = self
                 .obs
                 .span_in(parent, "dev.write", || format!("bytes={}", data.len()));
             return self.dev.write_at_in(data, off + in_cluster, dsp.id());
         }
-        // Copy-on-write: start from the cluster's current content — this
-        // layer's snapshot-shared copy, or the backing chain's (zeroes
-        // without one) — merge, write to a fresh cluster, remap.
+        // Copy-on-write: start from the backing chain's copy of the cluster
+        // (zeroes without one, or when the write covers it whole), merge,
+        // write to a fresh cluster, map it.
         let cs = self.geom.cluster_size() as usize;
         let cluster_vba = self.geom.cluster_start(vba);
         let mut cluster_buf = vec![0u8; cs];
-        let source = match (mapped, &self.backing) {
-            (Some(off), _) => {
-                self.dev.read_at(&mut cluster_buf, off)?;
-                "frozen"
-            }
-            (None, Some(backing)) if data.len() != cs => {
-                let bsp = self
-                    .obs
-                    .span_in(parent, "backing.fetch", || format!("bytes={cs}"));
-                backing.read_at_zero_pad_in(&mut cluster_buf, cluster_vba, bsp.id())?;
-                drop(bsp);
-                self.miss_bytes.fetch_add(cs as u64, Ordering::Relaxed);
-                "unmapped"
-            }
-            (None, _) => "unmapped",
-        };
+        if let Some(backing) = self.backing.as_ref().filter(|_| data.len() != cs) {
+            let bsp = self
+                .obs
+                .span_in(parent, "backing.fetch", || format!("bytes={cs}"));
+            backing.read_at_zero_pad_in(&mut cluster_buf, cluster_vba, bsp.id())?;
+            drop(bsp);
+            self.miss_bytes.fetch_add(cs as u64, Ordering::Relaxed);
+        }
         let in_cluster = (vba - cluster_vba) as usize;
         cluster_buf[in_cluster..in_cluster + data.len()].copy_from_slice(data);
         let (l1_idx, _l2_off) = self.ensure_l2(st, cluster_vba, 1)?;
         let data_off = self.alloc_cluster(st, 0)?;
         let dsp = self
             .obs
-            .span_in(parent, "dev.write", || format!("bytes={cs} cow={source}"));
+            .span_in(parent, "dev.write", || format!("bytes={cs} cow=unmapped"));
         self.dev.write_at_in(&cluster_buf, data_off, dsp.id())?;
         drop(dsp);
         // Merged cluster durable before the L2 entry publishes it.
@@ -94,13 +85,13 @@ impl QcowImage {
 
     /// Extent-coalesced guest write. Three extent kinds, longest-first:
     ///
-    /// * mapped, unfrozen, physically contiguous — one in-place
-    ///   `write_run_at` covering the whole extent (byte-granular; may start
-    ///   and end mid-cluster);
+    /// * mapped, physically contiguous — one in-place `write_run_at`
+    ///   covering the whole extent (byte-granular; may start and end
+    ///   mid-cluster);
     /// * unmapped, cluster-aligned, whole clusters — contiguous allocation,
     ///   one data write, one batched entry write (no backing merge needed);
-    /// * everything else (frozen clusters, partial edge clusters) — the
-    ///   scalar [`QcowImage::write_segment`], one cluster at a time.
+    /// * unmapped partial clusters — the scalar
+    ///   [`QcowImage::write_segment`], one cluster at a time.
     ///
     /// Errors mid-request leave the same partially-applied state the scalar
     /// loop would: clusters before the failure are written, the rest are
@@ -119,7 +110,7 @@ impl QcowImage {
         while pos < end {
             let remaining = end - pos;
             let lsp = self.obs.span_in(parent, "l2.lookup", String::new);
-            let run = self.lookup_run(st, pos, remaining, true)?;
+            let run = self.lookup_run(st, pos, remaining)?;
             drop(lsp);
             if let Some((data_off, run_bytes, clusters)) = run {
                 let data = &buf[(pos - off) as usize..][..run_bytes as usize];
@@ -138,9 +129,8 @@ impl QcowImage {
                 continue;
             }
             let in_cluster = self.geom.in_cluster(pos);
-            if self.lookup(st, pos)?.is_some() || in_cluster != 0 || remaining < cs {
-                // Frozen cluster (mapped but excluded from the run above) or
-                // a partial cluster: scalar copy-on-write merge.
+            if in_cluster != 0 || remaining < cs {
+                // An unmapped partial cluster: scalar copy-on-write merge.
                 let n = (cs - in_cluster).min(remaining);
                 let data = &buf[(pos - off) as usize..][..n as usize];
                 self.write_segment(st, data, pos, parent)?;
@@ -207,12 +197,8 @@ impl QcowImage {
             if let Some(data_off) = self.lookup(&mut st, vba)? {
                 let l1_idx = self.geom.l1_index(vba);
                 self.set_l2_entries(&mut st, l1_idx, vba, UNALLOCATED, 1)?;
-                // Clusters shared with a snapshot stay allocated for it and
-                // cannot be reused.
-                if !st.frozen.contains(&data_off) {
-                    st.free_clusters.push(data_off);
-                    st.cache_used = st.cache_used.saturating_sub(cs);
-                }
+                st.free_clusters.push(data_off);
+                st.cache_used = st.cache_used.saturating_sub(cs);
                 discarded += 1;
             }
         }

@@ -65,21 +65,6 @@ fn resize_and_discard_audit_clean() {
 }
 
 #[test]
-fn snapshot_flows_audit_clean() {
-    let dev = mem(0);
-    let img = QcowImage::create(dev.clone(), CreateOpts::plain(2 * MB), None).unwrap();
-    img.write_at(&[1; 4096], 0).unwrap();
-    let id = img.create_snapshot("s1".to_string()).unwrap();
-    img.write_at(&[2; 4096], 0).unwrap();
-    img.create_snapshot("s2".to_string()).unwrap();
-    img.apply_snapshot(id).unwrap();
-    img.delete_snapshot(id).unwrap();
-    img.close().unwrap();
-    let rep = audit_image(dev.as_ref());
-    assert!(rep.is_clean(), "snapshot flow: {:?}", rep.violations);
-}
-
-#[test]
 fn warmed_cache_chain_audits_clean_deep() {
     let base = patterned_base(2 * MB);
     let cache_dev = mem(0);
