@@ -60,12 +60,20 @@ impl BlockDev for MemDev {
             return Ok(());
         }
         let mut data = self.data.write();
-        let end = off as usize + buf.len();
-        if end > data.len() {
-            data.resize(end, 0);
+        let (off, len) = (off as usize, data.len());
+        let end = off + buf.len();
+        if end <= len {
+            data[off..end].copy_from_slice(buf);
+            return Ok(());
         }
-        let off = off as usize;
-        data[off..end].copy_from_slice(buf);
+        // Past the end: reserve the whole growth at once, so capacity grows
+        // as `Vec::resize` grows it, then write each byte once: the part of
+        // `buf` inside the device, zeroes for any gap, the rest appended.
+        data.reserve(end - len);
+        let kept = len.saturating_sub(off);
+        data[off.min(len)..].copy_from_slice(&buf[..kept]);
+        data.resize(off.max(len), 0);
+        data.extend_from_slice(&buf[kept..]);
         Ok(())
     }
 
@@ -101,6 +109,17 @@ mod tests {
         dev.read_at(&mut buf, 0).unwrap();
         assert_eq!(&buf[..10], &[0; 10]);
         assert_eq!(&buf[10..], b"xy");
+    }
+
+    #[test]
+    fn write_straddling_the_end_keeps_the_head_and_appends_the_rest() {
+        let dev = MemDev::from_vec(vec![9; 8]);
+        dev.write_at(&[1, 2, 3, 4, 5], 6).unwrap();
+        assert_eq!(dev.to_vec(), vec![9, 9, 9, 9, 9, 9, 1, 2, 3, 4, 5]);
+        // Appending exactly at the end leaves no gap to fill.
+        dev.write_at(&[7, 7], 11).unwrap();
+        assert_eq!(dev.len(), 13);
+        assert_eq!(&dev.to_vec()[11..], &[7, 7]);
     }
 
     #[test]

@@ -811,8 +811,8 @@ mod tests {
         assert_eq!(
             got,
             "placed=48 rejected=12 warm=34 cold=14 evictions=5 failures=2 rescheduled=0 \
-             restarts=2 readopted=3 refetched=1 mean=0.1479388529375 p95=0.198874902 \
-             storage_mb=42.942464 jsonl=1887b3974ea48ef1"
+             restarts=2 readopted=3 refetched=1 mean=0.14771101858333335 p95=0.198689218 \
+             storage_mb=42.76224 jsonl=fae584adc48327cf"
         );
         assert!(jsonl.contains("\"cache_evict\"") && jsonl.contains("\"vmi\":\"vmi-"));
     }

@@ -599,36 +599,36 @@ mod tests {
             ));
         }
         let want = [
-            "1GbE QCOW2: boot=2176248900 nic=(452, 12386304, 144405336) \
-             disk=(125, 99, 418136250) pc=(385, 125) sizes=[]",
-            "1GbE Cold cache (compute disk): boot=3967849856 nic=(452, 12386304, 144405336) \
-             disk=(125, 106, 449336250) pc=(385, 125) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "1GbE Warm cache (compute disk): boot=521752200 nic=(0, 0, 0) \
-             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "1GbE Cold cache (compute mem): boot=2172837396 nic=(452, 12386304, 144405336) \
-             disk=(125, 99, 418136250) pc=(385, 125) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "1GbE Warm cache (compute mem): boot=401628544 nic=(0, 0, 0) \
-             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "1GbE Cold cache (storage mem): boot=2238058481 nic=(454, 17250304, 198479780) \
-             disk=(125, 99, 418136250) pc=(385, 125) sizes=[2430976, 2433024]",
-            "1GbE Warm cache (storage mem): boot=865696043 nic=(464, 9764864, 115458272) \
-             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "1GbE hybrid: boot=0.1398444 disk_reads=0",
-            "32GbIB QCOW2: boot=1977950840 nic=(452, 12386304, 5678720) \
+            "1GbE QCOW2: boot=2200779287 nic=(452, 12353536, 144041248) \
+             disk=(125, 100, 424736250) pc=(385, 125) sizes=[]",
+            "1GbE Cold cache (compute disk): boot=3965641240 nic=(452, 12353536, 144041248) \
+             disk=(125, 106, 449336250) pc=(385, 125) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "1GbE Warm cache (compute disk): boot=520558720 nic=(0, 0, 0) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "1GbE Cold cache (compute mem): boot=2197348803 nic=(452, 12353536, 144041248) \
+             disk=(125, 100, 424736250) pc=(385, 125) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "1GbE Warm cache (compute mem): boot=401613184 nic=(0, 0, 0) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "1GbE Cold cache (storage mem): boot=2259079267 nic=(454, 17156096, 197433025) \
+             disk=(125, 100, 424736250) pc=(385, 125) sizes=[2402304, 2400256]",
+            "1GbE Warm cache (storage mem): boot=874598938 nic=(470, 9633792, 114091916) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "1GbE hybrid: boot=0.138831272 disk_reads=0",
+            "32GbIB QCOW2: boot=1977950840 nic=(452, 12353536, 5668480) \
              disk=(125, 102, 432936250) pc=(385, 125) sizes=[]",
-            "32GbIB Cold cache (compute disk): boot=3762099922 nic=(452, 12386304, 5678720) \
-             disk=(125, 108, 467536250) pc=(385, 125) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "32GbIB Warm cache (compute disk): boot=521752200 nic=(0, 0, 0) \
-             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "32GbIB Cold cache (compute mem): boot=1978717932 nic=(452, 12386304, 5678720) \
-             disk=(125, 102, 432936250) pc=(385, 125) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "32GbIB Warm cache (compute mem): boot=401628544 nic=(0, 0, 0) \
-             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "32GbIB Cold cache (storage mem): boot=1980099159 nic=(454, 17250304, 7206720) \
-             disk=(125, 102, 432936250) pc=(385, 125) sizes=[2430976, 2433024]",
-            "32GbIB Warm cache (storage mem): boot=446535126 nic=(464, 9764864, 4907520) \
-             disk=(0, 0, 0) pc=(0, 0) sizes=[2430976, 2433024, 2430976, 2433024]",
-            "32GbIB hybrid: boot=0.104048709 disk_reads=0",
+            "32GbIB Cold cache (compute disk): boot=3760726186 nic=(452, 12353536, 5668480) \
+             disk=(125, 108, 467536250) pc=(385, 125) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "32GbIB Warm cache (compute disk): boot=520558720 nic=(0, 0, 0) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "32GbIB Cold cache (compute mem): boot=1978717932 nic=(452, 12353536, 5668480) \
+             disk=(125, 102, 432936250) pc=(385, 125) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "32GbIB Warm cache (compute mem): boot=401613184 nic=(0, 0, 0) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "32GbIB Cold cache (storage mem): boot=1980079959 nic=(454, 17156096, 7177280) \
+             disk=(125, 102, 432936250) pc=(385, 125) sizes=[2402304, 2400256]",
+            "32GbIB Warm cache (storage mem): boot=447902404 nic=(470, 9633792, 4890560) \
+             disk=(0, 0, 0) pc=(0, 0) sizes=[2402304, 2400256, 2402304, 2400256]",
+            "32GbIB hybrid: boot=0.103955277 disk_reads=0",
         ];
         assert_eq!(got, want);
     }

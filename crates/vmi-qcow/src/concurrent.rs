@@ -319,7 +319,7 @@ impl ConcurrentImage {
         if let Some(t) = shard.map.read().get(&l1_idx) {
             return Ok(Arc::clone(t));
         }
-        let table = Arc::new(self.img.l2_snapshot(l2_off)?);
+        let table = Arc::new(self.img.load_l2_table(l2_off)?);
         let mut map = shard.map.write();
         if shard.epoch.load(Ordering::Acquire) == epoch {
             map.insert(l1_idx, Arc::clone(&table));

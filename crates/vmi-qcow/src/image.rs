@@ -88,7 +88,9 @@ impl CreateOpts {
 pub struct CorStats {
     /// Bytes served from this image's own clusters (warm hits).
     pub hit_bytes: u64,
-    /// Bytes fetched from the backing chain on behalf of guest reads.
+    /// Bytes fetched from the backing chain: by guest reads, and by
+    /// copy-on-write merges (the head and tail a partial write leaves
+    /// uncovered in its cluster).
     pub miss_bytes: u64,
     /// Bytes written into the cache by copy-on-read fills (≥ miss bytes for
     /// large clusters — the amplification of Fig. 9).

@@ -155,7 +155,8 @@ impl QcowImage {
             .unwrap_or(UNALLOCATED)
     }
 
-    /// Read an L2 table at a given container offset (for `check`).
+    /// Read an L2 table at a given container offset as it is stored, bad
+    /// entries and all (for `check`, which reports them).
     pub fn l2_snapshot(&self, l2_off: u64) -> Result<Vec<u64>> {
         self.read_l2_table(l2_off)
     }
@@ -164,6 +165,22 @@ impl QcowImage {
         let mut raw = vec![0u8; self.geom.cluster_size() as usize];
         self.dev.read_at(&mut raw, l2_off)?;
         Ok(decode_entries(&raw))
+    }
+
+    /// Read the L2 table at `l2_off` for I/O through it. Every nonzero
+    /// entry must be cluster-aligned and start inside the container, so a
+    /// crafted entry fails the request as `corrupt` instead of sending a
+    /// guest write gigabytes past the end of the container.
+    pub(crate) fn load_l2_table(&self, l2_off: u64) -> Result<Vec<u64>> {
+        let table = self.read_l2_table(l2_off)?;
+        let (cs, len) = (self.geom.cluster_size(), self.dev.len());
+        let bad = |&&e: &&u64| e != UNALLOCATED && (e % cs != 0 || e >= len);
+        match table.iter().find(bad) {
+            Some(e) => Err(BlockError::corrupt(format!(
+                "invalid L2 entry {e:#x} in table at {l2_off:#x}"
+            ))),
+            None => Ok(table),
+        }
     }
 
     /// Cache `table` for `l1_idx`, counting the tables that displaces.
@@ -207,7 +224,7 @@ impl QcowImage {
         if let Some(table) = l2.get(l1_idx) {
             return Ok(scan(Some(table)));
         }
-        let table = self.read_l2_table(l2_off)?;
+        let table = self.load_l2_table(l2_off)?;
         let more = scan(Some(&table));
         self.note_l2_evicted(l2.insert(l1_idx, table));
         Ok(more)

@@ -55,22 +55,30 @@ impl QcowImage {
                 .span_in(parent, "dev.write", || format!("bytes={}", data.len()));
             return self.dev.write_at_in(data, off + in_cluster, dsp.id());
         }
-        // Copy-on-write: start from the backing chain's copy of the cluster
-        // (zeroes without one, or when the write covers it whole), merge,
-        // write to a fresh cluster, map it.
+        // Copy-on-write: fetch from the backing chain only the head and tail
+        // of the cluster the write leaves uncovered (zeroes without one),
+        // merge, write to a fresh cluster, map it.
         let cs = self.geom.cluster_size() as usize;
         let cluster_vba = self.geom.cluster_start(vba);
-        let mut cluster_buf = vec![0u8; cs];
-        if let Some(backing) = self.backing.as_ref().filter(|_| data.len() != cs) {
-            let bsp = self
-                .obs
-                .span_in(parent, "backing.fetch", || format!("bytes={cs}"));
-            backing.read_at_zero_pad_in(&mut cluster_buf, cluster_vba, bsp.id())?;
-            drop(bsp);
-            self.miss_bytes.fetch_add(cs as u64, Ordering::Relaxed);
-        }
         let in_cluster = (vba - cluster_vba) as usize;
-        cluster_buf[in_cluster..in_cluster + data.len()].copy_from_slice(data);
+        let data_end = in_cluster + data.len();
+        let mut cluster_buf = vec![0u8; cs];
+        if let Some(backing) = self.backing.as_ref() {
+            for (from, to) in [(0, in_cluster), (data_end, cs)] {
+                if from == to {
+                    continue;
+                }
+                let bytes = to - from;
+                let bsp = self
+                    .obs
+                    .span_in(parent, "backing.fetch", || format!("bytes={bytes}"));
+                let at = cluster_vba + from as u64;
+                backing.read_at_zero_pad_in(&mut cluster_buf[from..to], at, bsp.id())?;
+                drop(bsp);
+                self.miss_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            }
+        }
+        cluster_buf[in_cluster..data_end].copy_from_slice(data);
         let (l1_idx, _l2_off) = self.ensure_l2(st, cluster_vba, 1)?;
         let data_off = self.alloc_cluster(st, 0)?;
         let dsp = self
@@ -225,12 +233,114 @@ impl QcowImage {
 mod tests {
     use std::sync::Arc;
 
-    use vmi_blockdev::{BlockDev, BlockErrorKind, MemDev};
+    use vmi_blockdev::{BlockDev, BlockErrorKind, CountingDev, IoStats, MemDev, SharedDev};
 
     use crate::image::{CreateOpts, QcowImage};
 
     fn plain() -> Arc<QcowImage> {
         QcowImage::create(Arc::new(MemDev::new()), CreateOpts::plain(1 << 20), None).unwrap()
+    }
+
+    const CS: u64 = 64 << 10;
+    const VSIZE: u64 = 4 * CS;
+
+    fn pattern(i: u64) -> u8 {
+        (i % 251) as u8 ^ (i >> 16) as u8
+    }
+
+    /// A 64 KiB-cluster CoW layer over a plain image that holds `pattern`
+    /// in `[0, backing_len)`, with the backing's container counted from
+    /// here on. `None` gives a CoW with no backing at all.
+    fn cow_over(backing_len: Option<u64>, coalesce: bool) -> (Arc<QcowImage>, Arc<IoStats>) {
+        let counting = Arc::new(CountingDev::new(Arc::new(MemDev::new())));
+        let stats = counting.stats();
+        let backing = backing_len.map(|len| {
+            let img = QcowImage::create(counting as SharedDev, CreateOpts::plain(len), None);
+            let img = img.unwrap();
+            img.write_at(&(0..len).map(pattern).collect::<Vec<_>>(), 0)
+                .unwrap();
+            img as SharedDev
+        });
+        let opts = match backing {
+            Some(_) => CreateOpts::cow(VSIZE, "base"),
+            None => CreateOpts::plain(VSIZE),
+        };
+        let cow = QcowImage::create(Arc::new(MemDev::new()), opts, backing).unwrap();
+        cow.set_coalescing(coalesce);
+        stats.reset();
+        (cow, stats)
+    }
+
+    /// Write `len` bytes of 0xEE at `off` into a fresh CoW in both
+    /// coalescing modes. Checks the guest image against a flat model and
+    /// that the backing served exactly the bytes the write leaves uncovered
+    /// in its clusters, in `reads` container reads.
+    fn check_copy_up(backing_len: Option<u64>, off: u64, len: u64, reads: u64) {
+        let blen = backing_len.unwrap_or(0);
+        let mut model: Vec<u8> = (0..VSIZE)
+            .map(|i| if i < blen { pattern(i) } else { 0 })
+            .collect();
+        model[off as usize..][..len as usize].fill(0xEE);
+        let first = off / CS * CS;
+        let last = (off + len).div_ceil(CS) * CS;
+        let kept = |from: u64, to: u64| to.min(blen).saturating_sub(from.min(blen));
+        let fetched = kept(first, off) + kept(off + len, last);
+        let uncovered = match backing_len {
+            Some(_) => (last - first) - len,
+            None => 0,
+        };
+        for coalesce in [false, true] {
+            let (cow, stats) = cow_over(backing_len, coalesce);
+            cow.write_at(&vec![0xEE; len as usize], off).unwrap();
+            let io = stats.snapshot();
+            let case = format!("coalesce={coalesce} off={off} len={len}");
+            assert_eq!(io.read_bytes, fetched, "{case}: backing bytes read");
+            assert_eq!(io.reads, reads, "{case}: backing reads");
+            assert_eq!(cow.cor_stats().miss_bytes, uncovered, "{case}: miss bytes");
+            let mut guest = vec![0u8; VSIZE as usize];
+            cow.read_at(&mut guest, 0).unwrap();
+            assert!(guest == model, "{case}: guest bytes");
+        }
+    }
+
+    #[test]
+    fn copy_up_inside_a_cluster_reads_head_and_tail() {
+        check_copy_up(Some(VSIZE), CS + 100, 1000, 2);
+    }
+
+    #[test]
+    fn copy_up_from_a_cluster_start_reads_only_the_tail() {
+        check_copy_up(Some(VSIZE), CS, 1000, 1);
+    }
+
+    #[test]
+    fn copy_up_to_a_cluster_end_reads_only_the_head() {
+        check_copy_up(Some(VSIZE), 2 * CS - 1000, 1000, 1);
+    }
+
+    #[test]
+    fn copy_up_across_two_clusters_reads_one_head_and_one_tail() {
+        check_copy_up(Some(VSIZE), CS + 100, CS + 400, 2);
+    }
+
+    #[test]
+    fn whole_cluster_write_reads_nothing() {
+        check_copy_up(Some(VSIZE), CS, CS, 0);
+        check_copy_up(Some(VSIZE), CS, 2 * CS, 0);
+    }
+
+    #[test]
+    fn write_without_backing_merges_zeroes() {
+        check_copy_up(None, CS + 100, 1000, 0);
+    }
+
+    #[test]
+    fn backing_ending_inside_the_cluster_pads_the_tail_with_zeroes() {
+        // The backing holds 4 KiB of the second cluster: the head comes
+        // whole, the tail only up to the backing's end.
+        check_copy_up(Some(CS + 4096), CS + 100, 1000, 2);
+        // A tail wholly past the backing's end is zeroes without a read.
+        check_copy_up(Some(CS + 4096), CS + 2048, 4096, 1);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! sequences, and quota latch points, both modes must produce bit-identical
 //! guest data, identical copy-on-read accounting, and — because fresh
 //! images allocate with the same bump sequence either way — byte-identical
-//! cache containers.
+//! cache containers. A last property pins what a copy-on-write merge reads
+//! from the backing chain.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vmi_blockdev::{BlockDev, MemDev, SharedDev};
+use vmi_blockdev::{BlockDev, CountingDev, MemDev, SharedDev};
 use vmi_qcow::{CorStats, CreateOpts, QcowImage};
 
 const VSIZE: u64 = 1 << 20;
@@ -184,5 +185,51 @@ proptest! {
                 l2_off
             );
         }
+    }
+
+    /// Partial writes to a CoW layer over sparse raw backing content, in
+    /// either mode: the guest image equals a flat model, and the backing
+    /// serves exactly what the first write to each cluster leaves
+    /// uncovered (`cs` minus the bytes it covers), never a whole cluster.
+    #[test]
+    fn copy_up_reads_only_the_uncovered_bytes(
+        coalesce in any::<bool>(),
+        cluster_bits in 9u32..=16,
+        base_segs in base_strategy(),
+        writes in proptest::collection::vec((0u64..VSIZE, 1u64..64 << 10, any::<u8>()), 1..10),
+    ) {
+        let cs = 1u64 << cluster_bits;
+        let mut model = vec![0u8; VSIZE as usize];
+        for &(off, len, fill) in &base_segs {
+            let end = (off + len as u64).min(VSIZE);
+            model[off as usize..end as usize].fill(fill);
+        }
+        let backing = Arc::new(CountingDev::new(Arc::new(MemDev::from_vec(model.clone()))));
+        let reads = backing.stats();
+        let cow = QcowImage::create(
+            Arc::new(MemDev::new()) as SharedDev,
+            CreateOpts::cow(VSIZE, "b").with_cluster_bits(cluster_bits),
+            Some(backing as SharedDev),
+        )
+        .unwrap();
+        cow.set_coalescing(coalesce);
+        reads.reset();
+        let mut touched = vec![false; (VSIZE / cs) as usize];
+        let mut expected = 0u64;
+        for &(off, len, fill) in &writes {
+            let end = (off + len).min(VSIZE);
+            for c in off / cs..end.div_ceil(cs) {
+                if !std::mem::replace(&mut touched[c as usize], true) {
+                    let covered = end.min((c + 1) * cs) - off.max(c * cs);
+                    expected += cs - covered;
+                }
+            }
+            cow.write_at(&vec![fill; (end - off) as usize], off).unwrap();
+            model[off as usize..end as usize].fill(fill);
+        }
+        prop_assert_eq!(reads.snapshot().read_bytes, expected, "backing bytes read");
+        let mut image = vec![0u8; VSIZE as usize];
+        cow.read_at(&mut image, 0).unwrap();
+        prop_assert!(image == model, "guest image diverged from the flat model");
     }
 }
