@@ -218,87 +218,7 @@ pub fn prefetch_bound(scale: Scale) -> Result<TableData> {
     })
 }
 
-/// §8's dedup opportunity: two VMIs derived from the same distribution
-/// share most of their base content; how much cache-store capacity would a
-/// content-addressed cache pool save?
-pub fn dedup_sharing(_scale: Scale) -> Result<TableData> {
-    use std::sync::Arc;
-    use vmi_blockdev::{MemDev, SharedDev};
-
-    // Content-bearing bases are fully materialized in RAM; use the tiny
-    // profile at every scale.
-    let p = VmiProfile::tiny_test();
-    let vsize = p.virtual_size as usize;
-    // Distribution content: deterministic, aperiodic byte soup.
-    let distro: Vec<u8> = (0..vsize)
-        .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 23) as u8)
-        .collect();
-    // Warm a cache directly over a base (a cache is standalone-bootable, so
-    // reads through it warm it exactly like a chained boot would).
-    let build = |base: SharedDev, seed: u64| -> Result<Arc<vmi_qcow::QcowImage>> {
-        let cache = vmi_qcow::QcowImage::create(
-            Arc::new(MemDev::new()),
-            vmi_qcow::CreateOpts::cache(p.virtual_size, "base", 32 * MIB),
-            Some(base),
-        )?;
-        let trace = vmi_trace::generate(&p, seed);
-        let mut buf = vec![0u8; 1 << 20];
-        for op in trace
-            .ops
-            .iter()
-            .filter(|o| o.kind == vmi_trace::OpKind::Read)
-        {
-            vmi_blockdev::BlockDev::read_at(
-                cache.as_ref(),
-                &mut buf[..op.len as usize],
-                op.offset,
-            )?;
-        }
-        Ok(cache)
-    };
-
-    let mut rows = Vec::new();
-    for divergence_pct in [0u32, 10, 30, 100] {
-        // VMI B diverges from VMI A in `divergence_pct`% of its sectors
-        // (user customizations on top of the same distro).
-        let base_a: SharedDev = Arc::new(MemDev::from_vec(distro.clone()));
-        let mut content_b = distro.clone();
-        if divergence_pct > 0 {
-            let every = (100usize / divergence_pct as usize).max(1);
-            for (s, sector) in content_b.chunks_mut(512).enumerate() {
-                if s % every == 0 {
-                    for b in sector.iter_mut() {
-                        *b = b.wrapping_add(1 + divergence_pct as u8);
-                    }
-                }
-            }
-        }
-        let base_b: SharedDev = Arc::new(MemDev::from_vec(content_b));
-        // Same boot structure (same distro boots the same way), two VMIs.
-        let cache_a = build(base_a, 1)?;
-        let cache_b = build(base_b, 1)?;
-        let rep = vmi_qcow::dedup_analyze(&[cache_a.as_ref(), cache_b.as_ref()])?;
-        rows.push(vec![
-            format!("{divergence_pct}%"),
-            format!("{:.1}", rep.raw_bytes() as f64 / MIB as f64),
-            format!("{:.1}", rep.deduped_bytes() as f64 / MIB as f64),
-            format!("{:.0}%", rep.savings() * 100.0),
-        ]);
-    }
-    Ok(TableData {
-        id: "abl-dedup".into(),
-        title: "Content dedup across two same-distro VMI caches (§8 future work)".into(),
-        columns: vec![
-            "VMI divergence".into(),
-            "raw cache bytes (MB)".into(),
-            "deduped (MB)".into(),
-            "savings".into(),
-        ],
-        rows,
-    })
-}
-
-/// §8's other future-work line: "apply our caching scheme to memory
+/// §8's future-work line on memory snapshots: "apply our caching scheme to memory
 /// snapshots of already booted virtual machines, starting from which
 /// instead of the VM image could improve the VM starting time even
 /// further." Compares booting from the image against restoring from a
@@ -446,7 +366,6 @@ pub fn all(scale: Scale) -> Result<Vec<TableData>> {
         mixed_fleet(scale)?,
         hybrid_chain(scale)?,
         prefetch_bound(scale)?,
-        dedup_sharing(scale)?,
         snapshot_restore(scale)?,
         cloud_day(scale)?,
     ])
@@ -459,7 +378,7 @@ mod tests {
     #[test]
     fn smoke_ablations_run() {
         let tables = all(Scale::Smoke).unwrap();
-        assert_eq!(tables.len(), 7);
+        assert_eq!(tables.len(), 6);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} empty", t.id);
         }

@@ -187,25 +187,30 @@ pub(crate) fn state_rank_for(backing: Option<&SharedDev>) -> u32 {
 }
 
 impl QcowImage {
-    /// Paranoid self-check: re-audit the whole container with `vmi-audit`
-    /// after a mutating op, comparing against the in-memory used counter
-    /// (the on-disk field is stale mid-session by design — §4.3 writes it
-    /// back at close). Active only with the `paranoid` feature in debug
-    /// builds: it re-reads every mapping table, so it is deliberately unfit
-    /// for release use. Degraded images are skipped — the latch already
-    /// marks them as known-inconsistent.
+    /// Audit the live container with `vmi-audit`, comparing a cache's
+    /// recomputed used-size against the in-memory counter (the on-disk
+    /// field is stale mid-session by design — §4.3 writes it back at
+    /// close). Re-reads every mapping table; `check`, `info` and the
+    /// paranoid re-audit are its callers.
+    pub(crate) fn audit(&self, st: &MutState) -> vmi_audit::AuditReport {
+        let opts = vmi_audit::AuditOpts {
+            expected_used: self.header.is_cache().then_some(st.cache_used),
+            ..Default::default()
+        };
+        vmi_audit::audit_image_visit(self.dev.as_ref(), &opts, &Obs::disabled(), &mut ())
+    }
+
+    /// Paranoid self-check: [`QcowImage::audit`] after a mutating op.
+    /// Active only with the `paranoid` feature in debug builds, so it is
+    /// deliberately unfit for release use. Degraded images are skipped —
+    /// the latch already marks them as known-inconsistent.
     #[cfg(feature = "paranoid")]
     #[expect(clippy::panic, reason = "paranoid builds abort on broken invariants")]
     pub(crate) fn paranoid_audit(&self, st: &MutState, op: &str) {
         if !cfg!(debug_assertions) || self.is_degraded() {
             return;
         }
-        let opts = vmi_audit::AuditOpts {
-            expected_used: self.header.is_cache().then_some(st.cache_used),
-            ..Default::default()
-        };
-        let report =
-            vmi_audit::audit_image_visit(self.dev.as_ref(), &opts, &Obs::disabled(), &mut ());
+        let report = self.audit(st);
         if !report.is_clean() {
             panic!("paranoid audit failed after {op}: {:?}", report.violations)
         }

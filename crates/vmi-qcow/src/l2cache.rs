@@ -86,11 +86,6 @@ impl L2Cache {
         Some(&slot.table)
     }
 
-    /// The table for `l1_idx` without touching its recency (diagnostics).
-    pub(crate) fn peek(&self, l1_idx: usize) -> Option<&[u64]> {
-        self.slots.get(&l1_idx).map(|s| s.table.as_slice())
-    }
-
     /// The table for `l1_idx` for a write-through entry update; recency is
     /// not touched.
     pub(crate) fn peek_mut(&mut self, l1_idx: usize) -> Option<&mut [u64]> {
@@ -137,16 +132,16 @@ mod tests {
         assert_eq!(c.set_limit(Some(2)), 0);
         assert_eq!(c.insert(0, vec![10]), 0);
         assert_eq!(c.insert(1, vec![11]), 0);
-        // A `get` refreshes table 0; `peek`/`peek_mut` on table 1 do not.
+        // A `get` refreshes table 0; `peek_mut` on table 1 does not.
         assert_eq!(c.get(0), Some(&[10][..]));
         c.peek_mut(1).unwrap()[0] = 12;
-        assert_eq!(c.peek(1), Some(&[12][..]));
+        assert_eq!(c.peek_mut(1).as_deref(), Some(&[12][..]));
         assert_eq!(c.insert(2, vec![13]), 1);
-        assert!(c.peek(1).is_none(), "the untouched table is the victim");
-        assert!(c.peek(0).is_some() && c.peek(2).is_some());
+        assert!(c.peek_mut(1).is_none(), "the untouched table is the victim");
+        assert!(c.peek_mut(0).is_some() && c.peek_mut(2).is_some());
         // Shrinking evicts down to the new limit, oldest first.
         assert_eq!(c.set_limit(Some(0)), 1, "limit floors at one table");
         assert_eq!((c.len(), c.limit()), (1, Some(1)));
-        assert!(c.peek(2).is_some());
+        assert!(c.peek_mut(2).is_some());
     }
 }

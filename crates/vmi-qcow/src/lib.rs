@@ -19,10 +19,10 @@
 //!   opened layer;
 //! * the rest of a production driver's surface: `discard` (TRIM) with
 //!   cluster reuse and quota re-arming, grow-only `resize`, unsafe
-//!   `rebase`, bounded L2-table caching, and content-dedup analysis across
-//!   caches ([`dedup`]). Internal snapshots are not part of it: the paper's
-//!   chain is the one below, and a header that carries a snapshot table is
-//!   refused at open (see [`header`]).
+//!   `rebase` and bounded L2-table caching. Internal snapshots are not part
+//!   of it: the paper's chain is the one below, and a header that carries a
+//!   snapshot table is refused at open (see [`header`]). Neither is §8's
+//!   content dedup across caches.
 //!
 //! ## The Fig. 4 arrangement
 //!
@@ -68,7 +68,6 @@
 mod alloc;
 pub mod chain;
 pub mod concurrent;
-pub mod dedup;
 pub mod engine;
 pub mod header;
 pub mod image;
@@ -86,7 +85,6 @@ pub use chain::{
     open_backing, open_chain, DevResolver, FsResolver, MapResolver,
 };
 pub use concurrent::{ConcStats, ConcurrentImage};
-pub use dedup::{analyze as dedup_analyze, DedupReport};
 pub use engine::{Completion, Request, RequestEngine};
 pub use header::{CacheExt, Header};
 pub use image::{CorStats, CreateOpts, QcowImage};

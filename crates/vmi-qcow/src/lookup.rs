@@ -107,25 +107,6 @@ impl QcowImage {
         self.state.lock().l2.len()
     }
 
-    /// Count of guest bytes mapped in this layer (allocated data clusters ×
-    /// cluster size). Diagnostic / `check` helper.
-    pub fn mapped_bytes(&self) -> u64 {
-        let st = self.state.lock();
-        let mapped = |l2: &[u64]| l2.iter().filter(|&&e| e != UNALLOCATED).count() as u64;
-        let mut clusters = 0u64;
-        for (l1_idx, &l2_off) in st.l1.iter().enumerate() {
-            if l2_off == UNALLOCATED {
-                continue;
-            }
-            clusters += match st.l2.peek(l1_idx) {
-                Some(l2) => mapped(l2),
-                // Read the table without caching to keep this cheap-ish.
-                None => self.read_l2_table(l2_off).map_or(0, |l2| mapped(&l2)),
-            };
-        }
-        clusters * self.geom.cluster_size()
-    }
-
     /// Whether the cluster containing `vba` is allocated in *this* layer
     /// (metadata probe; never triggers copy-on-read).
     pub fn is_mapped(&self, vba: u64) -> Result<bool> {
@@ -155,26 +136,21 @@ impl QcowImage {
             .unwrap_or(UNALLOCATED)
     }
 
-    /// Read an L2 table at a given container offset as it is stored, bad
-    /// entries and all (for `check`, which reports them).
-    pub fn l2_snapshot(&self, l2_off: u64) -> Result<Vec<u64>> {
-        self.read_l2_table(l2_off)
-    }
-
-    fn read_l2_table(&self, l2_off: u64) -> Result<Vec<u64>> {
+    /// Read the L2 table at `l2_off` for I/O through it. Every nonzero
+    /// entry must be cluster-aligned, start inside the container and lie
+    /// outside the header cluster and the L1 table, so a crafted entry
+    /// fails the request as `corrupt` instead of sending a guest write
+    /// gigabytes past the end of the container or over the L1 table.
+    pub(crate) fn load_l2_table(&self, l2_off: u64) -> Result<Vec<u64>> {
         let mut raw = vec![0u8; self.geom.cluster_size() as usize];
         self.dev.read_at(&mut raw, l2_off)?;
-        Ok(decode_entries(&raw))
-    }
-
-    /// Read the L2 table at `l2_off` for I/O through it. Every nonzero
-    /// entry must be cluster-aligned and start inside the container, so a
-    /// crafted entry fails the request as `corrupt` instead of sending a
-    /// guest write gigabytes past the end of the container.
-    pub(crate) fn load_l2_table(&self, l2_off: u64) -> Result<Vec<u64>> {
-        let table = self.read_l2_table(l2_off)?;
+        let table = decode_entries(&raw);
         let (cs, len) = (self.geom.cluster_size(), self.dev.len());
-        let bad = |&&e: &&u64| e != UNALLOCATED && (e % cs != 0 || e >= len);
+        // An aligned nonzero entry is past the header cluster already.
+        let l1 = self.header.l1_table_offset;
+        let l1_table = l1..l1 + self.geom.l1_table_bytes();
+        let bad =
+            |&&e: &&u64| e != UNALLOCATED && (e % cs != 0 || e >= len || l1_table.contains(&e));
         match table.iter().find(bad) {
             Some(e) => Err(BlockError::corrupt(format!(
                 "invalid L2 entry {e:#x} in table at {l2_off:#x}"
@@ -242,6 +218,34 @@ impl QcowImage {
         contiguous_run(&self.geom, vba, max_bytes, |l1_idx, scan| {
             self.scan_table(l1, l2, l1_idx, scan)
         })
+    }
+
+    /// Call `visit(vba, len)` for every run of guest bytes mapped in this
+    /// layer, in guest order. A run is physically contiguous, at most
+    /// `max_bytes` long (a multiple of the cluster size) and clipped to the
+    /// virtual size. The state lock is not held across `visit`, so it may
+    /// do I/O through this image.
+    pub(crate) fn for_each_mapped_run(
+        &self,
+        max_bytes: u64,
+        mut visit: impl FnMut(u64, usize) -> Result<()>,
+    ) -> Result<()> {
+        let (cs, vsize) = (self.geom.cluster_size(), self.geom.virtual_size);
+        let mut vba = 0;
+        loop {
+            let run = {
+                let mut st = self.state.lock();
+                vba += self.unmapped_clusters(&mut st, vba, vsize)? * cs;
+                if vba >= vsize {
+                    return Ok(());
+                }
+                self.lookup_run(&mut st, vba, max_bytes)?
+            };
+            // `vba`'s cluster is mapped, so the run holds at least it.
+            let len = run.map_or(cs, |(_, bytes, _)| bytes).min(vsize - vba);
+            visit(vba, len as usize)?;
+            vba += len;
+        }
     }
 
     /// How many consecutive clusters from `vba`'s, up to the one holding

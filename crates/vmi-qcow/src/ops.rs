@@ -75,9 +75,11 @@ fn human(bytes: u64) -> String {
     }
 }
 
-/// Gather [`ImageInfo`] for an open image.
+/// Gather [`ImageInfo`] for an open image. `mapped_bytes` comes from the
+/// same audit walk as [`check`].
 pub fn info(img: &QcowImage) -> ImageInfo {
     let h = img.header();
+    let data_clusters = img.audit(&img.state.lock()).data_clusters;
     ImageInfo {
         virtual_size: img.virtual_size(),
         file_size: img.file_size(),
@@ -85,7 +87,7 @@ pub fn info(img: &QcowImage) -> ImageInfo {
         backing_file: h.backing_file.clone(),
         cache_quota: h.cache.map(|c| c.quota),
         cache_used: h.cache.map(|_| img.cache_used()),
-        mapped_bytes: img.mapped_bytes(),
+        mapped_bytes: data_clusters * img.geometry().cluster_size(),
         fill_enabled: img.fill_enabled(),
     }
 }
@@ -176,86 +178,32 @@ impl CheckReport {
     }
 }
 
-/// Validate the structural invariants of an image:
-///
-/// * every L1/L2 entry is cluster-aligned and inside the container file;
-/// * no container cluster is referenced twice;
-/// * for cache images, `used` accounting equals
-///   header + L1 + (L2 tables + data clusters) × cluster size and never
-///   exceeds the quota.
+/// Validate the structural invariants of an image with `vmi-audit`'s walk
+/// over its container ([`vmi_audit::audit_image_visit`]): header and L1
+/// placement, every L1/L2 entry aligned and inside the container, no
+/// container cluster (header and L1 included) referenced twice, no entry
+/// mapping past the virtual size, and for cache images the recomputed
+/// `used` equal to the live counter and within the quota. Each violation
+/// becomes one `errors` line in its `Display` form.
 pub fn check(img: &QcowImage) -> Result<CheckReport> {
-    let mut rep = CheckReport::default();
-    let g = img.geometry();
-    let cs = g.cluster_size();
-    let file_len = img.file_size();
-    let mut seen = std::collections::HashSet::new();
-    let l1 = img.l1_snapshot();
-    for (l1_idx, &l2_off) in l1.iter().enumerate() {
-        if l2_off == 0 {
-            continue;
-        }
-        rep.l2_tables += 1;
-        if l2_off % cs != 0 {
-            rep.errors
-                .push(format!("L1[{l1_idx}] not cluster-aligned: {l2_off:#x}"));
-            continue;
-        }
-        if l2_off + cs > g.align_up(file_len) {
-            rep.errors
-                .push(format!("L1[{l1_idx}] beyond file end: {l2_off:#x}"));
-            continue;
-        }
-        if !seen.insert(l2_off) {
-            rep.errors.push(format!(
-                "cluster {l2_off:#x} multiply referenced (L2 table)"
-            ));
-        }
-        let l2 = img.l2_snapshot(l2_off)?;
-        for (l2_idx, &doff) in l2.iter().enumerate() {
-            if doff == 0 {
-                continue;
-            }
-            rep.data_clusters += 1;
-            if doff % cs != 0 {
-                rep.errors.push(format!(
-                    "L2[{l1_idx}][{l2_idx}] not cluster-aligned: {doff:#x}"
-                ));
-            } else if doff + cs > g.align_up(file_len) {
-                rep.errors
-                    .push(format!("L2[{l1_idx}][{l2_idx}] beyond file end: {doff:#x}"));
-            } else if !seen.insert(doff) {
-                rep.errors
-                    .push(format!("cluster {doff:#x} multiply referenced (data)"));
-            }
-        }
-    }
+    let st = img.state.lock();
+    let audit = img.audit(&st);
+    let free = st.free_clusters.len() as u64;
+    drop(st);
     // Leak accounting: clusters in the data area that the tables do not
     // reference and that are not queued for reuse.
+    let g = img.geometry();
+    let cs = g.cluster_size();
     let data_area_start = cs + g.l1_table_bytes();
-    let data_area_clusters = g.align_up(file_len).saturating_sub(data_area_start) / cs;
-    let free = img.free_cluster_count() as u64;
-    rep.leaked_clusters = data_area_clusters
-        .saturating_sub(rep.l2_tables + rep.data_clusters)
-        .saturating_sub(free);
-
-    if img.is_cache() {
-        let expected = cs /* header cluster */
-            + g.l1_table_bytes()
-            + (rep.l2_tables + rep.data_clusters) * cs;
-        let used = img.cache_used();
-        if used != expected {
-            rep.errors
-                .push(format!("cache used {used} != computed {expected}"));
-        }
-        let initial = cs + g.l1_table_bytes();
-        if used > img.cache_quota().max(initial) {
-            rep.errors.push(format!(
-                "cache used {used} exceeds quota {}",
-                img.cache_quota()
-            ));
-        }
-    }
-    Ok(rep)
+    let data_area_clusters = g.align_up(img.file_size()).saturating_sub(data_area_start) / cs;
+    Ok(CheckReport {
+        l2_tables: audit.l2_tables,
+        data_clusters: audit.data_clusters,
+        leaked_clusters: data_area_clusters
+            .saturating_sub(audit.l2_tables + audit.data_clusters)
+            .saturating_sub(free),
+        errors: audit.violations.iter().map(ToString::to_string).collect(),
+    })
 }
 
 /// Compact: rewrite `img` into a fresh container, dropping leaked clusters
@@ -278,50 +226,39 @@ pub fn compact(
         cache_quota: h.cache.map(|c| c.quota).unwrap_or(0),
     };
     let fresh = QcowImage::create(new_dev, opts, backing)?;
-    let g = img.geometry();
-    let cs = g.cluster_size() as usize;
-    let mut buf = vec![0u8; cs];
-    let vsize = img.virtual_size();
-    let mut vba = 0u64;
-    while vba < vsize {
-        if img.is_mapped(vba)? {
-            let n = cs.min((vsize - vba) as usize);
-            // Mapped ⇒ served locally; the write allocates densely in the
-            // fresh container (quota-checked for cache images — the
-            // compacted layout can only be smaller than the source).
-            img.read_at(&mut buf[..n], vba)?;
-            fresh.write_at(&buf[..n], vba)?;
-        }
-        vba += cs as u64;
-    }
+    // Mapped ⇒ served locally; the writes allocate densely in the fresh
+    // container (quota-checked for cache images — the compacted layout can
+    // only be smaller than the source).
+    copy_mapped(img, fresh.as_ref())?;
     fresh.close()?;
     Ok(fresh)
 }
 
-/// Commit: copy every cluster mapped in `img` down into its backing image,
+/// Commit: copy every run mapped in `img` down into its backing image,
 /// which must be writable. Returns bytes committed.
 pub fn commit(img: &QcowImage) -> Result<u64> {
     let backing = img
         .backing()
         .cloned()
         .ok_or_else(|| BlockError::unsupported("commit: image has no backing file"))?;
-    let g = img.geometry();
-    let cs = g.cluster_size() as usize;
-    let mut buf = vec![0u8; cs];
-    let mut committed = 0u64;
-    let vsize = img.virtual_size();
-    let mut vba = 0u64;
-    while vba < vsize {
-        if img.is_mapped(vba)? {
-            let n = cs.min((vsize - vba) as usize);
-            img.read_at(&mut buf[..n], vba)?;
-            backing.write_at(&buf[..n], vba)?;
-            committed += n as u64;
-        }
-        vba += cs as u64;
-    }
+    let committed = copy_mapped(img, backing.as_ref())?;
     backing.flush()?;
     Ok(committed)
+}
+
+/// Copy every run of guest bytes mapped in `img` to the same guest offsets
+/// of `dst`, a run at a time (at most 1 MiB, or one cluster when clusters
+/// are larger). Returns the bytes copied.
+fn copy_mapped(img: &QcowImage, dst: &dyn BlockDev) -> Result<u64> {
+    let mut buf = vec![0u8; (1usize << 20).max(img.geometry().cluster_size() as usize)];
+    let mut copied = 0;
+    img.for_each_mapped_run(buf.len() as u64, |vba, len| {
+        img.read_at(&mut buf[..len], vba)?;
+        dst.write_at(&buf[..len], vba)?;
+        copied += len as u64;
+        Ok(())
+    })?;
+    Ok(copied)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Crafted L2 entries: a closed plain image whose first data entry points
-//! far past the container, or off a cluster boundary. Opening succeeds
-//! (L2 tables load lazily), but every read or write through that table
-//! fails as `Corrupt` and the container does not move; `check` still reads
-//! the table raw and reports the entry.
+//! far past the container, off a cluster boundary, or at the L1 table.
+//! Opening succeeds (L2 tables load lazily), but every read or write
+//! through that table fails as `Corrupt`, the container keeps every byte
+//! and reopens; `check` still walks the table and reports the entry.
 //!
 //! Each container sits behind [`Bounded`], which fails any operation ending
 //! more than one cluster past the container's starting length, so an entry
@@ -65,35 +65,38 @@ impl BlockDev for Bounded {
 }
 
 /// A closed 1 MiB plain image with 4 KiB of ones at guest 0, its first L2
-/// entry replaced by `entry(valid)`, where `valid` is the entry it had.
-fn crafted(entry: impl Fn(u64) -> u64) -> Arc<Bounded> {
+/// entry replaced by `entry(valid, l1)`, where `valid` is the entry it had
+/// and `l1` the L1 table's offset.
+fn crafted(entry: impl Fn(u64, u64) -> u64) -> Arc<Bounded> {
     let mem = Arc::new(MemDev::new());
     let img = QcowImage::create(mem.clone() as SharedDev, CreateOpts::plain(1 << 20), None);
     let img = img.unwrap();
     img.write_at(&[1u8; 4096], 0).unwrap();
     let l2_off = img.l1_snapshot()[0] as usize;
+    let l1 = img.header().l1_table_offset;
     img.close().unwrap();
     drop(img);
     let mut raw = mem.to_vec();
     let at = &mut raw[l2_off..l2_off + 8];
     let valid = u64::from_be_bytes(at.try_into().unwrap());
     assert_ne!(valid, 0, "guest cluster 0 is mapped");
-    at.copy_from_slice(&entry(valid).to_be_bytes());
+    at.copy_from_slice(&entry(valid, l1).to_be_bytes());
     Bounded::over(raw)
 }
 
-fn assert_refused(entry: impl Fn(u64) -> u64, reported: &str) {
+fn assert_refused(entry: impl Fn(u64, u64) -> u64, reported: &str) {
     let corrupt = |res: Result<()>, what: &str| {
         let err = res.unwrap_err();
         assert_eq!(err.kind(), BlockErrorKind::Corrupt, "{what}: {err}");
     };
     let dev = crafted(entry);
-    let len = dev.len();
+    let bytes = dev.inner.to_vec();
     let img = QcowImage::open(dev.clone() as SharedDev, None, false).unwrap();
     let mut buf = [0u8; 512];
     corrupt(img.write_at(&[0xAB; 700], 100), "write");
+    corrupt(img.write_at(&[0xAB; 512], 0), "head write");
     corrupt(img.read_at(&mut buf, 0), "read");
-    assert_eq!(dev.len(), len, "nothing was written");
+    assert!(dev.inner.to_vec() == bytes, "nothing was written");
 
     let rep = check(&img).unwrap();
     assert!(
@@ -106,20 +109,34 @@ fn assert_refused(entry: impl Fn(u64) -> u64, reported: &str) {
     let conc = ConcurrentImage::new(img);
     corrupt(conc.read_at(&mut buf, 0), "concurrent read");
     corrupt(conc.write_at(&[0xAB; 700], 100), "concurrent write");
-    assert_eq!(dev.len(), len, "nothing was written");
+    corrupt(conc.write_at(&[0xAB; 512], 0), "concurrent head write");
+    drop(conc);
+    assert!(dev.inner.to_vec() == bytes, "nothing was written");
+    QcowImage::open(dev as SharedDev, None, false).unwrap();
 }
 
 #[test]
 fn entry_at_2_pow_57_is_corrupt() {
-    assert_refused(|_| 0x0200_0000_0000_0000, "beyond file end");
+    assert_refused(
+        |_, _| 0x0200_0000_0000_0000,
+        "l2_entry_out_of_bounds: L2[0][0]",
+    );
 }
 
 #[test]
 fn entry_at_558_gb_is_corrupt() {
-    assert_refused(|_| 558_000_000_000 / CS * CS, "beyond file end");
+    assert_refused(
+        |_, _| 558_000_000_000 / CS * CS,
+        "l2_entry_out_of_bounds: L2[0][0]",
+    );
 }
 
 #[test]
 fn unaligned_entry_is_corrupt() {
-    assert_refused(|valid| valid + 512, "not cluster-aligned");
+    assert_refused(|valid, _| valid + 512, "l2_entry_unaligned: L2[0][0]");
+}
+
+#[test]
+fn entry_at_the_l1_table_is_corrupt() {
+    assert_refused(|_, l1| l1, "overlapping_clusters: L2[0][0]");
 }
