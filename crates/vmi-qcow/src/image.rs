@@ -272,8 +272,9 @@ impl QcowImage {
         self.state.lock().cache_used
     }
 
-    /// Whether copy-on-read fills are still running (latches off on the
-    /// first quota space error).
+    /// Whether copy-on-read fills are still running (off at open when the
+    /// quota has no room, latches off on the first quota space error). A
+    /// read-only handle reports the cache's state but never fills.
     pub fn fill_enabled(&self) -> bool {
         self.fill_enabled.load(Ordering::Acquire)
     }

@@ -237,11 +237,11 @@ impl QcowImage {
                 return Err(BlockError::corrupt("cache used exceeds quota"));
             }
         }
-        let is_cache = header.is_cache();
-        let has_room = header
+        // The copy-on-read latch describes the image: a read-only handle
+        // reports whether the cache has room, and its read path never fills.
+        let fill = header
             .cache
-            .map(|c| c.used + 2 * cluster_size <= c.quota)
-            .unwrap_or(false);
+            .is_some_and(|c| c.used + 2 * cluster_size <= c.quota);
         let st = MutState {
             l1,
             l2: L2Cache::with_tables(&geom, l2),
@@ -249,7 +249,6 @@ impl QcowImage {
             cache_used,
             free_clusters: Vec::new(),
         };
-        let fill = is_cache && !read_only && has_room;
         Ok(Self::assemble(
             dev, header, geom, backing, read_only, fill, st, obs,
         ))
@@ -277,28 +276,41 @@ impl QcowImage {
         }
         let new_geom = Geometry::new(self.geom.cluster_bits, new_size)?;
         let mut st = self.state.lock();
-        let old_entries = st.l1.len();
         let new_entries = new_geom.l1_entries() as usize;
+        let relocate = new_entries > st.l1.len();
+        let new_l1_bytes = new_geom.l1_table_bytes();
         let mut header = self.header.clone();
         header.size = new_size;
         header.l1_size = new_entries as u32;
-        if new_entries > old_entries {
+        if relocate {
             // Relocate the L1 table to a fresh region at end-of-file.
-            let new_l1_bytes = new_geom.l1_table_bytes();
-            let new_l1_off = st.eof;
-            st.eof += new_l1_bytes;
-            st.cache_used += new_l1_bytes;
-            let mut raw = encode_entries(&st.l1);
-            raw.resize(new_l1_bytes as usize, 0);
-            self.dev.write_at(&raw, new_l1_off)?;
-            header.l1_table_offset = new_l1_off;
-            st.l1.resize(new_entries, UNALLOCATED);
+            header.l1_table_offset = st.eof;
         }
+        // Every refusal comes before the first write, so a failed resize
+        // leaves the container as it was.
         let encoded = header.encode();
         if encoded.len() as u64 > self.geom.cluster_size() {
             return Err(BlockError::unsupported(
                 "resized header does not fit its cluster",
             ));
+        }
+        if relocate {
+            // The new table counts toward `used`, which the reopen bounds
+            // by the quota or the new initial metadata, whichever is larger.
+            if let Some(c) = &header.cache {
+                let initial = new_geom.cluster_size() + new_l1_bytes;
+                if st.cache_used + new_l1_bytes > c.quota.max(initial) {
+                    return Err(self.quota_exhausted(&st));
+                }
+            }
+            let mut raw = encode_entries(&st.l1);
+            raw.resize(new_l1_bytes as usize, 0);
+            self.dev.write_at(&raw, header.l1_table_offset)?;
+            // The new table is durable before the header publishes it.
+            self.barrier()?;
+            st.eof += new_l1_bytes;
+            st.cache_used += new_l1_bytes;
+            st.l1.resize(new_entries, UNALLOCATED);
         }
         self.dev.write_at(&encoded, 0)?;
         drop(st);

@@ -28,7 +28,8 @@ pub struct ImageInfo {
     pub cache_used: Option<u64>,
     /// Bytes of guest data mapped in this layer.
     pub mapped_bytes: u64,
-    /// Whether copy-on-read is still filling.
+    /// Whether the cache still has room to fill (a read-only handle
+    /// reports the image, though it never fills itself).
     pub fill_enabled: bool,
 }
 
@@ -102,57 +103,55 @@ pub struct MapExtent {
     pub depth: Option<usize>,
 }
 
-/// Compute the allocation map of a chain, scanning cluster by cluster from
-/// the top image. Adjacent clusters with the same source are merged.
+/// Compute the allocation map of a chain from each layer's own mapped runs,
+/// read at that layer's cluster size: a byte is served by the topmost layer
+/// that maps it, and a raw backing device serves everything within its
+/// length. Adjacent extents with the same source are merged.
 pub fn map(img: &QcowImage) -> Result<Vec<MapExtent>> {
-    let cs = img.geometry().cluster_size();
-    let vsize = img.virtual_size();
-    let mut extents: Vec<MapExtent> = Vec::new();
-    let mut vba = 0u64;
-    while vba < vsize {
-        let depth = source_depth(img, vba)?;
-        let end = (vba + cs).min(vsize);
-        match extents.last_mut() {
-            Some(last) if last.depth == depth && last.range.end == vba => {
-                last.range.end = end;
+    // Mapped runs per layer, indexed by depth.
+    let mut layers: Vec<Vec<ByteRange>> = Vec::new();
+    let mut layer = img;
+    loop {
+        let mut runs = Vec::new();
+        layer.for_each_mapped_run(1 << 30, |vba, len| {
+            runs.push(ByteRange::at(vba, len as u64));
+            Ok(())
+        })?;
+        layers.push(runs);
+        let Some(dev) = layer.backing() else { break };
+        match dev.as_any().and_then(|a| a.downcast_ref::<QcowImage>()) {
+            Some(q) => layer = q,
+            None => {
+                layers.push(vec![ByteRange::at(0, dev.len())]);
+                break;
             }
+        }
+    }
+    let vsize = img.virtual_size();
+    let bounds = layers.iter().flatten().flat_map(|r| [r.start, r.end]);
+    let mut cuts: Vec<u64> = bounds.chain([0, vsize]).filter(|&c| c <= vsize).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    // Each layer's first run that does not end before the current cut.
+    let mut next = vec![0; layers.len()];
+    let mut extents: Vec<MapExtent> = Vec::new();
+    for w in cuts.windows(2) {
+        let (start, end) = (w[0], w[1]);
+        let depth = layers.iter().zip(&mut next).position(|(runs, i)| {
+            while runs.get(*i).is_some_and(|r| r.end <= start) {
+                *i += 1;
+            }
+            runs.get(*i).is_some_and(|r| r.start <= start)
+        });
+        match extents.last_mut() {
+            Some(last) if last.depth == depth => last.range.end = end,
             _ => extents.push(MapExtent {
-                range: ByteRange { start: vba, end },
+                range: ByteRange { start, end },
                 depth,
             }),
         }
-        vba = end;
     }
     Ok(extents)
-}
-
-/// Depth of the chain layer that would serve `vba` (without triggering any
-/// copy-on-read side effects — this probes metadata only).
-fn source_depth(img: &QcowImage, vba: u64) -> Result<Option<usize>> {
-    if img.is_mapped(vba)? {
-        return Ok(Some(0));
-    }
-    let mut depth = 1usize;
-    let mut backing = img.backing().cloned();
-    // Walk down through QcowImage layers where possible; a raw backing
-    // device is considered fully mapped.
-    while let Some(dev) = backing {
-        match dev.as_any().and_then(|a| a.downcast_ref::<QcowImage>()) {
-            Some(q) => {
-                if q.is_mapped(vba)? {
-                    return Ok(Some(depth));
-                }
-                let next = q.backing().cloned();
-                depth += 1;
-                backing = next;
-            }
-            None => {
-                // Raw base: serves everything within its length.
-                return Ok(if vba < dev.len() { Some(depth) } else { None });
-            }
-        }
-    }
-    Ok(None)
 }
 
 /// Structural check report.
@@ -296,6 +295,24 @@ mod tests {
         assert!(text.contains("backing file: b"));
     }
 
+    /// `vmi-img info` opens read-only; `filling:` still describes the
+    /// cache: `yes` below its quota, `stopped` once the quota has no room.
+    #[test]
+    fn info_filling_describes_the_image_not_the_handle() {
+        let content = vec![5u8; (4 * MB) as usize];
+        let base: vmi_blockdev::SharedDev = Arc::new(MemDev::from_vec(content));
+        for (read, filling) in [(64 << 10, "filling: yes"), (4 * MB, "filling: stopped")] {
+            let dev = mem();
+            let opts = CreateOpts::cache(4 * MB, "b", 256 << 10);
+            let cache = QcowImage::create(dev.clone(), opts, Some(base.clone())).unwrap();
+            cache.read_at(&mut vec![0u8; read as usize], 0).unwrap();
+            cache.close().unwrap();
+            let ro = QcowImage::open(dev, Some(base.clone()), true).unwrap();
+            let text = info(&ro).render();
+            assert!(text.contains(filling), "read {read} B: {text}");
+        }
+    }
+
     #[test]
     fn info_plain_image_has_no_cache_fields() {
         let img = QcowImage::create(mem(), CreateOpts::plain(MB), None).unwrap();
@@ -362,6 +379,34 @@ mod tests {
         let extents = map(&cow).unwrap();
         assert_eq!(extents.len(), 1, "raw base serves everything at one depth");
         assert_eq!(extents[0].depth, Some(1));
+    }
+
+    #[test]
+    fn map_answers_each_layer_at_its_own_cluster_size() {
+        let raw: vmi_blockdev::SharedDev = Arc::new(MemDev::from_vec(vec![9u8; (4 * MB) as usize]));
+        let cache =
+            QcowImage::create(mem(), CreateOpts::cache(4 * MB, "raw", MB), Some(raw)).unwrap();
+        cache.read_at(&mut [0u8; 512], 512).unwrap(); // fills the 512 B cluster 1 only
+        let cow = QcowImage::create(
+            mem(),
+            CreateOpts::cow(4 * MB, "cache"),
+            Some(cache as vmi_blockdev::SharedDev),
+        )
+        .unwrap();
+        let got: Vec<_> = map(&cow)
+            .unwrap()
+            .into_iter()
+            .map(|e| (e.range.start, e.range.end, e.depth))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 512, Some(2)),
+                (512, 1024, Some(1)),
+                (1024, 4 * MB, Some(2))
+            ],
+            "bytes 512..1024 come from the cache inside the CoW's first 64 KiB cluster"
+        );
     }
 
     #[test]

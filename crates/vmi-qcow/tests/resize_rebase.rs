@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use vmi_blockdev::{BlockDev, MemDev, SharedDev};
+use vmi_blockdev::{BlockDev, CrashDev, CrashPlan, MemDev, SharedDev};
 use vmi_qcow::{check, CreateOpts, QcowImage};
 
 const MB: u64 = 1 << 20;
@@ -45,6 +45,77 @@ fn resize_persists_across_reopen() {
     assert_eq!(buf, [5u8; 100]);
     back.read_at(&mut buf, 32 * MB).unwrap();
     assert_eq!(buf, [6u8; 100]);
+}
+
+/// Power cuts around a resize that relocates the L1 (4 MiB → 8 GiB): the
+/// first flushes cut with 0–2 of the buffered writes drained, in 64 drain
+/// orders. The relocated table is durable before the header that points
+/// at it, so every cut state reopens at the old or the new size with the
+/// data written before the resize.
+#[test]
+fn resize_cut_states_all_reopen_with_their_data() {
+    let mut failures = Vec::new();
+    for seed in 0..64 {
+        for n in 0..2 {
+            for drain in 0..3 {
+                let store: SharedDev = Arc::new(MemDev::new());
+                let img =
+                    QcowImage::create(store.clone(), CreateOpts::plain(4 * MB), None).unwrap();
+                img.write_at(&[7u8; 4096], MB).unwrap();
+                img.close().unwrap();
+                drop(img);
+                let crash = Arc::new(CrashDev::new_writeback(store.clone()));
+                crash.set_drain_shuffle(seed);
+                let img = QcowImage::open(crash.clone(), None, false).unwrap();
+                crash.arm(CrashPlan::NthFlush { n, drain });
+                let _ = img.resize(8 << 30);
+                let mut buf = [0u8; 4096];
+                let reopened = QcowImage::open(store, None, true).and_then(|back| {
+                    back.read_at(&mut buf, MB)?;
+                    Ok((back.virtual_size(), check(&back)?.is_clean()))
+                });
+                match reopened {
+                    Ok((size, true)) if [4 * MB, 8 << 30].contains(&size) && buf == [7u8; 4096] => {
+                    }
+                    other => failures.push(format!("seed {seed} n {n} drain {drain}: {other:?}")),
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} cut states lost the image:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// A resize whose relocated L1 would push a full cache past its quota is
+/// refused with the space error before anything is written: the container
+/// stays byte-identical and reopens with its data.
+#[test]
+fn refused_cache_resize_leaves_the_container_untouched() {
+    let content: Vec<u8> = (0..(4 * MB) as usize).map(|i| (i % 251) as u8).collect();
+    let base: SharedDev = Arc::new(MemDev::from_vec(content.clone()));
+    let store = Arc::new(MemDev::new());
+    let cache = QcowImage::create(
+        store.clone(),
+        CreateOpts::cache(4 * MB, "b", 256 << 10),
+        Some(base.clone()),
+    )
+    .unwrap();
+    let mut buf = vec![0u8; (4 * MB) as usize];
+    cache.read_at(&mut buf, 0).unwrap();
+    assert!(!cache.fill_enabled(), "the cache filled to its quota");
+    cache.close().unwrap();
+    let before = store.to_vec();
+    let err = cache.resize(64 * MB).unwrap_err();
+    assert!(err.is_no_space(), "{err}");
+    assert!(store.to_vec() == before, "a refused resize writes nothing");
+    let back = QcowImage::open(store, Some(base), true).unwrap();
+    assert_eq!(back.virtual_size(), 4 * MB);
+    back.read_at(&mut buf, 0).unwrap();
+    assert!(buf == content, "data intact");
 }
 
 #[test]

@@ -6,6 +6,8 @@ use std::sync::Arc;
 use vmi_blockdev::SharedDev;
 use vmi_sim::{CacheId, DiskId, SimWorld};
 
+use crate::pages::PageModel;
+
 /// Where an exported file physically lives on the storage node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExportMedium {
@@ -32,10 +34,11 @@ pub struct NfsExport {
     pub disk_base: u64,
     /// Medium the file lives on.
     pub medium: ExportMedium,
-    /// The storage node's page cache (shared by all exports of that node).
-    pub page_cache: CacheId,
     /// Shared simulation world.
     pub world: SimWorld,
+    /// This file's server pages in the storage node's page cache (shared by
+    /// all exports of that node).
+    pages: PageModel,
     /// Bytes served to clients (fetch volume at the storage node).
     served_bytes: AtomicU64,
     /// Bytes written by clients.
@@ -57,7 +60,7 @@ impl NfsExport {
             dev,
             disk_base,
             medium,
-            page_cache,
+            pages: PageModel::new(world.clone(), page_cache, file_id, SERVER_PAGE, 1, 0),
             world,
             served_bytes: AtomicU64::new(0),
             received_bytes: AtomicU64::new(0),
@@ -65,8 +68,8 @@ impl NfsExport {
     }
 
     /// Charge the server-side cost of producing `[off, off+len)` of this
-    /// file on the op clock: page-cache probes, disk reads on miss (or
-    /// memory copies for tmpfs).
+    /// file on the op clock: a memory copy per resident server page, a disk
+    /// read per absent one (or memory copies for tmpfs).
     pub fn charge_read(&self, off: u64, len: u64) {
         if len == 0 {
             return;
@@ -77,28 +80,13 @@ impl NfsExport {
                 self.world.charge_mem(len);
             }
             ExportMedium::Disk(disk) => {
-                let first = off / SERVER_PAGE;
-                let last = (off + len - 1) / SERVER_PAGE;
-                for page in first..=last {
-                    match self.world.cache_probe(self.page_cache, self.file_id, page) {
-                        vmi_sim::CacheOutcome::Hit { .. } => {
-                            // op clock already advanced to readiness; pay the
-                            // memory copy.
-                            self.world.charge_mem(SERVER_PAGE);
-                        }
-                        vmi_sim::CacheOutcome::Miss => {
-                            self.world.charge_disk(
-                                disk,
-                                self.disk_base + page * SERVER_PAGE,
-                                SERVER_PAGE,
-                                false,
-                            );
-                            let ready = self.world.op_now();
-                            self.world
-                                .cache_insert(self.page_cache, self.file_id, page, ready);
-                        }
-                    }
-                }
+                let (world, base) = (&self.world, self.disk_base);
+                self.pages.read(
+                    off,
+                    len,
+                    || world.charge_mem(SERVER_PAGE),
+                    |at, bytes| world.charge_disk(disk, base + at, bytes, false),
+                );
             }
         }
     }
@@ -116,13 +104,7 @@ impl NfsExport {
                 // the disk write directly (NFS commits are synchronous-ish).
                 self.world
                     .charge_disk(disk, self.disk_base + off, len, true);
-                let first = off / SERVER_PAGE;
-                let last = (off + len - 1) / SERVER_PAGE;
-                let ready = self.world.op_now();
-                for page in first..=last {
-                    self.world
-                        .cache_insert(self.page_cache, self.file_id, page, ready);
-                }
+                self.pages.written(off, len);
             }
         }
     }

@@ -13,6 +13,9 @@
 //!   page caching and `rwsize`-capped RPCs;
 //! * [`sim_dev`] — cost hooks for node-local media (compute disk behind
 //!   the node's page cache, with optional synchronous writes; memory).
+//!
+//! All three take page residency from one crate-private page model
+//! (`pages.rs`) and only price its hits, fetches and prefetches.
 
 #![forbid(unsafe_code)]
 #![warn(
@@ -25,6 +28,7 @@
 
 pub mod export;
 pub mod mount;
+mod pages;
 pub mod sim_dev;
 
 pub use export::{ExportMedium, NfsExport, SERVER_PAGE};

@@ -14,14 +14,13 @@
 //!   shared storage-node link;
 //! * fully client-cached reads are free (no RPC).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use vmi_blockdev::{BlockDev, BlockError, Result};
 use vmi_sim::LinkId;
 
 use crate::export::NfsExport;
+use crate::pages::PageModel;
 
 /// Client fetch and caching granularity.
 pub const CLIENT_PAGE: u64 = 16 * 1024;
@@ -30,48 +29,34 @@ pub const CLIENT_PAGE: u64 = 16 * 1024;
 /// cluster size, §5).
 pub const RWSIZE: u64 = 64 * 1024;
 
-/// Client pages per full-size RPC.
-const PAGES_PER_RPC: u64 = RWSIZE / CLIENT_PAGE;
-
 /// A mounted remote file.
 pub struct NfsMount {
     export: Arc<NfsExport>,
     /// The storage node's NIC (shared by every mount in the experiment).
     link: LinkId,
-    /// Client-side page cache: set of fetched page indices.
-    cached: Mutex<HashSet<u64>>,
+    /// Client pages. Each mount is read by one VM's sequential ops, so a
+    /// page is always ready before it is read again.
+    pages: PageModel,
 }
 
 impl NfsMount {
     /// Mount `export` over `link`.
     pub fn new(export: Arc<NfsExport>, link: LinkId) -> Arc<Self> {
-        let cached = Mutex::new(HashSet::new());
-        cached.set_rank(parking_lot::lockrank::REMOTE_CACHED);
+        let world = export.world.clone();
+        // A page cache of the mount's own that never evicts.
+        let cache = world.add_cache(u64::MAX, CLIENT_PAGE);
+        let rpc = RWSIZE / CLIENT_PAGE;
+        let pages = PageModel::new(world, cache, export.file_id, CLIENT_PAGE, rpc, 0);
         Arc::new(Self {
             export,
             link,
-            cached,
+            pages,
         })
     }
 
     /// The mounted export.
     pub fn export(&self) -> &Arc<NfsExport> {
         &self.export
-    }
-
-    /// Number of client pages currently cached.
-    pub fn cached_pages(&self) -> usize {
-        self.cached.lock().len()
-    }
-
-    /// Charge one fetch RPC covering pages `[first, last]` (inclusive).
-    fn charge_fetch(&self, first_page: u64, last_page: u64) {
-        let off = first_page * CLIENT_PAGE;
-        let bytes = (last_page - first_page + 1) * CLIENT_PAGE;
-        // Server produces the bytes…
-        self.export.charge_read(off, bytes);
-        // …then they cross the shared storage NIC.
-        self.export.world.charge_link(self.link, bytes);
     }
 }
 
@@ -82,32 +67,17 @@ impl BlockDev for NfsMount {
         if buf.is_empty() {
             return Ok(());
         }
-        // Price the uncached page runs.
-        let first = off / CLIENT_PAGE;
-        let last = (off + buf.len() as u64 - 1) / CLIENT_PAGE;
-        let mut cached = self.cached.lock();
-        let mut run_start: Option<u64> = None;
-        let flush_run = |s: u64, e: u64| {
-            // Split long runs at rwsize.
-            let mut p = s;
-            while p <= e {
-                let chunk_end = (p + PAGES_PER_RPC - 1).min(e);
-                self.charge_fetch(p, chunk_end);
-                p = chunk_end + 1;
-            }
-        };
-        for page in first..=last {
-            if cached.insert(page) {
-                if run_start.is_none() {
-                    run_start = Some(page);
-                }
-            } else if let Some(s) = run_start.take() {
-                flush_run(s, page - 1);
-            }
-        }
-        if let Some(s) = run_start {
-            flush_run(s, last);
-        }
+        // Client-cached pages are free; each run of absent pages is one RPC:
+        // the server produces the bytes, then they cross the shared NIC.
+        self.pages.read(
+            off,
+            buf.len() as u64,
+            || {},
+            |at, bytes| {
+                self.export.charge_read(at, bytes);
+                self.export.world.charge_link(self.link, bytes);
+            },
+        );
         Ok(())
     }
 
@@ -116,16 +86,10 @@ impl BlockDev for NfsMount {
         if buf.is_empty() {
             return Ok(());
         }
-        // Client pages covered by the write become cached (write-through
-        // with local copy); the data crosses the link and hits the server.
-        let first = off / CLIENT_PAGE;
-        let last = (off + buf.len() as u64 - 1) / CLIENT_PAGE;
-        {
-            let mut cached = self.cached.lock();
-            for page in first..=last {
-                cached.insert(page);
-            }
-        }
+        // The client pages the write covers hold their data at once
+        // (write-through with local copy); the data crosses the link and
+        // hits the server.
+        self.pages.written(off, buf.len() as u64);
         self.export.world.charge_link(self.link, buf.len() as u64);
         self.export.charge_write(off, buf.len() as u64);
         Ok(())
@@ -202,7 +166,7 @@ mod tests {
         w.end_op();
         // 4 KiB read fetched one 16 KiB client page.
         assert_eq!(w.link_stats(link).bytes, CLIENT_PAGE);
-        assert_eq!(m.cached_pages(), 1);
+        assert_eq!(w.cache_stats(m.pages.cache), (0, 1), "one page cached");
         // Re-read and nearby read inside the same page are free.
         w.begin_op(1_000_000_000);
         m.read_at(&mut buf, 8192).unwrap();

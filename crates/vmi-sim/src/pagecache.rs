@@ -11,6 +11,7 @@
 //! still being faulted in waits for the in-flight disk read.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::Ns;
 
@@ -35,11 +36,33 @@ struct Entry {
     tick: u64,
 }
 
+/// A multiply-rotate hash for page keys (`rustc-hash`'s scheme). Nothing
+/// observes the map's iteration order, so a fast unkeyed hash changes no
+/// outcome. The final rotate moves the well-mixed high bits down to where
+/// the table takes its bucket index.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = self.0.wrapping_add(x).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// An LRU page cache with byte capacity.
 #[derive(Debug, Clone)]
 pub struct PageCache {
-    capacity_pages: usize,
-    map: HashMap<PageKey, Entry>,
+    /// `None`: unbounded — never evicts, so it keeps no LRU order.
+    capacity_pages: Option<usize>,
+    map: HashMap<PageKey, Entry, BuildHasherDefault<KeyHasher>>,
     /// LRU order: tick → key (ticks are unique).
     order: std::collections::BTreeMap<u64, PageKey>,
     next_tick: u64,
@@ -48,12 +71,14 @@ pub struct PageCache {
 }
 
 impl PageCache {
-    /// A cache of `capacity_bytes` with pages of `page_size` bytes.
+    /// A cache of `capacity_bytes` with pages of `page_size` bytes; a
+    /// capacity of `u64::MAX` is unbounded.
     pub fn new(capacity_bytes: u64, page_size: u64) -> Self {
         assert!(page_size.is_power_of_two());
         Self {
-            capacity_pages: (capacity_bytes / page_size) as usize,
-            map: HashMap::new(),
+            capacity_pages: (capacity_bytes != u64::MAX)
+                .then_some((capacity_bytes / page_size) as usize),
+            map: HashMap::default(),
             order: std::collections::BTreeMap::new(),
             next_tick: 0,
             hits: 0,
@@ -68,12 +93,14 @@ impl PageCache {
         match self.map.get_mut(&key) {
             Some(e) => {
                 self.hits += 1;
-                let old = e.tick;
+                if self.capacity_pages.is_some() {
+                    self.order.remove(&e.tick);
+                    self.order.insert(tick, key);
+                }
                 e.tick = tick;
-                let ready = e.ready_at;
-                self.order.remove(&old);
-                self.order.insert(tick, key);
-                CacheOutcome::Hit { ready_at: ready }
+                CacheOutcome::Hit {
+                    ready_at: e.ready_at,
+                }
             }
             None => {
                 self.misses += 1;
@@ -93,11 +120,15 @@ impl PageCache {
     pub fn insert(&mut self, key: PageKey, ready_at: Ns) {
         self.next_tick += 1;
         let tick = self.next_tick;
-        if let Some(old) = self.map.insert(key, Entry { ready_at, tick }) {
+        let old = self.map.insert(key, Entry { ready_at, tick });
+        let Some(capacity) = self.capacity_pages else {
+            return;
+        };
+        if let Some(old) = old {
             self.order.remove(&old.tick);
         }
         self.order.insert(tick, key);
-        while self.map.len() > self.capacity_pages {
+        while self.map.len() > capacity {
             let Some((_, k)) = self.order.pop_first() else {
                 break;
             };
@@ -144,6 +175,18 @@ mod tests {
         assert_eq!(c.probe((1, 1)), CacheOutcome::Miss);
         assert!(matches!(c.probe((1, 0)), CacheOutcome::Hit { .. }));
         assert!(matches!(c.probe((1, 2)), CacheOutcome::Hit { .. }));
+    }
+
+    #[test]
+    fn unbounded_cache_never_evicts() {
+        let mut c = PageCache::new(u64::MAX, 4096);
+        for page in 0..1000 {
+            c.insert((1, page), page);
+        }
+        assert_eq!(c.resident_pages(), 1000);
+        assert_eq!(c.probe((1, 0)), CacheOutcome::Hit { ready_at: 0 });
+        assert_eq!(c.probe((1, 999)), CacheOutcome::Hit { ready_at: 999 });
+        assert!(c.order.is_empty(), "no LRU order to keep");
     }
 
     #[test]

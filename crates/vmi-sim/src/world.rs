@@ -17,6 +17,7 @@
 //! right order across VMs.
 
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::disk::{Disk, DiskSpec, DiskStats};
@@ -181,6 +182,22 @@ impl SimWorld {
         out
     }
 
+    /// Probe page cache `id` for the pages of `file` in `pages`, in order,
+    /// until one is resident: returns how many absent pages came first and
+    /// whether a resident one ended the walk, in which case the op clock
+    /// waits for its readiness. The same as one [`Self::cache_probe`] per
+    /// page, under one lock.
+    pub fn cache_probe_run(&self, id: CacheId, file: u64, pages: Range<u64>) -> (u64, bool) {
+        let mut w = self.inner.lock();
+        for page in pages.clone() {
+            if let CacheOutcome::Hit { ready_at } = w.caches[id.0].probe((file, page)) {
+                w.op_now = w.op_now.max(ready_at);
+                return (page - pages.start, true);
+            }
+        }
+        (pages.end - pages.start, false)
+    }
+
     /// Non-blocking presence check on cache `id` (no LRU/stat side effects,
     /// never advances the op clock).
     pub fn cache_contains(&self, id: CacheId, file: u64, page: u64) -> bool {
@@ -190,6 +207,16 @@ impl SimWorld {
     /// Insert into page cache `id` a page that becomes ready at `ready_at`.
     pub fn cache_insert(&self, id: CacheId, file: u64, page: u64, ready_at: Ns) {
         self.inner.lock().caches[id.0].insert((file, page), ready_at);
+    }
+
+    /// Insert into page cache `id` the pages `pages` of `file`, in order,
+    /// each ready at the op clock.
+    pub fn cache_fill(&self, id: CacheId, file: u64, pages: impl Iterator<Item = u64>) {
+        let mut w = self.inner.lock();
+        let now = w.op_now;
+        for page in pages {
+            w.caches[id.0].insert((file, page), now);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -294,6 +321,21 @@ mod tests {
             CacheOutcome::Hit { ready_at: 700 }
         ));
         assert_eq!(w.end_op(), 700);
+    }
+
+    #[test]
+    fn probe_run_stops_at_the_first_resident_page() {
+        let w = SimWorld::new();
+        let c = w.add_cache(1 << 20, 4096);
+        w.begin_op(0);
+        w.cache_fill(c, 1, 2..3); // ready at the op clock, 0
+        w.cache_insert(c, 1, 4, 700);
+        assert_eq!(w.cache_probe_run(c, 1, 0..2), (2, false));
+        assert_eq!(w.cache_probe_run(c, 1, 0..8), (2, true));
+        assert_eq!(w.op_now(), 0, "page 2 was ready");
+        assert_eq!(w.cache_probe_run(c, 1, 3..8), (1, true));
+        assert_eq!(w.end_op(), 700, "waited for the in-flight page 4");
+        assert_eq!(w.cache_stats(c), (2, 5));
     }
 
     #[test]

@@ -92,10 +92,6 @@ pub mod lockrank {
     pub const DEV_LEAF: u32 = 70;
     /// NBD client connection (stream + handle counter).
     pub const NBD_CLIENT: u32 = 72;
-    /// Simulated NFS mount cached-cluster set (held across world charges).
-    pub const REMOTE_CACHED: u32 = 80;
-    /// Simulated remote-device stream position.
-    pub const REMOTE_STREAM: u32 = 82;
     /// Simulation world clock/ledger.
     pub const SIM_WORLD: u32 = 90;
     /// Observability sink (std mutex, manifest-only: not witnessed).
@@ -124,8 +120,6 @@ pub mod lockrank {
             DEV_COUNTING | DEV_COUNTING_W => "dev.counting",
             DEV_LEAF => "dev.leaf",
             NBD_CLIENT => "nbd.client",
-            REMOTE_CACHED => "remote.cached",
-            REMOTE_STREAM => "remote.stream",
             SIM_WORLD => "sim.world",
             OBS_SINK => "obs.sink",
             _ => "unregistered",
