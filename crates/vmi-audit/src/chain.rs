@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use vmi_blockdev::{be_u64, BlockDev, SharedDev};
+use vmi_blockdev::{be_u64, read_in_pieces, BlockDev, SharedDev};
 
 use crate::format::{parse_header, Geom, MAGIC};
 use crate::image::audit_image;
@@ -51,11 +51,14 @@ enum Layer {
 struct View {
     geom: Geom,
     is_cache: bool,
-    /// `l1_idx -> decoded L2 entries`, eagerly loaded for valid entries.
+    /// `l1_idx -> decoded L2 entries` for valid entries; loaded only for a
+    /// deep audit, the one reader.
     l2: HashMap<usize, Vec<u64>>,
 }
 
-fn build_view(dev: &dyn BlockDev) -> Option<View> {
+/// The view of the layer in `dev`, or `None` when its header, geometry or
+/// L1 table cannot be read.
+fn build_view(dev: &dyn BlockDev, deep: bool) -> Option<View> {
     let raw = parse_header(dev).ok()?;
     let geom = Geom::new(raw.cluster_bits, raw.size).ok()?;
     if raw.l1_size as u64 != geom.l1_entries() {
@@ -63,19 +66,25 @@ fn build_view(dev: &dyn BlockDev) -> Option<View> {
     }
     let cs = geom.cluster_size();
     let file_end = geom.align_up(dev.len());
-    let mut l1_raw = vec![0u8; raw.l1_size as usize * 8];
-    dev.read_at(&mut l1_raw, raw.l1_table_offset).ok()?;
-    let l1: Vec<u64> = l1_raw.chunks_exact(8).map(be_u64).collect();
     let mut l2 = HashMap::new();
-    for (i, &off) in l1.iter().enumerate() {
-        if off == 0 || off % cs != 0 || off + cs > file_end {
-            continue;
+    let mut l2_raw = vec![0u8; cs as usize];
+    let l1_len = u64::from(raw.l1_size) * 8;
+    read_in_pieces(dev, raw.l1_table_offset, l1_len, |start, piece| {
+        if !deep {
+            return;
         }
-        let mut l2_raw = vec![0u8; cs as usize];
-        if dev.read_at(&mut l2_raw, off).is_ok() {
-            l2.insert(i, l2_raw.chunks_exact(8).map(be_u64).collect());
+        for (i, e) in piece.chunks_exact(8).enumerate() {
+            let off = be_u64(e);
+            if off == 0 || off % cs != 0 || off.checked_add(cs).is_none_or(|end| end > file_end) {
+                continue;
+            }
+            if dev.read_at(&mut l2_raw, off).is_ok() {
+                let l1_idx = (start / 8) as usize + i;
+                l2.insert(l1_idx, l2_raw.chunks_exact(8).map(be_u64).collect());
+            }
         }
-    }
+    })
+    .ok()?;
     Some(View {
         geom,
         is_cache: raw.cache.is_some(),
@@ -198,7 +207,7 @@ pub fn audit_chain(layers_in: &[SharedDev], deep: bool) -> ChainReport {
         // Every non-base layer must be a container (a raw device cannot
         // name a backing file); audit_image reports the bad magic itself.
         rep.layers.push(audit_image(dev.as_ref()));
-        match build_view(dev.as_ref()) {
+        match build_view(dev.as_ref(), deep) {
             Some(v) => layers.push(Layer::Qcow(v)),
             None => layers.push(Layer::Raw),
         }

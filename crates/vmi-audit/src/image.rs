@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use vmi_blockdev::{be_u64, BlockDev};
+use vmi_blockdev::{be_u64, read_in_pieces, BlockDev, TABLE_READ_BYTES};
 use vmi_obs::{met, Event, Obs};
 
 use crate::format::{parse_header, Geom};
@@ -11,18 +11,24 @@ use crate::{AuditOpts, AuditReport, RepairHint, Severity, Violation, ViolationKi
 /// Receives the mapping tables an audit walk reads, as the raw bytes read
 /// from the device.
 ///
-/// The walk calls [`TableVisitor::l1`] once, after the L1 table's placement
-/// and bounds are checked and it was read, and then [`TableVisitor::l2`] for
-/// every L2 table whose L1 entry is aligned and in bounds and which could be
-/// read, in L1 order. Whether the entries *inside* a table are sound is the
-/// report's business: a caller that trusts the tables must check that the
-/// report is clean. A caller that keeps the tables of the last of several
-/// walks starts over in `l1`, which opens every walk that reaches the tables.
+/// Once the L1 table's placement and bounds are checked, the walk calls
+/// [`TableVisitor::begin`] with its length and then hands it over in order,
+/// one piece of at most [`TABLE_READ_BYTES`] per [`TableVisitor::l1`] call.
+/// After each piece come, through [`TableVisitor::l2`] and in L1 order, the
+/// L2 tables its entries name that are aligned, in bounds and readable. A
+/// walk whose L1 turns out unreadable part-way has handed over a prefix of
+/// it and reports [`ViolationKind::TruncatedL1`] alone. Whether the entries
+/// *inside* a table are sound is the report's business: a caller that
+/// trusts the tables must check that the report is clean. A caller that
+/// keeps the tables of the last of several walks starts over in `begin`,
+/// which opens every walk that reaches the tables.
 ///
 /// Only bytes cross this interface, never decoded entries, so a consumer's
 /// own decoder stays independent of the checker's.
 pub trait TableVisitor {
-    /// The whole L1 table (`l1_size` × 8 bytes).
+    /// A walk reached the tables; its L1 table has `l1_entries` entries.
+    fn begin(&mut self, l1_entries: usize);
+    /// The next piece of the L1 table: a whole number of entries.
     fn l1(&mut self, raw: &[u8]);
     /// One L2 table (one cluster), referenced by L1 entry `l1_index`.
     fn l2(&mut self, l1_index: u64, raw: &[u8]);
@@ -30,8 +36,80 @@ pub trait TableVisitor {
 
 /// The visitor that keeps nothing.
 impl TableVisitor for () {
+    fn begin(&mut self, _l1_entries: usize) {}
     fn l1(&mut self, _raw: &[u8]) {}
     fn l2(&mut self, _l1_index: u64, _raw: &[u8]) {}
+}
+
+/// The walk's L2 table reads. A table whose next nonzero L1 entries in the
+/// same L1 piece name the clusters right behind it is read together with
+/// them, in one read of at most [`TABLE_READ_BYTES`] (or one cluster, when
+/// clusters are larger), into one reused buffer. Cache fills place their
+/// tables ahead of their data, so a fill's tables are adjacent.
+struct TableReads {
+    buf: Vec<u8>,
+    cs: usize,
+    /// Container offset of the run in `buf`.
+    start: u64,
+    /// Tables in the run, and how many of them were handed out.
+    len: usize,
+    next: usize,
+    /// `false` once the run's one read failed: its tables are then read
+    /// one by one, so an unreadable table is named as if read alone.
+    whole: bool,
+}
+
+impl TableReads {
+    fn new(cs: u64) -> Self {
+        Self {
+            buf: vec![0; TABLE_READ_BYTES.max(cs) as usize],
+            cs: cs as usize,
+            start: 0,
+            len: 0,
+            next: 0,
+            whole: false,
+        }
+    }
+
+    /// The table at `off` (aligned, and in bounds of `file_end`), followed
+    /// in its L1 piece by the entries `ahead`; `None` when unreadable.
+    fn table(
+        &mut self,
+        dev: &dyn BlockDev,
+        off: u64,
+        ahead: &[u8],
+        file_end: u64,
+    ) -> Option<&[u8]> {
+        let cs = self.cs;
+        let planned =
+            self.next < self.len && Some(off) == self.start.checked_add((self.next * cs) as u64);
+        if !planned {
+            let max = self.buf.len() / cs;
+            let mut len = 1;
+            for e in ahead.chunks_exact(8).map(be_u64).filter(|&e| e != 0) {
+                let behind = off.checked_add((len * cs) as u64);
+                let in_bounds = e.checked_add(cs as u64).is_some_and(|end| end <= file_end);
+                if len == max || Some(e) != behind || !in_bounds {
+                    break;
+                }
+                len += 1;
+            }
+            (self.start, self.len, self.next) = (off, len, 0);
+            self.whole = dev.read_at(&mut self.buf[..len * cs], off).is_ok();
+        }
+        let i = self.next;
+        self.next += 1;
+        if self.whole {
+            return Some(&self.buf[i * cs..(i + 1) * cs]);
+        }
+        if !planned && self.len == 1 {
+            // The failed read was this table's own.
+            return None;
+        }
+        let table = &mut self.buf[..cs];
+        dev.read_at(table, off).ok()?;
+        Some(table)
+    }
 }
 
 /// Words per bitmap page: 512 bytes, 4 096 container clusters.
@@ -177,20 +255,23 @@ fn walk(dev: &dyn BlockDev, opts: &AuditOpts, tables: &mut dyn TableVisitor) -> 
         ));
         return rep;
     }
-    let mut l1_raw = vec![0u8; raw.l1_size as usize * 8];
-    if raw.l1_table_offset + l1_bytes > file_end
-        || dev.read_at(&mut l1_raw, raw.l1_table_offset).is_err()
-    {
-        rep.violations.push(Violation::error(
+    let truncated_l1 = || {
+        Violation::error(
             ViolationKind::TruncatedL1,
             format!(
                 "L1 table at {:#x}+{} extends past container end {:#x}",
                 raw.l1_table_offset, l1_bytes, file_end
             ),
-        ));
+        )
+    };
+    if raw
+        .l1_table_offset
+        .checked_add(l1_bytes)
+        .is_none_or(|end| end > file_end)
+    {
+        rep.violations.push(truncated_l1());
         return rep;
     }
-    tables.l1(&l1_raw);
 
     // Cluster-reference map for overlap detection: the header cluster and
     // the L1 table clusters are implicitly referenced. Every cluster it
@@ -209,128 +290,140 @@ fn walk(dev: &dyn BlockDev, opts: &AuditOpts, tables: &mut dyn TableVisitor) -> 
             rep.violations.push(v);
         }
     };
-    let mut l2_raw = vec![0u8; cs as usize];
+    let mut reads = TableReads::new(cs);
 
-    for (l1_idx, e) in l1_raw.chunks_exact(8).enumerate() {
-        let l2_off = be_u64(e);
-        if l2_off == 0 {
-            continue;
-        }
-        l2_tables += 1;
-        if l2_off % cs != 0 {
-            push(
-                &mut rep,
-                Violation::error(
-                    ViolationKind::L1EntryUnaligned,
-                    format!("L1[{l1_idx}] invalid: {l2_off:#x} not aligned to {cs} B clusters"),
-                )
-                .with_repair(RepairHint::ClearL1Entry {
-                    index: l1_idx as u64,
-                }),
-            );
-            continue;
-        }
-        // checked_add: a crafted entry near u64::MAX must be flagged as
-        // out-of-bounds, not overflow the bound computation.
-        if l2_off.checked_add(cs).is_none_or(|end| end > file_end) {
-            push(
-                &mut rep,
-                Violation::error(
-                    ViolationKind::L1EntryOutOfBounds,
-                    format!("L1[{l1_idx}] invalid: {l2_off:#x} past container end {file_end:#x}"),
-                )
-                .with_repair(RepairHint::ClearL1Entry {
-                    index: l1_idx as u64,
-                }),
-            );
-            continue;
-        }
-        if !refs.insert(l2_off / cs) {
-            push(
-                &mut rep,
-                Violation::error(
-                    ViolationKind::OverlappingClusters,
-                    format!(
-                        "L1[{l1_idx}] L2 table at {l2_off:#x} overlaps an already-referenced cluster"
-                    ),
-                ),
-            );
-        }
-        if dev.read_at(&mut l2_raw, l2_off).is_err() {
-            push(
-                &mut rep,
-                Violation::error(
-                    ViolationKind::TruncatedL2,
-                    format!("unreadable L2 table at {l2_off:#x}"),
-                ),
-            );
-            continue;
-        }
-        tables.l2(l1_idx as u64, &l2_raw);
-        for (l2_idx, d) in l2_raw.chunks_exact(8).enumerate() {
-            let doff = be_u64(d);
-            if doff == 0 {
+    tables.begin(raw.l1_size as usize);
+    // Each piece of the L1 is walked, its tables read, before the next is.
+    let l1_len = u64::from(raw.l1_size) * 8;
+    let l1_read = read_in_pieces(dev, raw.l1_table_offset, l1_len, |start, piece| {
+        tables.l1(piece);
+        for (i, e) in piece.chunks_exact(8).enumerate() {
+            let l1_idx = start / 8 + i as u64;
+            let l2_off = be_u64(e);
+            if l2_off == 0 {
                 continue;
             }
-            data_clusters += 1;
-            if doff % cs != 0 {
+            l2_tables += 1;
+            if l2_off % cs != 0 {
                 push(
                     &mut rep,
                     Violation::error(
-                        ViolationKind::L2EntryUnaligned,
+                        ViolationKind::L1EntryUnaligned,
+                        format!("L1[{l1_idx}] invalid: {l2_off:#x} not aligned to {cs} B clusters"),
+                    )
+                    .with_repair(RepairHint::ClearL1Entry { index: l1_idx }),
+                );
+                continue;
+            }
+            // checked_add: a crafted entry near u64::MAX must be flagged as
+            // out-of-bounds, not overflow the bound computation.
+            if l2_off.checked_add(cs).is_none_or(|end| end > file_end) {
+                push(
+                    &mut rep,
+                    Violation::error(
+                        ViolationKind::L1EntryOutOfBounds,
                         format!(
-                            "L2[{l1_idx}][{l2_idx}] invalid: {doff:#x} not aligned to {cs} B clusters"
+                            "L1[{l1_idx}] invalid: {l2_off:#x} past container end {file_end:#x}"
                         ),
                     )
-                    .with_repair(RepairHint::ClearL2Entry {
-                        l1_index: l1_idx as u64,
-                        l2_index: l2_idx as u64,
-                    }),
+                    .with_repair(RepairHint::ClearL1Entry { index: l1_idx }),
                 );
                 continue;
             }
-            if doff.checked_add(cs).is_none_or(|end| end > file_end) {
-                push(
-                    &mut rep,
-                    Violation::error(
-                        ViolationKind::L2EntryOutOfBounds,
-                        format!(
-                            "L2[{l1_idx}][{l2_idx}] invalid: {doff:#x} past container end {file_end:#x}"
-                        ),
-                    )
-                    .with_repair(RepairHint::ClearL2Entry {
-                        l1_index: l1_idx as u64,
-                        l2_index: l2_idx as u64,
-                    }),
-                );
-                continue;
-            }
-            let vba = geom.vba_of(l1_idx as u64, l2_idx as u64);
-            if vba >= raw.size {
-                push(
-                    &mut rep,
-                    Violation::error(
-                        ViolationKind::L2EntryOutOfBounds,
-                        format!(
-                            "L2[{l1_idx}][{l2_idx}] maps guest address {vba:#x} beyond virtual size {:#x}",
-                            raw.size
-                        ),
-                    ),
-                );
-                continue;
-            }
-            if !refs.insert(doff / cs) {
+            if !refs.insert(l2_off / cs) {
                 push(
                     &mut rep,
                     Violation::error(
                         ViolationKind::OverlappingClusters,
                         format!(
-                            "L2[{l1_idx}][{l2_idx}] data cluster at {doff:#x} overlaps an already-referenced cluster"
+                            "L1[{l1_idx}] L2 table at {l2_off:#x} overlaps an already-referenced cluster"
                         ),
                     ),
                 );
             }
+            let Some(l2_raw) = reads.table(dev, l2_off, &piece[(i + 1) * 8..], file_end) else {
+                push(
+                    &mut rep,
+                    Violation::error(
+                        ViolationKind::TruncatedL2,
+                        format!("unreadable L2 table at {l2_off:#x}"),
+                    ),
+                );
+                continue;
+            };
+            tables.l2(l1_idx, l2_raw);
+            for (l2_idx, d) in l2_raw.chunks_exact(8).enumerate() {
+                let doff = be_u64(d);
+                if doff == 0 {
+                    continue;
+                }
+                data_clusters += 1;
+                if doff % cs != 0 {
+                    push(
+                        &mut rep,
+                        Violation::error(
+                            ViolationKind::L2EntryUnaligned,
+                            format!(
+                                "L2[{l1_idx}][{l2_idx}] invalid: {doff:#x} not aligned to {cs} B clusters"
+                            ),
+                        )
+                        .with_repair(RepairHint::ClearL2Entry {
+                            l1_index: l1_idx,
+                            l2_index: l2_idx as u64,
+                        }),
+                    );
+                    continue;
+                }
+                if doff.checked_add(cs).is_none_or(|end| end > file_end) {
+                    push(
+                        &mut rep,
+                        Violation::error(
+                            ViolationKind::L2EntryOutOfBounds,
+                            format!(
+                                "L2[{l1_idx}][{l2_idx}] invalid: {doff:#x} past container end {file_end:#x}"
+                            ),
+                        )
+                        .with_repair(RepairHint::ClearL2Entry {
+                            l1_index: l1_idx,
+                            l2_index: l2_idx as u64,
+                        }),
+                    );
+                    continue;
+                }
+                let vba = geom.vba_of(l1_idx, l2_idx as u64);
+                if vba >= raw.size {
+                    push(
+                        &mut rep,
+                        Violation::error(
+                            ViolationKind::L2EntryOutOfBounds,
+                            format!(
+                                "L2[{l1_idx}][{l2_idx}] maps guest address {vba:#x} beyond virtual size {:#x}",
+                                raw.size
+                            ),
+                        ),
+                    );
+                    continue;
+                }
+                if !refs.insert(doff / cs) {
+                    push(
+                        &mut rep,
+                        Violation::error(
+                            ViolationKind::OverlappingClusters,
+                            format!(
+                                "L2[{l1_idx}][{l2_idx}] data cluster at {doff:#x} overlaps an already-referenced cluster"
+                            ),
+                        ),
+                    );
+                }
+            }
         }
+    });
+    if l1_read.is_err() {
+        // An unreadable L1 is reported alone, as when it is out of bounds:
+        // what the pieces before the failed one showed is dropped.
+        rep.violations.clear();
+        rep.violations.push(truncated_l1());
+        return rep;
     }
     rep.l2_tables = l2_tables;
     rep.data_clusters = data_clusters;

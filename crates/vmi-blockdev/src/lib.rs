@@ -91,3 +91,65 @@ pub fn be_u64(b: &[u8]) -> u64 {
     a.copy_from_slice(&b[..8]);
     u64::from_be_bytes(a)
 }
+
+/// The largest read a mapping-table walk makes, unless one cluster is
+/// larger: an L1 table is read in pieces of this size ([`read_in_pieces`]),
+/// and adjacent L2 tables are read together up to it. A cap in bytes, not in
+/// tables, keeps the walk's buffers below glibc's mmap threshold whatever
+/// the cluster size: freeing a larger one raises that threshold for the
+/// rest of the process.
+pub const TABLE_READ_BYTES: u64 = 64 << 10;
+
+/// Read `len` bytes of `dev` at `off` in pieces of at most
+/// [`TABLE_READ_BYTES`] through one reused buffer, handing `f` each piece
+/// and its offset from `off`, in order. Stops at the first read that fails,
+/// after `f` has seen the pieces before it.
+pub fn read_in_pieces(
+    dev: &dyn BlockDev,
+    off: u64,
+    len: u64,
+    mut f: impl FnMut(u64, &[u8]),
+) -> Result<()> {
+    if off.checked_add(len).is_none() {
+        return Err(BlockError::out_of_bounds(off, len as usize, dev.len()));
+    }
+    let mut buf = vec![0u8; len.min(TABLE_READ_BYTES) as usize];
+    let mut done = 0;
+    while done < len {
+        let piece = &mut buf[..(len - done).min(TABLE_READ_BYTES) as usize];
+        dev.read_at(piece, off + done)?;
+        f(done, piece);
+        done += piece.len() as u64;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn read_in_pieces_tiles_the_range_and_stops_at_the_first_failed_read() {
+        let dev = MemDev::from_vec((0..200u32 << 10).map(|i| i as u8).collect());
+        let mut seen = Vec::new();
+        read_in_pieces(&dev, 100, 150 << 10, |at, piece| {
+            assert_eq!(piece[0], (100 + at) as u8);
+            seen.push((at, piece.len()));
+        })
+        .unwrap();
+        assert_eq!(
+            seen,
+            [(0, 64 << 10), (64 << 10, 64 << 10), (128 << 10, 22 << 10)]
+        );
+
+        seen.clear();
+        let past_end = read_in_pieces(&dev, 100 << 10, 150 << 10, |at, piece| {
+            seen.push((at, piece.len()))
+        });
+        assert!(past_end.is_err());
+        assert_eq!(seen, [(0, 64 << 10)]);
+
+        let wraps = read_in_pieces(&dev, u64::MAX - 10, 100, |_, _| unreachable!());
+        assert_eq!(wraps.unwrap_err().kind(), BlockErrorKind::OutOfBounds);
+    }
+}

@@ -811,8 +811,8 @@ mod tests {
         assert_eq!(
             got,
             "placed=48 rejected=12 warm=34 cold=14 evictions=5 failures=2 rescheduled=0 \
-             restarts=2 readopted=3 refetched=1 mean=0.14771101858333335 p95=0.198689218 \
-             storage_mb=42.76224 jsonl=fae584adc48327cf"
+             restarts=2 readopted=3 refetched=1 mean=0.15026502789583335 p95=0.198689218 \
+             storage_mb=42.76224 jsonl=4cd656cef28042c7"
         );
         assert!(jsonl.contains("\"cache_evict\"") && jsonl.contains("\"vmi\":\"vmi-"));
     }

@@ -432,8 +432,8 @@ mod tests {
             "\
 qcow2: base/raw/ro@1 cow/cow/rw@0 | io (1, 0) (0, 0) (0, 2) | cache layer: false
 cold: base/raw/ro@2 cache/cache/rw@1 cow/cow/rw@0 | io (1, 0) (1, 3) (0, 2) | cache layer: true
-warm: cache/cache/rw@1 cow/cow/rw@0 | io (0, 0) (109, 0) (0, 2) | cache layer: true
-warm shared: cache/cache/ro@1 cow/cow/rw@0 | io (0, 0) (109, 0) (0, 2) | cache layer: true
+warm: cache/cache/rw@1 cow/cow/rw@0 | io (0, 0) (82, 0) (0, 2) | cache layer: true
+warm shared: cache/cache/ro@1 cow/cow/rw@0 | io (0, 0) (82, 0) (0, 2) | cache layer: true
 refetch: base/raw/ro@1 cow/cow/rw@0 | io (1, 0) (1, 0) (0, 2) | cache layer: false
 "
         );

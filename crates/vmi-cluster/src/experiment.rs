@@ -603,7 +603,7 @@ mod tests {
              disk=(125, 100, 424736250) pc=(385, 125) sizes=[]",
             "1GbE Cold cache (compute disk): boot=3965641240 nic=(452, 12353536, 144041248) \
              disk=(125, 106, 449336250) pc=(385, 125) sizes=[2402304, 2400256, 2402304, 2400256]",
-            "1GbE Warm cache (compute disk): boot=520558720 nic=(0, 0, 0) \
+            "1GbE Warm cache (compute disk): boot=517877710 nic=(0, 0, 0) \
              disk=(0, 0, 0) pc=(0, 0) sizes=[2402304, 2400256, 2402304, 2400256]",
             "1GbE Cold cache (compute mem): boot=2197348803 nic=(452, 12353536, 144041248) \
              disk=(125, 100, 424736250) pc=(385, 125) sizes=[2402304, 2400256, 2402304, 2400256]",
@@ -618,7 +618,7 @@ mod tests {
              disk=(125, 102, 432936250) pc=(385, 125) sizes=[]",
             "32GbIB Cold cache (compute disk): boot=3760726186 nic=(452, 12353536, 5668480) \
              disk=(125, 108, 467536250) pc=(385, 125) sizes=[2402304, 2400256, 2402304, 2400256]",
-            "32GbIB Warm cache (compute disk): boot=520558720 nic=(0, 0, 0) \
+            "32GbIB Warm cache (compute disk): boot=517877710 nic=(0, 0, 0) \
              disk=(0, 0, 0) pc=(0, 0) sizes=[2402304, 2400256, 2402304, 2400256]",
             "32GbIB Cold cache (compute mem): boot=1978717932 nic=(452, 12353536, 5668480) \
              disk=(125, 102, 432936250) pc=(385, 125) sizes=[2402304, 2400256, 2402304, 2400256]",

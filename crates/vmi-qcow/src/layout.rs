@@ -188,6 +188,12 @@ pub(crate) fn decode_entries(raw: &[u8]) -> Vec<u64> {
     raw.chunks_exact(8).map(be_u64).collect()
 }
 
+/// Decode a piece of a big-endian on-disk mapping table onto the end of
+/// `entries`.
+pub(crate) fn decode_entries_into(raw: &[u8], entries: &mut Vec<u64>) {
+    entries.extend(raw.chunks_exact(8).map(be_u64));
+}
+
 /// Iterator over per-cluster segments of a guest I/O request.
 #[derive(Debug, Clone)]
 pub struct SegmentIter {

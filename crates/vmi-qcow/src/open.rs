@@ -6,18 +6,19 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use vmi_audit::TableVisitor;
-use vmi_blockdev::{BlockDev, BlockError, Result, SharedDev};
+use vmi_blockdev::{read_in_pieces, BlockDev, BlockError, Result, SharedDev};
 use vmi_obs::Obs;
 
 use crate::header::{CacheExt, Header, VERSION};
 use crate::image::{state_rank_for, CreateOpts, MutState, QcowImage, UNALLOCATED};
 use crate::l2cache::{default_limit, L2Cache};
-use crate::layout::{decode_entries, encode_entries, Geometry};
+use crate::layout::{decode_entries, decode_entries_into, encode_entries, Geometry};
 
 /// The mapping tables of the last audit walk over a container, decoded by
-/// the driver's own [`decode_entries`]: what a warm open needs instead of
-/// reading them again. Holds at most the default L2 cache limit of tables,
-/// in L1 order.
+/// the driver's own [`decode_entries_into`]: what a warm open needs instead
+/// of reading them again. The L1 is decoded piece by piece into a vector
+/// reserved at its exact length, so the walk holds no second copy of it.
+/// Holds at most the default L2 cache limit of tables, in L1 order.
 #[derive(Debug, Default)]
 pub(crate) struct TableSeed {
     l1: Vec<u64>,
@@ -25,10 +26,15 @@ pub(crate) struct TableSeed {
 }
 
 impl TableVisitor for TableSeed {
-    fn l1(&mut self, raw: &[u8]) {
+    fn begin(&mut self, l1_entries: usize) {
         // A new walk: the previous one's tables may since have been repaired.
-        self.l1 = decode_entries(raw);
+        self.l1.clear();
+        self.l1.reserve_exact(l1_entries);
         self.l2.clear();
+    }
+
+    fn l1(&mut self, raw: &[u8]) {
+        decode_entries_into(raw, &mut self.l1);
     }
 
     fn l2(&mut self, l1_index: u64, raw: &[u8]) {
@@ -215,10 +221,13 @@ impl QcowImage {
         let (l1, l2) = if seed.l1.len() == header.l1_size as usize {
             (seed.l1, seed.l2)
         } else {
-            let mut l1_raw = vec![0u8; (header.l1_size as usize) * 8];
-            dev.read_at(&mut l1_raw, header.l1_table_offset)
-                .map_err(|_| BlockError::corrupt("truncated L1 table"))?;
-            (decode_entries(&l1_raw), Vec::new())
+            let mut l1 = Vec::with_capacity(header.l1_size as usize);
+            let l1_len = u64::from(header.l1_size) * 8;
+            read_in_pieces(dev.as_ref(), header.l1_table_offset, l1_len, |_, piece| {
+                decode_entries_into(piece, &mut l1)
+            })
+            .map_err(|_| BlockError::corrupt("truncated L1 table"))?;
+            (l1, Vec::new())
         };
         let cluster_size = geom.cluster_size();
         for &e in &l1 {

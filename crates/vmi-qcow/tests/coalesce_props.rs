@@ -40,6 +40,8 @@ fn base_strategy() -> impl Strategy<Value = Vec<(u64, usize, u8)>> {
 struct EmptyTables(Vec<u64>);
 
 impl vmi_audit::TableVisitor for EmptyTables {
+    fn begin(&mut self, _l1_entries: usize) {}
+
     fn l1(&mut self, _raw: &[u8]) {}
 
     fn l2(&mut self, l1_index: u64, raw: &[u8]) {

@@ -10,7 +10,7 @@
 //! Each cached page carries a `ready_at` time: a hit on a page that is
 //! still being faulted in waits for the in-flight disk read.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::Ns;
@@ -57,15 +57,27 @@ impl Hasher for KeyHasher {
     }
 }
 
+type KeyMap<V> = HashMap<PageKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// Where the pages live.
+#[derive(Debug, Clone)]
+enum Pages {
+    /// Never evicts, so keeps no recency: each page's ready time alone.
+    Unbounded(KeyMap<Ns>),
+    /// Evicts the least recently used page beyond `capacity` pages.
+    Bounded {
+        capacity: usize,
+        map: KeyMap<Entry>,
+        /// LRU order: tick → key (ticks are unique).
+        order: BTreeMap<u64, PageKey>,
+        next_tick: u64,
+    },
+}
+
 /// An LRU page cache with byte capacity.
 #[derive(Debug, Clone)]
 pub struct PageCache {
-    /// `None`: unbounded — never evicts, so it keeps no LRU order.
-    capacity_pages: Option<usize>,
-    map: HashMap<PageKey, Entry, BuildHasherDefault<KeyHasher>>,
-    /// LRU order: tick → key (ticks are unique).
-    order: std::collections::BTreeMap<u64, PageKey>,
-    next_tick: u64,
+    pages: Pages,
     hits: u64,
     misses: u64,
 }
@@ -75,12 +87,18 @@ impl PageCache {
     /// capacity of `u64::MAX` is unbounded.
     pub fn new(capacity_bytes: u64, page_size: u64) -> Self {
         assert!(page_size.is_power_of_two());
+        let pages = if capacity_bytes == u64::MAX {
+            Pages::Unbounded(KeyMap::default())
+        } else {
+            Pages::Bounded {
+                capacity: (capacity_bytes / page_size) as usize,
+                map: KeyMap::default(),
+                order: BTreeMap::new(),
+                next_tick: 0,
+            }
+        };
         Self {
-            capacity_pages: (capacity_bytes != u64::MAX)
-                .then_some((capacity_bytes / page_size) as usize),
-            map: HashMap::default(),
-            order: std::collections::BTreeMap::new(),
-            next_tick: 0,
+            pages,
             hits: 0,
             misses: 0,
         }
@@ -88,19 +106,25 @@ impl PageCache {
 
     /// Probe the cache, updating recency on hit.
     pub fn probe(&mut self, key: PageKey) -> CacheOutcome {
-        self.next_tick += 1;
-        let tick = self.next_tick;
-        match self.map.get_mut(&key) {
-            Some(e) => {
+        let ready_at = match &mut self.pages {
+            Pages::Unbounded(map) => map.get(&key).copied(),
+            Pages::Bounded {
+                map,
+                order,
+                next_tick,
+                ..
+            } => map.get_mut(&key).map(|e| {
+                *next_tick += 1;
+                order.remove(&e.tick);
+                order.insert(*next_tick, key);
+                e.tick = *next_tick;
+                e.ready_at
+            }),
+        };
+        match ready_at {
+            Some(ready_at) => {
                 self.hits += 1;
-                if self.capacity_pages.is_some() {
-                    self.order.remove(&e.tick);
-                    self.order.insert(tick, key);
-                }
-                e.tick = tick;
-                CacheOutcome::Hit {
-                    ready_at: e.ready_at,
-                }
+                CacheOutcome::Hit { ready_at }
             }
             None => {
                 self.misses += 1;
@@ -112,27 +136,38 @@ impl PageCache {
     /// Non-mutating presence check: no recency update, no hit/miss stats.
     /// Used by prefetchers deciding what still needs fetching.
     pub fn contains(&self, key: PageKey) -> bool {
-        self.map.contains_key(&key)
+        match &self.pages {
+            Pages::Unbounded(map) => map.contains_key(&key),
+            Pages::Bounded { map, .. } => map.contains_key(&key),
+        }
     }
 
     /// Insert a page whose content becomes available at `ready_at`
     /// (the disk fetch's completion time), evicting LRU pages as needed.
     pub fn insert(&mut self, key: PageKey, ready_at: Ns) {
-        self.next_tick += 1;
-        let tick = self.next_tick;
-        let old = self.map.insert(key, Entry { ready_at, tick });
-        let Some(capacity) = self.capacity_pages else {
-            return;
-        };
-        if let Some(old) = old {
-            self.order.remove(&old.tick);
-        }
-        self.order.insert(tick, key);
-        while self.map.len() > capacity {
-            let Some((_, k)) = self.order.pop_first() else {
-                break;
-            };
-            self.map.remove(&k);
+        match &mut self.pages {
+            Pages::Unbounded(map) => {
+                map.insert(key, ready_at);
+            }
+            Pages::Bounded {
+                capacity,
+                map,
+                order,
+                next_tick,
+            } => {
+                *next_tick += 1;
+                let tick = *next_tick;
+                if let Some(old) = map.insert(key, Entry { ready_at, tick }) {
+                    order.remove(&old.tick);
+                }
+                order.insert(tick, key);
+                while map.len() > *capacity {
+                    let Some((_, k)) = order.pop_first() else {
+                        break;
+                    };
+                    map.remove(&k);
+                }
+            }
         }
     }
 
@@ -143,7 +178,10 @@ impl PageCache {
 
     /// Pages currently resident.
     pub fn resident_pages(&self) -> usize {
-        self.map.len()
+        match &self.pages {
+            Pages::Unbounded(map) => map.len(),
+            Pages::Bounded { map, .. } => map.len(),
+        }
     }
 }
 
@@ -186,7 +224,10 @@ mod tests {
         assert_eq!(c.resident_pages(), 1000);
         assert_eq!(c.probe((1, 0)), CacheOutcome::Hit { ready_at: 0 });
         assert_eq!(c.probe((1, 999)), CacheOutcome::Hit { ready_at: 999 });
-        assert!(c.order.is_empty(), "no LRU order to keep");
+        assert!(
+            matches!(c.pages, Pages::Unbounded(_)),
+            "no LRU order to keep"
+        );
     }
 
     #[test]
