@@ -6,28 +6,27 @@
 //!
 //! ## Fidelity note
 //!
-//! Requests are processed in arrival order and each boot is simulated to
-//! completion before the next placement decision. Shared resources
-//! (storage NIC, storage disk, page caches) carry their queue state across
-//! boots, so temporally overlapping boots still contend; what is
-//! approximated is op-level interleaving *between* boots, which is
-//! irrelevant at scheduling granularity.
-
-use std::collections::HashMap;
-use std::sync::Arc;
+//! Every arrival, node failure, restart and slot release is an event on the
+//! one boot timeline (`runner.rs`), so boots that overlap in time interleave
+//! op by op on the storage node, exactly as the simultaneous boots of a
+//! paper figure do. Placement sees the fleet as it is at the arrival
+//! instant, and a node failure stops the boots in flight there at the
+//! failure time. What is still approximated is inside one op: it reserves
+//! its whole disk→link chain when it is issued, so each FIFO resource serves
+//! requests in submission order rather than arrival order. `LinkStats` and
+//! `DiskStats` count how often that reorders requests and by how much.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vmi_blockdev::{BlockDev, Result, SharedDev, SparseDev};
-use vmi_obs::{met, Event, Obs, RecorderHandle};
-use vmi_qcow::{recover_with_obs, Header};
+use vmi_blockdev::Result;
+use vmi_obs::RecorderHandle;
 use vmi_sim::{NetSpec, Ns};
 use vmi_trace::VmiProfile;
 
-use crate::cluster::{CacheSource, Cluster};
-use crate::deploy::{Mode, Placement};
+use crate::cluster::Cluster;
 use crate::experiment::vmi_seed;
-use crate::sched::{NodeState, Policy, Scheduler};
+use crate::runner::{Deploy, Request, Runner};
+use crate::sched::{Policy, Scheduler};
 use crate::telemetry::Telemetry;
 
 /// One VM request arriving at the cloud.
@@ -155,7 +154,7 @@ pub struct CloudConfig {
 }
 
 /// What a day in the cloud looked like.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CloudReport {
     /// Requests that got a slot.
     pub placed: usize,
@@ -191,346 +190,54 @@ pub struct CloudReport {
     pub telemetry: Telemetry,
 }
 
-/// A cache container stranded on a powered-off node's local disk, waiting
-/// for the node to restart and recover it: `(node, vmi, container)`.
-type DownedCache = (usize, usize, Arc<SparseDev>);
-
-/// Seeded model of what the power cut did to one on-disk cache container.
-/// Most survive intact (the close barrier completed before the cut), some
-/// lose the used-size write-back (the classic torn close, repairable in
-/// place), and some lose the header cluster itself (unrecoverable — the
-/// restart refetches them cold). Deterministic per `(seed, node, vmi)`.
-fn inject_crash_tear(dev: &Arc<SparseDev>, seed: u64, node: usize, vmi: usize) {
-    let mut rng = StdRng::seed_from_u64(vmi_seed(seed, node * 8191 + vmi) ^ 0x09C0_FFEE);
-    let p: f64 = rng.gen();
-    if p < 0.25 {
-        // Cut during the header write: magic gone, nothing trustworthy.
-        let _ = dev.write_at(&[0u8; 8], 0);
-    } else if p < 0.60 {
-        // Cut between the table barriers and the used write-back: tables
-        // intact, recorded used-size stale.
-        let bogus = 512 + (rng.gen::<u64>() % 4096) * 8;
-        let _ = Header::update_cache_used(dev.as_ref(), bogus);
-    }
-    // else: the close flush completed before the cut; container intact.
-}
-
-/// Apply every injected failure *and* pending restart at or before `now`,
-/// in event-time order. A failure takes the node down, loses its running
-/// VMs, and — for a power-cut failure — strands its cache containers
-/// (seeded tearing) until the scheduled restart; a permanent failure drops
-/// them. A restart restores the node, runs crash recovery over the
-/// stranded containers, re-adopts the usable ones warm, and refetches the
-/// rest cold.
-#[allow(clippy::too_many_arguments)]
-fn advance_fleet(
-    failures: &[NodeFailure],
-    next: &mut usize,
-    restarts: &mut Vec<(Ns, usize)>,
-    downed: &mut Vec<DownedCache>,
-    now: Ns,
-    seed: u64,
-    fleet: &mut [NodeState],
-    running: &mut Vec<(usize, Ns)>,
-    warm_local: &mut HashMap<(usize, usize), Arc<SparseDev>>,
-    obs: &Obs,
-    report: &mut CloudReport,
-) {
-    loop {
-        let tf = failures.get(*next).map(|f| f.at).filter(|&t| t <= now);
-        let tr = restarts.first().map(|r| r.0).filter(|&t| t <= now);
-        let restart_first = match (tf, tr) {
-            (None, None) => break,
-            (Some(tf), Some(tr)) => tr < tf,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-        };
-        if restart_first {
-            let (at, node) = restarts.remove(0);
-            restart_node(node, at, fleet, warm_local, downed, obs, report);
-            continue;
-        }
-        let f = failures[*next];
-        *next += 1;
-        if !fleet[f.node].up {
-            continue;
-        }
-        fleet[f.node].fail();
-        running.retain(|&(n, _)| n != f.node);
-        // Harvest (power cut) or drop (permanent) the node's containers;
-        // sorted by VMI so the tear injection order is deterministic.
-        let mut lost: Vec<(usize, Arc<SparseDev>)> = warm_local
-            .iter()
-            .filter(|((n, _), _)| *n == f.node)
-            .map(|((_, v), d)| (*v, d.clone()))
-            .collect();
-        lost.sort_unstable_by_key(|&(v, _)| v);
-        warm_local.retain(|&(n, _), _| n != f.node);
-        if let Some(downtime) = f.restart_after {
-            for (v, dev) in lost {
-                inject_crash_tear(&dev, seed, f.node, v);
-                downed.push((f.node, v, dev));
-            }
-            let t = f.at + downtime;
-            let pos = restarts.partition_point(|&r| r <= (t, f.node));
-            restarts.insert(pos, (t, f.node));
-        }
-        report.node_failures += 1;
-        obs.count(met::NODE_FAILURES, 1);
-        obs.emit(|| Event::NodeFailed {
-            node: f.node as u64,
-        });
-    }
-}
-
-/// Bring a power-cut node back: restore it for placements, recover every
-/// stranded cache container, re-adopt the usable ones into the pool (and
-/// `warm_local`), refetch the rest.
-fn restart_node(
-    node: usize,
-    now: Ns,
-    fleet: &mut [NodeState],
-    warm_local: &mut HashMap<(usize, usize), Arc<SparseDev>>,
-    downed: &mut Vec<DownedCache>,
-    obs: &Obs,
-    report: &mut CloudReport,
-) {
-    fleet[node].restore();
-    report.node_restarts += 1;
-    obs.count(met::NODE_RESTARTS, 1);
-    let mut mine: Vec<(usize, Arc<SparseDev>)> = Vec::new();
-    downed.retain(|&(n, v, ref d)| {
-        if n == node {
-            mine.push((v, d.clone()));
-            false
-        } else {
-            true
-        }
-    });
-    mine.sort_unstable_by_key(|&(v, _)| v);
-    let (mut readopted, mut refetched) = (0u64, 0u64);
-    for (v, container) in mine {
-        let dev: SharedDev = container.clone();
-        let rec = recover_with_obs(&dev, obs);
-        let mut adopted = false;
-        if rec.is_usable() {
-            let size = container.len();
-            let mut evicted = Vec::new();
-            if fleet[node]
-                .caches
-                .admit(v, size, now, now, obs, node as u64, &mut evicted)
-                .is_ok()
-            {
-                for ev in evicted {
-                    warm_local.remove(&(node, ev));
-                    report.evictions += 1;
-                }
-                warm_local.insert((node, v), container);
-                adopted = true;
-            }
-        }
-        if adopted {
-            readopted += 1;
-            obs.count(met::CACHES_READOPTED, 1);
-        } else {
-            refetched += 1;
-            obs.count(met::CACHES_REFETCHED, 1);
-        }
-    }
-    report.caches_readopted += readopted as usize;
-    report.caches_refetched += refetched as usize;
-    obs.emit(|| Event::NodeRestarted {
-        node: node as u64,
-        readopted,
-        refetched,
-    });
-}
-
 /// Run the request stream through the cloud. Deterministic.
 pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudReport> {
+    let mut runner = run_day(cfg, requests)?;
+    let mut boot_times: Vec<Ns> = runner
+        .boots()
+        .filter_map(|v| Some(v.outcome?.boot_ns))
+        .collect();
+    let mut report = std::mem::take(&mut runner.report);
+    if !boot_times.is_empty() {
+        let sum: u128 = boot_times.iter().map(|&b| b as u128).sum();
+        report.mean_boot_secs = sum as f64 / boot_times.len() as f64 / 1e9;
+        boot_times.sort_unstable();
+        report.p95_boot_secs = p95(&boot_times) as f64 / 1e9;
+    }
+    let cluster = &runner.cluster;
+    report.storage_traffic_mb = cluster.world.link_stats(cluster.storage.nic).bytes as f64 / 1e6;
+    report.telemetry = Telemetry::from_parts(Vec::new(), &cluster.obs);
+    Ok(report)
+}
+
+/// The runner after a day of `requests` on the cloud `cfg` describes.
+pub(crate) fn run_day<'p>(cfg: &'p CloudConfig, requests: &[VmRequest]) -> Result<Runner<'p>> {
     assert!(cfg.nodes >= 1 && cfg.slots_per_node >= 1 && cfg.vmis >= 1);
     assert!(
         cfg.node_failures.iter().all(|f| f.node < cfg.nodes),
         "injected failure names a node outside the fleet"
     );
     let seeds = (0..cfg.vmis).map(|v| vmi_seed(cfg.seed, v));
-    let mut cluster = Cluster::new(&cfg.profile, cfg.net, &cfg.recorder, cfg.nodes, seeds);
-    let obs = cluster.obs.clone();
+    let cluster = Cluster::new(&cfg.profile, cfg.net, &cfg.recorder, cfg.nodes, seeds);
+    let mut runner = Runner::new(cluster, cfg.slots_per_node, cfg.node_cache_bytes);
+    runner.sched = Scheduler::new(cfg.policy, cfg.cache_aware);
+    runner.quota = cfg.use_caches.then_some(cfg.quota);
+    runner.failures = cfg.node_failures.clone();
+    runner.seed = cfg.seed;
+    let requests = requests.iter().map(|r| Request {
+        at: r.at,
+        vmi: r.vmi,
+        lifetime_ns: Some(r.lifetime_ns),
+        deploy: Deploy::Scheduled,
+    });
+    runner.run(requests.collect())?;
+    Ok(runner)
+}
 
-    // Fleet state. Cache pools are keyed by VMI index: the per-request hot
-    // path below never formats a "vmi-N" string (names appear only in events).
-    let mut fleet: Vec<NodeState> = (0..cfg.nodes)
-        .map(|i| NodeState::new(i, cfg.slots_per_node, cfg.node_cache_bytes))
-        .collect();
-    let sched = Scheduler::new(cfg.policy, cfg.cache_aware);
-    // Running VMs: (node, ends_at).
-    let mut running: Vec<(usize, Ns)> = Vec::new();
-    // Node-local warm cache containers, keyed by (node, vmi).
-    let mut warm_local: HashMap<(usize, usize), Arc<SparseDev>> = HashMap::new();
-
-    let mut report = CloudReport {
-        placed: 0,
-        rejected: 0,
-        warm_boots: 0,
-        cold_boots: 0,
-        evictions: 0,
-        node_failures: 0,
-        rescheduled_boots: 0,
-        node_restarts: 0,
-        caches_readopted: 0,
-        caches_refetched: 0,
-        mean_boot_secs: 0.0,
-        p95_boot_secs: 0.0,
-        storage_traffic_mb: 0.0,
-        telemetry: Telemetry::default(),
-    };
-    let mut failures: Vec<NodeFailure> = cfg.node_failures.clone();
-    failures.sort_by_key(|f| f.at);
-    let mut next_failure = 0usize;
-    // Pending power-cut restarts `(at, node)` and the cache containers
-    // stranded on powered-off nodes until then.
-    let mut restarts: Vec<(Ns, usize)> = Vec::new();
-    let mut downed: Vec<DownedCache> = Vec::new();
-    let mut boot_times: Vec<Ns> = Vec::new();
-
-    for (vm_id, req) in requests.iter().enumerate() {
-        advance_fleet(
-            &failures,
-            &mut next_failure,
-            &mut restarts,
-            &mut downed,
-            req.at,
-            cfg.seed,
-            &mut fleet,
-            &mut running,
-            &mut warm_local,
-            &obs,
-            &mut report,
-        );
-        // Release slots whose VMs ended before this arrival.
-        running.retain(|&(node, ends_at)| {
-            if ends_at <= req.at {
-                Scheduler::release(&mut fleet, node);
-                false
-            } else {
-                true
-            }
-        });
-
-        // Place and boot; a node dying mid-boot sends the VM back to the
-        // scheduler for the next-best placement, restarted at the failure
-        // time (the controller notices the loss and retries).
-        let mut start_at = req.at;
-        let mut rescheduled_from: Option<usize> = None;
-        let booted = loop {
-            let Some(decision) = sched.place(&mut fleet, req.vmi, start_at, &obs) else {
-                break None;
-            };
-            let node_idx = decision.node;
-            if let Some(from) = rescheduled_from.take() {
-                report.rescheduled_boots += 1;
-                obs.count(met::BOOT_RESCHEDULES, 1);
-                let (vm, to) = (vm_id as u64, node_idx as u64);
-                obs.emit(|| Event::BootRescheduled {
-                    vm,
-                    from_node: from as u64,
-                    to_node: to,
-                });
-            }
-            // Decide the chain per Algorithm 1 at node level.
-            let warm_hit = cfg.use_caches
-                && decision.cache_hit
-                && warm_local.contains_key(&(node_idx, req.vmi));
-            let (mode, cache) = if !cfg.use_caches {
-                (Mode::Qcow2, CacheSource::fresh())
-            } else if warm_hit {
-                report.warm_boots += 1;
-                (
-                    Mode::WarmCache {
-                        placement: Placement::ComputeDisk,
-                        quota: cfg.quota,
-                        cluster_bits: 9,
-                    },
-                    CacheSource::fork_of(&warm_local[&(node_idx, req.vmi)]),
-                )
-            } else {
-                report.cold_boots += 1;
-                let fresh = Arc::new(SparseDev::new());
-                warm_local.insert((node_idx, req.vmi), fresh.clone());
-                (
-                    Mode::ColdCache {
-                        placement: Placement::ComputeMem,
-                        quota: cfg.quota,
-                        cluster_bits: 9,
-                    },
-                    CacheSource::Local(fresh),
-                )
-            };
-            let (_, run) = cluster.deploy(node_idx, req.vmi, mode, cache, start_at)?;
-            let outcome = cluster.run(vec![run])?[0];
-            // Did the chosen node die while this boot was in flight?
-            let killed_at = failures[next_failure..]
-                .iter()
-                .take_while(|f| f.at < outcome.done_at)
-                .find(|f| f.node == node_idx)
-                .map(|f| f.at);
-            match killed_at {
-                Some(at) => {
-                    advance_fleet(
-                        &failures,
-                        &mut next_failure,
-                        &mut restarts,
-                        &mut downed,
-                        at,
-                        cfg.seed,
-                        &mut fleet,
-                        &mut running,
-                        &mut warm_local,
-                        &obs,
-                        &mut report,
-                    );
-                    start_at = at;
-                    rescheduled_from = Some(node_idx);
-                }
-                None => break Some((node_idx, warm_hit, outcome)),
-            }
-        };
-        let Some((node_idx, warm_hit, outcome)) = booted else {
-            report.rejected += 1;
-            continue;
-        };
-        report.placed += 1;
-        boot_times.push(outcome.boot_ns);
-        running.push((node_idx, outcome.done_at + req.lifetime_ns));
-
-        // Admit the cache this cold boot just filled into the node's pool;
-        // evictions drop the corresponding local containers.
-        if cfg.use_caches && !warm_hit {
-            let node = &mut fleet[node_idx];
-            let size = warm_local[&(node_idx, req.vmi)].len();
-            // A cache larger than the whole pool is simply not kept.
-            let mut evicted = Vec::new();
-            let (at, id) = (req.at, node_idx as u64);
-            let _ = node
-                .caches
-                .admit(req.vmi, size, at, at, &obs, id, &mut evicted);
-            for v in evicted {
-                warm_local.remove(&(node_idx, v));
-                report.evictions += 1;
-            }
-        }
-    }
-
-    if !boot_times.is_empty() {
-        let sum: u128 = boot_times.iter().map(|&b| b as u128).sum();
-        report.mean_boot_secs = sum as f64 / boot_times.len() as f64 / 1e9;
-        let mut sorted = boot_times.clone();
-        sorted.sort_unstable();
-        report.p95_boot_secs = sorted[(sorted.len() - 1) * 95 / 100] as f64 / 1e9;
-    }
-    report.storage_traffic_mb = cluster.world.link_stats(cluster.storage.nic).bytes as f64 / 1e6;
-    report.telemetry = Telemetry::from_parts(Vec::new(), &obs);
-    Ok(report)
+/// The 95th percentile of a sorted, non-empty sample by nearest rank: the
+/// smallest value at or above 95 % of the sample.
+fn p95(sorted: &[Ns]) -> Ns {
+    sorted[(sorted.len() * 95).div_ceil(100) - 1]
 }
 
 /// Convenience: pool capacity heuristic used by examples/ablations.
@@ -541,6 +248,7 @@ pub fn default_pool_bytes(profile: &VmiProfile, images: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmi_blockdev::BlockDev;
 
     fn cfg(use_caches: bool, cache_aware: bool) -> CloudConfig {
         let profile = VmiProfile::tiny_test();
@@ -811,10 +519,41 @@ mod tests {
         assert_eq!(
             got,
             "placed=48 rejected=12 warm=34 cold=14 evictions=5 failures=2 rescheduled=0 \
-             restarts=2 readopted=3 refetched=1 mean=0.15026502789583335 p95=0.198689218 \
-             storage_mb=42.76224 jsonl=4cd656cef28042c7"
+             restarts=2 readopted=3 refetched=1 mean=0.14808835741666665 p95=0.198689218 \
+             storage_mb=42.76224 jsonl=cbe05f175656e5f6"
         );
         assert!(jsonl.contains("\"cache_evict\"") && jsonl.contains("\"vmi\":\"vmi-"));
+    }
+
+    #[test]
+    fn p95_is_the_nearest_rank() {
+        assert_eq!(p95(&[7]), 7);
+        // Two boots: the slower one, not the faster.
+        assert_eq!(p95(&[1, 2]), 2);
+        assert_eq!(p95(&(1..=20).collect::<Vec<_>>()), 19);
+        assert_eq!(p95(&(1..=21).collect::<Vec<_>>()), 20);
+        assert_eq!(p95(&(1..=100).collect::<Vec<_>>()), 95);
+    }
+
+    #[test]
+    fn overlapping_cold_boots_of_one_vmi_leave_one_cache() {
+        let mut c = cfg(true, true);
+        (c.nodes, c.vmis) = (1, 1);
+        let req = |at| VmRequest {
+            at,
+            vmi: 0,
+            lifetime_ns: 0,
+        };
+        let reqs = [req(0), req(1_000_000), req(5_000_000_000)];
+        let runner = run_day(&c, &reqs).unwrap();
+        let rep = &runner.report;
+        assert_eq!((rep.placed, rep.cold_boots, rep.warm_boots), (3, 2, 1));
+        let done: Vec<_> = runner.boots().filter_map(|v| v.outcome).collect();
+        assert!(done[0].done_at > 1_000_000, "the first two overlap");
+        assert!(done[1].done_at < 5_000_000_000, "the third comes after");
+        assert_eq!(runner.warm_local.len(), 1);
+        let kept = &runner.warm_local[&(0, 0)];
+        assert_eq!(runner.fleet[0].caches.used(), kept.len());
     }
 
     #[test]

@@ -5,22 +5,23 @@
 //! (§5). [`Cluster`] is that testbed built once — simulated world, storage
 //! node, the run's observability handle, a catalog of one boot trace and
 //! one base export per VMI, and the compute nodes — with one deploy step
-//! ([`Cluster::deploy`]) and one run step ([`Cluster::run`]). The runners
-//! differ only in what they decide *around* those steps: which node, which
-//! [`Mode`], which cache container, when.
+//! ([`Cluster::deploy`], or [`Cluster::deploy_hybrid`] for Algorithm 1's
+//! storage-cache branch). The runner (`runner.rs`) calls it at each
+//! arrival and decides around it: which node, which [`Mode`], which cache
+//! container, when.
 
 use std::sync::Arc;
 
 use vmi_blockdev::{Result, SharedDev, SparseDev};
 use vmi_obs::{Obs, RecorderHandle};
-use vmi_qcow::QcowImage;
+use vmi_qcow::{CreateOpts, QcowImage};
 use vmi_remote::{NfsExport, NfsMount};
 use vmi_sim::{NetSpec, Ns, SimWorld};
 use vmi_trace::{BootTrace, VmiProfile};
 
-use crate::deploy::{build_chain, ChainSpec, Mode};
+use crate::deploy::{build_chain, ChainSpec, Mode, WarmCache};
 use crate::node::{ComputeNode, StorageNode};
-use crate::vm::{run_boots, VmOutcome, VmRun};
+use crate::vm::VmRun;
 
 /// One catalog entry: what every boot of the VMI shares.
 pub(crate) struct Vmi {
@@ -34,8 +35,11 @@ pub(crate) struct Vmi {
 /// cache on the node ([`Mode::Qcow2`]) ignore a [`CacheSource::Local`].
 pub(crate) enum CacheSource<'a> {
     /// A container private to the compute node, placed on the medium the
-    /// mode names: new and empty, or the fork of a warm one.
+    /// mode names.
     Local(Arc<SparseDev>),
+    /// A private copy of a warm container, forked when the VM is deployed
+    /// and then local like [`CacheSource::Local`].
+    Fork(&'a SparseDev),
     /// A warm cache exported from storage memory, mounted read-only and
     /// shared by every node that boots the VMI (Fig. 13 bottom).
     Shared(&'a Arc<NfsExport>),
@@ -45,11 +49,6 @@ impl CacheSource<'_> {
     /// A new, empty node-local container.
     pub(crate) fn fresh() -> Self {
         Self::Local(Arc::new(SparseDev::new()))
-    }
-
-    /// A private node-local copy of the warm container `warm`.
-    pub(crate) fn fork_of(warm: &SparseDev) -> Self {
-        Self::Local(Arc::new(warm.fork()))
     }
 }
 
@@ -119,6 +118,10 @@ impl<'a> Cluster<'a> {
         let (cache_dev, cache_read_only) = match cache {
             CacheSource::Shared(export) => (Some(self.mount(export)), true),
             CacheSource::Local(container) => (self.nodes[node].cache_file(mode, container), false),
+            CacheSource::Fork(warm) => {
+                let container = Arc::new(warm.fork());
+                (self.nodes[node].cache_file(mode, container), false)
+            }
         };
         let spec = ChainSpec {
             mode,
@@ -132,11 +135,49 @@ impl<'a> Cluster<'a> {
         self.boot(node, vmi, start_at, || build_chain(spec))
     }
 
+    /// Deploy the §6 hybrid chain for `vmi` on `node` at `start_at`: a *new
+    /// local cache* in the node's memory, chained to `storage_cache` exported
+    /// from the storage node's memory, chained to the base — Algorithm 1's
+    /// `ChainToStorageCache` branch. The local cache starts cold and warms
+    /// from the remote cache, never from the storage disk.
+    pub(crate) fn deploy_hybrid(
+        &mut self,
+        node: usize,
+        vmi: usize,
+        storage_cache: &WarmCache,
+        local_quota: u64,
+        start_at: Ns,
+    ) -> Result<(Arc<QcowImage>, VmRun)> {
+        let cache_export = self
+            .storage
+            .export_on_tmpfs(storage_cache.container.clone() as SharedDev);
+        let remote_cache_dev = self.mount(&cache_export);
+        let base_dev = self.mount(&self.vmis[vmi].base);
+        let vsize = self.profile.virtual_size;
+        let local_cache_dev = self.nodes[node].mem_file(Arc::new(SparseDev::new()));
+        let cow_dev = self.nodes[node].disk_file(Arc::new(SparseDev::new()), false);
+        self.boot(node, vmi, start_at, || {
+            // The remote warm cache opens read-only (it is shared).
+            let remote_cache = QcowImage::open(remote_cache_dev, Some(base_dev), true)?;
+            // "Create NewCache_base on C; Chain NewCache_base to Cache_base".
+            let local_cache = QcowImage::create(
+                local_cache_dev,
+                CreateOpts::cache(vsize, "storage-cache", local_quota),
+                Some(remote_cache as SharedDev),
+            )?;
+            QcowImage::create(
+                cow_dev,
+                CreateOpts::cow(vsize, "local-cache"),
+                Some(local_cache as SharedDev),
+            )
+        })
+    }
+
     /// Run `build` inside one op window opened at `start_at` and wrap the
     /// chain it returns as a boot of `vmi`. Chain creation is part of the
     /// measured boot (the paper times from "invoking KVM"), so what the
     /// window priced becomes the boot's setup time.
-    pub(crate) fn boot(
+    fn boot(
         &self,
         node: usize,
         vmi: usize,
@@ -156,11 +197,5 @@ impl<'a> Cluster<'a> {
             setup_ns,
         };
         Ok((chain, run))
-    }
-
-    /// Replay `vms` to completion on the shared timeline; one outcome per
-    /// VM, in input order.
-    pub(crate) fn run(&self, vms: Vec<VmRun>) -> Result<Vec<VmOutcome>> {
-        run_boots(&self.world, vms, &self.obs)
     }
 }

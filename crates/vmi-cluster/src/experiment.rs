@@ -18,8 +18,9 @@ use vmi_trace::{BootTrace, VmiProfile};
 
 use crate::cluster::{CacheSource, Cluster};
 use crate::deploy::{prepare_warm_cache, Mode, Placement, WarmCache};
+use crate::runner::{Deploy, Request, Runner};
 use crate::telemetry::{cache_layer, Telemetry};
-use crate::vm::{BootStats, VmOutcome, VmRun};
+use crate::vm::{BootStats, VmOutcome};
 
 /// Memoizes warm-cache preparation across experiment points: warming a
 /// CentOS cache is an offline boot replay, and a figure sweep re-uses the
@@ -236,33 +237,41 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentOutcome> {
         }
     );
 
-    let mut vms: Vec<VmRun> = Vec::with_capacity(cfg.nodes);
-    let mut chains: Vec<Arc<QcowImage>> = Vec::with_capacity(cfg.nodes);
-    for i in 0..cfg.nodes {
-        let v = i % cfg.vmis;
-        let mode = if cold_storage_mem && i >= cfg.vmis {
-            Mode::Qcow2
-        } else {
-            cfg.mode
-        };
-        let cache = match (&warm_exports[v], &warm[v]) {
-            (Some(export), _) => CacheSource::Shared(export),
-            (None, Some(w)) => CacheSource::fork_of(&w.container),
-            (None, None) => CacheSource::fresh(),
-        };
-        let (chain, run) = cluster.deploy(i, v, mode, cache, 0)?;
-        chains.push(chain);
-        vms.push(run);
-    }
-
-    let mut outcomes = cluster.run(vms)?;
+    let requests = (0..cfg.nodes)
+        .map(|node| {
+            let vmi = node % cfg.vmis;
+            let mode = if cold_storage_mem && node >= cfg.vmis {
+                Mode::Qcow2
+            } else {
+                cfg.mode
+            };
+            let cache = match (&warm_exports[vmi], &warm[vmi]) {
+                (Some(export), _) => CacheSource::Shared(export),
+                (None, Some(w)) => CacheSource::Fork(&w.container),
+                (None, None) => CacheSource::fresh(),
+            };
+            Request {
+                at: 0,
+                vmi,
+                lifetime_ns: None,
+                deploy: Deploy::Pinned { node, mode, cache },
+            }
+        })
+        .collect();
+    let mut runner = Runner::new(cluster, 1, 0);
+    runner.run(requests)?;
+    let (mut outcomes, chains): (Vec<VmOutcome>, Vec<Arc<QcowImage>>) = runner
+        .boots()
+        .filter_map(|v| Some((v.outcome?, v.chain.clone()?)))
+        .unzip();
+    let cluster = &runner.cluster;
 
     if cold_storage_mem {
         // Creators transfer in the order their boots finish.
         let mut order: Vec<usize> = (0..cfg.vmis).collect();
         order.sort_by_key(|&i| outcomes[i].done_at);
         for i in order {
-            transfer_cache(&cluster, i, &chains[i], &mut outcomes[i]);
+            transfer_cache(cluster, i, &chains[i], &mut outcomes[i]);
         }
     }
 

@@ -7,11 +7,13 @@
 //! paper designs in §3.4/§6: LRU cache pools ([`cachepool`]), Algorithm 1
 //! placement ([`placement`]) and the cache-aware scheduler ([`sched`]).
 //!
-//! Four runners: [`run_experiment`] (one point of a paper figure),
-//! [`run_mixed_experiment`] (a scheduler over a partly warm fleet),
-//! [`run_cloud`] (a day of arrivals, evictions and node failures) — all
-//! three on one private byte-level cluster core, differing in what they
-//! decide around its deploy and run steps — and [`run_scale`], the 10k-node
+//! One byte-level runner, with presets: [`run_experiment`] (one point of a
+//! paper figure: N pinned arrivals at t = 0), [`run_mixed_experiment`] (a
+//! scheduler over a partly warm fleet), [`run_hybrid_boot`] (Algorithm 1's
+//! storage-cache branch) and [`run_cloud`] (a day of arrivals, evictions
+//! and node failures). Every arrival, failure, restart, slot release and VM
+//! wake-up is an event on one heap, so boots that overlap in time share the
+//! storage node whichever preset started them. [`run_scale`] is the 10k-node
 //! model of the same mechanism. There is one LRU: a node's cache pool, a
 //! scale node cache and a rack or zone tier are all a [`CachePool`] keyed
 //! by VMI index.
@@ -56,6 +58,7 @@ pub mod experiment;
 pub mod mixed;
 pub mod node;
 pub mod placement;
+mod runner;
 pub mod scale;
 pub mod sched;
 pub mod telemetry;

@@ -12,17 +12,17 @@
 
 use std::sync::Arc;
 
-use vmi_blockdev::{BlockError, Result, SharedDev, SparseDev};
-use vmi_obs::{Obs, RecorderHandle};
-use vmi_qcow::{CreateOpts, QcowImage};
+use vmi_blockdev::{BlockError, Result};
+use vmi_obs::RecorderHandle;
 use vmi_sim::NetSpec;
 use vmi_trace::VmiProfile;
 
-use crate::cluster::{CacheSource, Cluster};
-use crate::deploy::{prepare_warm_cache, Mode, Placement, WarmCache};
+use crate::cluster::Cluster;
+use crate::deploy::prepare_warm_cache;
 use crate::experiment::WarmStore;
-use crate::sched::{NodeState, Policy, Scheduler};
-use crate::vm::{BootStats, VmRun};
+use crate::runner::{Deploy, Request, Runner};
+use crate::sched::{Policy, Scheduler};
+use crate::vm::{BootStats, VmOutcome};
 
 /// Configuration of a mixed warm/cold scheduling experiment.
 #[derive(Debug, Clone)]
@@ -60,10 +60,11 @@ pub struct MixedOutcome {
     pub total_placements: usize,
 }
 
-/// Run a mixed warm/cold fleet: `nodes` VMs are scheduled onto `nodes`
-/// single-slot nodes, a `warm_fraction` of which hold a warm cache for the
-/// (single) VMI. Cache-aware scheduling fills warm nodes first; oblivious
-/// scheduling spreads by the base policy and hits warm nodes only by luck.
+/// Run a mixed warm/cold fleet: `vms` VMs arrive at once and are scheduled
+/// onto `nodes` single-slot nodes, a `warm_fraction` of which hold a warm
+/// cache for the (single) VMI. Cache-aware scheduling fills warm nodes
+/// first; oblivious scheduling spreads by the base policy and hits warm
+/// nodes only by luck.
 pub fn run_mixed_experiment(cfg: &MixedConfig) -> Result<MixedOutcome> {
     assert!((0.0..=1.0).contains(&cfg.warm_fraction));
     assert!(
@@ -71,110 +72,36 @@ pub fn run_mixed_experiment(cfg: &MixedConfig) -> Result<MixedOutcome> {
         "vms must be in 1..=nodes"
     );
     let recorder = RecorderHandle::none();
-    let mut cluster = Cluster::new(&cfg.profile, cfg.net, &recorder, cfg.nodes, [cfg.seed]);
+    let cluster = Cluster::new(&cfg.profile, cfg.net, &recorder, cfg.nodes, [cfg.seed]);
     let warm = prepare_warm_cache(&cfg.profile, &cluster.vmis[0].trace, cfg.quota, 9)?;
-
-    // Scheduler's fleet view: single VM slot per node; warm caches sit on
-    // the *last* k nodes so oblivious striping (which fills low ids first)
-    // genuinely misses them.
+    let mut runner = Runner::new(cluster, 1, 1 << 30);
+    runner.sched = Scheduler::new(cfg.policy, cfg.cache_aware);
+    runner.quota = Some(cfg.quota);
+    // Warm caches sit on the *last* k nodes, so oblivious striping (which
+    // fills low ids first) genuinely misses them. The experiment boots one
+    // VMI: index 0 of the cluster's catalog.
     let warm_count = (cfg.nodes as f64 * cfg.warm_fraction).round() as usize;
-    let mut fleet: Vec<NodeState> = (0..cfg.nodes)
-        .map(|i| NodeState::new(i, 1, 1 << 30))
-        .collect();
-    let obs = Obs::disabled();
-    // The experiment boots one VMI: index 0 of the cluster's catalog.
-    for node in fleet.iter_mut().rev().take(warm_count) {
-        let id = node.id as u64;
-        if node
-            .caches
-            .admit(0, warm.file_size, 0, 0, &obs, id, &mut Vec::new())
-            .is_err()
-        {
+    for node in cfg.nodes - warm_count..cfg.nodes {
+        if !runner.adopt(node, 0, warm.container.clone(), 0) {
             return Err(BlockError::unsupported(
                 "warm cache larger than a node's cache capacity",
             ));
         }
     }
-    let sched = Scheduler::new(cfg.policy, cfg.cache_aware);
-
-    // Place one VM per request; build each VM's chain according to whether
-    // its node is warm.
-    let mut vms = Vec::with_capacity(cfg.vms);
-    let mut warm_placements = 0;
-    for t in 0..cfg.vms {
-        let Some(decision) = sched.place(&mut fleet, 0, t as u64, &obs) else {
-            return Err(BlockError::unsupported(
-                "fleet has no capacity for the next request",
-            ));
-        };
-        let (mode, cache) = if decision.cache_hit {
-            warm_placements += 1;
-            (
-                Mode::WarmCache {
-                    placement: Placement::ComputeDisk,
-                    quota: cfg.quota,
-                    cluster_bits: 9,
-                },
-                CacheSource::fork_of(&warm.container),
-            )
-        } else {
-            (
-                Mode::ColdCache {
-                    placement: Placement::ComputeMem,
-                    quota: cfg.quota,
-                    cluster_bits: 9,
-                },
-                CacheSource::fresh(),
-            )
-        };
-        vms.push(cluster.deploy(decision.node, 0, mode, cache, 0)?.1);
-    }
-
-    let outcomes = cluster.run(vms)?;
+    let requests = (0..cfg.vms)
+        .map(|_| Request {
+            at: 0,
+            vmi: 0,
+            lifetime_ns: None,
+            deploy: Deploy::Scheduled,
+        })
+        .collect();
+    runner.run(requests)?;
+    let outcomes: Vec<VmOutcome> = runner.boots().filter_map(|v| v.outcome).collect();
     Ok(MixedOutcome {
         stats: BootStats::from(&outcomes),
-        warm_placements,
-        total_placements: cfg.vms,
-    })
-}
-
-/// Deploy the §6 hybrid chain on node 0 of `cluster`: a *new local cache*
-/// chained to `storage_cache` living in the storage node's memory, chained
-/// to the base — Algorithm 1's `ChainToStorageCache` branch.
-///
-/// The local cache starts cold and warms from the remote cache (never from
-/// the storage disk).
-fn deploy_hybrid(
-    cluster: &mut Cluster<'_>,
-    storage_cache: &WarmCache,
-    local_quota: u64,
-) -> Result<(Arc<QcowImage>, VmRun)> {
-    // The warm cache is exported from tmpfs; each node mounts it.
-    let cache_export = cluster
-        .storage
-        .export_on_tmpfs(storage_cache.container.clone() as SharedDev);
-    let remote_cache_dev = cluster.mount(&cache_export);
-    let base_dev = cluster.mount(&cluster.vmis[0].base);
-    let vsize = cluster.profile.virtual_size;
-    let node = &mut cluster.nodes[0];
-    let local_cache_dev = node.mem_file(Arc::new(SparseDev::new()));
-    let cow_dev = node.disk_file(Arc::new(SparseDev::new()), false);
-    cluster.boot(0, 0, 0, || {
-        // Open the remote warm cache read-only (shared).
-        let remote_cache = QcowImage::open(remote_cache_dev, Some(base_dev), true)?;
-        // Local cache chained to the remote cache (Algorithm 1: "Create
-        // NewCache_base on C; Chain NewCache_base to Cache_base").
-        let local_cache = QcowImage::create(
-            local_cache_dev,
-            CreateOpts::cache(vsize, "storage-cache", local_quota),
-            Some(remote_cache as SharedDev),
-        )?;
-        // CoW on the node's disk over the local cache.
-        QcowImage::create(
-            cow_dev,
-            CreateOpts::cow(vsize, "local-cache"),
-            Some(local_cache as SharedDev),
-        )
+        warm_placements: runner.report.warm_boots,
+        total_placements: runner.report.placed,
     })
 }
 
@@ -188,12 +115,26 @@ pub fn run_hybrid_boot(
     store: &Arc<WarmStore>,
 ) -> Result<(f64, u64)> {
     let recorder = RecorderHandle::none();
-    let mut cluster = Cluster::new(profile, net, &recorder, 1, [seed]);
+    let cluster = Cluster::new(profile, net, &recorder, 1, [seed]);
     let warm = store.get_or_prepare(profile, &cluster.vmis[0].trace, quota, 9)?;
-    let (_, run) = deploy_hybrid(&mut cluster, &warm, quota)?;
-    let outcomes = cluster.run(vec![run])?;
+    let mut runner = Runner::new(cluster, 1, 0);
+    runner.run(vec![Request {
+        at: 0,
+        vmi: 0,
+        lifetime_ns: None,
+        deploy: Deploy::Hybrid {
+            node: 0,
+            storage_cache: &warm,
+            quota,
+        },
+    }])?;
+    let boot_ns: u64 = runner
+        .boots()
+        .filter_map(|v| Some(v.outcome?.boot_ns))
+        .sum();
+    let cluster = &runner.cluster;
     Ok((
-        outcomes[0].boot_ns as f64 / 1e9,
+        boot_ns as f64 / 1e9,
         cluster.world.disk_stats(cluster.storage.disk).read_ops,
     ))
 }
@@ -276,7 +217,7 @@ mod tests {
         let mut cluster = Cluster::new(&profile, NetSpec::ib_32g(), &recorder, 1, [5]);
         let trace = cluster.vmis[0].trace.clone();
         let warm = prepare_warm_cache(&profile, &trace, 16 << 20, 9).unwrap();
-        let (chain, _) = deploy_hybrid(&mut cluster, &warm, 16 << 20).unwrap();
+        let (chain, _) = cluster.deploy_hybrid(0, 0, &warm, 16 << 20, 0).unwrap();
         let (world, storage) = (&cluster.world, &cluster.storage);
         crate::deploy::replay_unpriced(chain.as_ref(), &trace).unwrap();
         let nic_after_first = world.link_stats(storage.nic).bytes;

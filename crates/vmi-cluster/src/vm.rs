@@ -8,6 +8,11 @@
 //! VM connects back … as soon as it has completed its boot process" — here,
 //! from chain construction until the last trace op plus the trailing guest
 //! initialization time.
+//!
+//! [`Timeline`] is the crate's one boot event heap. Besides the VMs'
+//! wake-ups it carries the events of whoever drives it — the runner's
+//! arrivals, node failures, restarts and slot releases — so boots that
+//! overlap in time interleave op by op whatever started them.
 
 use std::sync::Arc;
 
@@ -48,70 +53,127 @@ struct VmState {
     span: Option<vmi_obs::SpanGuard>,
 }
 
-/// A VM's wake-up in the event heap: keyed `(at, vm)`, so simultaneous
-/// wake-ups run in VM-index order however they were scheduled. Unique,
-/// because a VM has one pending wake-up at a time.
-fn wake(at: Ns, vm: usize) -> EventKey {
-    EventKey {
-        at,
-        lane: 0,
-        tag: 0,
-        a: vm as u64,
-        b: 0,
-    }
+/// What [`Timeline::run`] hands its runner at each step.
+pub(crate) enum Step<E> {
+    /// An event the runner scheduled.
+    Event(E),
+    /// VM `.0` connected back.
+    Done(usize, VmOutcome),
 }
 
-/// Replay all `vms` to completion; returns one outcome per VM, in input
-/// order. Deterministic: identical inputs give identical timelines.
-///
-/// Each VM's boot is one `boot.vm` span through `obs`, opened at its first
-/// op (issue) and closed at completion (connect-back), and every trace op's
-/// simulated latency is recorded into the [`met::VM_OP_NS`] histogram; pass
-/// [`Obs::disabled`] to record nothing.
-///
-/// # Errors
-/// Propagates the first I/O error any chain returns (experiments run on
-/// correct chains; errors indicate a harness bug).
-pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmOutcome>> {
-    let mut scratch = vec![0u8; 1 << 20];
-    let mut queue: Shard<()> = Shard::default();
-    let mut outcomes: Vec<Option<VmOutcome>> = Vec::with_capacity(vms.len());
-    let mut states: Vec<VmState> = Vec::with_capacity(vms.len());
+/// Tag of a VM wake-up: the largest, so at one instant every runner event
+/// runs before any VM does.
+const WAKE: u8 = u8::MAX;
 
-    for (i, run) in vms.into_iter().enumerate() {
-        outcomes.push(None);
+/// The boot event heap and the VMs on it. Every key is content-derived:
+/// a wake-up is `(at, WAKE, vm)`, so simultaneous wake-ups run in VM-index
+/// order however they were scheduled (unique, because a VM has one pending
+/// wake-up at a time); a runner event is `(at, tag, id)`.
+pub(crate) struct Timeline<E> {
+    world: SimWorld,
+    obs: Obs,
+    queue: Shard<Option<E>>,
+    /// `None` once the VM has connected back or been killed: its chain is
+    /// dropped and a pending wake-up finds nothing to do.
+    vms: Vec<Option<VmState>>,
+    scratch: Vec<u8>,
+}
+
+impl<E> Timeline<E> {
+    /// An empty timeline over `world`, tracing through `obs`.
+    pub(crate) fn new(world: &SimWorld, obs: &Obs) -> Self {
+        Self {
+            world: world.clone(),
+            obs: obs.clone(),
+            queue: Shard::default(),
+            vms: Vec::new(),
+            scratch: vec![0u8; 1 << 20],
+        }
+    }
+
+    /// Schedule runner event `ev` at `at`. At one instant events run in
+    /// `(tag, id)` order; the caller keeps that pair unique per instant.
+    pub(crate) fn schedule(&mut self, at: Ns, tag: u8, id: u64, ev: E) {
+        debug_assert!(tag < WAKE, "tag {WAKE} is the VMs'");
+        self.queue.push(key(at, tag, id), Some(ev));
+    }
+
+    /// Put `run` on the timeline; returns its VM index, which
+    /// [`Step::Done`] and [`Timeline::kill`] use.
+    pub(crate) fn start(&mut self, run: VmRun) -> usize {
+        let vm = self.vms.len();
         let issue_at =
             run.start_at + run.setup_ns + run.trace.ops.first().map(|o| o.think_ns).unwrap_or(0);
-        queue.push(wake(issue_at, i), ());
-        states.push(VmState {
+        self.queue.push(key(issue_at, WAKE, vm as u64), None);
+        self.vms.push(Some(VmState {
             run,
             next_op: 0,
             span: None,
-        });
+        }));
+        vm
     }
 
-    while let Some((key, ())) = queue.pop() {
-        let (now, vm) = (key.at, key.a as usize);
-        let st = &mut states[vm];
+    /// Stop VM `vm` at `at`: it issues no further I/O and never completes.
+    /// Its `boot.vm` span, if open, ends at `at`.
+    pub(crate) fn kill(&mut self, vm: usize, at: Ns) {
+        if let Some(st) = self.vms[vm].take() {
+            self.world.with_time(at, || drop(st.span));
+        }
+    }
+
+    /// Run the heap dry: replay each VM wake-up, and hand `drive` every
+    /// runner event and every completion, in key order. `drive` may
+    /// schedule events and start or kill VMs.
+    ///
+    /// # Errors
+    /// The first error a chain or `drive` returns (experiments run on
+    /// correct chains; errors indicate a harness bug).
+    pub(crate) fn run(
+        &mut self,
+        mut drive: impl FnMut(&mut Self, Ns, Step<E>) -> Result<()>,
+    ) -> Result<()> {
+        while let Some((key, ev)) = self.queue.pop() {
+            let step = match ev {
+                Some(ev) => {
+                    // Stamp what the runner emits outside a priced op at the
+                    // event's instant, not at the last op's completion.
+                    self.world.with_time(key.at, || ());
+                    Step::Event(ev)
+                }
+                None => match self.wake(key.at, key.a as usize)? {
+                    Some(out) => Step::Done(key.a as usize, out),
+                    None => continue,
+                },
+            };
+            drive(self, key.at, step)?;
+        }
+        Ok(())
+    }
+
+    /// VM `vm` wakes at `now`: issue its next op and schedule the wake-up
+    /// after it, or connect back if the trace is done.
+    fn wake(&mut self, now: Ns, vm: usize) -> Result<Option<VmOutcome>> {
+        let (world, obs) = (&self.world, &self.obs);
+        let Some(st) = &mut self.vms[vm] else {
+            return Ok(None);
+        };
         let trace = &st.run.trace;
         if st.next_op >= trace.ops.len() {
             // Woken for completion: connect-back fires now.
-            let done_at = now;
-            let boot_ns = done_at - st.run.start_at;
+            let boot_ns = now - st.run.start_at;
             let think = trace.total_think_ns() + st.run.setup_ns;
-            outcomes[vm] = Some(VmOutcome {
-                done_at,
-                boot_ns,
-                io_wait_ns: boot_ns.saturating_sub(think),
-            });
             // Stamp the boot span's end at the completion time (we are
             // outside any priced op window here).
-            let span = st.span.take();
-            world.with_time(done_at, || {
+            let span = self.vms[vm].take().and_then(|st| st.span);
+            world.with_time(now, || {
                 obs.count(met::BOOTS_DONE, 1);
                 drop(span);
             });
-            continue;
+            return Ok(Some(VmOutcome {
+                done_at: now,
+                boot_ns,
+                io_wait_ns: boot_ns.saturating_sub(think),
+            }));
         }
         if st.next_op == 0 {
             let nops = trace.ops.len();
@@ -120,6 +182,7 @@ pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmO
             }));
         }
         let op = trace.ops[st.next_op];
+        let scratch = &mut self.scratch;
         if scratch.len() < op.len as usize {
             scratch.resize(op.len as usize, 0);
         }
@@ -157,10 +220,45 @@ pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmO
         } else {
             completed + trace.final_think_ns
         };
-        queue.push(wake(next_at, vm), ());
+        self.queue.push(key(next_at, WAKE, vm as u64), None);
+        Ok(None)
     }
+}
 
-    // The queue drains every VM, so no slot can be empty here.
+fn key(at: Ns, tag: u8, id: u64) -> EventKey {
+    EventKey {
+        at,
+        lane: 0,
+        tag,
+        a: id,
+        b: 0,
+    }
+}
+
+/// Replay all `vms` to completion; returns one outcome per VM, in input
+/// order. Deterministic: identical inputs give identical timelines.
+///
+/// Each VM's boot is one `boot.vm` span through `obs`, opened at its first
+/// op (issue) and closed at completion (connect-back), and every trace op's
+/// simulated latency is recorded into the [`met::VM_OP_NS`] histogram; pass
+/// [`Obs::disabled`] to record nothing.
+///
+/// # Errors
+/// Propagates the first I/O error any chain returns (experiments run on
+/// correct chains; errors indicate a harness bug).
+pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmOutcome>> {
+    let mut timeline = Timeline::<()>::new(world, obs);
+    let mut outcomes = vec![None; vms.len()];
+    for run in vms {
+        timeline.start(run);
+    }
+    timeline.run(|_, _, step| {
+        if let Step::Done(vm, out) = step {
+            outcomes[vm] = Some(out);
+        }
+        Ok(())
+    })?;
+    // The heap drains every VM, so no slot can be empty here.
     Ok(outcomes.into_iter().flatten().collect())
 }
 

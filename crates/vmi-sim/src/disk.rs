@@ -80,6 +80,12 @@ pub struct DiskStats {
     pub seeks: u64,
     /// Total time the server was busy.
     pub busy_ns: Ns,
+    /// Accesses submitted at a `now` earlier than that of an access the
+    /// disk already took: the FIFO served them in submission order, not
+    /// arrival order.
+    pub late: u64,
+    /// Total of those accesses' lag behind the latest earlier submission.
+    pub late_ns: Ns,
 }
 
 /// A FIFO disk server.
@@ -90,6 +96,8 @@ pub struct Disk {
     next_free: Ns,
     /// Device offset right after the last serviced request.
     head_pos: u64,
+    /// Latest submission time so far.
+    latest: Ns,
     stats: DiskStats,
 }
 
@@ -100,6 +108,7 @@ impl Disk {
             spec,
             next_free: 0,
             head_pos: 0,
+            latest: 0,
             stats: DiskStats::default(),
         }
     }
@@ -107,6 +116,11 @@ impl Disk {
     /// Submit an access at simulated time `now`; returns its completion
     /// time. Requests are serviced strictly in submission order.
     pub fn access(&mut self, now: Ns, offset: u64, bytes: u64, is_write: bool) -> Ns {
+        if now < self.latest {
+            self.stats.late += 1;
+            self.stats.late_ns += self.latest - now;
+        }
+        self.latest = self.latest.max(now);
         let start = self.next_free.max(now);
         let gap = offset.abs_diff(self.head_pos);
         // Adjacent accesses ride the track buffer / readahead: transfer time
@@ -224,6 +238,17 @@ mod tests {
         assert_eq!(s.read_bytes, 100);
         assert_eq!(s.write_bytes, 200);
         assert!(s.busy_ns > 0);
+    }
+
+    #[test]
+    fn late_submissions_are_counted_with_their_lag() {
+        let mut d = Disk::new(fast_spec());
+        d.access(10 * MSEC, 0, 512, false);
+        d.access(4 * MSEC, 512, 512, false);
+        d.access(10 * MSEC, 1024, 512, true);
+        d.access(9 * MSEC, 1536, 512, true);
+        let s = d.stats();
+        assert_eq!((s.late, s.late_ns), (2, 6 * MSEC + MSEC));
     }
 
     #[test]

@@ -98,6 +98,12 @@ pub struct LinkStats {
     pub bytes: u64,
     /// Time the pipe was occupied.
     pub busy_ns: Ns,
+    /// Messages submitted at a `now` earlier than that of a message the
+    /// pipe already took: the FIFO served them in submission order, not
+    /// arrival order.
+    pub late: u64,
+    /// Total of those messages' lag behind the latest earlier submission.
+    pub late_ns: Ns,
 }
 
 /// A shared FIFO link.
@@ -105,6 +111,8 @@ pub struct LinkStats {
 pub struct Link {
     spec: NetSpec,
     next_free: Ns,
+    /// Latest submission time so far.
+    latest: Ns,
     stats: LinkStats,
 }
 
@@ -114,6 +122,7 @@ impl Link {
         Self {
             spec,
             next_free: 0,
+            latest: 0,
             stats: LinkStats::default(),
         }
     }
@@ -123,6 +132,11 @@ impl Link {
         let service = self.spec.per_msg_ns + transfer_ns(bytes, self.spec.bw_bps);
         self.stats.messages += 1;
         self.stats.bytes += bytes;
+        if now < self.latest {
+            self.stats.late += 1;
+            self.stats.late_ns += self.latest - now;
+        }
+        self.latest = self.latest.max(now);
         let start = self.next_free.max(now);
         self.next_free = start + service;
         self.stats.busy_ns += service;
@@ -183,6 +197,18 @@ mod tests {
             SEC + 50_000,
             "second message waits for the pipe, latency once"
         );
+    }
+
+    #[test]
+    fn late_submissions_are_counted_with_their_lag() {
+        let mut l = Link::new(NetSpec::gbe_1());
+        l.transfer(100, 1000);
+        l.transfer(100, 1000);
+        l.transfer(40, 1000);
+        l.transfer(200, 1000);
+        l.transfer(150, 1000);
+        let s = l.stats();
+        assert_eq!((s.late, s.late_ns), (2, 60 + 50));
     }
 
     #[test]

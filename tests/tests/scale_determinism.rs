@@ -186,7 +186,7 @@ fn small_config_reports_are_pinned() {
             "digest=60c8d3f1958e3dff boots=240 warm=43 joins=0 fills=[0, 0, 0, 197] \
              tier_bytes=[0, 0, 0, 1652555776] fill_bytes=1652555776 evictions=101/0/0 \
              truncations=0 degrades=0 storage=LinkStats { messages: 197, bytes: 1652555776, \
-             busy_ns: 517211680 } zone_bytes=1652555776 rack_bytes=1652555776 \
+             busy_ns: 517211680, late: 0, late_ns: 0 } zone_bytes=1652555776 rack_bytes=1652555776 \
              makespan=22094542840 mean=2044403037.8333333 p50=2147483647 p99=2147483647 \
              jsonl=23c03531ff290a27",
         ),
@@ -195,7 +195,7 @@ fn small_config_reports_are_pinned() {
             "digest=56e028485bc2c102 boots=240 warm=43 joins=0 fills=[0, 54, 51, 92] \
              tier_bytes=[0, 452984832, 427819008, 771751936] fill_bytes=1652555776 \
              evictions=101/69/22 truncations=0 degrades=0 storage=LinkStats { messages: 92, \
-             bytes: 771751936, busy_ns: 241540480 } zone_bytes=1199570944 \
+             bytes: 771751936, busy_ns: 241540480, late: 0, late_ns: 0 } zone_bytes=1199570944 \
              rack_bytes=1652555776 makespan=22049036540 mean=2023993686.425 p50=2147483647 \
              p99=2147483647 jsonl=7004fd50feb1e28b",
         ),
@@ -204,7 +204,7 @@ fn small_config_reports_are_pinned() {
             "digest=3743412d9079158e boots=240 warm=35 joins=14 fills=[37, 1, 75, 93] \
              tier_bytes=[257684793, 3774874, 573928844, 766835617] fill_bytes=1602224128 \
              evictions=95/65/21 truncations=11 degrades=4 storage=LinkStats { messages: 93, \
-             bytes: 766835617, busy_ns: 240008129 } zone_bytes=1340764461 \
+             bytes: 766835617, busy_ns: 240008129, late: 28, late_ns: 813326718416 } zone_bytes=1340764461 \
              rack_bytes=1629324186 makespan=100709397545 mean=37029290808.754166 \
              p50=34359738367 p99=137438953471 jsonl=237511ba64c12741",
         ),
