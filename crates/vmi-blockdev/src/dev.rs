@@ -147,10 +147,9 @@ pub trait BlockDev: Send + Sync {
     ///
     /// The `_in` family is how causal tracing crosses device layers without
     /// thread-locals: instrumented callers pass their current span down, and
-    /// instrumented devices (image formats, the retry decorator) override
-    /// these to parent their own spans under it. Plain media inherit the
-    /// defaults, which ignore the parent and delegate — identical behaviour,
-    /// zero cost.
+    /// instrumented devices (image formats) override these to parent their
+    /// own spans under it. Plain media inherit the defaults, which ignore the
+    /// parent and delegate — identical behaviour, zero cost.
     fn read_at_in(&self, buf: &mut [u8], off: u64, parent: Option<vmi_obs::SpanId>) -> Result<()> {
         let _ = parent;
         self.read_at(buf, off)
@@ -211,8 +210,8 @@ pub trait BlockDev: Send + Sync {
         None
     }
 
-    /// Decorator hook: pass-through wrappers (counting, retry, fault,
-    /// crash, read-only…) return the device they wrap so structural walks
+    /// Decorator hook: pass-through wrappers (counting, fault, crash,
+    /// read-only…) return the device they wrap so structural walks
     /// — in particular the lock-rank probe for backing chains — can see
     /// through them. Leaf media return `None`.
     fn inner_dev(&self) -> Option<&SharedDev> {
@@ -349,7 +348,6 @@ mod tests {
         assert_send_sync::<crate::CountingDev>();
         assert_send_sync::<crate::CrashDev>();
         assert_send_sync::<crate::FaultDev>();
-        assert_send_sync::<crate::RetryDev>();
         assert_send_sync::<SharedDev>();
     }
 

@@ -42,16 +42,6 @@ impl BlockErrorKind {
             BlockErrorKind::Injected => "injected fault",
         }
     }
-
-    /// `true` iff a retry of the same operation could plausibly succeed.
-    ///
-    /// Host I/O failures and injected test faults model transient media /
-    /// network conditions (an NFS timeout, a flaky disk). Everything else —
-    /// bounds, permissions, quota, structural corruption — is a property of
-    /// the request or the image and retrying cannot fix it.
-    pub fn is_transient(self) -> bool {
-        matches!(self, BlockErrorKind::Io | BlockErrorKind::Injected)
-    }
 }
 
 /// A block-device error: a [`BlockErrorKind`] plus human-oriented context.
@@ -106,13 +96,6 @@ impl BlockError {
     /// `true` iff this is the quota space error the CoR read path handles.
     pub fn is_no_space(&self) -> bool {
         self.kind == BlockErrorKind::NoSpace
-    }
-
-    /// `true` iff retrying the failed operation could plausibly succeed
-    /// (see [`BlockErrorKind::is_transient`]). [`crate::RetryDev`] retries
-    /// exactly these errors and fails fast on everything else.
-    pub fn is_transient(&self) -> bool {
-        self.kind.is_transient()
     }
 
     /// The contextual message.
@@ -175,18 +158,5 @@ mod tests {
         ];
         let strs: std::collections::HashSet<_> = kinds.iter().map(|k| k.as_str()).collect();
         assert_eq!(strs.len(), kinds.len());
-    }
-
-    #[test]
-    fn transient_split_is_exhaustive() {
-        use BlockErrorKind::*;
-        for k in [Io, Injected] {
-            assert!(k.is_transient(), "{} should be transient", k.as_str());
-        }
-        for k in [OutOfBounds, NoSpace, ReadOnly, Corrupt, Unsupported] {
-            assert!(!k.is_transient(), "{} should be permanent", k.as_str());
-        }
-        assert!(BlockError::new(Io, "nfs timeout").is_transient());
-        assert!(!BlockError::corrupt("bad magic").is_transient());
     }
 }

@@ -1,17 +1,14 @@
 //! Deterministic failure injection for tests.
 //!
 //! The cache read path must degrade gracefully when the cache fill fails
-//! mid-boot (quota space errors are the designed case; transient I/O errors
-//! the undesigned one). [`FaultDev`] lets tests fail the Nth read, write or
-//! flush deterministically, fail every operation touching a byte range, or
-//! model flaky media: every-Nth failures, K-consecutive-failures-then-
-//! recover, and seeded probabilistic faults. All plans are deterministic —
-//! the probabilistic plan draws from a seeded [`rand::rngs::StdRng`], so the
-//! same seed reproduces the same fault sequence.
+//! mid-boot (quota space errors are the designed case; I/O errors the
+//! undesigned one), and a base-side failure must surface as the typed error
+//! of the guest read it hits. [`FaultDev`] lets tests fail the Nth read,
+//! write or flush, fail every operation touching a byte range, or fail
+//! every Nth operation persistently. Every plan is a pure function of the
+//! operation sequence after it is armed.
 
 use parking_lot::{lockrank, Mutex};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::{BlockDev, BlockError, BlockErrorKind, ByteRange, Result, SharedDev};
 
@@ -81,38 +78,12 @@ pub enum FaultPlan {
     /// Fail every `n`th matching operation, persistently: ops with 1-based
     /// sequence number divisible by `n` fail. `EveryNth { n: 1 }` fails
     /// every matching op; `n: 3` fails ops #3, #6, #9, ... A flaky medium
-    /// whose failure pattern is exactly periodic — the canonical workload
-    /// for exercising retry loops deterministically.
+    /// whose failure pattern is exactly periodic.
     EveryNth {
         /// Which op class counts toward and triggers the fault.
         site: FaultSite,
         /// Period: every `n`th matching op fails (`n >= 1`).
         n: u64,
-        /// Error kind to return.
-        kind: BlockErrorKind,
-    },
-    /// Fail the next `k` matching operations consecutively, then recover
-    /// (the plan removes itself). Models a brownout: a medium that is down
-    /// for a bounded window and then heals — a retry policy with at least
-    /// `k + 1` attempts rides it out.
-    FailK {
-        /// Which op class counts toward and triggers the fault.
-        site: FaultSite,
-        /// Number of consecutive matching ops to fail before recovering.
-        k: u64,
-        /// Error kind to return.
-        kind: BlockErrorKind,
-    },
-    /// Fail each matching operation independently with probability `p`,
-    /// drawn from a [`StdRng`] seeded with `seed` at arming time. Two
-    /// `FaultDev`s armed with the same seed fail the same op sequence.
-    Probabilistic {
-        /// Which op class the fault applies to.
-        site: FaultSite,
-        /// Per-op failure probability in `[0, 1]`.
-        p: f64,
-        /// RNG seed; the fault sequence is a pure function of it.
-        seed: u64,
         /// Error kind to return.
         kind: BlockErrorKind,
     },
@@ -123,9 +94,7 @@ impl FaultPlan {
         match self {
             FaultPlan::NthOp { site, .. }
             | FaultPlan::Range { site, .. }
-            | FaultPlan::EveryNth { site, .. }
-            | FaultPlan::FailK { site, .. }
-            | FaultPlan::Probabilistic { site, .. } => *site,
+            | FaultPlan::EveryNth { site, .. } => *site,
         }
     }
 }
@@ -135,24 +104,16 @@ impl FaultPlan {
 struct Armed {
     plan: FaultPlan,
     matched: u64,
-    rng: Option<StdRng>,
-}
-
-/// What `check` decided for one plan.
-enum Verdict {
-    Pass,
-    Fire { kind: BlockErrorKind, msg: String },
-    FireAndRemove { kind: BlockErrorKind, msg: String },
 }
 
 /// Fault-injecting decorator around any [`BlockDev`].
 ///
-/// Thread-safety: the armed plans (including their sequence counters and
-/// per-plan RNGs) live under one mutex, and [`FaultDev::check`] runs the
-/// whole match-count-fire decision in a single lock hold — concurrent ops
-/// draw distinct sequence numbers, so an `NthOp` plan fires exactly once
-/// no matter how many threads race it. The order in which racing ops draw
-/// numbers is whichever serialization the lock gives.
+/// Thread-safety: the armed plans (including their sequence counters) live
+/// under one mutex, and [`FaultDev::check`] runs the whole match-count-fire
+/// decision in a single lock hold — concurrent ops draw distinct sequence
+/// numbers, so an `NthOp` plan fires exactly once no matter how many
+/// threads race it. The order in which racing ops draw numbers is whichever
+/// serialization the lock gives.
 pub struct FaultDev {
     inner: SharedDev,
     plans: Mutex<Vec<Armed>>,
@@ -172,18 +133,9 @@ impl FaultDev {
     }
 
     /// Program a fault. Faults are checked in insertion order; sequence
-    /// counting (`NthOp`, `EveryNth`, `FailK`, `Probabilistic`) starts at
-    /// this call.
+    /// counting (`NthOp`, `EveryNth`) starts at this call.
     pub fn inject(&self, plan: FaultPlan) {
-        let rng = match &plan {
-            FaultPlan::Probabilistic { seed, .. } => Some(StdRng::seed_from_u64(*seed)),
-            _ => None,
-        };
-        self.plans.lock().push(Armed {
-            plan,
-            matched: 0,
-            rng,
-        });
+        self.plans.lock().push(Armed { plan, matched: 0 });
     }
 
     /// Remove all programmed faults.
@@ -193,100 +145,37 @@ impl FaultDev {
 
     fn check(&self, op: OpClass, off: u64, len: usize) -> Result<()> {
         let mut plans = self.plans.lock();
-        let mut fired: Option<(usize, BlockErrorKind, String, bool)> = None;
-        for (i, armed) in plans.iter_mut().enumerate() {
+        for i in 0..plans.len() {
+            let armed = &mut plans[i];
             if !armed.plan.site().matches(op) {
                 continue;
             }
-            let verdict = match &armed.plan {
+            let fired = match &armed.plan {
                 FaultPlan::NthOp { n, kind, .. } => {
                     let seq = armed.matched;
                     armed.matched += 1;
-                    if seq == *n {
-                        Verdict::FireAndRemove {
-                            kind: *kind,
-                            msg: format!("injected fault at op #{seq}"),
-                        }
-                    } else {
-                        Verdict::Pass
-                    }
+                    (seq == *n).then(|| (*kind, format!("injected fault at op #{seq}")))
                 }
                 FaultPlan::Range { range, kind, .. } => {
                     // Flush carries no byte range and cannot intersect one.
-                    let overlaps = op != OpClass::Flush
+                    let hit = op != OpClass::Flush
                         && range.intersect(&ByteRange::at(off, len as u64)).is_some();
-                    if overlaps {
-                        Verdict::Fire {
-                            kind: *kind,
-                            msg: "injected range fault".into(),
-                        }
-                    } else {
-                        Verdict::Pass
-                    }
+                    hit.then(|| (*kind, "injected range fault".to_string()))
                 }
                 FaultPlan::EveryNth { n, kind, .. } => {
                     let n = (*n).max(1);
                     armed.matched += 1;
-                    if armed.matched % n == 0 {
-                        Verdict::Fire {
-                            kind: *kind,
-                            msg: format!("injected periodic fault (every {n}th op)"),
-                        }
-                    } else {
-                        Verdict::Pass
-                    }
-                }
-                FaultPlan::FailK { k, kind, .. } => {
-                    let seq = armed.matched;
-                    armed.matched += 1;
-                    if seq + 1 < *k {
-                        Verdict::Fire {
-                            kind: *kind,
-                            msg: format!("injected brownout fault #{seq}"),
-                        }
-                    } else if seq + 1 == *k {
-                        // Last failure of the brownout: recover afterwards.
-                        Verdict::FireAndRemove {
-                            kind: *kind,
-                            msg: format!("injected brownout fault #{seq} (recovering)"),
-                        }
-                    } else {
-                        Verdict::Pass
-                    }
-                }
-                FaultPlan::Probabilistic { p, kind, .. } => {
-                    let hit = armed
-                        .rng
-                        .as_mut()
-                        .map(|rng| rng.gen_bool(p.clamp(0.0, 1.0)))
-                        .unwrap_or(false);
-                    if hit {
-                        Verdict::Fire {
-                            kind: *kind,
-                            msg: "injected probabilistic fault".into(),
-                        }
-                    } else {
-                        Verdict::Pass
-                    }
+                    (armed.matched % n == 0)
+                        .then(|| (*kind, format!("injected periodic fault (every {n}th op)")))
                 }
             };
-            match verdict {
-                Verdict::Pass => {}
-                Verdict::Fire { kind, msg } => {
-                    fired = Some((i, kind, msg, false));
-                    break;
+            if let Some((kind, msg)) = fired {
+                // `NthOp` is one-shot; the other plans persist.
+                if matches!(armed.plan, FaultPlan::NthOp { .. }) {
+                    plans.remove(i);
                 }
-                Verdict::FireAndRemove { kind, msg } => {
-                    fired = Some((i, kind, msg, true));
-                    break;
-                }
+                return Err(BlockError::new(kind, msg));
             }
-        }
-        if let Some((i, kind, msg, remove)) = fired {
-            if remove {
-                plans.remove(i);
-            }
-            return Err(BlockError::new(kind, msg));
         }
         Ok(())
     }
@@ -456,24 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn fail_k_recovers_after_k_failures() {
-        let dev = FaultDev::new(Arc::new(MemDev::with_len(64)));
-        dev.inject(FaultPlan::FailK {
-            site: FaultSite::Read,
-            k: 3,
-            kind: BlockErrorKind::Injected,
-        });
-        let mut buf = [0u8; 8];
-        for i in 0..3 {
-            assert!(dev.read_at(&mut buf, 0).is_err(), "brownout op #{i}");
-        }
-        for _ in 0..4 {
-            assert!(dev.read_at(&mut buf, 0).is_ok(), "recovered");
-        }
-        assert!(dev.plans.lock().is_empty(), "plan removed itself");
-    }
-
-    #[test]
     fn write_run_site_matrix() {
         // Pin the FaultSite × OpClass matrix for the run/scalar write split:
         // Write matches both (back-compat), WriteRun matches runs only, Any
@@ -518,44 +389,5 @@ mod tests {
         });
         assert!(dev.write_run_at(&[0; 8], 0).is_ok()); // #0
         assert!(dev.write_at(&[0; 8], 8).is_err()); // #1 fires
-    }
-
-    #[test]
-    fn probabilistic_is_deterministic_per_seed() {
-        let run = |seed: u64| -> Vec<bool> {
-            let dev = FaultDev::new(Arc::new(MemDev::with_len(64)));
-            dev.inject(FaultPlan::Probabilistic {
-                site: FaultSite::Read,
-                p: 0.5,
-                seed,
-                kind: BlockErrorKind::Injected,
-            });
-            let mut buf = [0u8; 8];
-            (0..64).map(|_| dev.read_at(&mut buf, 0).is_ok()).collect()
-        };
-        assert_eq!(run(42), run(42), "same seed, same fault sequence");
-        assert_ne!(run(42), run(43), "different seeds diverge");
-        let oks = run(42).iter().filter(|&&ok| ok).count();
-        assert!((16..=48).contains(&oks), "p=0.5 over 64 ops: got {oks} oks");
-    }
-
-    #[test]
-    fn probabilistic_extremes() {
-        let dev = FaultDev::new(Arc::new(MemDev::with_len(64)));
-        dev.inject(FaultPlan::Probabilistic {
-            site: FaultSite::Write,
-            p: 1.0,
-            seed: 7,
-            kind: BlockErrorKind::Io,
-        });
-        assert!(dev.write_at(&[0; 8], 0).is_err(), "p=1 always fires");
-        dev.clear();
-        dev.inject(FaultPlan::Probabilistic {
-            site: FaultSite::Write,
-            p: 0.0,
-            seed: 7,
-            kind: BlockErrorKind::Io,
-        });
-        assert!(dev.write_at(&[0; 8], 0).is_ok(), "p=0 never fires");
     }
 }

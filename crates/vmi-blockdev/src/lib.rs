@@ -29,8 +29,6 @@
 //! * [`CrashDev`] — seeded power-cut injection: torn-write prefixes,
 //!   dropped write-back buffers, and a poisoned device afterwards; the
 //!   substrate for crash-consistency sweeps.
-//! * [`RetryDev`] — retries transient faults with deterministic backoff
-//!   driven by a [`RetryPolicy`]; the robustness layer for NFS-backed bases.
 //! * [`LatencyDev`] — charges a pluggable cost model per operation; the
 //!   simulator uses it to put devices "behind" a disk or network resource.
 //!
@@ -56,7 +54,6 @@ mod file;
 mod latency;
 mod mem;
 mod readonly;
-mod retry;
 mod sparse;
 
 pub use counting::{CountingDev, IoStats, IoStatsSnapshot, SizeHistogram};
@@ -65,10 +62,9 @@ pub use dev::{BlockDev, ByteRange, SharedDev};
 pub use error::{BlockError, BlockErrorKind, Result};
 pub use fault::{FaultDev, FaultPlan, FaultSite};
 pub use file::FileDev;
-pub use latency::{CostHook, LatencyDev, NoopCost, OpKind};
+pub use latency::{CostHook, LatencyDev, OpKind};
 pub use mem::MemDev;
 pub use readonly::ReadOnlyDev;
-pub use retry::{RetryDev, RetryPolicy};
 pub use sparse::SparseDev;
 
 /// Decode a big-endian `u32` from the first 4 bytes of `b`.

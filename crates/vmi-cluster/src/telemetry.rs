@@ -56,9 +56,6 @@ pub struct Telemetry {
     pub space_errors: u64,
     /// Cache-pool evictions (cloud runs with bounded per-node pools).
     pub evictions: u64,
-    /// Transient-error retries performed by [`vmi_blockdev::RetryDev`]
-    /// layers (recorder required; 0 otherwise).
-    pub retry_attempts: u64,
     /// Caches that latched into degraded mode (fill or cluster-read
     /// failure) during the run.
     pub caches_degraded: u64,
@@ -138,7 +135,6 @@ impl Telemetry {
                 per_cache.iter().filter(|c| c.fill_rejects > 0).count() as u64
             },
             evictions: obs.counter_value(met::CACHE_EVICTIONS),
-            retry_attempts: obs.counter_value(met::RETRY_ATTEMPTS),
             caches_degraded: obs.counter_value(met::CACHE_DEGRADED),
             audit_violations: obs.counter_value(met::AUDIT_VIOLATIONS),
             runs_coalesced: obs.counter_value(met::COALESCED_RUNS),

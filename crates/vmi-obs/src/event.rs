@@ -171,15 +171,6 @@ events! {
             /// Size of the evicted cache image.
             bytes: u64,
         },
-        /// A transient block-device fault triggered one retry.
-        RetryAttempt = "retry_attempt" {
-            /// Operation class: `read`, `write`, `set_len` or `flush`.
-            op: String,
-            /// 1-based retry number within the failing operation.
-            attempt: u64,
-            /// Backoff delay charged before this retry, ns.
-            delay_ns: u64,
-        },
         /// A cache image latched into degraded mode (emitted exactly once per
         /// latch transition): fills stop, the chain keeps serving from backing.
         CacheDegraded = "cache_degraded" {
@@ -256,7 +247,7 @@ events! {
             /// Enclosing span id, or 0 for a root span.
             parent: u64,
             /// Span kind, dot-namespaced: `boot.vm`, `qcow.read`, `dev.write`,
-            /// `l2.lookup`, `cor.fill`, `retry.backoff`, ...
+            /// `l2.lookup`, `cor.fill`, `backing.fetch`, ...
             kind: String,
             /// Free-form `k=v` attributes (e.g. `layer=cache bytes=4096`).
             detail: String,
@@ -511,14 +502,6 @@ mod tests {
                 node: 0,
                 vmi: "centos".into(),
                 bytes: 1 << 30,
-            },
-        );
-        roundtrip(
-            8,
-            Event::RetryAttempt {
-                op: "read".into(),
-                attempt: 2,
-                delay_ns: 200_000,
             },
         );
         roundtrip(

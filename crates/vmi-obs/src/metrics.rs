@@ -38,10 +38,6 @@ pub mod met {
     pub const VM_OP_NS: &str = "cluster.vm.op_ns";
     /// Per-request NBD server latency, wall ns (histogram).
     pub const NBD_REQUEST_NS: &str = "nbd.request_ns";
-    /// Retries of transient block-device faults (counter).
-    pub const RETRY_ATTEMPTS: &str = "blockdev.retry.attempts";
-    /// Operations that failed even after the full retry budget (counter).
-    pub const RETRY_EXHAUSTED: &str = "blockdev.retry.exhausted";
     /// Cache images latched into degraded mode (counter).
     pub const CACHE_DEGRADED: &str = "qcow.cache.degraded";
     /// Guest bytes served from backing because the cache was degraded (counter).

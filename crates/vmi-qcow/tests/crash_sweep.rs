@@ -1,10 +1,11 @@
 //! The crash campaign: an exhaustive power-cut sweep over scripted
 //! workloads.
 //!
-//! Two workloads run on a write-back [`CrashDev`]: a copy-on-read cache
-//! fill (the paper's deploy path) and a plain image taking guest writes
-//! with interleaved flushes. A counting pass enumerates every durable
-//! device write and every flush of the crash-free run; the sweep then
+//! Three workloads run on a write-back [`CrashDev`]: a copy-on-read cache
+//! fill (the paper's deploy path), a plain image taking guest writes with
+//! interleaved flushes, and a CoW layer copying partial clusters up from
+//! its backing image, in both write modes. A counting pass enumerates every
+//! durable device write and every flush of the crash-free run; the sweep then
 //! replays the workload once per cut point — before, inside (torn at a
 //! seeded intra-run byte offset), and after each write, and at each flush
 //! with several drain depths, half of the cuts under a seeded drain
@@ -18,10 +19,15 @@
 //! * plain workload — every slot flushed before the cut must read back
 //!   exactly; unflushed slots must be pattern-or-zero per byte (no torn
 //!   guest data may surface); a `Refetch` after any successful guest
-//!   flush would lose acked data and counts as unrecoverable.
+//!   flush would lose acked data and counts as unrecoverable;
+//! * CoW workload — every slot flushed before the cut must read back
+//!   exactly; every other byte must be the slot's pattern or the backing
+//!   image's byte (a copy-up never surfaces zeroes or torn data); a
+//!   `Refetch` after a successful guest flush is unrecoverable, as for the
+//!   plain workload.
 //!
-//! The gate is `exhaustive_sweep_meets_the_gate`: every cut point of both
-//! workloads, at least 500 of them, zero unrecoverable, and a refetch
+//! The gate is `exhaustive_sweep_meets_the_gate`: every cut point of every
+//! workload, at least 500 of them, zero unrecoverable, and a refetch
 //! ratio of at most 0.5. `crash_cut_props` is the generative counterpart:
 //! it fixes the cut and randomizes the workload.
 
@@ -44,6 +50,8 @@ const BURST: usize = 8 << 10;
 const SLOT: usize = 1 << 10;
 /// Number of guest writes in the plain workload.
 const SLOTS: usize = 16;
+/// Number of guest writes in the CoW workload.
+const COW_SLOTS: usize = 12;
 /// `keep` value that lands the torn write fully: the cut falls exactly on
 /// the write boundary.
 const KEEP_ALL: usize = usize::MAX;
@@ -63,6 +71,9 @@ enum Kind {
     CacheCor,
     /// Plain image taking guest writes with interleaved flushes.
     PlainWrites,
+    /// CoW layer over a patterned base taking partial-cluster guest writes
+    /// with interleaved flushes, in the coalesced or the scalar write mode.
+    CowCopyUp { coalesce: bool },
 }
 
 impl Kind {
@@ -70,6 +81,18 @@ impl Kind {
         match self {
             Kind::CacheCor => "cache_cor",
             Kind::PlainWrites => "plain_writes",
+            Kind::CowCopyUp { coalesce: true } => "cow_copy_up",
+            Kind::CowCopyUp { coalesce: false } => "cow_copy_up_scalar",
+        }
+    }
+
+    /// Distinct per workload: salts the sweep's tear and drain seeds.
+    fn tag(self) -> u64 {
+        match self {
+            Kind::CacheCor => 0,
+            Kind::PlainWrites => 1,
+            Kind::CowCopyUp { coalesce: true } => 2,
+            Kind::CowCopyUp { coalesce: false } => 3,
         }
     }
 }
@@ -78,7 +101,7 @@ impl Kind {
 /// uses it to decide which data the recovered image *must* still hold.
 #[derive(Debug, Default)]
 struct Progress {
-    /// Slots whose guest write returned (plain workload only).
+    /// Slots whose guest write returned (write workloads only).
     acked: Vec<usize>,
     /// Slots covered by the last guest flush that returned.
     flushed: Vec<usize>,
@@ -127,10 +150,46 @@ fn slot_off(i: usize) -> u64 {
     (i as u64) * (VSIZE / SLOTS as u64) + 256
 }
 
-/// Guest data of plain-workload slot `i` (constant per slot, so torn
-/// visibility is detectable per byte).
-fn slot_pattern(i: usize) -> Vec<u8> {
-    vec![(i as u8).wrapping_mul(37).wrapping_add(11); SLOT]
+/// Guest data byte of slot `i` (constant per slot, so torn visibility is
+/// detectable per byte; never zero).
+fn slot_byte(i: usize) -> u8 {
+    (i as u8).wrapping_mul(37).wrapping_add(11)
+}
+
+/// Guest range `(offset, len)` of CoW-workload slot `i`, inside the base's
+/// pattern. Every slot starts and ends strictly inside a 512 B cluster, so
+/// its copy-up fetches both a head and a tail from the backing image;
+/// every third slot also spans two whole clusters, which the coalesced
+/// write mode allocates and writes as one run.
+fn cow_slot(i: usize) -> (u64, usize) {
+    let cs = 1u64 << CLUSTER_BITS;
+    let first = i as u64 * 8 * cs;
+    let head = 1 + (i as u64 * 97) % (cs / 2);
+    let tail = head + 1 + (i as u64 * 61) % (cs - head - 1);
+    let last = if i % 3 == 1 { 3 } else { 0 };
+    (first + head, ((last * cs + tail) - head) as usize)
+}
+
+/// Write slots `0..count` (`slot(i)` gives each range), flushing after
+/// every third; `prog` records which writes and flushes returned.
+fn write_slots(
+    img: &QcowImage,
+    count: usize,
+    slot: fn(usize) -> (u64, usize),
+    prog: &mut Progress,
+) -> Result<()> {
+    for i in 0..count {
+        let (off, len) = slot(i);
+        img.write_at(&vec![slot_byte(i); len], off)?;
+        prog.acked.push(i);
+        if i % 3 == 2 {
+            img.flush()?;
+            prog.flushed = prog.acked.clone();
+        }
+    }
+    img.close()?;
+    prog.flushed = prog.acked.clone();
+    Ok(())
 }
 
 /// Run one workload against `container`. Errors out at the power cut;
@@ -159,17 +218,16 @@ fn run_workload(kind: Kind, container: SharedDev, prog: &mut Progress) -> Result
                 CreateOpts::plain(VSIZE).with_cluster_bits(CLUSTER_BITS),
                 None,
             )?;
-            for i in 0..SLOTS {
-                img.write_at(&slot_pattern(i), slot_off(i))?;
-                prog.acked.push(i);
-                if i % 3 == 2 {
-                    img.flush()?;
-                    prog.flushed = prog.acked.clone();
-                }
-            }
-            img.close()?;
-            prog.flushed = prog.acked.clone();
-            Ok(())
+            write_slots(&img, SLOTS, |i| (slot_off(i), SLOT), prog)
+        }
+        Kind::CowCopyUp { coalesce } => {
+            let cow = QcowImage::create(
+                container,
+                CreateOpts::cow(VSIZE, "base").with_cluster_bits(CLUSTER_BITS),
+                Some(fresh_base()?),
+            )?;
+            cow.set_coalescing(coalesce);
+            write_slots(&cow, COW_SLOTS, cow_slot, prog)
         }
     }
 }
@@ -183,10 +241,10 @@ fn verify(
     prog: &Progress,
 ) -> Option<String> {
     if let RecoveryVerdict::Refetch = verdict {
-        // Refetching a cache is the ordinary cold deploy path. A plain
-        // guest image has no replica to refetch from: once a guest flush
-        // succeeded, losing the image is data loss.
-        if kind == Kind::PlainWrites && !prog.flushed.is_empty() {
+        // Refetching a cache is the ordinary cold deploy path. A guest
+        // image (plain or CoW) has no replica to refetch from: once a guest
+        // flush succeeded, losing the image is data loss.
+        if kind != Kind::CacheCor && !prog.flushed.is_empty() {
             return Some(format!(
                 "refetch verdict would lose {} flushed slot(s)",
                 prog.flushed.len()
@@ -240,7 +298,7 @@ fn verify(
                 if let Err(e) = img.read_at(&mut buf, slot_off(i)) {
                     return Some(format!("slot {i} read failed: {e}"));
                 }
-                let want = slot_pattern(i);
+                let want = vec![slot_byte(i); SLOT];
                 if prog.flushed.contains(&i) {
                     if buf != want {
                         return Some(format!("flushed slot {i} lost or torn after recovery"));
@@ -260,6 +318,46 @@ fn verify(
                 }
             }
             None
+        }
+        Kind::CowCopyUp { .. } => {
+            let base = match fresh_base() {
+                Ok(b) => b,
+                Err(e) => return Some(format!("oracle base failed: {e}")),
+            };
+            let img = match QcowImage::open(dev.clone(), Some(base), true) {
+                Ok(img) => img,
+                Err(e) => return Some(format!("usable verdict but open failed: {e}")),
+            };
+            let mut buf = vec![0u8; BASE_PATTERN as usize];
+            if let Err(e) = img.read_at(&mut buf, 0) {
+                return Some(format!("read failed: {e}"));
+            }
+            // Check each slot, then put the base bytes back in its place,
+            // so one pass checks that every byte outside the slots is the
+            // backing image's.
+            for i in 0..COW_SLOTS {
+                let (off, len) = cow_slot(i);
+                let flushed = prog.flushed.contains(&i);
+                for at in off..off + len as u64 {
+                    let (b, base) = (buf[at as usize], base_byte(at));
+                    if b != slot_byte(i) && (flushed || b != base) {
+                        let state = if flushed { "flushed" } else { "unflushed" };
+                        return Some(format!(
+                            "{state} slot {i} byte {at} reads {b:#04x} (base {base:#04x})"
+                        ));
+                    }
+                    buf[at as usize] = base;
+                }
+            }
+            (0..BASE_PATTERN)
+                .find(|&at| buf[at as usize] != base_byte(at))
+                .map(|at| {
+                    format!(
+                        "byte {at} outside every slot reads {:#04x}, backing holds {:#04x}",
+                        buf[at as usize],
+                        base_byte(at)
+                    )
+                })
         }
     }
 }
@@ -345,7 +443,7 @@ fn sweep_workload(kind: Kind, stride: usize) -> Tally {
         flushes: crash.flushes(),
         ..Tally::default()
     };
-    let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ (kind as u64).wrapping_add(1);
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ kind.tag().wrapping_add(1);
     for n in (0..tally.writes).step_by(stride) {
         // Seeded tear inside the run (unit-truncated by the device).
         let intra = (xorshift(&mut seed) % 4096) as usize;
@@ -366,15 +464,20 @@ fn sweep_workload(kind: Kind, stride: usize) -> Tally {
     tally
 }
 
-/// Sweep both workloads at `stride`.
+/// Sweep every workload at `stride`.
 fn sweep(stride: usize) -> Vec<(Kind, Tally)> {
-    [Kind::CacheCor, Kind::PlainWrites]
-        .into_iter()
-        .map(|kind| (kind, sweep_workload(kind, stride)))
-        .collect()
+    [
+        Kind::CacheCor,
+        Kind::PlainWrites,
+        Kind::CowCopyUp { coalesce: true },
+        Kind::CowCopyUp { coalesce: false },
+    ]
+    .into_iter()
+    .map(|kind| (kind, sweep_workload(kind, stride)))
+    .collect()
 }
 
-/// The campaign's gate: every cut point of both workloads recovers,
+/// The campaign's gate: every cut point of every workload recovers,
 /// coverage does not shrink, and repair (not refetch) carries recovery.
 #[test]
 fn exhaustive_sweep_meets_the_gate() {
@@ -398,7 +501,7 @@ fn exhaustive_sweep_meets_the_gate() {
     );
 }
 
-/// A strided sweep still visits both workloads, finds no
+/// A strided sweep still visits every workload, finds no
 /// unrecoverable cut, and sees a clean verdict somewhere.
 #[test]
 fn strided_sweep_recovers_every_cut() {

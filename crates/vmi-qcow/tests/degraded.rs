@@ -1,7 +1,9 @@
 //! Degraded-mode copy-on-read: cache I/O failures must never fail a guest
 //! read as long as the backing chain still holds the data. A failed fill or
 //! a failed cache-cluster read latches the cache degraded (once), stops
-//! further fills, and serves everything from the backing layer.
+//! further fills, and serves everything from the backing layer. A failed
+//! backing fetch is the guest read's own error and leaves the cache as it
+//! was.
 
 use std::sync::Arc;
 
@@ -156,4 +158,44 @@ fn cow_overlay_read_failure_still_propagates() {
     let err = cow.read_at(&mut buf, 0).unwrap_err();
     assert_eq!(err.kind(), BlockErrorKind::Io);
     assert!(!cow.is_degraded());
+}
+
+#[test]
+fn backing_fetch_failure_fails_the_read_but_not_the_cache() {
+    // A base-side fault is the guest read's error, not the cache's: the
+    // cache stays healthy, unfilled, and the reissued read warms it.
+    let (base, content) = base_with_content();
+    let base_faults = Arc::new(FaultDev::new(base));
+    let cache = QcowImage::create(
+        Arc::new(MemDev::new()),
+        CreateOpts::cache(VSIZE, "b", VSIZE),
+        Some(base_faults.clone() as SharedDev),
+    )
+    .unwrap();
+    let used = cache.cache_used();
+    let fills = cache.cor_stats().fill_bytes;
+    base_faults.inject(FaultPlan::NthOp {
+        site: FaultSite::Read,
+        n: 0,
+        kind: BlockErrorKind::Io,
+    });
+
+    let mut buf = vec![0u8; 4096];
+    let err = cache.read_at(&mut buf, 4096).unwrap_err();
+    assert_eq!(err.kind(), BlockErrorKind::Io);
+    assert!(
+        !cache.is_degraded(),
+        "a base fault must not latch the cache"
+    );
+    assert_eq!(cache.cache_used(), used, "nothing filled");
+    assert_eq!(cache.cor_stats().fill_bytes, fills);
+
+    cache.read_at(&mut buf, 4096).unwrap();
+    assert_eq!(&buf[..], &content[4096..8192]);
+    assert!(
+        cache.cache_used() > used,
+        "the reissued read fills the cache"
+    );
+    assert_eq!(cache.cor_stats().fill_bytes, fills + 4096);
+    assert!(!cache.is_degraded());
 }

@@ -79,8 +79,6 @@ pub mod lockrank {
     pub const QCOW_SHARD: u32 = 50;
     /// FaultDev plan list.
     pub const DEV_FAULT: u32 = 60;
-    /// RetryDev RNG / sleep-hook state.
-    pub const DEV_RETRY: u32 = 62;
     /// CrashDev volatile-buffer state (held across inner-device calls).
     pub const DEV_CRASH: u32 = 64;
     /// CountingDev read histogram.
@@ -115,7 +113,6 @@ pub mod lockrank {
             QCOW_STATE..=QCOW_STATE_TOP => "qcow.state",
             QCOW_SHARD => "qcow.shard",
             DEV_FAULT => "dev.fault",
-            DEV_RETRY => "dev.retry",
             DEV_CRASH => "dev.crash",
             DEV_COUNTING | DEV_COUNTING_W => "dev.counting",
             DEV_LEAF => "dev.leaf",

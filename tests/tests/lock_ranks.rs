@@ -36,6 +36,21 @@ fn manifest_ranks_match_witness_constants() {
     }
 }
 
+/// The other direction: every rank the witness names is a manifest class,
+/// so a `lockrank` constant left behind after its class is deleted from
+/// `LOCK_ORDER.toml` fails here.
+#[test]
+fn witness_names_are_manifest_classes() {
+    let m = workspace_manifest();
+    for r in 0..=255 {
+        let witness = lockrank::name(r);
+        assert!(
+            witness == "unregistered" || m.classes.contains_key(witness),
+            "witness rank {r} is named `{witness}`, which LOCK_ORDER.toml does not declare"
+        );
+    }
+}
+
 /// Spot-check the constants the workspace registers at construction against
 /// the manifest, so renumbering either side trips immediately.
 #[test]

@@ -29,7 +29,6 @@ struct ReplaySummary {
     quota_rearms: u64,
     sched_places: u64,
     evictions: u64,
-    retries: u64,
     degradations: u64,
     recovery_repairs: u64,
     node_restarts: u64,
@@ -57,7 +56,6 @@ fn replay(events: &[(u64, Event)]) -> ReplaySummary {
             Event::QuotaRearmed { .. } => s.quota_rearms += 1,
             Event::SchedPlace { .. } => s.sched_places += 1,
             Event::CacheEvict { .. } => s.evictions += 1,
-            Event::RetryAttempt { .. } => s.retries += 1,
             Event::CacheDegraded { .. } => s.degradations += 1,
             Event::RecoveryResult { repairs, .. } => s.recovery_repairs += repairs,
             Event::NodeRestarted {
@@ -100,7 +98,6 @@ impl ReplaySummary {
             && self.fill_bytes == t.fill_bytes
             && self.space_errors == t.space_errors
             && self.evictions == t.evictions
-            && self.retries == t.retry_attempts
             && self.degradations == t.caches_degraded
             && self.node_failures == t.node_failures
             && self.reschedules == t.boots_rescheduled

@@ -8,10 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vmi_bench::trace_report::{parse_lines, TraceForest};
-use vmi_blockdev::{
-    BlockDev, BlockErrorKind, FaultDev, FaultPlan, FaultSite, MemDev, RetryDev, RetryPolicy,
-    SharedDev,
-};
+use vmi_blockdev::{BlockDev, BlockErrorKind, FaultDev, FaultPlan, FaultSite, MemDev, SharedDev};
 use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement, WarmStore};
 use vmi_obs::{Event, JsonlSink, ManualClock, Obs, RecorderHandle};
 use vmi_qcow::{create_cached_chain, CreateOpts, MapResolver, QcowImage};
@@ -85,9 +82,10 @@ fn experiment_traces_reconstruct_with_zero_unbalanced_spans() {
     }
 }
 
-/// The fault-injection rig from `boot_under_faults`, recording spans: base
-/// reads fail transiently behind retry/backoff and the cache container dies
-/// mid-boot. The trace must stay perfectly nested through both.
+/// The fault-injection rig from `boot_under_faults`, recording spans: every
+/// 5th base read fails, failing the guest read it serves, and the cache
+/// container dies mid-boot. The trace must stay perfectly nested through
+/// both.
 #[test]
 fn fault_injected_boot_keeps_spans_balanced() {
     const VSIZE: u64 = 4 << 20;
@@ -95,17 +93,12 @@ fn fault_injected_boot_keeps_spans_balanced() {
     let sink = JsonlSink::new();
     let obs = vmi_obs::Obs::new(Arc::new(ManualClock::new(0)), sink.clone());
 
-    let base_faults = Arc::new(FaultDev::new(Arc::new(MemDev::from_vec(content.clone()))));
-    base_faults.inject(FaultPlan::EveryNth {
+    let base = Arc::new(FaultDev::new(Arc::new(MemDev::from_vec(content.clone()))));
+    base.inject(FaultPlan::EveryNth {
         site: FaultSite::Read,
         n: 5,
         kind: BlockErrorKind::Io,
     });
-    let base = Arc::new(RetryDev::with_obs(
-        base_faults as SharedDev,
-        RetryPolicy::attempts(4).with_seed(7).with_jitter(0.25),
-        obs.clone(),
-    ));
 
     let ns = MapResolver::new();
     ns.insert("base", base as SharedDev);
@@ -130,22 +123,18 @@ fn fault_injected_boot_keeps_spans_balanced() {
     });
 
     let mut buf = vec![0u8; 4096];
+    let mut failed = 0;
     for i in 0..200u64 {
         let off = (i * 7919 * 512) % (VSIZE - 4096);
-        cow.read_at(&mut buf, off).unwrap();
+        if cow.read_at(&mut buf, off).is_err() {
+            failed += 1;
+        }
     }
+    assert!(failed > 0, "base faults must fail some guest reads");
 
     let lines = sink.lines();
     let f = forest_of(&lines);
-    assert_eq!(
-        f.unbalanced(),
-        0,
-        "faults and retries must not leak open spans"
-    );
-    assert!(
-        f.spans.values().any(|s| s.kind == "retry.backoff"),
-        "backoff spans recorded under injected faults"
-    );
+    assert_eq!(f.unbalanced(), 0, "failed reads must not leak open spans");
     assert!(
         f.spans.values().any(|s| s.kind == "qcow.read"),
         "guest reads traced"
