@@ -14,23 +14,23 @@
 //! scan. Keys are VMI indices, rendered to `vmi-{k}` names only inside the
 //! lazily evaluated observability closures.
 
-use vmi_obs::{met, Event, Obs};
+use vmi_obs::{Event, Obs};
 
 /// Logical clock for recency (supplied by the caller; any monotone counter
 /// or simulated time works).
 pub type Stamp = u64;
 
 /// One stored cache image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheEntry {
+#[derive(Debug, Clone)]
+struct CacheEntry {
     /// VMI index the cache belongs to.
-    pub vmi: usize,
+    vmi: usize,
     /// Size of the cache image file in bytes.
-    pub size: u64,
+    size: u64,
     /// When the cache becomes usable (its fill may still be in flight).
-    pub ready_at: Stamp,
+    ready_at: Stamp,
     /// Last time this cache was used to boot a VM.
-    pub last_used: Stamp,
+    last_used: Stamp,
 }
 
 /// A bounded pool of cache images keyed by VMI index.
@@ -88,28 +88,12 @@ impl CachePool {
         Some(e.ready_at)
     }
 
-    /// The single eviction path: drop entry `i`, release its space, and
-    /// emit the eviction event/metric tagged with the owning `node`. Both
-    /// LRU pressure and explicit removal route through here so no eviction
-    /// escapes observability.
-    fn evict_at(&mut self, i: usize, obs: &Obs, node: u64) -> CacheEntry {
-        let e = self.entries.swap_remove(i);
-        self.used -= e.size;
-        obs.count(met::CACHE_EVICTIONS, 1);
-        obs.emit(|| Event::CacheEvict {
-            node,
-            vmi: format!("vmi-{}", e.vmi),
-            bytes: e.size,
-        });
-        e
-    }
-
     /// Admit a cache of `size` bytes for `vmi`, usable from `ready_at`,
     /// evicting LRU entries as needed (the least `(last_used, vmi)` goes
-    /// first). Every victim is pushed onto `evicted`, emits an
-    /// [`Event::CacheEvict`] tagged with the owning `node` and bumps
-    /// [`met::CACHE_EVICTIONS`]. Returns `Err(())` if `size` exceeds
-    /// capacity outright (nothing is changed in that case).
+    /// first). This is the pool's only eviction: every victim is pushed
+    /// onto `evicted` and emits an [`Event::CacheEvict`] tagged with the
+    /// owning `node`; the caller counts them. Returns `Err(())` if `size`
+    /// exceeds capacity outright (nothing is changed in that case).
     ///
     /// Victims go to a caller's buffer so that a simulator admitting a
     /// million caches can reuse one instead of allocating per eviction.
@@ -139,7 +123,14 @@ impl CachePool {
                 // refuse the admit rather than loop forever.
                 return Err(());
             };
-            evicted.push(self.evict_at(victim, obs, node).vmi);
+            let e = self.entries.swap_remove(victim);
+            self.used -= e.size;
+            obs.emit(|| Event::CacheEvict {
+                node,
+                vmi: format!("vmi-{}", e.vmi),
+                bytes: e.size,
+            });
+            evicted.push(e.vmi);
         }
         self.used += size;
         self.entries.push(CacheEntry {
@@ -149,15 +140,6 @@ impl CachePool {
             last_used: now,
         });
         Ok(())
-    }
-
-    /// Remove a cache explicitly (VMI deregistered / base image changed —
-    /// immutability means a changed base invalidates its caches, §3). The
-    /// drop is reported exactly like an LRU eviction (same event, same
-    /// counter).
-    pub fn remove(&mut self, vmi: usize, obs: &Obs, node: u64) -> Option<CacheEntry> {
-        let i = self.find(vmi)?;
-        Some(self.evict_at(i, obs, node))
     }
 
     /// Drop every cache silently (the medium is gone with its node).
@@ -228,19 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_space() {
-        let mut p = CachePool::new(100);
-        admit(&mut p, 0, 80, 1).unwrap();
-        assert!(p.remove(0, &Obs::disabled(), 0).is_some());
-        assert_eq!(p.used(), 0);
-        assert!(p.remove(0, &Obs::disabled(), 0).is_none());
-        admit(&mut p, 1, 80, 2).unwrap();
-        p.clear();
-        assert_eq!(p.used(), 0);
-        assert!(!p.contains(1));
-    }
-
-    #[test]
     fn recency_listing() {
         // Victims leave in recency order, least recent first; equal stamps
         // fall back to the VMI index.
@@ -250,6 +219,13 @@ mod tests {
         admit(&mut p, 2, 10, 7).unwrap();
         admit(&mut p, 3, 10, 7).unwrap();
         assert_eq!(admit(&mut p, 4, 40, 10).unwrap(), vec![0, 2, 3, 1]);
+        // A touch moves an entry to the back of the line: 0 was the least
+        // recent until it was touched, so 1 goes instead.
+        let mut p = CachePool::new(200);
+        admit(&mut p, 0, 100, 1).unwrap();
+        admit(&mut p, 1, 100, 2).unwrap();
+        assert_eq!(p.touch(0, 5), Some(1));
+        assert_eq!(admit(&mut p, 2, 100, 6).unwrap(), vec![1]);
     }
 
     #[test]
@@ -273,20 +249,24 @@ mod tests {
     }
 
     #[test]
-    fn explicit_remove_emits_the_evict_event() {
+    fn lru_pressure_emits_one_evict_event_per_victim() {
         use std::sync::Arc;
         use vmi_obs::{ManualClock, RecorderHandle};
         let (rec, sink) = RecorderHandle::jsonl();
         let obs = rec.attach(Arc::new(ManualClock::new(0)));
         let mut p = CachePool::new(100);
-        admit(&mut p, 0, 80, 1).unwrap();
-        assert!(p.remove(0, &obs, 3).is_some());
-        assert_eq!(obs.counter_value(met::CACHE_EVICTIONS), 1);
+        let mut evicted = Vec::new();
+        p.admit(0, 80, 1, 1, &obs, 3, &mut evicted).unwrap();
+        p.admit(1, 80, 2, 2, &obs, 3, &mut evicted).unwrap();
+        assert_eq!(evicted, vec![0]);
         let lines = sink.lines();
+        let evicts: Vec<_> = lines
+            .iter()
+            .filter(|l| l.contains("\"cache_evict\""))
+            .collect();
+        assert_eq!(evicts.len(), evicted.len(), "{lines:?}");
         assert!(
-            lines
-                .iter()
-                .any(|l| l.contains("\"cache_evict\"") && l.contains("\"node\":3")),
+            evicts[0].contains("\"node\":3") && evicts[0].contains("\"bytes\":80"),
             "{lines:?}"
         );
     }

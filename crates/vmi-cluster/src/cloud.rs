@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vmi_blockdev::Result;
-use vmi_obs::RecorderHandle;
+use vmi_obs::{MetricsSnapshot, RecorderHandle};
 use vmi_sim::{NetSpec, Ns};
 use vmi_trace::VmiProfile;
 
@@ -27,7 +27,6 @@ use crate::cluster::Cluster;
 use crate::experiment::vmi_seed;
 use crate::runner::{Deploy, Request, Runner};
 use crate::sched::{Policy, Scheduler};
-use crate::telemetry::Telemetry;
 
 /// One VM request arriving at the cloud.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,10 +183,11 @@ pub struct CloudReport {
     pub p95_boot_secs: f64,
     /// Total bytes served by the storage node, in MB.
     pub storage_traffic_mb: f64,
-    /// Aggregate cache/latency telemetry (latency percentiles and event
-    /// counters require a recorder; `per_cache` is empty for cloud runs —
-    /// chains are transient).
-    pub telemetry: Telemetry,
+    /// The run's metrics registry, present when a recorder was attached:
+    /// what the image layers did (copy-on-read bytes, space errors,
+    /// degraded caches, recovery repairs) and the per-op latency
+    /// histogram. Every count above is kept with or without it.
+    pub metrics: Option<MetricsSnapshot>,
 }
 
 /// Run the request stream through the cloud. Deterministic.
@@ -206,7 +206,7 @@ pub fn run_cloud(cfg: &CloudConfig, requests: &[VmRequest]) -> Result<CloudRepor
     }
     let cluster = &runner.cluster;
     report.storage_traffic_mb = cluster.world.link_stats(cluster.storage.nic).bytes as f64 / 1e6;
-    report.telemetry = Telemetry::from_parts(Vec::new(), &cluster.obs);
+    report.metrics = cluster.obs.metrics_snapshot();
     Ok(report)
 }
 
@@ -273,6 +273,31 @@ mod tests {
         generate_requests(3, 60, 4, 2_000_000_000, 20_000_000_000)
     }
 
+    /// Small pools (evictions) plus two power cuts (readoption through the
+    /// pools).
+    fn power_cut_day() -> (CloudConfig, Vec<VmRequest>) {
+        let mut c = cfg(true, true);
+        c.node_cache_bytes = c.profile.unique_read_bytes * 3;
+        let reqs = stream();
+        let at = reqs[reqs.len() / 3].at + 1;
+        c.node_failures = vec![
+            NodeFailure::power_cut(0, at, 4_000_000_000),
+            NodeFailure::power_cut(2, at, 9_000_000_000),
+        ];
+        (c, reqs)
+    }
+
+    /// Two nodes, and node 0 dies for good one nanosecond after the first
+    /// request arrives, while that boot is still in flight.
+    fn in_flight_failure_day() -> (CloudConfig, Vec<VmRequest>) {
+        let mut c = cfg(true, true);
+        c.nodes = 2;
+        c.slots_per_node = 8;
+        let reqs = generate_requests(3, 20, 2, 2_000_000_000, 60_000_000_000);
+        c.node_failures = vec![NodeFailure::permanent(0, reqs[0].at + 1)];
+        (c, reqs)
+    }
+
     #[test]
     fn request_generator_is_deterministic_and_sorted() {
         let a = generate_requests(1, 50, 3, 1_000_000, 5_000_000);
@@ -337,7 +362,6 @@ mod tests {
         let rep = run_cloud(&c, &reqs).unwrap();
         assert_eq!(rep.placed + rep.rejected, reqs.len());
         assert_eq!(rep.node_failures, 1);
-        assert_eq!(rep.telemetry.node_failures, 0, "no recorder, counters 0");
         // Determinism holds with failures injected.
         let rep2 = run_cloud(&c, &reqs).unwrap();
         assert_eq!(rep.placed, rep2.placed);
@@ -348,30 +372,20 @@ mod tests {
     #[test]
     fn mid_boot_failure_emits_reschedule_events() {
         use vmi_obs::{Event, RecorderHandle};
-        let mut c = cfg(true, true);
-        // One slow node fleet: every boot lands on node 0 until it dies.
-        c.nodes = 2;
-        c.slots_per_node = 8;
-        let reqs = generate_requests(3, 20, 2, 2_000_000_000, 60_000_000_000);
-        // Fail node 0 one nanosecond after the first request arrives: the
-        // first boot (still in flight) must move to node 1.
-        c.node_failures = vec![NodeFailure::permanent(0, reqs[0].at + 1)];
+        // The first boot (still in flight when node 0 dies) must move to
+        // node 1.
+        let (mut c, reqs) = in_flight_failure_day();
         let (rec, sink) = RecorderHandle::jsonl();
         c.recorder = rec;
         let rep = run_cloud(&c, &reqs).unwrap();
         assert!(rep.rescheduled_boots >= 1, "{rep:?}");
         assert_eq!(rep.node_failures, 1);
-        assert_eq!(rep.telemetry.node_failures, 1);
-        assert_eq!(
-            rep.telemetry.boots_rescheduled,
-            rep.rescheduled_boots as u64
-        );
         let lines = sink.lines();
         let failed: Vec<_> = lines
             .iter()
             .filter(|l| l.contains("\"node_failed\""))
             .collect();
-        assert_eq!(failed.len(), 1);
+        assert_eq!(failed.len(), rep.node_failures);
         let resched: Vec<_> = lines
             .iter()
             .filter(|l| l.contains("\"boot_rescheduled\""))
@@ -424,7 +438,7 @@ mod tests {
 
     #[test]
     fn restart_emits_events_and_telemetry_and_bit_identical_jsonl() {
-        use vmi_obs::{Event, RecorderHandle};
+        use vmi_obs::{met, Event, RecorderHandle};
         let run = || {
             let mut c = cfg(true, true);
             let reqs = stream();
@@ -437,14 +451,11 @@ mod tests {
         };
         let (rep, lines) = run();
         assert_eq!(rep.node_restarts, 1);
-        assert_eq!(rep.telemetry.node_restarts, 1);
-        assert_eq!(rep.telemetry.caches_readopted, rep.caches_readopted as u64);
-        assert_eq!(rep.telemetry.caches_refetched, rep.caches_refetched as u64);
         let restarted: Vec<_> = lines
             .iter()
             .filter(|l| l.contains("\"node_restarted\""))
             .collect();
-        assert_eq!(restarted.len(), 1);
+        assert_eq!(restarted.len(), rep.node_restarts);
         match Event::parse_line(restarted[0]) {
             Ok((
                 _,
@@ -471,7 +482,8 @@ mod tests {
             "at least one recovery per stranded container: {recoveries} < {}",
             rep.caches_readopted + rep.caches_refetched
         );
-        if rep.telemetry.recovery_repairs > 0 {
+        let metrics = rep.metrics.as_ref().expect("recorder attached");
+        if metrics.counter(met::RECOVERY_REPAIRS) > 0 {
             assert!(lines.iter().any(|l| l.contains("\"verdict\":\"repaired\"")));
         }
         // The full merged event stream is bit-identical per seed.
@@ -481,16 +493,8 @@ mod tests {
 
     #[test]
     fn power_cut_day_is_pinned() {
-        // Small pools (evictions) plus two power cuts (readoption through
-        // the pools): the whole event stream and every count are pinned.
-        let mut c = cfg(true, true);
-        c.node_cache_bytes = c.profile.unique_read_bytes * 3;
-        let reqs = stream();
-        let at = reqs[reqs.len() / 3].at + 1;
-        c.node_failures = vec![
-            NodeFailure::power_cut(0, at, 4_000_000_000),
-            NodeFailure::power_cut(2, at, 9_000_000_000),
-        ];
+        // The whole event stream and every count are pinned.
+        let (mut c, reqs) = power_cut_day();
         let (rec, sink) = RecorderHandle::jsonl();
         c.recorder = rec;
         let rep = run_cloud(&c, &reqs).unwrap();
@@ -523,6 +527,39 @@ mod tests {
              storage_mb=42.76224 jsonl=cbe05f175656e5f6"
         );
         assert!(jsonl.contains("\"cache_evict\"") && jsonl.contains("\"vmi\":\"vmi-"));
+    }
+
+    #[test]
+    fn counts_do_not_depend_on_a_recorder() {
+        // Every field but the registry itself, with and without tracing.
+        let counts = |mut rep: CloudReport| {
+            rep.metrics = None;
+            format!("{rep:?}")
+        };
+        for (mut c, reqs) in [power_cut_day(), in_flight_failure_day()] {
+            let untraced = run_cloud(&c, &reqs).unwrap();
+            c.recorder = RecorderHandle::jsonl().0;
+            let traced = run_cloud(&c, &reqs).unwrap();
+            assert!(untraced.metrics.is_none() && traced.metrics.is_some());
+            assert!(
+                untraced.node_failures > 0 && untraced.evictions + untraced.rescheduled_boots > 0
+            );
+            assert_eq!(counts(untraced), counts(traced));
+        }
+
+        let mut point = crate::ExperimentConfig::new(2, 1);
+        point.profile = VmiProfile::tiny_test();
+        point.mode = crate::Mode::ColdCache {
+            placement: crate::Placement::ComputeMem,
+            quota: 16 << 20,
+            cluster_bits: 9,
+        };
+        let untraced = crate::run_experiment(&point).unwrap();
+        point.recorder = RecorderHandle::jsonl().0;
+        let mut traced = crate::run_experiment(&point).unwrap();
+        assert!(untraced.metrics.is_none() && traced.metrics.take().is_some());
+        assert!(untraced.storage_nic.bytes > 0 && !untraced.cache_file_sizes.is_empty());
+        assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
     }
 
     #[test]

@@ -138,8 +138,9 @@ impl<'a> Cluster<'a> {
     /// Deploy the §6 hybrid chain for `vmi` on `node` at `start_at`: a *new
     /// local cache* in the node's memory, chained to `storage_cache` exported
     /// from the storage node's memory, chained to the base — Algorithm 1's
-    /// `ChainToStorageCache` branch. The local cache starts cold and warms
-    /// from the remote cache, never from the storage disk.
+    /// storage-cache branch (see [`Deploy`](crate::runner::Deploy)). The
+    /// local cache starts cold and warms from the remote cache, never from
+    /// the storage disk.
     pub(crate) fn deploy_hybrid(
         &mut self,
         node: usize,

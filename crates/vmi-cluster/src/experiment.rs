@@ -19,7 +19,6 @@ use vmi_trace::{BootTrace, VmiProfile};
 use crate::cluster::{CacheSource, Cluster};
 use crate::deploy::{prepare_warm_cache, Mode, Placement, WarmCache};
 use crate::runner::{Deploy, Request, Runner};
-use crate::telemetry::{cache_layer, Telemetry};
 use crate::vm::{BootStats, VmOutcome};
 
 /// Memoizes warm-cache preparation across experiment points: warming a
@@ -127,11 +126,11 @@ pub struct ExperimentOutcome {
     pub storage_page_cache: (u64, u64),
     /// Per-VM cache image file size after the boot, if a cache was used.
     pub cache_file_sizes: Vec<u64>,
-    /// Cache-layer and latency telemetry (per-cache hit ratios always;
-    /// latency percentiles when a recorder was attached).
-    pub telemetry: Telemetry,
-    /// Full metrics-registry snapshot, present when a recorder was attached.
-    /// Render with [`MetricsSnapshot::to_prometheus`].
+    /// The run's metrics registry, present when a recorder was attached:
+    /// copy-on-read hit, miss and fill bytes, space errors, degraded
+    /// caches, coalesced runs and the per-op latency histogram
+    /// ([`vmi_obs::met`] names them). Render with
+    /// [`MetricsSnapshot::to_prometheus`].
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -174,6 +173,12 @@ fn warm_cache(cfg: &ExperimentConfig, trace: &BootTrace) -> Result<Option<Arc<Wa
             cluster_bits,
         )?),
     }))
+}
+
+/// The cache layer directly under a CoW top image, if the chain has one.
+fn cache_layer(chain: &QcowImage) -> Option<&QcowImage> {
+    let q = chain.backing()?.as_any()?.downcast_ref::<QcowImage>()?;
+    q.is_cache().then_some(q)
 }
 
 /// Fig. 13/14 cold flow: ship creator `i`'s cache from compute memory to the
@@ -286,7 +291,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentOutcome> {
             .iter()
             .filter_map(|c| cache_layer(c).map(QcowImage::file_size))
             .collect(),
-        telemetry: Telemetry::collect(&chains, &cluster.obs),
         metrics: cluster.obs.metrics_snapshot(),
     })
 }

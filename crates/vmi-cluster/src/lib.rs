@@ -4,8 +4,10 @@
 //! VM boot engine that replays real boot traces through real `vmi-qcow`
 //! chains on simulated time ([`vm`]), the deployment modes of every figure
 //! ([`deploy`], [`experiment`]), and the cloud-level cache management the
-//! paper designs in §3.4/§6: LRU cache pools ([`cachepool`]), Algorithm 1
-//! placement ([`placement`]) and the cache-aware scheduler ([`sched`]).
+//! paper designs in §3.4/§6: LRU cache pools ([`cachepool`]) and the
+//! cache-aware scheduler ([`sched`]). Algorithm 1, which picks the cache a
+//! new chain hangs from, is the runner's choice of deployment for each
+//! arrival.
 //!
 //! One byte-level runner, with presets: [`run_experiment`] (one point of a
 //! paper figure: N pinned arrivals at t = 0), [`run_mixed_experiment`] (a
@@ -20,11 +22,11 @@
 
 //! ```
 //! use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement};
-//! use vmi_obs::RecorderHandle;
+//! use vmi_obs::{met, RecorderHandle};
 //! use vmi_sim::NetSpec;
 //!
 //! // One point of Fig. 11 at smoke scale: two nodes, one VMI, warm caches,
-//! // with a JSONL recorder attached for the telemetry section.
+//! // with a JSONL recorder attached for the metrics registry.
 //! let (recorder, sink) = RecorderHandle::jsonl();
 //! let mut cfg = ExperimentConfig::new(2, 1);
 //! cfg.profile = vmi_trace::VmiProfile::tiny_test();
@@ -36,8 +38,10 @@
 //! };
 //! let out = run_experiment(&cfg).unwrap();
 //! assert_eq!(out.storage_nic.bytes, 0, "warm boots never touch the network");
-//! assert_eq!(out.telemetry.hit_ratio, 1.0, "every read served by the caches");
-//! assert!(out.telemetry.p99_op_ns.is_some(), "recorder gives latency percentiles");
+//! let metrics = out.metrics.expect("a recorder keeps a metrics registry");
+//! assert_eq!(metrics.counter(met::CACHE_MISS_BYTES), 0, "every read served by the caches");
+//! let op_ns = metrics.histogram(met::VM_OP_NS).expect("per-op latencies");
+//! assert!(op_ns.quantile(0.99) > 0, "recorder gives latency percentiles");
 //! assert!(!sink.lines().is_empty(), "the run left a replayable event stream");
 //! ```
 
@@ -57,23 +61,19 @@ pub mod deploy;
 pub mod experiment;
 pub mod mixed;
 pub mod node;
-pub mod placement;
 mod runner;
 pub mod scale;
 pub mod sched;
-pub mod telemetry;
 pub mod topology;
 pub mod vm;
 
-pub use cachepool::{CacheEntry, CachePool};
+pub use cachepool::CachePool;
 pub use cloud::{generate_requests, run_cloud, CloudConfig, CloudReport, NodeFailure, VmRequest};
 pub use deploy::{build_chain, prepare_warm_cache, ChainSpec, Mode, Placement, WarmCache};
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentOutcome, WarmStore};
 pub use mixed::{run_hybrid_boot, run_mixed_experiment, MixedConfig, MixedOutcome};
 pub use node::{ComputeNode, StorageNode};
-pub use placement::{choose_chain, ChainPlan, StorageCacheLocation, StorageCacheState};
 pub use scale::{run_scale, BootRecord, FillSource, ScaleConfig, ScaleReport};
 pub use sched::{NodeState, PlacementDecision, Policy, Scheduler};
-pub use telemetry::{CacheTelemetry, Telemetry};
 pub use topology::Topology;
 pub use vm::{run_boots, BootStats, VmOutcome, VmRun};

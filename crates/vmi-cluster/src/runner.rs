@@ -22,7 +22,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vmi_blockdev::{BlockDev, Result, SharedDev, SparseDev};
-use vmi_obs::{met, Event};
+use vmi_obs::Event;
 use vmi_qcow::{recover_with_obs, Header, QcowImage};
 use vmi_sim::Ns;
 
@@ -43,7 +43,36 @@ pub(crate) struct Request<'r> {
     pub deploy: Deploy<'r>,
 }
 
-/// How an arrival is placed and which chain it boots.
+/// How an arrival is placed and which chain it boots. Together with the
+/// presets that pick a variant, this is Algorithm 1 (§6), which chooses the
+/// VMI a new CoW image is chained to:
+///
+/// ```text
+/// Input: Compute node C, Storage node S, VMI Base
+/// Output: A VMI to be chained to a CoW image
+/// if Cache_base exists in C then
+///     return Cache_base
+/// if Cache_base exists in S then
+///     if Cache_base is on disk then
+///         Copy Base_cache to tmpfs
+///     Create NewCache_base on C
+///     Chain NewCache_base to Cache_base
+///     return NewCache_base
+/// Create Cache_base on C
+/// Chain Cache_base to Base
+/// Copy Cache_base to S on VM shutdown
+/// return Cache_base
+/// ```
+///
+/// The code behind each branch:
+/// * a warm cache in C: [`Deploy::Scheduled`] forks it in [`node_chain`]
+///   when the scheduler placed the VM on a node that holds one;
+/// * a cache in S: [`Deploy::Hybrid`], built by
+///   [`Cluster::deploy_hybrid`]; the storage cache is always in tmpfs
+///   here, so no copy from the storage disk arises;
+/// * neither: [`node_chain`] fills a fresh cache in compute memory;
+/// * the copy to S on shutdown (Fig. 13): `experiment.rs`'s
+///   `transfer_cache`.
 pub(crate) enum Deploy<'r> {
     /// The scheduler picks the node; the node's cache pool picks the chain
     /// (Algorithm 1 at node level): a fork of a warm local cache, else a
@@ -290,7 +319,6 @@ impl<'p> Runner<'p> {
                 let node = decision.node;
                 if let Phase::Waiting(Some(from)) = self.phases[r] {
                     self.report.rescheduled_boots += 1;
-                    obs.count(met::BOOT_RESCHEDULES, 1);
                     obs.emit(|| Event::BootRescheduled {
                         vm: r as u64,
                         from_node: from as u64,
@@ -417,9 +445,9 @@ impl<'p> Runner<'p> {
             schedule(t, f.at + downtime, Ev::Restart(node));
         }
         self.report.node_failures += 1;
-        let obs = &self.cluster.obs;
-        obs.count(met::NODE_FAILURES, 1);
-        obs.emit(|| Event::NodeFailed { node: node as u64 });
+        self.cluster
+            .obs
+            .emit(|| Event::NodeFailed { node: node as u64 });
     }
 
     /// A power-cut node comes back at `now`: it takes placements again,
@@ -429,7 +457,6 @@ impl<'p> Runner<'p> {
         self.fleet[node].restore();
         self.report.node_restarts += 1;
         let obs = self.cluster.obs.clone();
-        obs.count(met::NODE_RESTARTS, 1);
         // A node's containers were stranded together, in VMI order.
         let (mine, rest) = std::mem::take(&mut self.downed)
             .into_iter()
@@ -440,10 +467,8 @@ impl<'p> Runner<'p> {
             let dev: SharedDev = container.clone();
             if recover_with_obs(&dev, &obs).is_usable() && self.adopt(node, v, container, now) {
                 readopted += 1;
-                obs.count(met::CACHES_READOPTED, 1);
             } else {
                 refetched += 1;
-                obs.count(met::CACHES_REFETCHED, 1);
             }
         }
         self.report.caches_readopted += readopted as usize;

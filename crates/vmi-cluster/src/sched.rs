@@ -10,7 +10,7 @@
 //! nodes holding a warm cache for the requested VMI whenever any such node
 //! has capacity.
 
-use vmi_obs::{met, Event, Obs};
+use vmi_obs::{Event, Obs};
 
 use crate::cachepool::{CachePool, Stamp};
 
@@ -105,9 +105,9 @@ impl Scheduler {
 
     /// Place one VM booting from VMI index `vmi`. Updates the chosen node's
     /// VM count and cache recency. Returns `None` when no node has room.
-    /// Each decision bumps [`met::SCHED_PLACEMENTS`] and emits a
-    /// [`Event::SchedPlace`]; the VMI is rendered to a name only inside the
-    /// lazy event closure, so the hot path stays allocation-free.
+    /// Each decision emits a [`Event::SchedPlace`]; the VMI is rendered to
+    /// a name only inside the lazy event closure, so the hot path stays
+    /// allocation-free.
     pub fn place(
         &self,
         nodes: &mut [NodeState],
@@ -143,7 +143,6 @@ impl Scheduler {
         let node = &mut nodes[best];
         node.running_vms += 1;
         let cache_hit = node.caches.touch(vmi, now).is_some();
-        obs.count(met::SCHED_PLACEMENTS, 1);
         let node_id = node.id;
         obs.emit(|| Event::SchedPlace {
             vmi: format!("vmi-{vmi}"),
@@ -281,6 +280,7 @@ mod tests {
         nodes[0].fail();
         assert!(!nodes[0].has_room());
         assert!(!nodes[0].caches.contains(0), "caches die with the node");
+        assert_eq!(nodes[0].caches.used(), 0, "and free their space");
         // Even as the warm node, node 0 is excluded; node 1 takes the VM.
         let d = place(&s, &mut nodes, 0, 1).unwrap();
         assert_eq!(d.node, 1);

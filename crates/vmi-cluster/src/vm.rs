@@ -165,10 +165,7 @@ impl<E> Timeline<E> {
             // Stamp the boot span's end at the completion time (we are
             // outside any priced op window here).
             let span = self.vms[vm].take().and_then(|st| st.span);
-            world.with_time(now, || {
-                obs.count(met::BOOTS_DONE, 1);
-                drop(span);
-            });
+            world.with_time(now, || drop(span));
             return Ok(Some(VmOutcome {
                 done_at: now,
                 boot_ns,

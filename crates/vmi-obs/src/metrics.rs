@@ -26,12 +26,6 @@ pub mod met {
     pub const QUOTA_REARMS: &str = "qcow.cache.quota_rearms";
     /// Image-chain layers opened (counter).
     pub const CHAIN_OPENS: &str = "qcow.chain.opens";
-    /// Scheduler placement decisions (counter).
-    pub const SCHED_PLACEMENTS: &str = "cluster.sched.placements";
-    /// Cache-pool evictions across the fleet (counter).
-    pub const CACHE_EVICTIONS: &str = "cluster.cache.evictions";
-    /// VM boots completed (counter).
-    pub const BOOTS_DONE: &str = "cluster.vm.boots";
     /// Live cache used-bytes of the most recently updated cache (gauge).
     pub const CACHE_USED_BYTES: &str = "qcow.cache.used_bytes";
     /// Per-guest-request latency through an image chain, ns (histogram).
@@ -46,10 +40,6 @@ pub mod met {
     pub const AUDIT_RUNS: &str = "audit.runs";
     /// Invariant violations reported by the checker (counter).
     pub const AUDIT_VIOLATIONS: &str = "audit.violations";
-    /// Cluster node failures, injected or detected (counter).
-    pub const NODE_FAILURES: &str = "cluster.node.failures";
-    /// Boots re-placed on another node after a node failure (counter).
-    pub const BOOT_RESCHEDULES: &str = "cluster.vm.reschedules";
     /// Multi-cluster extents served/filled as a single device op (counter).
     pub const COALESCED_RUNS: &str = "qcow.io.coalesced_runs";
     /// Bytes moved by coalesced multi-cluster extents (counter).
@@ -62,12 +52,6 @@ pub mod met {
     pub const RECOVERY_REPAIRS: &str = "qcow.recovery.repairs";
     /// Recoveries that gave up and demanded a refetch (counter).
     pub const RECOVERY_REFETCHES: &str = "qcow.recovery.refetches";
-    /// Cluster nodes restarted after a failure (counter).
-    pub const NODE_RESTARTS: &str = "cluster.node.restarts";
-    /// Caches re-adopted warm after node restart recovery (counter).
-    pub const CACHES_READOPTED: &str = "cluster.cache.readopted";
-    /// Caches found unrecoverable at restart and refetched cold (counter).
-    pub const CACHES_REFETCHED: &str = "cluster.cache.refetched";
 }
 
 /// Slots per metric kind. Overflowing ids are dropped silently (the

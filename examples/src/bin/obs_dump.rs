@@ -1,9 +1,9 @@
 //! Observability tour: run a cold and a warm two-node experiment with a
-//! JSONL recorder attached, then pretty-print the telemetry snapshot and
-//! the head of the event stream.
+//! JSONL recorder attached, then pretty-print each run's metrics registry
+//! and the head of the event stream.
 //!
-//! The telemetry tests (`tests/tests/obs_telemetry.rs`) replay the same
-//! stream and assert it matches this snapshot.
+//! The observability tests (`tests/tests/obs_telemetry.rs`) replay the same
+//! stream and assert it matches the registry.
 //!
 //! Run with: `cargo run --release -p vmcache-examples --bin obs_dump`
 //!
@@ -12,8 +12,10 @@
 
 use std::sync::Arc;
 
-use vmi_cluster::{run_experiment, ExperimentConfig, Mode, Placement, Telemetry, WarmStore};
-use vmi_obs::{JsonlSink, RecorderHandle};
+use vmi_cluster::{
+    run_experiment, ExperimentConfig, ExperimentOutcome, Mode, Placement, WarmStore,
+};
+use vmi_obs::{met, JsonlSink, RecorderHandle};
 use vmi_sim::NetSpec;
 use vmi_trace::VmiProfile;
 
@@ -39,16 +41,8 @@ fn main() {
     let cold_lines = sink.len();
     let warm = run(&store, recorder, warm_mode);
 
-    section(
-        "cold boot (2 nodes, empty caches)",
-        &cold.telemetry,
-        cold.mean_boot_secs(),
-    );
-    section(
-        "warm boot (same VMI, persisted caches)",
-        &warm.telemetry,
-        warm.mean_boot_secs(),
-    );
+    section("cold boot (2 nodes, empty caches)", &cold);
+    section("warm boot (same VMI, persisted caches)", &warm);
 
     let lines = sink.lines();
     println!(
@@ -76,11 +70,7 @@ fn main() {
     }
 }
 
-fn run(
-    store: &Arc<WarmStore>,
-    recorder: RecorderHandle,
-    mode: Mode,
-) -> vmi_cluster::ExperimentOutcome {
+fn run(store: &Arc<WarmStore>, recorder: RecorderHandle, mode: Mode) -> ExperimentOutcome {
     run_experiment(&ExperimentConfig {
         nodes: 2,
         vmis: 1,
@@ -94,26 +84,29 @@ fn run(
     .expect("experiment runs")
 }
 
-fn section(title: &str, t: &Telemetry, mean_boot_secs: f64) {
+fn section(title: &str, out: &ExperimentOutcome) {
+    let m = out.metrics.as_ref().expect("the recorder keeps a registry");
+    let (hits, misses) = (
+        m.counter(met::CACHE_HIT_BYTES),
+        m.counter(met::CACHE_MISS_BYTES),
+    );
     println!("== {title} ==");
-    println!("  mean boot       {mean_boot_secs:.3} s");
-    println!("  hit ratio       {:.4}", t.hit_ratio);
-    println!("  fill bytes      {}", t.fill_bytes);
-    println!("  space errors    {}", t.space_errors);
-    println!("  evictions       {}", t.evictions);
-    match (t.p50_op_ns, t.p99_op_ns) {
-        (Some(p50), Some(p99)) => println!("  op latency      p50 ≤ {p50} ns, p99 ≤ {p99} ns"),
-        _ => println!("  op latency      (no recorder)"),
-    }
-    for (i, c) in t.per_cache.iter().enumerate() {
-        println!(
-            "  cache[{i}]        hit={} miss={} fill={} rejects={} ratio={:.4}",
-            c.hit_bytes,
-            c.miss_bytes,
-            c.fill_bytes,
-            c.fill_rejects,
-            c.hit_ratio()
-        );
+    println!("  mean boot       {:.3} s", out.mean_boot_secs());
+    println!(
+        "  hit ratio       {:.4}",
+        hits as f64 / (hits + misses) as f64
+    );
+    println!("  hit bytes       {hits}");
+    println!("  miss bytes      {misses}");
+    println!("  fill bytes      {}", m.counter(met::COR_FILL_BYTES));
+    println!("  space errors    {}", m.counter(met::SPACE_ERRORS));
+    match m.histogram(met::VM_OP_NS) {
+        Some(h) => println!(
+            "  op latency      p50 ≤ {} ns, p99 ≤ {} ns",
+            h.quantile(0.5),
+            h.quantile(0.99)
+        ),
+        None => println!("  op latency      (no ops)"),
     }
     println!();
 }

@@ -1,17 +1,17 @@
-//! Observability end-to-end: the JSONL event stream and the telemetry
-//! section of experiment outcomes must tell the same story as the
+//! Observability end-to-end: the JSONL event stream, the run's metrics
+//! registry and a cloud run's report must tell the same story as the
 //! simulation itself. [`replay`] re-derives the counters from the stream,
-//! independently of the live metrics registry, so the two views can be
-//! compared.
+//! independently of the live metrics registry and of the report, so the
+//! views can be compared.
 
 use std::sync::Arc;
 
 use vmi_blockdev::{BlockDev, MemDev, SharedDev};
 use vmi_cluster::{
-    generate_requests, run_cloud, run_experiment, CloudConfig, ExperimentConfig, Mode, NodeFailure,
-    Placement, Policy, Telemetry, WarmStore,
+    generate_requests, run_cloud, run_experiment, CloudConfig, CloudReport, ExperimentConfig, Mode,
+    NodeFailure, Placement, Policy, WarmStore,
 };
-use vmi_obs::{met, Event, JsonlSink, ManualClock, Obs, RecorderHandle};
+use vmi_obs::{met, Event, JsonlSink, ManualClock, MetricsSnapshot, Obs, RecorderHandle};
 use vmi_qcow::{create_cached_chain, MapResolver, QcowImage};
 use vmi_sim::NetSpec;
 
@@ -89,24 +89,27 @@ impl ReplaySummary {
         }
     }
 
-    /// Whether the replayed counters agree with a live telemetry snapshot.
-    fn consistent_with(&self, t: &Telemetry) -> bool {
-        let t_hits: u64 = t.per_cache.iter().map(|c| c.hit_bytes).sum();
-        let t_misses: u64 = t.per_cache.iter().map(|c| c.miss_bytes).sum();
-        self.hit_bytes == t_hits
-            && self.miss_bytes == t_misses
-            && self.fill_bytes == t.fill_bytes
-            && self.space_errors == t.space_errors
-            && self.evictions == t.evictions
-            && self.degradations == t.caches_degraded
-            && self.node_failures == t.node_failures
-            && self.reschedules == t.boots_rescheduled
-            && self.runs_coalesced == t.runs_coalesced
-            && self.coalesced_bytes == t.coalesced_bytes
-            && self.recovery_repairs == t.recovery_repairs
-            && self.node_restarts == t.node_restarts
-            && self.caches_readopted == t.caches_readopted
-            && self.caches_refetched == t.caches_refetched
+    /// Whether the replayed counters agree with the run's two records: the
+    /// metrics registry `m` for what the image layers did, and a cloud
+    /// run's report for what the cluster did. An experiment point (`None`)
+    /// has no pools and no failures, so its cluster counts must be 0.
+    fn consistent_with(&self, m: &MetricsSnapshot, cloud: Option<&CloudReport>) -> bool {
+        let none = CloudReport::default();
+        let rep = cloud.unwrap_or(&none);
+        self.hit_bytes == m.counter(met::CACHE_HIT_BYTES)
+            && self.miss_bytes == m.counter(met::CACHE_MISS_BYTES)
+            && self.fill_bytes == m.counter(met::COR_FILL_BYTES)
+            && self.space_errors == m.counter(met::SPACE_ERRORS)
+            && self.degradations == m.counter(met::CACHE_DEGRADED)
+            && self.runs_coalesced == m.counter(met::COALESCED_RUNS)
+            && self.coalesced_bytes == m.counter(met::COALESCED_BYTES)
+            && self.recovery_repairs == m.counter(met::RECOVERY_REPAIRS)
+            && self.evictions == rep.evictions as u64
+            && self.node_failures == rep.node_failures as u64
+            && self.reschedules == rep.rescheduled_boots as u64
+            && self.node_restarts == rep.node_restarts as u64
+            && self.caches_readopted == rep.caches_readopted as u64
+            && self.caches_refetched == rep.caches_refetched as u64
     }
 }
 
@@ -156,8 +159,13 @@ fn warm_cache_run_is_all_hits_with_no_miss_events() {
     ))
     .unwrap();
 
-    assert_eq!(out.telemetry.hit_ratio, 1.0, "warm boots never miss");
-    assert!(!out.telemetry.per_cache.is_empty(), "cache layers reported");
+    let metrics = out.metrics.expect("recorder attached");
+    assert_eq!(
+        metrics.counter(met::CACHE_MISS_BYTES),
+        0,
+        "warm boots never miss"
+    );
+    assert_eq!(out.cache_file_sizes.len(), 2, "cache layers reported");
     let events = sink.events();
     assert!(
         events
@@ -171,8 +179,8 @@ fn warm_cache_run_is_all_hits_with_no_miss_events() {
             .any(|(_, e)| matches!(e, Event::CacheHit { .. })),
         "warm reads are recorded as hits"
     );
-    // The stream and the registry-backed telemetry agree.
-    assert!(replay(&events).consistent_with(&out.telemetry));
+    // The stream and the registry agree.
+    assert!(replay(&events).consistent_with(&metrics, None));
 }
 
 #[test]
@@ -180,7 +188,7 @@ fn cold_then_warm_replay_matches_telemetry() {
     // The acceptance flow: one shared JSONL stream across a cold boot and
     // a warm boot of the same VMI. The stream must contain chain_open,
     // cache_miss and cor_fill (cold phase) followed by cache_hit (warm
-    // phase), and replaying it must reproduce the telemetry counters.
+    // phase), and replaying it must reproduce each run's registry.
     let store = WarmStore::new();
     let sink = JsonlSink::new();
     let recorder = RecorderHandle::of(sink.clone());
@@ -229,17 +237,22 @@ fn cold_then_warm_replay_matches_telemetry() {
         .iter()
         .all(|(_, e)| !matches!(e, Event::CorFill { .. })));
 
-    // Each phase's stream replays to exactly that phase's telemetry.
+    // Each phase's stream replays to exactly that phase's registry.
+    let cold_metrics = cold.metrics.expect("recorder attached");
+    let warm_metrics = warm.metrics.expect("recorder attached");
     assert!(
-        replay(&cold_events).consistent_with(&cold.telemetry),
+        replay(&cold_events).consistent_with(&cold_metrics, None),
         "cold replay drifted"
     );
     assert!(
-        replay(warm_events).consistent_with(&warm.telemetry),
+        replay(warm_events).consistent_with(&warm_metrics, None),
         "warm replay drifted"
     );
-    assert_eq!(warm.telemetry.hit_ratio, 1.0);
-    assert!(cold.telemetry.fill_bytes > 0, "cold boots fill the cache");
+    assert_eq!(warm_metrics.counter(met::CACHE_MISS_BYTES), 0);
+    assert!(
+        cold_metrics.counter(met::COR_FILL_BYTES) > 0,
+        "cold boots fill the cache"
+    );
 }
 
 /// A cow → cache → base chain over a patterned 4 MiB base. The cache has
@@ -373,8 +386,8 @@ fn discard_rearms_a_latched_cache_once() {
 }
 
 /// The power-cut day that `cloud::tests::power_cut_day_is_pinned` pins:
-/// every placement is one `sched_place`, and its `cache_hit` is set exactly
-/// for the warm boots.
+/// every placement is one `sched_place`, its `cache_hit` is set exactly for
+/// the warm boots, and the stream replays to the registry and the report.
 #[test]
 fn sched_place_events_count_placements_and_warm_boots() {
     let profile = vmi_trace::VmiProfile::tiny_test();
@@ -402,7 +415,10 @@ fn sched_place_events_count_placements_and_warm_boots() {
     let rep = run_cloud(&cfg, &reqs).unwrap();
     assert_eq!((rep.placed, rep.warm_boots), (48, 34), "the pinned day");
     let events = sink.events();
-    assert_eq!(replay(&events).sched_places, rep.placed as u64);
+    let summary = replay(&events);
+    let metrics = rep.metrics.as_ref().expect("recorder attached");
+    assert!(summary.consistent_with(metrics, Some(&rep)));
+    assert_eq!(summary.sched_places, rep.placed as u64);
     let warm = events
         .iter()
         .filter(|(_, e)| {
@@ -435,10 +451,15 @@ fn replay_summary_matches_registry_counters() {
     ))
     .unwrap();
     let s: ReplaySummary = replay(&sink.events());
-    let t: &Telemetry = &out.telemetry;
-    assert_eq!(s.fill_bytes, t.fill_bytes);
-    assert_eq!(s.space_errors, t.space_errors);
-    assert_eq!(s.evictions, t.evictions);
+    let m = out.metrics.expect("recorder attached");
+    assert_eq!(s.fill_bytes, m.counter(met::COR_FILL_BYTES));
+    assert_eq!(s.space_errors, m.counter(met::SPACE_ERRORS));
+    assert_eq!(s.evictions, 0, "an experiment point has no cache pools");
+    assert_eq!(s.chain_opens, m.counter(met::CHAIN_OPENS));
     assert!(s.chain_opens > 0);
-    assert!((s.hit_ratio() - t.hit_ratio).abs() < 1e-12);
+    let (hits, misses) = (
+        m.counter(met::CACHE_HIT_BYTES),
+        m.counter(met::CACHE_MISS_BYTES),
+    );
+    assert!((s.hit_ratio() - hits as f64 / (hits + misses) as f64).abs() < 1e-12);
 }
