@@ -11,9 +11,10 @@
 //!
 //! `--check` gates (the CI `scale-smoke` job runs `--smoke --check`):
 //! tiered storage traffic strictly below flat, peer fetch active under
-//! `tiered+p2p`, boots/sec at or above a floor, and total wall clock inside
-//! a budget. Every non-wall field of the committed `BENCH_pr10_scale.json`
-//! is pinned by `tests/tests/scale_determinism.rs`.
+//! `tiered+p2p`, no link message served out of arrival order, boots/sec at
+//! or above a floor, and total wall clock inside a budget. Every non-wall
+//! field of the committed `BENCH_pr10_scale.json` is pinned by
+//! `tests/tests/scale_determinism.rs`.
 
 use std::time::Instant;
 
@@ -105,8 +106,13 @@ pub struct SweepPoint {
     pub storage_bytes: u64,
     /// Bytes over zone aggregation links.
     pub zone_bytes: u64,
-    /// Bytes over top-of-rack links (includes peer traffic).
+    /// Bytes over top-of-rack links (includes peer traffic, and the unsent
+    /// tail of each truncated peer transfer).
     pub rack_bytes: u64,
+    /// Messages a storage, zone or rack link took after a later-submitted
+    /// one (`LinkStats::late`, summed over the three tiers); 0 when every
+    /// link serves in arrival order.
+    pub late: u64,
     /// Fill segments by source tier: `[peer, rack, zone, storage]`.
     pub fills: Vec<u64>,
     /// Warm node-cache hits.
@@ -185,6 +191,12 @@ impl ScaleSweepReport {
     /// Evaluate every acceptance gate; returns human-readable failures.
     pub fn check(&self, cfg: &SweepConfig) -> Vec<String> {
         let mut fails = Vec::new();
+        for p in self.points.iter().filter(|p| p.late > 0) {
+            fails.push(format!(
+                "{} seed {}: {} link messages served out of arrival order",
+                p.topology, p.seed, p.late
+            ));
+        }
         for &seed in &cfg.seeds {
             let bytes = |name: &str| {
                 self.points
@@ -257,8 +269,9 @@ pub fn run_scale_sweep_with(cfg: &SweepConfig, mode: &str) -> ScaleSweepReport {
                 wall_ns,
                 boots_per_sec: rep.boots as f64 / (wall_ns as f64 / 1e9).max(1e-9),
                 storage_bytes: rep.storage_link.bytes,
-                zone_bytes: rep.zone_link_bytes,
-                rack_bytes: rep.rack_link_bytes,
+                zone_bytes: rep.zone_links.bytes,
+                rack_bytes: rep.rack_links.bytes,
+                late: rep.storage_link.late + rep.zone_links.late + rep.rack_links.late,
                 fills: rep.fills.to_vec(),
                 warm_hits: rep.warm_hits,
                 joins: rep.joins,
@@ -337,5 +350,19 @@ mod tests {
         cfg.min_boots_per_sec = f64::INFINITY;
         let fails = rep.check(&cfg);
         assert!(fails.iter().any(|f| f.contains("throughput")));
+    }
+
+    #[test]
+    fn check_flags_late_link_messages() {
+        let cfg = tiny();
+        let mut rep = run_scale_sweep_with(&cfg, "test");
+        assert!(rep.points.iter().all(|p| p.late == 0), "{}", rep.render());
+        rep.points[1].late = 3;
+        let fails = rep.check(&cfg);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(
+            fails[0].contains("tiered seed 7: 3 link messages"),
+            "{fails:?}"
+        );
     }
 }

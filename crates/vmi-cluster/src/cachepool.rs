@@ -13,6 +13,9 @@
 //! handful of images, so entries sit in a `Vec` and every lookup is a linear
 //! scan. Keys are VMI indices, rendered to `vmi-{k}` names only inside the
 //! lazily evaluated observability closures.
+//!
+//! Every caller admits a cache once its bytes have landed, so an entry in a
+//! pool is usable: the pool keeps no notion of a fill still in flight.
 
 use vmi_obs::{Event, Obs};
 
@@ -27,8 +30,6 @@ struct CacheEntry {
     vmi: usize,
     /// Size of the cache image file in bytes.
     size: u64,
-    /// When the cache becomes usable (its fill may still be in flight).
-    ready_at: Stamp,
     /// Last time this cache was used to boot a VM.
     last_used: Stamp,
 }
@@ -66,43 +67,37 @@ impl CachePool {
         self.entries.iter().position(|e| e.vmi == vmi)
     }
 
-    /// Whether a cache for `vmi` is present (usable yet or not).
+    /// Whether a cache for `vmi` is present.
     #[inline]
     pub fn contains(&self, vmi: usize) -> bool {
         self.find(vmi).is_some()
     }
 
-    /// When the cache for `vmi` becomes usable, without counting the
-    /// lookup as a use (the scale engine's tiers touch only usable entries).
+    /// Mark a cache as used now (a VM booted from it). Returns `false` if
+    /// the pool holds no such cache.
     #[inline]
-    pub(crate) fn ready_at(&self, vmi: usize) -> Option<Stamp> {
-        self.find(vmi).map(|i| self.entries[i].ready_at)
-    }
-
-    /// Mark a cache as used now (a VM booted from it). Returns when the
-    /// cache becomes usable, or `None` if the pool holds no such cache.
-    #[inline]
-    pub fn touch(&mut self, vmi: usize, now: Stamp) -> Option<Stamp> {
-        let e = self.entries.iter_mut().find(|e| e.vmi == vmi)?;
+    pub fn touch(&mut self, vmi: usize, now: Stamp) -> bool {
+        let Some(e) = self.entries.iter_mut().find(|e| e.vmi == vmi) else {
+            return false;
+        };
         e.last_used = now;
-        Some(e.ready_at)
+        true
     }
 
-    /// Admit a cache of `size` bytes for `vmi`, usable from `ready_at`,
-    /// evicting LRU entries as needed (the least `(last_used, vmi)` goes
-    /// first). This is the pool's only eviction: every victim is pushed
-    /// onto `evicted` and emits an [`Event::CacheEvict`] tagged with the
-    /// owning `node`; the caller counts them. Returns `Err(())` if `size`
-    /// exceeds capacity outright (nothing is changed in that case).
+    /// Admit a cache of `size` bytes for `vmi` at `now`, evicting LRU
+    /// entries as needed (the least `(last_used, vmi)` goes first). This
+    /// is the pool's only eviction: every victim is pushed onto `evicted`
+    /// and emits an [`Event::CacheEvict`] tagged with the owning `node`;
+    /// the caller counts them. Returns `Err(())` if `size` exceeds
+    /// capacity outright (nothing is changed in that case).
     ///
     /// Victims go to a caller's buffer so that a simulator admitting a
     /// million caches can reuse one instead of allocating per eviction.
-    #[allow(clippy::result_unit_err, clippy::too_many_arguments)]
+    #[allow(clippy::result_unit_err)]
     pub fn admit(
         &mut self,
         vmi: usize,
         size: u64,
-        ready_at: Stamp,
         now: Stamp,
         obs: &Obs,
         node: u64,
@@ -136,7 +131,6 @@ impl CachePool {
         self.entries.push(CacheEntry {
             vmi,
             size,
-            ready_at,
             last_used: now,
         });
         Ok(())
@@ -155,7 +149,7 @@ mod tests {
 
     fn admit(p: &mut CachePool, vmi: usize, size: u64, now: Stamp) -> Result<Vec<usize>, ()> {
         let mut evicted = Vec::new();
-        p.admit(vmi, size, now, now, &Obs::disabled(), 0, &mut evicted)?;
+        p.admit(vmi, size, now, &Obs::disabled(), 0, &mut evicted)?;
         Ok(evicted)
     }
 
@@ -224,28 +218,14 @@ mod tests {
         let mut p = CachePool::new(200);
         admit(&mut p, 0, 100, 1).unwrap();
         admit(&mut p, 1, 100, 2).unwrap();
-        assert_eq!(p.touch(0, 5), Some(1));
+        assert!(p.touch(0, 5));
         assert_eq!(admit(&mut p, 2, 100, 6).unwrap(), vec![1]);
     }
 
     #[test]
     fn touch_missing_returns_false() {
         let mut p = CachePool::new(10);
-        assert_eq!(p.touch(7, 1), None);
-    }
-
-    #[test]
-    fn touch_reports_when_the_cache_is_usable() {
-        let mut p = CachePool::new(100);
-        assert!(p
-            .admit(0, 50, 90, 10, &Obs::disabled(), 0, &mut Vec::new())
-            .is_ok());
-        admit(&mut p, 1, 50, 15).unwrap();
-        assert_eq!(p.ready_at(0), Some(90));
-        assert_eq!(p.touch(0, 20), Some(90));
-        // The touch made 1 the LRU entry; reading `ready_at` changed nothing.
-        assert_eq!(p.ready_at(1), Some(15));
-        assert_eq!(admit(&mut p, 2, 50, 30).unwrap(), vec![1]);
+        assert!(!p.touch(7, 1));
     }
 
     #[test]
@@ -256,8 +236,8 @@ mod tests {
         let obs = rec.attach(Arc::new(ManualClock::new(0)));
         let mut p = CachePool::new(100);
         let mut evicted = Vec::new();
-        p.admit(0, 80, 1, 1, &obs, 3, &mut evicted).unwrap();
-        p.admit(1, 80, 2, 2, &obs, 3, &mut evicted).unwrap();
+        p.admit(0, 80, 1, &obs, 3, &mut evicted).unwrap();
+        p.admit(1, 80, 2, &obs, 3, &mut evicted).unwrap();
         assert_eq!(evicted, vec![0]);
         let lines = sink.lines();
         let evicts: Vec<_> = lines
@@ -279,9 +259,9 @@ mod tests {
         let obs = rec.attach(Arc::new(ManualClock::new(0)));
         let mut p = CachePool::new(200);
         let mut evicted = Vec::new();
-        p.admit(7, 150, 1, 1, &obs, 0, &mut evicted).unwrap();
+        p.admit(7, 150, 1, &obs, 0, &mut evicted).unwrap();
         assert!(p.contains(7));
-        p.admit(9, 100, 2, 2, &obs, 0, &mut evicted).unwrap();
+        p.admit(9, 100, 2, &obs, 0, &mut evicted).unwrap();
         assert_eq!(evicted, vec![7]);
         assert!(
             sink.lines().iter().any(|l| l.contains("\"vmi\":\"vmi-7\"")),

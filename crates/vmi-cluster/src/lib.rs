@@ -76,4 +76,4 @@ pub use node::{ComputeNode, StorageNode};
 pub use scale::{run_scale, BootRecord, FillSource, ScaleConfig, ScaleReport};
 pub use sched::{NodeState, PlacementDecision, Policy, Scheduler};
 pub use topology::Topology;
-pub use vm::{run_boots, BootStats, VmOutcome, VmRun};
+pub use vm::{BootStats, VmOutcome};

@@ -388,9 +388,7 @@ impl<'p> Runner<'p> {
         let mut evicted = Vec::new();
         let (obs, id, size) = (&self.cluster.obs, node as u64, container.len());
         let pool = &mut self.fleet[node].caches;
-        let fits = pool
-            .admit(vmi, size, now, now, obs, id, &mut evicted)
-            .is_ok();
+        let fits = pool.admit(vmi, size, now, obs, id, &mut evicted).is_ok();
         for v in evicted {
             self.warm_local.remove(&(node, v));
             self.report.evictions += 1;

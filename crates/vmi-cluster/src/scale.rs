@@ -16,8 +16,10 @@
 //!
 //! Each rack owns its node caches, peer registry, in-flight peer transfers,
 //! top-of-rack link and rack tier. Zone links, zone tiers and the storage
-//! link sit above the racks; a handler resolves an above-rack fetch against
-//! them at the point where it needs one.
+//! link sit above the racks. A fill moves one link per event: each hop
+//! reserves its next link at the time its bytes reach that link, so every
+//! link serves its messages in arrival order, and a cache takes an image
+//! only once its bytes have landed there.
 
 use std::collections::HashMap;
 
@@ -28,7 +30,7 @@ use crate::cachepool::CachePool;
 use crate::topology::Topology;
 
 const TAG_ARRIVE: u8 = 0;
-const TAG_FILL: u8 = 1;
+const TAG_HOP: u8 = 1;
 /// Mixed into the seed for the independent degraded-peer coin.
 const DEGRADE_SALT: u64 = 0x6b5f_e273_9cd1_aa41;
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -208,10 +210,15 @@ pub struct ScaleReport {
     pub peer_degrades: u64,
     /// Central storage link counters — the paper's bottleneck metric.
     pub storage_link: LinkStats,
-    /// Bytes across all zone aggregation links.
-    pub zone_link_bytes: u64,
-    /// Bytes across all top-of-rack links.
-    pub rack_link_bytes: u64,
+    /// Zone aggregation link counters, summed over the zones.
+    pub zone_links: LinkStats,
+    /// Top-of-rack link counters, summed over the racks (peer traffic
+    /// included). A healthy peer transfer reserves the whole image when it
+    /// starts, and a truncated one has its remainder sent again from
+    /// another source, so `bytes` equals `fill_bytes` when no peer transfer
+    /// was truncated and exceeds it by each truncated transfer's unsent
+    /// tail otherwise.
+    pub rack_links: LinkStats,
     /// Last boot completion time.
     pub makespan_ns: Ns,
     /// Mean arrival→running latency.
@@ -285,39 +292,29 @@ fn fill_key(image: u32, gen: u32) -> u64 {
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     Arrive { boot: u64, node: u32, image: u32 },
-    FillDone { node: u32, image: u32, gen: u32 },
+    Hop { node: u32, image: u32, gen: u32 },
 }
 
-/// The `FillDone` of `(node, image)` at generation `gen`, due at `at`.
-fn fill_done(rack: u32, node: u32, image: u32, gen: u32, at: Ns) -> (EventKey, Ev) {
+/// The `Hop` of `(node, image)` at generation `gen`, due at `at`: the
+/// fill's bytes reach the end of a link, or a degraded peer gives up.
+fn hop(rack: u32, node: u32, image: u32, gen: u32, at: Ns) -> (EventKey, Ev) {
     let key = EventKey {
         at,
         lane: rack,
-        tag: TAG_FILL,
+        tag: TAG_HOP,
         a: node as u64,
         b: fill_key(image, gen),
     };
-    (key, Ev::FillDone { node, image, gen })
+    (key, Ev::Hop { node, image, gen })
 }
 
-/// A rack or zone tier serves `image` only once its fill has landed: an
-/// entry still arriving is a miss and keeps its recency.
-fn tier_hit(tier: &mut CachePool, image: u32, now: Ns) -> Option<Ns> {
-    let ready_at = tier.ready_at(image as usize)?;
-    if ready_at > now {
-        return None;
-    }
-    tier.touch(image as usize, now)
-}
-
-/// Stage `image` in a rack or zone tier unless the tier already holds it
-/// (landed or still arriving) or is disabled (capacity 0). Returns the LRU
-/// evictions it caused; `scratch` is a reused victim buffer, left empty.
+/// Stage `image` in a rack or zone tier at `now` unless the tier already
+/// holds it or is disabled (capacity 0). Returns the LRU evictions it
+/// caused; `scratch` is a reused victim buffer, left empty.
 fn tier_admit(
     tier: &mut CachePool,
     image: u32,
     bytes: u64,
-    ready_at: Ns,
     now: Ns,
     scratch: &mut Vec<usize>,
 ) -> u64 {
@@ -326,7 +323,7 @@ fn tier_admit(
     }
     let obs = Obs::disabled();
     // A disabled tier rejects every image; that is not an error here.
-    let _ = tier.admit(image as usize, bytes, ready_at, now, &obs, 0, scratch);
+    let _ = tier.admit(image as usize, bytes, now, &obs, 0, scratch);
     let evictions = scratch.len() as u64;
     scratch.clear();
     evictions
@@ -343,30 +340,25 @@ struct Transfer {
     bytes: u64,
 }
 
-/// A fill in flight for one `(node, image)`.
+/// A fill in flight for one `(node, image)`: the segments sourced so far,
+/// the links the last one has still to cross, and the bytes still without
+/// a source.
 #[derive(Debug)]
 struct Pending {
-    /// Generation: bumped on reschedule so superseded `FillDone`s drop.
+    /// Generation: bumped on reschedule so superseded `Hop`s drop.
     gen: u32,
     boot: u64,
     at: Ns,
-    /// Completion time, or `Ns::MAX` for an above-rack fill, whose last
-    /// rack leg is charged when it reaches the zone boundary.
-    warm_at: Ns,
     seg0: Option<(FillSource, u64)>,
     seg1: Option<(FillSource, u64)>,
-    /// Bytes the final rack-link leg must carry for above-rack fills.
-    rack_leg_bytes: u64,
+    /// Links the last segment has still to cross, counted from the node:
+    /// 3 is storage → zone → rack, 2 is zone → rack, 1 is rack.
+    hops: u8,
+    /// Bytes that still need a source: a whole image for a new fill, the
+    /// rest of a degraded or truncated peer transfer.
+    need: u64,
     /// Boots that joined this fill: `(boot, arrival)`.
     joined: Vec<(u64, Ns)>,
-}
-
-fn push_seg(p: &mut Pending, src: FillSource, bytes: u64) {
-    if p.seg0.is_none() {
-        p.seg0 = Some((src, bytes));
-    } else {
-        p.seg1 = Some((src, bytes));
-    }
 }
 
 /// Per-rack aggregates, folded into the global report at the end.
@@ -440,12 +432,10 @@ impl RackAgg {
 struct RackState {
     rack: u32,
     node0: u32,
-    /// Node caches; an entry's `ready_at` may lie in the future while the
-    /// fill's last rack leg is still in flight.
     caches: Vec<CachePool>,
     pending: HashMap<(u32, u32), Pending>,
     /// image → warm holders, sorted by node id.
-    registry: HashMap<u32, Vec<(u32, Ns)>>,
+    registry: HashMap<u32, Vec<u32>>,
     transfers: Vec<Transfer>,
     link: Link,
     tier: CachePool,
@@ -466,45 +456,66 @@ struct SharedState {
     evicted: Vec<usize>,
 }
 
-/// Fetch `bytes` of `image` for `p` from above the rack, starting at
-/// `start`: zone tier if warm, else storage → zone (store-and-forward),
-/// populating the zone tier. The fill lands at the zone boundary; its
-/// `FillDone` charges the last rack leg.
+/// Carry generation `gen` of the fill of `(node, image)` one step at `t`,
+/// the time its bytes reach that step. With a link left to cross, reserve
+/// it now and schedule the next hop at its delivery time. With none left,
+/// give the bytes that still need a source one — rack tier, else zone
+/// tier, else storage — and start them across their first link. Returns
+/// `true` when nothing is left to move: the fill lands at `t`. A
+/// superseded generation does nothing.
 #[allow(clippy::too_many_arguments)]
-fn fetch_above(
+fn advance(
     cfg: &ScaleConfig,
+    rk: &mut RackState,
     shared: &mut SharedState,
     queue: &mut Shard<Ev>,
-    rack: u32,
+    t: Ns,
     node: u32,
     image: u32,
-    p: &mut Pending,
-    bytes: u64,
-    start: Ns,
-) {
-    let zone = cfg.topology.zone_of(rack as usize);
-    let (src, end) = if let Some(ready) = tier_hit(&mut shared.zone_tiers[zone], image, start) {
-        (
-            FillSource::Zone,
-            shared.zone_links[zone].transfer(start.max(ready), bytes),
-        )
-    } else {
-        let t1 = shared.storage.transfer(start, bytes);
-        let end = shared.zone_links[zone].transfer(t1, bytes);
-        shared.zone_tier_evictions += tier_admit(
-            &mut shared.zone_tiers[zone],
-            image,
-            cfg.image_bytes,
-            end,
-            start,
-            &mut shared.evicted,
-        );
-        (FillSource::Storage, end)
+    gen: u32,
+) -> bool {
+    let Some(p) = rk.pending.get_mut(&(node, image)).filter(|p| p.gen == gen) else {
+        return false;
     };
-    push_seg(p, src, bytes);
-    p.rack_leg_bytes = bytes;
-    let (key, ev) = fill_done(rack, node, image, p.gen, end);
+    let zone = cfg.topology.zone_of(rk.rack as usize);
+    if p.hops == 0 {
+        if p.need == 0 {
+            return true;
+        }
+        let (src, hops) = if rk.tier.touch(image as usize, t) {
+            (FillSource::Rack, 1)
+        } else if shared.zone_tiers[zone].touch(image as usize, t) {
+            (FillSource::Zone, 2)
+        } else {
+            (FillSource::Storage, 3)
+        };
+        let seg = if p.seg0.is_none() {
+            &mut p.seg0
+        } else {
+            &mut p.seg1
+        };
+        *seg = Some((src, p.need));
+        (p.hops, p.need) = (hops, 0);
+    }
+    let Some((src, bytes)) = p.seg1.or(p.seg0) else {
+        return true;
+    };
+    let end = match p.hops {
+        3 => shared.storage.transfer(t, bytes),
+        2 => shared.zone_links[zone].transfer(t, bytes),
+        _ => {
+            // A storage fetch that crossed the zone link stays in the zone tier.
+            if src == FillSource::Storage {
+                let (tier, scratch) = (&mut shared.zone_tiers[zone], &mut shared.evicted);
+                shared.zone_tier_evictions += tier_admit(tier, image, cfg.image_bytes, t, scratch);
+            }
+            rk.link.transfer(t, bytes)
+        }
+    };
+    p.hops -= 1;
+    let (key, ev) = hop(rk.rack, node, image, p.gen, end);
     queue.push(key, ev);
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -525,8 +536,8 @@ fn handle_arrive(
     let ni = (node - rk.node0) as usize;
     let ib = cfg.image_bytes;
 
-    // 1. Warm hit: the image is (or will shortly be) in the node cache.
-    if let Some(warm_at) = rk.caches[ni].touch(image as usize, t) {
+    // 1. Warm hit: the image has landed in the node cache.
+    if rk.caches[ni].touch(image as usize, t) {
         rk.agg.warm_hits += 1;
         rk.agg.record(
             cfg.keep_records,
@@ -535,7 +546,7 @@ fn handle_arrive(
                 node,
                 image,
                 at: t,
-                done: warm_at.max(t) + cfg.boot_cpu_ns,
+                done: t + cfg.boot_cpu_ns,
                 src: FillSource::Warm,
                 fallback: None,
                 fill_bytes: 0,
@@ -557,86 +568,63 @@ fn handle_arrive(
         gen,
         boot,
         at: t,
-        warm_at: Ns::MAX,
         seg0: None,
         seg1: None,
-        rack_leg_bytes: 0,
+        hops: 0,
+        need: ib,
         joined: Vec::new(),
     };
 
-    // 3a. Peer fetch: first warm holder in the rack, by node id.
-    if cfg.topology.peer_fetch {
-        let peer = rk
-            .registry
-            .get(&image)
-            .and_then(|v| v.iter().find(|&&(_, w)| w <= t))
-            .copied();
-        if let Some((src, _)) = peer {
-            let h = mix(cfg.seed ^ DEGRADE_SALT, boot);
-            if h % 1_000_000 < cfg.degrade_ppm as u64 {
-                // Degraded mid-transfer: a seeded fraction arrives, then the
-                // source is dropped from the registry and the remainder is
-                // refetched one tier up.
-                let served = ib * ((h >> 32) % 1000) / 1000;
-                let rest = ib - served;
-                let t_fail = rk.link.transfer(t, served);
-                if let Some(v) = rk.registry.get_mut(&image) {
-                    v.retain(|&(n, _)| n != src);
-                }
-                rk.agg.peer_degrades += 1;
-                p.seg0 = Some((FillSource::Peer, served));
-                if let Some(ready) = tier_hit(&mut rk.tier, image, t_fail) {
-                    let end = rk.link.transfer(t_fail.max(ready), rest);
-                    p.seg1 = Some((FillSource::Rack, rest));
-                    p.warm_at = end;
-                    let (key, ev) = fill_done(rk.rack, node, image, gen, end);
-                    queue.push(key, ev);
-                } else {
-                    fetch_above(
-                        cfg, shared, queue, rk.rack, node, image, &mut p, rest, t_fail,
-                    );
-                }
-            } else {
-                // Healthy peer: full image across the rack link; registered
-                // as truncatable until it completes.
-                rk.caches[(src - rk.node0) as usize].touch(image as usize, t);
-                let end = rk.link.transfer(t, ib);
-                rk.transfers.push(Transfer {
-                    src_node: src,
-                    dst_node: node,
-                    image,
-                    start: t,
-                    end,
-                    bytes: ib,
-                });
-                p.seg0 = Some((FillSource::Peer, ib));
-                p.warm_at = end;
-                let (key, ev) = fill_done(rk.rack, node, image, gen, end);
-                queue.push(key, ev);
+    // 3a. Peer fetch: first warm holder in the rack, by node id. The
+    // transfer crosses the rack link now; its hop lands the fill, or routes
+    // the rest of a degraded one.
+    let peer = cfg
+        .topology
+        .peer_fetch
+        .then(|| rk.registry.get(&image).and_then(|v| v.first().copied()))
+        .flatten();
+    if let Some(src) = peer {
+        let h = mix(cfg.seed ^ DEGRADE_SALT, boot);
+        let end = if h % 1_000_000 < cfg.degrade_ppm as u64 {
+            // Degraded mid-transfer: a seeded fraction arrives, then the
+            // source is dropped from the registry and the remainder is
+            // refetched from another source when the transfer stops.
+            let served = ib * ((h >> 32) % 1000) / 1000;
+            if let Some(v) = rk.registry.get_mut(&image) {
+                v.retain(|&n| n != src);
             }
-            rk.pending.insert((node, image), p);
-            return;
-        }
-    }
-
-    // 3b. Rack tier.
-    if let Some(ready) = tier_hit(&mut rk.tier, image, t) {
-        let end = rk.link.transfer(t.max(ready), ib);
-        p.seg0 = Some((FillSource::Rack, ib));
-        p.warm_at = end;
-        let (key, ev) = fill_done(rk.rack, node, image, gen, end);
+            rk.agg.peer_degrades += 1;
+            (p.seg0, p.need) = (Some((FillSource::Peer, served)), ib - served);
+            rk.link.transfer(t, served)
+        } else {
+            // Healthy peer: full image across the rack link; registered
+            // as truncatable until it completes.
+            rk.caches[(src - rk.node0) as usize].touch(image as usize, t);
+            let end = rk.link.transfer(t, ib);
+            rk.transfers.push(Transfer {
+                src_node: src,
+                dst_node: node,
+                image,
+                start: t,
+                end,
+                bytes: ib,
+            });
+            (p.seg0, p.need) = (Some((FillSource::Peer, ib)), 0);
+            end
+        };
+        let (key, ev) = hop(rk.rack, node, image, gen, end);
         queue.push(key, ev);
         rk.pending.insert((node, image), p);
         return;
     }
 
-    // 3c. Above the rack.
-    fetch_above(cfg, shared, queue, rk.rack, node, image, &mut p, ib, t);
+    // 3b. Rack tier, zone tier or storage.
     rk.pending.insert((node, image), p);
+    advance(cfg, rk, shared, queue, t, node, image, gen);
 }
 
 #[allow(clippy::too_many_arguments)]
-fn handle_filldone(
+fn handle_hop(
     cfg: &ScaleConfig,
     rk: &mut RackState,
     shared: &mut SharedState,
@@ -646,34 +634,28 @@ fn handle_filldone(
     image: u32,
     gen: u32,
 ) {
-    // Stale completion of a rescheduled fill?
-    if rk.pending.get(&(node, image)).is_none_or(|p| p.gen != gen) {
+    if !advance(cfg, rk, shared, queue, t, node, image, gen) {
         return;
     }
+    // The fill lands: the node cache takes the image (its evictions may
+    // truncate outgoing peer transfers), the rack tier takes it too if it
+    // came from above the rack, the node advertises it to peers, and the
+    // fill's boots complete.
     let Some(p) = rk.pending.remove(&(node, image)) else {
         return;
-    };
-
-    // Above-rack fills arrive at the zone boundary; charge the last leg.
-    let warm = if p.warm_at == Ns::MAX {
-        rk.link.transfer(t, p.rack_leg_bytes)
-    } else {
-        p.warm_at
     };
 
     // Drop this fill's incoming transfer record and GC completed ones.
     rk.transfers
         .retain(|tr| tr.end > t && !(tr.dst_node == node && tr.image == image));
 
-    // Install into the node cache (`validate` guarantees an image fits);
-    // evictions may truncate outgoing peers.
+    // Install into the node cache (`validate` guarantees an image fits).
     let ni = (node - rk.node0) as usize;
     let mut evicted = std::mem::take(&mut rk.evicted);
-    let (img, obs) = (image as usize, Obs::disabled());
+    let obs = Obs::disabled();
     let _ = rk.caches[ni].admit(
-        img,
+        image as usize,
         cfg.image_bytes,
-        warm,
         t,
         &obs,
         node as u64,
@@ -691,17 +673,14 @@ fn handle_filldone(
     };
     if from_above(&p.seg0) || from_above(&p.seg1) {
         let (bytes, scratch) = (cfg.image_bytes, &mut rk.evicted);
-        rk.tier_evictions += tier_admit(&mut rk.tier, image, bytes, warm, t, scratch);
+        rk.tier_evictions += tier_admit(&mut rk.tier, image, bytes, t, scratch);
     }
 
     // Advertise this node as a warm holder for peer fetch.
     if cfg.topology.peer_fetch {
         let v = rk.registry.entry(image).or_default();
-        let pos = v.partition_point(|&(n, _)| n < node);
-        if pos >= v.len() || v[pos].0 != node {
-            v.insert(pos, (node, warm));
-        } else {
-            v[pos].1 = warm;
+        if let Err(pos) = v.binary_search(&node) {
+            v.insert(pos, node);
         }
     }
 
@@ -716,6 +695,7 @@ fn handle_filldone(
         }
     }
     rk.agg.fill_bytes += fill_bytes;
+    let done = t + cfg.boot_cpu_ns;
     rk.agg.record(
         cfg.keep_records,
         BootRecord {
@@ -723,7 +703,7 @@ fn handle_filldone(
             node,
             image,
             at: p.at,
-            done: warm + cfg.boot_cpu_ns,
+            done,
             src,
             fallback,
             fill_bytes,
@@ -740,7 +720,7 @@ fn handle_filldone(
                 node,
                 image,
                 at: jat,
-                done: warm.max(jat) + cfg.boot_cpu_ns,
+                done,
                 src: FillSource::Join,
                 fallback: None,
                 fill_bytes: 0,
@@ -751,7 +731,7 @@ fn handle_filldone(
 
 /// A node evicted `image`: unadvertise it and truncate any outgoing peer
 /// transfer mid-flight — the destination keeps the bytes already served and
-/// refetches exactly the remainder from the next tier (never both).
+/// sources exactly the remainder elsewhere, now (never both).
 fn process_eviction(
     cfg: &ScaleConfig,
     rk: &mut RackState,
@@ -763,7 +743,7 @@ fn process_eviction(
 ) {
     if cfg.topology.peer_fetch {
         if let Some(v) = rk.registry.get_mut(&image) {
-            v.retain(|&(n, _)| n != owner);
+            v.retain(|&n| n != owner);
             if v.is_empty() {
                 rk.registry.remove(&image);
             }
@@ -781,23 +761,13 @@ fn process_eviction(
                 // u128: a 64 MiB image times ≥ 2^38 ns overflows u64.
                 (tr.bytes as u128 * (t - tr.start) as u128 / (tr.end - tr.start) as u128) as u64
             };
-            let rest = tr.bytes - served;
             if let Some(p) = rk.pending.get_mut(&(tr.dst_node, tr.image)) {
-                p.seg0 = Some((FillSource::Peer, served));
-                p.seg1 = None;
+                (p.seg0, p.need) = (Some((FillSource::Peer, served)), tr.bytes - served);
                 rk.next_gen += 1;
                 p.gen = rk.next_gen;
-                if let Some(ready) = tier_hit(&mut rk.tier, image, t) {
-                    let end = rk.link.transfer(t.max(ready), rest);
-                    p.seg1 = Some((FillSource::Rack, rest));
-                    p.warm_at = end;
-                    let (key, ev) = fill_done(rk.rack, tr.dst_node, image, p.gen, end);
-                    queue.push(key, ev);
-                } else {
-                    p.warm_at = Ns::MAX;
-                    fetch_above(cfg, shared, queue, rk.rack, tr.dst_node, image, p, rest, t);
-                }
             }
+            let gen = rk.next_gen;
+            advance(cfg, rk, shared, queue, t, tr.dst_node, image, gen);
         } else {
             i += 1;
         }
@@ -870,6 +840,16 @@ fn inject_wave(queue: &mut Shard<Ev>, cfg: &ScaleConfig, cum: &[f64], wave: usiz
     }
 }
 
+/// Fold `link`'s counters into a tier's sum.
+fn add_link(sum: &mut LinkStats, link: &Link) {
+    let s = link.stats();
+    sum.messages += s.messages;
+    sum.bytes += s.bytes;
+    sum.busy_ns += s.busy_ns;
+    sum.late += s.late;
+    sum.late_ns += s.late_ns;
+}
+
 fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> ScaleReport {
     let mut report = ScaleReport {
         topology: cfg.topology.name,
@@ -886,8 +866,8 @@ fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> Scal
         peer_truncations: 0,
         peer_degrades: 0,
         storage_link: shared.storage.stats(),
-        zone_link_bytes: shared.zone_links.iter().map(|l| l.stats().bytes).sum(),
-        rack_link_bytes: 0,
+        zone_links: LinkStats::default(),
+        rack_links: LinkStats::default(),
         makespan_ns: 0,
         mean_boot_ns: 0.0,
         p50_boot_ns: 0,
@@ -895,6 +875,9 @@ fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> Scal
         digest: FNV_BASIS,
         records: Vec::new(),
     };
+    for link in &shared.zone_links {
+        add_link(&mut report.zone_links, link);
+    }
     let mut hist = HistogramSnapshot::default();
     let mut lat_sum = 0u128;
     for rk in racks {
@@ -911,7 +894,7 @@ fn finish(cfg: &ScaleConfig, racks: Vec<RackState>, shared: SharedState) -> Scal
         report.rack_tier_evictions += rk.tier_evictions;
         report.peer_truncations += a.peer_truncations;
         report.peer_degrades += a.peer_degrades;
-        report.rack_link_bytes += rk.link.stats().bytes;
+        add_link(&mut report.rack_links, &rk.link);
         report.makespan_ns = report.makespan_ns.max(a.max_done);
         hist.merge(&a.hist.snapshot());
         lat_sum += a.lat_sum;
@@ -956,8 +939,8 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
             Ev::Arrive { boot, node, image } => {
                 handle_arrive(cfg, rk, sh, &mut queue, t, boot, node, image)
             }
-            Ev::FillDone { node, image, gen } => {
-                handle_filldone(cfg, rk, sh, &mut queue, t, node, image, gen)
+            Ev::Hop { node, image, gen } => {
+                handle_hop(cfg, rk, sh, &mut queue, t, node, image, gen)
             }
         }
     }
@@ -1037,6 +1020,10 @@ mod tests {
             rep.fill_bytes,
             "per-tier bytes partition total fill bytes"
         );
+        // A degraded transfer reserves only the bytes it serves, so with no
+        // truncation the rack links carry exactly one image per fill.
+        assert_eq!(rep.peer_truncations, 0);
+        assert_eq!(rep.rack_links.bytes, rep.fill_bytes);
     }
 
     #[test]
@@ -1094,9 +1081,11 @@ mod tests {
         };
         // (seed, truncations, peer bytes): the served prefix of each
         // truncated transfer is exact, not a wrapped product.
-        for (seed, truncations, peer_bytes) in
-            [(1u64, 2, 8_320_623), (3, 1, 4_642_913), (15, 5, 7_623_680)]
-        {
+        for (seed, truncations, peer_bytes) in [
+            (1u64, 3, 179_116_148),
+            (3, 4, 112_241_549),
+            (15, 3, 164_682_308),
+        ] {
             let mut cfg = ScaleConfig::new(topo.clone(), 3);
             cfg.node_cache_bytes = cfg.image_bytes;
             cfg.waves = 12;
@@ -1107,6 +1096,9 @@ mod tests {
             assert_eq!(rep.peer_truncations, truncations, "seed {seed}");
             assert_eq!(rep.tier_bytes[0], peer_bytes, "seed {seed}");
             assert_eq!(rep.tier_bytes.iter().sum::<u64>(), rep.fill_bytes);
+            // A healthy transfer reserved the whole image when it started;
+            // each truncated one's unsent tail was sent again elsewhere.
+            assert!(rep.rack_links.bytes > rep.fill_bytes, "seed {seed}");
             for r in &rep.records {
                 if !matches!(r.src, FillSource::Warm | FillSource::Join) {
                     assert_eq!(r.fill_bytes, cfg.image_bytes, "seed {seed} boot {}", r.boot);

@@ -142,7 +142,7 @@ impl Scheduler {
         })?;
         let node = &mut nodes[best];
         node.running_vms += 1;
-        let cache_hit = node.caches.touch(vmi, now).is_some();
+        let cache_hit = node.caches.touch(vmi, now);
         let node_id = node.id;
         obs.emit(|| Event::SchedPlace {
             vmi: format!("vmi-{vmi}"),
@@ -194,7 +194,7 @@ mod tests {
         let id = node.id as u64;
         let admitted = node
             .caches
-            .admit(vmi, 100, 0, 0, &Obs::disabled(), id, &mut Vec::new());
+            .admit(vmi, 100, 0, &Obs::disabled(), id, &mut Vec::new());
         assert!(admitted.is_ok());
     }
 

@@ -22,7 +22,7 @@ use vmi_sim::{EventKey, Ns, Shard, SimWorld};
 use vmi_trace::{BootTrace, OpKind};
 
 /// One VM to boot: a ready-made image chain and the trace to replay.
-pub struct VmRun {
+pub(crate) struct VmRun {
     /// Top of the image chain (the CoW image the VM boots from).
     pub chain: SharedDev,
     /// The boot I/O sequence.
@@ -232,33 +232,6 @@ fn key(at: Ns, tag: u8, id: u64) -> EventKey {
     }
 }
 
-/// Replay all `vms` to completion; returns one outcome per VM, in input
-/// order. Deterministic: identical inputs give identical timelines.
-///
-/// Each VM's boot is one `boot.vm` span through `obs`, opened at its first
-/// op (issue) and closed at completion (connect-back), and every trace op's
-/// simulated latency is recorded into the [`met::VM_OP_NS`] histogram; pass
-/// [`Obs::disabled`] to record nothing.
-///
-/// # Errors
-/// Propagates the first I/O error any chain returns (experiments run on
-/// correct chains; errors indicate a harness bug).
-pub fn run_boots(world: &SimWorld, vms: Vec<VmRun>, obs: &Obs) -> Result<Vec<VmOutcome>> {
-    let mut timeline = Timeline::<()>::new(world, obs);
-    let mut outcomes = vec![None; vms.len()];
-    for run in vms {
-        timeline.start(run);
-    }
-    timeline.run(|_, _, step| {
-        if let Step::Done(vm, out) = step {
-            outcomes[vm] = Some(out);
-        }
-        Ok(())
-    })?;
-    // The heap drains every VM, so no slot can be empty here.
-    Ok(outcomes.into_iter().flatten().collect())
-}
-
 /// Summary statistics over a set of outcomes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootStats {
@@ -311,6 +284,25 @@ mod tests {
         })
     }
 
+    /// Put every VM on one timeline and run it dry; one outcome per VM,
+    /// in input order.
+    fn boot_all(w: &SimWorld, vms: Vec<VmRun>) -> Vec<VmOutcome> {
+        let mut timeline = Timeline::<()>::new(w, &Obs::disabled());
+        let mut outcomes = vec![None; vms.len()];
+        for run in vms {
+            timeline.start(run);
+        }
+        timeline
+            .run(|_, _, step| {
+                if let Step::Done(vm, out) = step {
+                    outcomes[vm] = Some(out);
+                }
+                Ok(())
+            })
+            .unwrap();
+        outcomes.into_iter().map(Option::unwrap).collect()
+    }
+
     fn boot_one(
         w: &SimWorld,
         chain: SharedDev,
@@ -324,7 +316,7 @@ mod tests {
             start_at,
             setup_ns,
         };
-        run_boots(w, vec![vm], &Obs::disabled()).unwrap()[0]
+        boot_all(w, vec![vm])[0]
     }
 
     #[test]
@@ -366,7 +358,7 @@ mod tests {
                     setup_ns: 0,
                 })
                 .collect();
-            run_boots(&w, vms, &Obs::disabled()).unwrap()
+            boot_all(&w, vms)
         };
         assert_eq!(run(), run());
     }

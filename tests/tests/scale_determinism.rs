@@ -80,7 +80,9 @@ proptest! {
     /// Every boot that filled (rather than hitting warm cache or joining)
     /// accounts for exactly one image of bytes, and the per-tier byte
     /// totals sum to the fill total — truncated peer transfers re-source
-    /// the remainder without double counting.
+    /// the remainder without double counting. Every link serves its
+    /// messages in arrival order, and the rack links carry one image per
+    /// fill plus each truncated peer transfer's unsent tail.
     #[test]
     fn fills_conserve_image_bytes(a in arb_config()) {
         let cfg = build(&a);
@@ -99,6 +101,26 @@ proptest! {
         let tier_total: u64 = rep.tier_bytes.iter().sum();
         prop_assert_eq!(tier_total, rep.fill_bytes);
         prop_assert_eq!(rep.boots, cfg.boots());
+        assert_in_order(&rep);
+        if rep.peer_truncations == 0 {
+            prop_assert_eq!(rep.rack_links.bytes, rep.fill_bytes);
+        } else {
+            prop_assert!(rep.rack_links.bytes > rep.fill_bytes);
+        }
+    }
+}
+
+/// No storage, zone or rack link took a message after a later-submitted one.
+fn assert_in_order(rep: &ScaleReport) {
+    for (tier, link) in [
+        ("storage", rep.storage_link),
+        ("zone", rep.zone_links),
+        ("rack", rep.rack_links),
+    ] {
+        assert_eq!(
+            link.late, 0,
+            "{tier} link served out of arrival order: {link:?}"
+        );
     }
 }
 
@@ -113,8 +135,8 @@ fn fnv(s: &str) -> u64 {
 fn pin(rep: &ScaleReport) -> String {
     format!(
         "digest={:016x} boots={} warm={} joins={} fills={:?} tier_bytes={:?} fill_bytes={} \
-         evictions={}/{}/{} truncations={} degrades={} storage={:?} zone_bytes={} \
-         rack_bytes={} makespan={} mean={:?} p50={} p99={} jsonl={:016x}",
+         evictions={}/{}/{} truncations={} degrades={} storage={:?} zone={:?} \
+         rack={:?} makespan={} mean={:?} p50={} p99={} jsonl={:016x}",
         rep.digest,
         rep.boots,
         rep.warm_hits,
@@ -128,8 +150,8 @@ fn pin(rep: &ScaleReport) -> String {
         rep.peer_truncations,
         rep.peer_degrades,
         rep.storage_link,
-        rep.zone_link_bytes,
-        rep.rack_link_bytes,
+        rep.zone_links,
+        rep.rack_links,
         rep.makespan_ns,
         rep.mean_boot_ns,
         rep.p50_boot_ns,
@@ -149,10 +171,9 @@ fn bench_determinism_config_reproduces_the_committed_digest() {
     cfg.waves = 4;
     cfg.seed = 42;
     cfg.degrade_ppm = 100_000;
-    assert_eq!(
-        format!("{:016x}", run_scale(&cfg).digest),
-        "72e48d9085b0d01e"
-    );
+    let rep = run_scale(&cfg);
+    assert_in_order(&rep);
+    assert_eq!(format!("{:016x}", rep.digest), "f0fa4667e223faca");
 }
 
 /// Twelve 8 MiB images over 48 nodes, two images per node cache, with
@@ -186,27 +207,32 @@ fn small_config_reports_are_pinned() {
             "digest=60c8d3f1958e3dff boots=240 warm=43 joins=0 fills=[0, 0, 0, 197] \
              tier_bytes=[0, 0, 0, 1652555776] fill_bytes=1652555776 evictions=101/0/0 \
              truncations=0 degrades=0 storage=LinkStats { messages: 197, bytes: 1652555776, \
-             busy_ns: 517211680, late: 0, late_ns: 0 } zone_bytes=1652555776 rack_bytes=1652555776 \
-             makespan=22094542840 mean=2044403037.8333333 p50=2147483647 p99=2147483647 \
-             jsonl=23c03531ff290a27",
+             busy_ns: 517211680, late: 0, late_ns: 0 } zone=LinkStats { messages: 197, \
+             bytes: 1652555776, busy_ns: 0, late: 0, late_ns: 0 } rack=LinkStats { messages: 197, \
+             bytes: 1652555776, busy_ns: 0, late: 0, late_ns: 0 } makespan=22094542840 \
+             mean=2044403037.8333333 p50=2147483647 p99=2147483647 jsonl=23c03531ff290a27",
         ),
         (
             Topology::tiered(48, 32 << 20, 64 << 20),
-            "digest=56e028485bc2c102 boots=240 warm=43 joins=0 fills=[0, 54, 51, 92] \
-             tier_bytes=[0, 452984832, 427819008, 771751936] fill_bytes=1652555776 \
-             evictions=101/69/22 truncations=0 degrades=0 storage=LinkStats { messages: 92, \
-             bytes: 771751936, busy_ns: 241540480, late: 0, late_ns: 0 } zone_bytes=1199570944 \
-             rack_bytes=1652555776 makespan=22049036540 mean=2023993686.425 p50=2147483647 \
-             p99=2147483647 jsonl=7004fd50feb1e28b",
+            "digest=c61293cb7f3c08c6 boots=240 warm=43 joins=0 fills=[0, 54, 61, 82] \
+             tier_bytes=[0, 452984832, 511705088, 687865856] fill_bytes=1652555776 \
+             evictions=101/69/16 truncations=0 degrades=0 storage=LinkStats { messages: 82, \
+             bytes: 687865856, busy_ns: 215286080, late: 0, late_ns: 0 } zone=LinkStats { \
+             messages: 143, bytes: 1199570944, busy_ns: 100250150, late: 0, late_ns: 0 } \
+             rack=LinkStats { messages: 197, bytes: 1652555776, busy_ns: 551048794, late: 0, \
+             late_ns: 0 } makespan=22032418092 mean=2020903806.8333333 p50=2147483647 \
+             p99=2147483647 jsonl=4821fc1f2e639ce0",
         ),
         (
             p2p,
-            "digest=3743412d9079158e boots=240 warm=35 joins=14 fills=[37, 1, 75, 93] \
-             tier_bytes=[257684793, 3774874, 573928844, 766835617] fill_bytes=1602224128 \
-             evictions=95/65/21 truncations=11 degrades=4 storage=LinkStats { messages: 93, \
-             bytes: 766835617, busy_ns: 240008129, late: 28, late_ns: 813326718416 } zone_bytes=1340764461 \
-             rack_bytes=1629324186 makespan=100709397545 mean=37029290808.754166 \
-             p50=34359738367 p99=137438953471 jsonl=237511ba64c12741",
+            "digest=74e4578117a186ec boots=240 warm=14 joins=37 fills=[37, 6, 92, 75] \
+             tier_bytes=[237046251, 22747180, 719583661, 606069820] fill_bytes=1585446912 \
+             evictions=93/63/17 truncations=17 degrades=4 storage=LinkStats { messages: 75, \
+             bytes: 606069820, busy_ns: 189696817, late: 0, late_ns: 0 } zone=LinkStats { \
+             messages: 167, bytes: 1325653481, busy_ns: 110805017, late: 0, late_ns: 0 } \
+             rack=LinkStats { messages: 210, bytes: 1634427026, busy_ns: 544809218536, late: 0, \
+             late_ns: 0 } makespan=103070490546 mean=36218068279.05417 p50=34359738367 \
+             p99=137438953471 jsonl=c9db97f8c1b95d86",
         ),
     ];
     for (topo, want) in cases {
