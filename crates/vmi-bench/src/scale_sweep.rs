@@ -11,8 +11,9 @@
 //!
 //! `--check` gates (the CI `scale-smoke` job runs `--smoke --check`):
 //! tiered storage traffic strictly below flat, peer fetch active under
-//! `tiered+p2p`, no link message served out of arrival order, boots/sec at
-//! or above a floor, and total wall clock inside a budget. Every non-wall
+//! `tiered+p2p`, no link message served out of arrival order, rack links
+//! carrying exactly the bytes that land in node caches, boots/sec at or
+//! above a floor, and total wall clock inside a budget. Every non-wall
 //! field of the committed `BENCH_pr10_scale.json` is pinned by
 //! `tests/tests/scale_determinism.rs`.
 
@@ -47,8 +48,8 @@ impl SweepConfig {
             waves: 6,
             images: 64,
             seeds: vec![11, 42],
-            // The engine clears ~200k boots/s on a loaded 1-CPU container;
-            // gate an order of magnitude below to catch real regressions
+            // This sweep clears ~1.6M boots/s (median of 11 runs on a
+            // shared 2-CPU Xeon); gate ~80× below to catch real regressions
             // (a return to O(boots) allocation churn) without flaking.
             min_boots_per_sec: 20_000.0,
             wall_budget_s: 120.0,
@@ -106,9 +107,11 @@ pub struct SweepPoint {
     pub storage_bytes: u64,
     /// Bytes over zone aggregation links.
     pub zone_bytes: u64,
-    /// Bytes over top-of-rack links (includes peer traffic, and the unsent
-    /// tail of each truncated peer transfer).
+    /// Bytes over top-of-rack links (peer traffic included); equal to
+    /// `fill_bytes`, since every byte that lands crosses its rack link once.
     pub rack_bytes: u64,
+    /// Bytes moved into node caches.
+    pub fill_bytes: u64,
     /// Messages a storage, zone or rack link took after a later-submitted
     /// one (`LinkStats::late`, summed over the three tiers); 0 when every
     /// link serves in arrival order.
@@ -197,6 +200,12 @@ impl ScaleSweepReport {
                 p.topology, p.seed, p.late
             ));
         }
+        for p in self.points.iter().filter(|p| p.rack_bytes != p.fill_bytes) {
+            fails.push(format!(
+                "{} seed {}: rack links carried {} B for {} B of fills",
+                p.topology, p.seed, p.rack_bytes, p.fill_bytes
+            ));
+        }
         for &seed in &cfg.seeds {
             let bytes = |name: &str| {
                 self.points
@@ -271,6 +280,7 @@ pub fn run_scale_sweep_with(cfg: &SweepConfig, mode: &str) -> ScaleSweepReport {
                 storage_bytes: rep.storage_link.bytes,
                 zone_bytes: rep.zone_links.bytes,
                 rack_bytes: rep.rack_links.bytes,
+                fill_bytes: rep.fill_bytes,
                 late: rep.storage_link.late + rep.zone_links.late + rep.rack_links.late,
                 fills: rep.fills.to_vec(),
                 warm_hits: rep.warm_hits,
@@ -364,5 +374,24 @@ mod tests {
             fails[0].contains("tiered seed 7: 3 link messages"),
             "{fails:?}"
         );
+    }
+
+    #[test]
+    fn check_flags_rack_bytes_that_differ_from_fill_bytes() {
+        let cfg = tiny();
+        let mut rep = run_scale_sweep_with(&cfg, "test");
+        assert!(
+            rep.points.iter().all(|p| p.rack_bytes == p.fill_bytes),
+            "{}",
+            rep.render()
+        );
+        rep.points[2].rack_bytes += 5;
+        let fails = rep.check(&cfg);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        let want = format!(
+            "tiered+p2p seed 7: rack links carried {} B for {} B of fills",
+            rep.points[2].rack_bytes, rep.points[2].fill_bytes
+        );
+        assert_eq!(fails[0], want);
     }
 }

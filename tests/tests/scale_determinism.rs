@@ -1,7 +1,8 @@
 //! Goldens for the PR-10 scale engine: pinned digests and whole reports of
 //! small configurations, the committed 10k-node sweep, and a property that
-//! every completed fill accounts for exactly one image's worth of bytes no
-//! matter how transfers degrade or truncate mid-flight.
+//! every completed fill accounts for exactly one image's worth of bytes, and
+//! crosses its rack link exactly once, no matter how peer transfers degrade
+//! mid-flight or their sources evict.
 
 use proptest::prelude::*;
 use vmi_cluster::{run_scale, FillSource, ScaleConfig, ScaleReport, Topology};
@@ -79,10 +80,10 @@ proptest! {
 
     /// Every boot that filled (rather than hitting warm cache or joining)
     /// accounts for exactly one image of bytes, and the per-tier byte
-    /// totals sum to the fill total — truncated peer transfers re-source
+    /// totals sum to the fill total — degraded peer transfers re-source
     /// the remainder without double counting. Every link serves its
-    /// messages in arrival order, and the rack links carry one image per
-    /// fill plus each truncated peer transfer's unsent tail.
+    /// messages in arrival order, and the rack links carry exactly one
+    /// image per fill.
     #[test]
     fn fills_conserve_image_bytes(a in arb_config()) {
         let cfg = build(&a);
@@ -101,17 +102,13 @@ proptest! {
         let tier_total: u64 = rep.tier_bytes.iter().sum();
         prop_assert_eq!(tier_total, rep.fill_bytes);
         prop_assert_eq!(rep.boots, cfg.boots());
-        assert_in_order(&rep);
-        if rep.peer_truncations == 0 {
-            prop_assert_eq!(rep.rack_links.bytes, rep.fill_bytes);
-        } else {
-            prop_assert!(rep.rack_links.bytes > rep.fill_bytes);
-        }
+        assert_link_invariants(&rep);
     }
 }
 
-/// No storage, zone or rack link took a message after a later-submitted one.
-fn assert_in_order(rep: &ScaleReport) {
+/// No storage, zone or rack link took a message after a later-submitted one,
+/// and the rack links carried exactly the bytes that landed in node caches.
+fn assert_link_invariants(rep: &ScaleReport) {
     for (tier, link) in [
         ("storage", rep.storage_link),
         ("zone", rep.zone_links),
@@ -122,6 +119,10 @@ fn assert_in_order(rep: &ScaleReport) {
             "{tier} link served out of arrival order: {link:?}"
         );
     }
+    assert_eq!(
+        rep.rack_links.bytes, rep.fill_bytes,
+        "rack bytes != fill bytes"
+    );
 }
 
 /// FNV-1a over a string: a stable fingerprint for pinned JSONL.
@@ -135,7 +136,7 @@ fn fnv(s: &str) -> u64 {
 fn pin(rep: &ScaleReport) -> String {
     format!(
         "digest={:016x} boots={} warm={} joins={} fills={:?} tier_bytes={:?} fill_bytes={} \
-         evictions={}/{}/{} truncations={} degrades={} storage={:?} zone={:?} \
+         evictions={}/{}/{} degrades={} storage={:?} zone={:?} \
          rack={:?} makespan={} mean={:?} p50={} p99={} jsonl={:016x}",
         rep.digest,
         rep.boots,
@@ -147,7 +148,6 @@ fn pin(rep: &ScaleReport) -> String {
         rep.node_evictions,
         rep.rack_tier_evictions,
         rep.zone_tier_evictions,
-        rep.peer_truncations,
         rep.peer_degrades,
         rep.storage_link,
         rep.zone_links,
@@ -172,7 +172,7 @@ fn bench_determinism_config_reproduces_the_committed_digest() {
     cfg.seed = 42;
     cfg.degrade_ppm = 100_000;
     let rep = run_scale(&cfg);
-    assert_in_order(&rep);
+    assert_link_invariants(&rep);
     assert_eq!(format!("{:016x}", rep.digest), "f0fa4667e223faca");
 }
 
@@ -196,7 +196,7 @@ fn golden_cfg(topology: Topology) -> ScaleConfig {
 fn small_config_reports_are_pinned() {
     let mut p2p = Topology::tiered_p2p(48, 32 << 20, 64 << 20);
     // A slow top-of-rack link keeps peer transfers in flight long enough
-    // for the source to evict and truncate them.
+    // for the source to evict the image while it is still sending it.
     p2p.rack_link = NetSpec {
         bw_bps: 3_000_000,
         ..NetSpec::tor_25g()
@@ -206,7 +206,7 @@ fn small_config_reports_are_pinned() {
             Topology::flat(48),
             "digest=60c8d3f1958e3dff boots=240 warm=43 joins=0 fills=[0, 0, 0, 197] \
              tier_bytes=[0, 0, 0, 1652555776] fill_bytes=1652555776 evictions=101/0/0 \
-             truncations=0 degrades=0 storage=LinkStats { messages: 197, bytes: 1652555776, \
+             degrades=0 storage=LinkStats { messages: 197, bytes: 1652555776, \
              busy_ns: 517211680, late: 0, late_ns: 0 } zone=LinkStats { messages: 197, \
              bytes: 1652555776, busy_ns: 0, late: 0, late_ns: 0 } rack=LinkStats { messages: 197, \
              bytes: 1652555776, busy_ns: 0, late: 0, late_ns: 0 } makespan=22094542840 \
@@ -216,7 +216,7 @@ fn small_config_reports_are_pinned() {
             Topology::tiered(48, 32 << 20, 64 << 20),
             "digest=c61293cb7f3c08c6 boots=240 warm=43 joins=0 fills=[0, 54, 61, 82] \
              tier_bytes=[0, 452984832, 511705088, 687865856] fill_bytes=1652555776 \
-             evictions=101/69/16 truncations=0 degrades=0 storage=LinkStats { messages: 82, \
+             evictions=101/69/16 degrades=0 storage=LinkStats { messages: 82, \
              bytes: 687865856, busy_ns: 215286080, late: 0, late_ns: 0 } zone=LinkStats { \
              messages: 143, bytes: 1199570944, busy_ns: 100250150, late: 0, late_ns: 0 } \
              rack=LinkStats { messages: 197, bytes: 1652555776, busy_ns: 551048794, late: 0, \
@@ -225,19 +225,21 @@ fn small_config_reports_are_pinned() {
         ),
         (
             p2p,
-            "digest=74e4578117a186ec boots=240 warm=14 joins=37 fills=[37, 6, 92, 75] \
-             tier_bytes=[237046251, 22747180, 719583661, 606069820] fill_bytes=1585446912 \
-             evictions=93/63/17 truncations=17 degrades=4 storage=LinkStats { messages: 75, \
-             bytes: 606069820, busy_ns: 189696817, late: 0, late_ns: 0 } zone=LinkStats { \
-             messages: 167, bytes: 1325653481, busy_ns: 110805017, late: 0, late_ns: 0 } \
-             rack=LinkStats { messages: 210, bytes: 1634427026, busy_ns: 544809218536, late: 0, \
-             late_ns: 0 } makespan=103070490546 mean=36218068279.05417 p50=34359738367 \
-             p99=137438953471 jsonl=c9db97f8c1b95d86",
+            "digest=7d9eb216dabccd10 boots=240 warm=14 joins=37 fills=[37, 0, 83, 73] \
+             tier_bytes=[286026365, 0, 694685795, 604734752] fill_bytes=1585446912 \
+             evictions=93/58/15 degrades=4 storage=LinkStats { messages: 73, \
+             bytes: 604734752, busy_ns: 189271609, late: 0, late_ns: 0 } zone=LinkStats { \
+             messages: 156, bytes: 1299420547, busy_ns: 108596942, late: 0, late_ns: 0 } \
+             rack=LinkStats { messages: 193, bytes: 1585446912, busy_ns: 528482496874, late: 0, \
+             late_ns: 0 } makespan=97158306214 mean=34958584529.35833 p50=34359738367 \
+             p99=137438953471 jsonl=2316945eee1f251a",
         ),
     ];
     for (topo, want) in cases {
         let name = topo.name;
-        assert_eq!(pin(&run_scale(&golden_cfg(topo))), want, "{name}");
+        let rep = run_scale(&golden_cfg(topo));
+        assert_link_invariants(&rep);
+        assert_eq!(pin(&rep), want, "{name}");
     }
 }
 
